@@ -90,6 +90,25 @@ class ThreefoldPartition:
         return len(self.g2)
 
 
+def threefold_splittings(g0: int, delta: int, n: int) -> Iterator[ThreefoldPartition]:
+    """ThreefoldPartition with root genus g0 and added genus delta, in sorted order.
+
+    Yields every splitting of delta into a marked list g1 with k1 <= n and
+    an insertion list g2, ordered by (g1, g2).  delta = 0 is the trivial
+    splitting and yields nothing.
+    """
+    if g0 < 0 or delta < 0 or n < 0:
+        raise ValueError("g0, delta and n must be nonnegative")
+    if delta == 0:
+        return
+    splits = sorted((g1, g2)
+                    for s1 in range(delta + 1)
+                    for g1 in descending_partitions(s1, max_len=n)
+                    for g2 in descending_partitions(delta - s1))
+    for g1, g2 in splits:
+        yield ThreefoldPartition(g0, g1, g2)
+
+
 def enumerate_threefold_partitions(g: int, n: int) -> list[ThreefoldPartition]:
     """All ThreefoldPartition with total genus g and k1 <= n, in sorted order.
 
@@ -98,17 +117,7 @@ def enumerate_threefold_partitions(g: int, n: int) -> list[ThreefoldPartition]:
     """
     if g < 0 or n < 0:
         raise ValueError("g and n must be nonnegative")
-    out = []
-    for g0 in range(g + 1):
-        for s1 in range(g - g0 + 1):
-            s2 = g - g0 - s1
-            for g1 in descending_partitions(s1, max_len=n):
-                for g2 in descending_partitions(s2):
-                    if g0 == g and not g1 and not g2:
-                        continue
-                    out.append(ThreefoldPartition(g0, g1, g2))
-    out.sort(key=lambda p: (p.g0, p.g1, p.g2))
-    return out
+    return [p for g0 in range(g + 1) for p in threefold_splittings(g0, g - g0, n)]
 
 
 @dataclass(frozen=True)

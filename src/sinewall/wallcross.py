@@ -24,12 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from itertools import product
 from math import comb, factorial
 from typing import Iterable, Mapping
 
 from . import hodge
-from .partitions import enumerate_threefold_partitions, multinomial, multiplicities
+from .partitions import multinomial, multiplicities, threefold_splittings
 from .series import USeries, exp, log, pow_int, sinc_half
 
 
@@ -98,6 +97,42 @@ def falling_factorial(x, k: int) -> Fraction:
     return out
 
 
+# order -> the products t1^a1 t2^a2 that eq_sum combines: row a2, entry a1,
+# each a tuple of (exponent, coefficient) pairs with the zeros left out
+_EQ_BASIS: dict[int, tuple] = {}
+
+
+def _eq_basis(order: int):
+    """The products t1^a1 t2^a2 below ``order``, built once per order.
+
+    Every factor has valuation >= 0, so the coefficients of a product
+    below ``order`` depend only on those of its factors below ``order``;
+    each power is truncated there rather than carrying the extra relative
+    precision a product of valuation-2 series would otherwise keep.
+    """
+    basis = _EQ_BASIS.get(order)
+    if basis is None:
+        s = sinc_half(order)
+        s2 = s * s
+        t1 = s2 - USeries.one(order)
+        t2 = s2 * log(s)
+        amax = (order - 1) // 2  # t1, t2 have valuation 2
+        t1_pows = [USeries.one(order)]
+        t2_pows = [USeries.one(order)]
+        for _ in range(amax):
+            t1_pows.append((t1_pows[-1] * t1).truncate(order))
+            t2_pows.append((t2_pows[-1] * t2).truncate(order))
+        rows = []
+        for a2 in range(amax + 1):
+            row = []
+            for a1 in range(amax + 1 - a2):
+                term = (t1_pows[a1] * t2_pows[a2]).truncate(order)
+                row.append(tuple((k, b) for k, b in enumerate(term.coeffs, term.valuation) if b))
+            rows.append(tuple(row))
+        basis = _EQ_BASIS[order] = tuple(rows)
+    return basis
+
+
 def eq_sum(m1, m2, order: int) -> USeries:
     r"""The bracket-reduction double sum
 
@@ -105,30 +140,26 @@ def eq_sum(m1, m2, order: int) -> USeries:
 
     with t1 = S^2 - 1 and t2 = S^2 log S, truncated at ``order``.  It
     collapses to (1 + t1)^{m1} exp(m2 log S) = S^{2 m1 + m2}; the closed
-    form is what `verify_eq_sum` tests against.
+    form is what `verify_eq_sum` tests against.  The products
+    t1^{a1} t2^{a2} do not depend on (m1, m2): they are built once per
+    order and kept in a module cache, so a call only forms the scalar
+    combination.
     """
     if order <= 0:
         return USeries.zero(order)
     m1 = Fraction(m1)
     m2 = Fraction(m2)
-    s = sinc_half(order)
-    s2 = s * s
-    t1 = s2 - USeries.one(order)
-    t2 = s2 * log(s)
-    amax = (order - 1) // 2  # t1, t2 have valuation 2
-    t1_pows = [USeries.one(order)]
-    t2_pows = [USeries.one(order)]
-    for _ in range(amax):
-        t1_pows.append(t1_pows[-1] * t1)
-        t2_pows.append(t2_pows[-1] * t2)
-    acc = USeries.zero(order)
-    for a1 in range(amax + 1):
-        for a2 in range(amax + 1 - a1):
-            coef = (m2**a2 * Fraction(1, factorial(a2))
-                    * falling_factorial(m1 - a2, a1) * Fraction(1, factorial(a1)))
+    out = [Fraction(0)] * order
+    lead = Fraction(1)  # m2^a2 / a2!
+    for a2, row in enumerate(_eq_basis(order)):
+        coef = lead  # times ff(m1 - a2, a1) / a1!
+        for a1, term in enumerate(row):
             if coef:
-                acc = acc + (t1_pows[a1] * t2_pows[a2]).scale(coef)
-    return acc
+                for k, b in term:
+                    out[k] += coef * b
+            coef = coef * (m1 - a2 - a1) / (a1 + 1)
+        lead = lead * m2 / (a2 + 1)
+    return USeries(0, out)
 
 
 @dataclass(frozen=True)
@@ -179,17 +210,42 @@ def reduce_bracket(g0: int, n: int, n_psi: int, n_div: int, c: int) -> int:
     return total * (3 * (2 * g0 - 2) + c) ** n_div
 
 
+def insertion_bracket(g0: int, n: int, c: int, g2: tuple[int, ...],
+                      vertex: VertexData) -> Fraction:
+    """The genus-g0 bracket with one insertion mu_{g,0}(-psi + H) per entry of g2.
+
+    Expanding prod_i (mu0_psi[g_i] (-psi) + mu0_div[g_i] (3H + c1)) gives
+    2^k2 choices, but `reduce_bracket` depends only on how many of them
+    pick -psi.  by_psi[j], the coefficient of x^j in
+    prod_i (mu0_psi[g_i] x + mu0_div[g_i]), sums the choices with j psi
+    parts, so the bracket is sum_j by_psi[j] reduce_bracket(g0, n, j, k2 - j, c),
+    O(k2^2) work.
+    """
+    by_psi = [Fraction(1)]
+    for gi in g2:
+        psi, div = vertex.mu0_psi[gi], vertex.mu0_div[gi]
+        nxt = [b * div for b in by_psi] + [Fraction(0)]
+        for j, b in enumerate(by_psi):
+            nxt[j + 1] += b * psi
+        by_psi = nxt
+    k2 = len(g2)
+    return sum((b * reduce_bracket(g0, n, j, k2 - j, c) for j, b in enumerate(by_psi) if b),
+               Fraction(0))
+
+
 def correction_raw_sum(g0: int, n: int, c: int, order: int,
                        vertex: VertexData | None = None) -> USeries:
     """The wall-crossing multiplier series over the genus-g0 bracket, raw route.
 
-    The u^{2 delta} coefficient sums over all splittings of the added
-    genus delta into a marked list g1 (at most n entries, multiplier
-    mu_{g,1} each, orbit count C(n, k1) * multinomial over repeats) and an
-    insertion list g2 (each entry expanding mu_{g,0}(-psi + H) into its
-    -psi and 3H + c1 parts, weighted 1 / prod(repeats!)).  The delta = 0
-    coefficient is 1.  Equals S^{2 g0 - 2 + c}; `verify_raw_equals_closed`
-    is the arbiter.
+    The u^{2 delta} coefficient sums over the splittings of the added
+    genus delta (`threefold_splittings`, root genus fixed at g0) into a
+    marked list g1 (at most n entries, multiplier mu_{g,1} each, orbit
+    count C(n, k1) * multinomial over repeats) and an insertion list g2
+    (its bracket from `insertion_bracket`, weighted 1 / prod(repeats!)).
+    The delta = 0 coefficient is 1.  Equals S^{2 g0 - 2 + c};
+    `verify_raw_equals_closed` is the arbiter.  Without ``vertex`` the
+    standard table is built for this call; a grid builds it once and
+    passes it in.
     """
     if g0 < 0 or n < 0:
         raise ValueError("g0 and n must be nonnegative")
@@ -206,29 +262,25 @@ def correction_raw_sum(g0: int, n: int, c: int, order: int,
             raise ValueError(f"vertex data lacks genera {missing} needed at order {order}")
     coeffs = [Fraction(0)] * order
     coeffs[0] = Fraction(1)
+    # each g1 and each g2 recurs across many splittings; weigh each once
+    weights: dict[tuple[int, ...], Fraction] = {}   # g1 -> orbit count * prod mu1
+    brackets: dict[tuple[int, ...], Fraction] = {}  # g2 -> bracket / prod(repeats!)
     for delta in range(1, dmax + 1):
         total = Fraction(0)
-        for p in enumerate_threefold_partitions(g0 + delta, n):
-            if p.g0 != g0:
+        for p in threefold_splittings(g0, delta, n):
+            if p.g1 not in weights:
+                weight = Fraction(comb(n, p.k1) * multinomial(p.k1, multiplicities(p.g1)))
+                for gi in p.g1:
+                    weight *= vertex.mu1[gi]
+                weights[p.g1] = weight
+            if not weights[p.g1]:
                 continue
-            weight = Fraction(comb(n, p.k1) * multinomial(p.k1, multiplicities(p.g1)))
-            for gi in p.g1:
-                weight *= vertex.mu1[gi]
-            if not weight:
-                continue
-            symmetry = 1
-            for m in multiplicities(p.g2):
-                symmetry *= factorial(m)
-            bracket = Fraction(0)
-            # expand prod_i mu_{g2i,0}(-psi + H) over the 2^k2 part choices
-            for pick in product((0, 1), repeat=p.k2):
-                coef = Fraction(1)
-                for gi, which in zip(p.g2, pick):
-                    coef *= vertex.mu0_psi[gi] if which == 0 else vertex.mu0_div[gi]
-                if coef:
-                    n_psi = pick.count(0)
-                    bracket += coef * reduce_bracket(g0, n, n_psi, p.k2 - n_psi, c)
-            total += weight * bracket / symmetry
+            if p.g2 not in brackets:
+                symmetry = 1
+                for m in multiplicities(p.g2):
+                    symmetry *= factorial(m)
+                brackets[p.g2] = insertion_bracket(g0, n, c, p.g2, vertex) / symmetry
+            total += weights[p.g1] * brackets[p.g2]
         coeffs[2 * delta] = total
     return USeries(0, coeffs)
 
@@ -281,16 +333,21 @@ def verify_raw_equals_closed(g0_max: int = 3, n_max: int = 4,
     """Check correction_raw_sum == sine_factor on a (g0, n, c) grid.
 
     Coefficients are compared for every exponent up to ``order``
-    inclusive.  Failures become report cells, never exceptions.
+    inclusive.  Failures become report cells, never exceptions.  Without
+    ``vertex`` the standard table is built once for the whole grid, and
+    each closed side is computed once per (g0, c).
     """
     internal = order + 1
     cs = sorted(set(int(c) for c in c_range))
+    if vertex is None:
+        vertex = VertexData.standard((internal - 1) // 2)
     cells = []
     for g0 in range(g0_max + 1):
+        closed_by_c = {c: sine_factor(g0, c, internal) for c in cs}
         for n in range(n_max + 1):
             for c in cs:
                 raw = correction_raw_sum(g0, n, c, internal, vertex)
-                closed = sine_factor(g0, c, internal)
+                closed = closed_by_c[c]
                 ok = raw == closed
                 detail = "" if ok else _first_mismatch(raw, closed, order)
                 cells.append(GridCell((g0, n, c), ok, detail))
@@ -308,11 +365,13 @@ def verify_eq_sum(m1_range: Iterable[int] = range(-6, 1),
     s = sinc_half(internal)
     ls = log(s)
     s2 = s * s
+    m2s = sorted(set(int(m) for m in m2_range))
+    exp_by_m2 = {m2: exp(ls.scale(m2)) for m2 in m2s}
     cells = []
     for m1 in sorted(set(int(m) for m in m1_range)):
         closed_m1 = pow_int(s2, m1)
-        for m2 in sorted(set(int(m) for m in m2_range)):
-            closed = closed_m1 * exp(ls.scale(m2))
+        for m2 in m2s:
+            closed = closed_m1 * exp_by_m2[m2]
             got = eq_sum(m1, m2, internal)
             ok = got == closed
             detail = "" if ok else _first_mismatch(got, closed, order)
@@ -320,14 +379,14 @@ def verify_eq_sum(m1_range: Iterable[int] = range(-6, 1),
     return GridReport("bracket-reduction sum vs closed form", tuple(cells))
 
 
-def gw_from_ugw(t: GenusTable, order: int | None = None) -> GenusTable:
+def gw_from_ugw(t: GenusTable) -> GenusTable:
     """Forward transform: GW_h = sum_{g <= h} uGW_g [u^{2(h-g)}] S^{2g-2+c}.
 
     Absent genera are read as zero.  The result is dense on 0..g_max.
     """
     if t.kind is not Kind.UGW:
         raise ValueError(f"gw_from_ugw expects a uGW table, got {t.kind.value}")
-    order = max(order or 0, 2 * t.g_max + 2)
+    order = 2 * t.g_max + 2
     factors = {g: sine_factor(g, t.c, order) for g in range(t.g_max + 1)}
     out = {}
     for h in range(t.g_max + 1):
@@ -336,7 +395,7 @@ def gw_from_ugw(t: GenusTable, order: int | None = None) -> GenusTable:
     return GenusTable(Kind.GW, t.c, t.primitive, out, t.g_max)
 
 
-def ugw_from_gw(t: GenusTable, order: int | None = None) -> GenusTable:
+def ugw_from_gw(t: GenusTable) -> GenusTable:
     """Inverse transform: the unique uGW table mapping to t under gw_from_ugw.
 
     The transform is triangular with unit diagonal, so inversion is exact.
@@ -351,7 +410,7 @@ def ugw_from_gw(t: GenusTable, order: int | None = None) -> GenusTable:
         gaps = [g for g in range(g_min, t.g_max + 1) if g not in t.values]
         if gaps:
             raise MissingGenus(f"genera {gaps} absent below g_max={t.g_max}")
-        order = max(order or 0, 2 * t.g_max + 2)
+        order = 2 * t.g_max + 2
         factors = {g: sine_factor(g, t.c, order) for g in range(t.g_max + 1)}
         for h in range(g_min, t.g_max + 1):
             acc = t.values[h]

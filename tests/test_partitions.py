@@ -13,6 +13,7 @@ from sinewall.partitions import (
     enumerate_threefold_partitions,
     multinomial,
     multiplicities,
+    threefold_splittings,
 )
 
 
@@ -147,6 +148,23 @@ def test_threefold_listing_is_sorted_and_deterministic():
     b = enumerate_threefold_partitions(4, 2)
     assert a == b
     assert a == sorted(a, key=lambda p: (p.g0, p.g1, p.g2))
+
+
+def test_threefold_splittings_match_filtered_enumeration():
+    # the per-root-genus generator is exactly the g0 slice of the full listing
+    for g0 in range(4):
+        for delta in range(7):
+            for n in range(5):
+                want = [p for p in enumerate_threefold_partitions(g0 + delta, n)
+                        if p.g0 == g0]
+                assert list(threefold_splittings(g0, delta, n)) == want
+
+
+def test_threefold_splittings_validation():
+    assert list(threefold_splittings(2, 0, 3)) == []
+    for args in ((-1, 1, 0), (0, -1, 0), (0, 1, -1)):
+        with pytest.raises(ValueError):
+            list(threefold_splittings(*args))
 
 
 # ---------------------------------------------------------------- stable

@@ -1,10 +1,15 @@
 """Transform layer: sine multipliers, the raw combinatorial sum, genus tables."""
 
+import random
 from fractions import Fraction as F
+from itertools import product
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
+from sinewall import wallcross
+from sinewall.partitions import enumerate_threefold_partitions, multinomial, multiplicities
 from sinewall.series import USeries, exp, inv, log, pow_int, sinc_half
 from sinewall.wallcross import (
     GenusTable,
@@ -15,6 +20,7 @@ from sinewall.wallcross import (
     eq_sum,
     falling_factorial,
     gw_from_ugw,
+    insertion_bracket,
     reduce_bracket,
     sine_factor,
     ugw_from_gw,
@@ -110,6 +116,18 @@ def test_eq_sum_recovers_sine_power():
     assert eq_sum(-1, 6, 12) == pow_int(sinc_half(12), 4)
 
 
+def test_eq_sum_basis_cache_across_orders(monkeypatch):
+    # an order seen before reuses its basis; a new order builds its own
+    monkeypatch.setattr(wallcross, "_EQ_BASIS", {})
+    for order in (9, 13, 9):
+        s = sinc_half(order)
+        for m1, m2 in ((-2, 3), (0, -4), (1, 5), (-3, 0)):
+            got = eq_sum(m1, m2, order)
+            assert got == pow_int(s, 2 * m1 + m2)
+            assert eq_sum(m1, m2, order) == got
+    assert sorted(wallcross._EQ_BASIS) == [9, 13]
+
+
 def test_verify_eq_sum_grid():
     rep = verify_eq_sum(range(-2, 1), range(-2, 3), 8)
     assert rep.passed
@@ -178,6 +196,95 @@ def test_raw_sum_detects_mu0_div_perturbation():
 def test_raw_sum_rejects_short_vertex_table():
     with pytest.raises(ValueError):
         correction_raw_sum(0, 0, 3, 11, VertexData.standard(3))
+
+
+def brute_force_bracket(g0, n, c, g2, vertex):
+    """The bracket expanded over all 2^k2 choices of -psi or 3H + c1 per part."""
+    total = F(0)
+    for pick in product((0, 1), repeat=len(g2)):
+        coef = F(1)
+        for gi, which in zip(g2, pick):
+            coef *= vertex.mu0_psi[gi] if which == 0 else vertex.mu0_div[gi]
+        n_psi = pick.count(0)
+        total += coef * reduce_bracket(g0, n, n_psi, len(g2) - n_psi, c)
+    return total
+
+
+def raw_sum_oracle(g0, n, c, order, vertex):
+    """The raw sum over the full partition listing, filtered to root genus g0."""
+    coeffs = [F(0)] * order
+    coeffs[0] = F(1)
+    for delta in range(1, (order - 1) // 2 + 1):
+        for p in enumerate_threefold_partitions(g0 + delta, n):
+            if p.g0 != g0:
+                continue
+            weight = F(comb(n, p.k1) * multinomial(p.k1, multiplicities(p.g1)))
+            for gi in p.g1:
+                weight *= vertex.mu1[gi]
+            symmetry = 1
+            for m in multiplicities(p.g2):
+                symmetry *= factorial(m)
+            coeffs[2 * delta] += weight * brute_force_bracket(g0, n, c, p.g2, vertex) / symmetry
+    return USeries(0, coeffs)
+
+
+def random_vertex(rng, g_top):
+    """Vertex tables with small random entries, about a quarter of them zero."""
+    def table():
+        return {g: F(0) if rng.random() < 0.25 else F(rng.randint(-9, 9), rng.randint(1, 12))
+                for g in range(1, g_top + 1)}
+    return VertexData(table(), table(), table())
+
+
+def test_insertion_bracket_matches_brute_force_expansion():
+    rng = random.Random(1848)
+    for _ in range(60):
+        vertex = random_vertex(rng, 6)
+        g0, n, c = rng.randint(0, 3), rng.randint(0, 4), rng.randint(-2, 6)
+        g2 = tuple(sorted((rng.randint(1, 6) for _ in range(rng.randint(0, 6))), reverse=True))
+        assert insertion_bracket(g0, n, c, g2, vertex) == brute_force_bracket(g0, n, c, g2, vertex)
+
+
+def test_raw_sum_matches_oracle_on_random_vertex():
+    # order 13 reaches delta = 6, so g2 = (1,)*6 gives k2 = 6
+    rng = random.Random(2405)
+    for g0, n, c in ((0, 0, 4), (1, 2, -1), (2, 4, 3), (3, 1, 0)):
+        vertex = random_vertex(rng, 6)
+        assert correction_raw_sum(g0, n, c, 13, vertex) == raw_sum_oracle(g0, n, c, 13, vertex)
+
+
+def test_grid_builds_standard_vertex_once(monkeypatch):
+    calls = []
+    build = VertexData.standard
+
+    def counting(cls, g_top):
+        calls.append(g_top)
+        return build(g_top)
+
+    monkeypatch.setattr(VertexData, "standard", classmethod(counting))
+    rep = verify_raw_equals_closed(1, 2, range(-1, 3), 8)
+    assert rep.passed
+    assert calls == [4]
+
+
+def test_grid_uses_supplied_vertex_as_given(monkeypatch):
+    vertex = VertexData.standard(4)
+    seen = []
+    raw = wallcross.correction_raw_sum
+
+    def spy(g0, n, c, order, v=None):
+        seen.append(v)
+        return raw(g0, n, c, order, v)
+
+    def no_build(cls, g_top):
+        raise AssertionError("standard vertex data rebuilt despite a supplied table")
+
+    monkeypatch.setattr(wallcross, "correction_raw_sum", spy)
+    monkeypatch.setattr(VertexData, "standard", classmethod(no_build))
+    rep = verify_raw_equals_closed(1, 1, range(0, 2), 8, vertex=vertex)
+    assert rep.passed
+    assert len(seen) == 2 * 2 * 2
+    assert all(v is vertex for v in seen)
 
 
 def test_vertex_perturbation_is_local():
