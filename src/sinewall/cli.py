@@ -26,16 +26,15 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
-from .gv import ClassNotCovered, GVReport, gate_check, gv_from_gw, gw_from_gv, report_on_gv
+from .gv import GVReport, gate_check, gv_from_gw, gw_from_gv, report_on_gv
 from .hodge import mu_g0, mu_g1, verify_i_ratio, verify_mu_consistency
 from .wallcross import (
     GenusTable,
     Kind,
-    MissingGenus,
     gw_from_ugw,
     sine_factor,
     ugw_from_gw,
@@ -49,27 +48,6 @@ class ParseError(ValueError):
 
 class CheckFailed(Exception):
     """A requested check did not pass (exit status 1)."""
-
-
-@dataclass(frozen=True)
-class JobConfig:
-    """One CLI invocation, fully resolved."""
-
-    command: str
-    input_path: str | None = None
-    direction: str | None = None
-    order: int | None = None
-    output_format: str = "text"
-    output_path: str | None = None
-    g: int | None = None
-    c: int | None = None
-    g_max: int | None = None
-
-    def __post_init__(self) -> None:
-        if (self.direction is not None) != (self.command == "transform"):
-            raise ValueError("direction is required exactly for the transform command")
-        if self.order is not None and self.order < 0:
-            raise ValueError("order must be nonnegative")
 
 
 _VALUE_RE = re.compile(r"^-?\d+(/\d+)?$")
@@ -161,9 +139,9 @@ def _table_text(t: GenusTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, config: JobConfig) -> None:
-    if config.output_path:
-        Path(config.output_path).write_text(text)
+def _emit(text: str, ns: argparse.Namespace) -> None:
+    if ns.output:
+        Path(ns.output).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -188,9 +166,9 @@ def _gv_report_text(rep: GVReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _handle_transform(config: JobConfig) -> int:
-    table = load_table(config.input_path)
-    direction = config.direction
+def _handle_transform(ns: argparse.Namespace) -> int:
+    table = load_table(ns.input)
+    direction = ns.direction
     need = {"gw-to-ugw": Kind.GW, "ugw-to-gw": Kind.UGW,
             "gw-to-gv": Kind.GW, "gv-to-gw": Kind.GV}[direction]
     if table.kind is not need:
@@ -208,25 +186,25 @@ def _handle_transform(config: JobConfig) -> int:
         out = gw_from_gv(table)
     else:
         rep = gv_from_gw(table)
-        if config.output_format == "json":
-            _emit(dumps_canonical(table_to_doc(rep.table)), config)
+        if ns.format == "json":
+            _emit(dumps_canonical(table_to_doc(rep.table)), ns)
         else:
-            _emit(_gv_report_text(rep), config)
+            _emit(_gv_report_text(rep), ns)
         if not rep.integral:
             raise CheckFailed(
                 f"GV values non-integral at genera {list(rep.non_integral_genera)}"
             )
         return 0
 
-    if config.output_format == "json":
-        _emit(dumps_canonical(table_to_doc(out)), config)
+    if ns.format == "json":
+        _emit(dumps_canonical(table_to_doc(out)), ns)
     else:
-        _emit(_table_text(out), config)
+        _emit(_table_text(out), ns)
     return 0
 
 
-def _handle_check_integrality(config: JobConfig) -> int:
-    table = load_table(config.input_path)
+def _handle_check_integrality(ns: argparse.Namespace) -> int:
+    table = load_table(ns.input)
     if table.kind is Kind.GW:
         _require_complete(table)
         rep = gv_from_gw(table)
@@ -235,17 +213,17 @@ def _handle_check_integrality(config: JobConfig) -> int:
         rep = report_on_gv(replace(table, kind=Kind.GV))
     else:
         rep = report_on_gv(table)
-    if config.output_format == "json":
-        _emit(dumps_canonical(_gv_report_doc(rep)), config)
+    if ns.format == "json":
+        _emit(dumps_canonical(_gv_report_doc(rep)), ns)
     else:
-        _emit(_gv_report_text(rep), config)
+        _emit(_gv_report_text(rep), ns)
     if not rep.integral:
         raise CheckFailed(f"non-integral at genera {list(rep.non_integral_genera)}")
     return 0
 
 
-def _handle_verify_identities(config: JobConfig) -> int:
-    order = 10 if config.order is None else config.order
+def _handle_verify_identities(ns: argparse.Namespace) -> int:
+    order = ns.order
     rows = []
 
     raw = verify_raw_equals_closed(order=order)
@@ -262,7 +240,7 @@ def _handle_verify_identities(config: JobConfig) -> int:
                  None if ratio.passed else f"genus {ratio.first_failure}: {ratio.detail}"))
 
     all_passed = all(passed for _, passed, _, _ in rows)
-    if config.output_format == "json":
+    if ns.format == "json":
         doc = {
             "order": order,
             "passed": all_passed,
@@ -271,7 +249,7 @@ def _handle_verify_identities(config: JobConfig) -> int:
                 for name, passed, cells, fail in rows
             ],
         }
-        _emit(dumps_canonical(doc), config)
+        _emit(dumps_canonical(doc), ns)
     else:
         lines = [
             f"{name}: {'pass' if passed else 'FAIL'} ({cells} cells)"
@@ -279,7 +257,7 @@ def _handle_verify_identities(config: JobConfig) -> int:
             for name, passed, cells, fail in rows
         ]
         lines.append(f"overall: {'pass' if all_passed else 'FAIL'}")
-        _emit("\n".join(lines) + "\n", config)
+        _emit("\n".join(lines) + "\n", ns)
     if not all_passed:
         raise CheckFailed("identity verification failed")
     return 0
@@ -301,32 +279,31 @@ def _mu0_text(g: int) -> str:
     return out
 
 
-def _handle_mu(config: JobConfig) -> int:
-    g_top = 5 if config.g_max is None else config.g_max
-    if config.output_format == "json":
+def _handle_mu(ns: argparse.Namespace) -> int:
+    if ns.format == "json":
         doc = {"mu": {}}
-        for g in range(1, g_top + 1):
+        for g in range(1, ns.g_max + 1):
             mv = mu_g0(g)
             doc["mu"][str(g)] = {
                 "z": str(mv.a1), "H": str(mv.a_H), "c1": str(mv.a_c1),
                 "scalar": str(mv.scalar), "mu1": str(mu_g1(g)),
             }
-        _emit(dumps_canonical(doc), config)
+        _emit(dumps_canonical(doc), ns)
     else:
         lines = [f"g={g}: mu0 = {_mu0_text(g)} ; mu1 = {mu_g1(g)}"
-                 for g in range(1, g_top + 1)]
-        _emit("\n".join(lines) + "\n", config)
+                 for g in range(1, ns.g_max + 1)]
+        _emit("\n".join(lines) + "\n", ns)
     return 0
 
 
-def _handle_expand_sine(config: JobConfig) -> int:
-    order = 10 if config.order is None else config.order
-    series = sine_factor(config.g, config.c, order)
-    if config.output_format == "json":
+def _handle_expand_sine(ns: argparse.Namespace) -> int:
+    order = ns.order
+    series = sine_factor(ns.g, ns.c, order)
+    if ns.format == "json":
         doc = {
-            "g": config.g,
-            "c": config.c,
-            "exponent": 2 * config.g - 2 + config.c,
+            "g": ns.g,
+            "c": ns.c,
+            "exponent": 2 * ns.g - 2 + ns.c,
             "order": order,
             "valuation": series.valuation,
             "coefficients": {
@@ -334,14 +311,14 @@ def _handle_expand_sine(config: JobConfig) -> int:
                 for k in range(series.valuation, series.order)
             },
         }
-        _emit(dumps_canonical(doc), config)
+        _emit(dumps_canonical(doc), ns)
     else:
         lines = [f"u^{k}: {series.coefficient(k)}"
                  for k in range(series.valuation, series.order)
                  if series.coefficient(k)]
         if not lines:
             lines = [f"no nonzero coefficients below u^{order}"]
-        _emit("\n".join(lines) + "\n", config)
+        _emit("\n".join(lines) + "\n", ns)
     return 0
 
 
@@ -352,11 +329,6 @@ _HANDLERS = {
     "mu": _handle_mu,
     "expand-sine": _handle_expand_sine,
 }
-
-
-def run(config: JobConfig) -> int:
-    """Execute one job; returns the exit status."""
-    return _HANDLERS[config.command](config)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,52 +355,36 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("verify-identities", help="run the internal identity suites")
-    p.add_argument("--order", type=int, default=None,
+    p.add_argument("--order", type=int, default=10,
                    help="compare coefficients through u^order inclusive (default 10); "
                         "the reduction-sum grid runs through u^(order+2)")
     common(p)
 
     p = sub.add_parser("mu", help="print the vertex values mu_{g,0}, mu_{g,1}")
-    p.add_argument("--g-max", type=int, default=None, dest="g_max",
+    p.add_argument("--g-max", type=int, default=5, dest="g_max",
                    help="largest genus to print (default 5)")
     common(p)
 
     p = sub.add_parser("expand-sine", help="print coefficients of S^(2g-2+c)")
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
-    p.add_argument("--order", type=int, default=None,
+    p.add_argument("--order", type=int, default=10,
                    help="exclusive truncation order (default 10)")
     common(p)
 
     return parser
 
 
-def config_from_args(ns: argparse.Namespace) -> JobConfig:
-    return JobConfig(
-        command=ns.command,
-        input_path=getattr(ns, "input", None),
-        direction=getattr(ns, "direction", None),
-        order=getattr(ns, "order", None),
-        output_format=ns.format,
-        output_path=ns.output,
-        g=getattr(ns, "g", None),
-        c=getattr(ns, "c", None),
-        g_max=getattr(ns, "g_max", None),
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
-        config = config_from_args(ns)
-        return run(config)
+        for name in ("order", "g_max"):
+            if getattr(ns, name, 0) < 0:
+                raise ValueError(f"{name} must be nonnegative")
+        return _HANDLERS[ns.command](ns)
     except CheckFailed as e:
         print(f"check failed: {e}", file=sys.stderr)
         return 1
-    except (ParseError, ClassNotCovered, MissingGenus) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

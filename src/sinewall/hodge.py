@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Any, Mapping
 
-from .series import NonInvertibleLeading, USeries, log, pow_int, sinc_half
+from .series import log, pow_int, sinc_half
 
 
 class GradedPoly:
@@ -128,17 +128,11 @@ class GradedPoly:
 
     def __pow__(self, k: int) -> GradedPoly:
         if k < 0:
-            raise ValueError("use GradedPolyRing.invert for negative powers")
+            raise ValueError("GradedPoly has no negative powers")
         out = GradedPoly.one(self.degree_cap)
         for _ in range(k):
             out = out * self
         return out
-
-    def min_degree(self) -> int:
-        """Smallest total degree of a stored term; cap + 1 when zero."""
-        if not self.terms:
-            return self.degree_cap + 1
-        return min(i + j for i, j in self.terms)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -151,53 +145,6 @@ class GradedPoly:
             sym = "*".join(factors)
             bits.append(f"{q}*{sym}" if sym else f"{q}")
         return " + ".join(bits)
-
-
-class GradedPolyRing:
-    """Ring adapter so USeries can carry GradedPoly coefficients."""
-
-    def __init__(self, degree_cap: int):
-        self.degree_cap = degree_cap
-
-    def zero(self) -> GradedPoly:
-        return GradedPoly.zero(self.degree_cap)
-
-    def one(self) -> GradedPoly:
-        return GradedPoly.one(self.degree_cap)
-
-    def coerce(self, value: Any) -> GradedPoly:
-        if isinstance(value, GradedPoly):
-            if value.degree_cap != self.degree_cap:
-                raise TypeError("degree cap mismatch")
-            return value
-        if isinstance(value, (int, Fraction)):
-            return GradedPoly.scalar(value, self.degree_cap)
-        raise TypeError(f"cannot coerce {value!r} into GradedPoly ring")
-
-    def invert(self, value: GradedPoly) -> GradedPoly:
-        """(s + N)^-1 with s a nonzero scalar and N nilpotent under the cap."""
-        value = self.coerce(value)
-        s = value.coefficient(0, 0)
-        if s == 0:
-            raise NonInvertibleLeading("scalar part is zero")
-        nil = value - GradedPoly.scalar(s, self.degree_cap)
-        out = GradedPoly.zero(self.degree_cap)
-        power = GradedPoly.one(self.degree_cap)
-        for k in range(self.degree_cap + 1):
-            out = out + power * Fraction((-1) ** k, 1) * (Fraction(1, 1) / s) ** (k + 1)
-            power = power * nil
-            if not power:
-                break
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GradedPolyRing) and other.degree_cap == self.degree_cap
-
-    def __hash__(self) -> int:
-        return hash((GradedPolyRing, self.degree_cap))
-
-    def __repr__(self) -> str:
-        return f"QQ[H,c1]/deg>{self.degree_cap}"
 
 
 class ZLaurent:

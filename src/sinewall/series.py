@@ -14,24 +14,19 @@ Binary operations keep only coefficients both operands determine:
 preserves relative precision, so ``inv(f)`` knows exactly as many
 coefficients as ``f`` does.
 
-Coefficients live in a pluggable commutative ring; the default is the
-field of rationals (`fractions.Fraction`), and `sinewall.hodge` supplies a
-truncated polynomial ring over it.
+Coefficients are exact rationals (`fractions.Fraction`); the constructor
+accepts `int` and `Fraction` and refuses everything else, floats included.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Any, Iterable, Protocol
+from typing import Any, Iterable
 
 
 class ZeroSeries(ValueError):
     """Raised when inverting a series with no known nonzero coefficient."""
-
-
-class NonInvertibleLeading(ValueError):
-    """Raised when a leading coefficient has no inverse in its ring."""
 
 
 class NonzeroConstantTerm(ValueError):
@@ -42,59 +37,21 @@ class ConstantTermNotOne(ValueError):
     """Raised by log() unless the input has constant term exactly one."""
 
 
-class CoefficientRing(Protocol):
-    """The ring operations USeries needs from its coefficient type."""
-
-    def zero(self) -> Any: ...
-
-    def one(self) -> Any: ...
-
-    def coerce(self, value: Any) -> Any: ...
-
-    def invert(self, value: Any) -> Any: ...
-
-
-class RationalRing:
-    """Exact rational coefficients (`fractions.Fraction`)."""
-
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    def one(self) -> Fraction:
-        return Fraction(1)
-
-    def coerce(self, value: Any) -> Fraction:
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
-        raise TypeError(f"cannot coerce {value!r} into the rational ring")
-
-    def invert(self, value: Fraction) -> Fraction:
-        if value == 0:
-            raise NonInvertibleLeading("zero is not invertible")
-        return 1 / self.coerce(value)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RationalRing)
-
-    def __hash__(self) -> int:
-        return hash(RationalRing)
-
-    def __repr__(self) -> str:
-        return "QQ"
-
-
-RAT = RationalRing()
+def _rational(value: Any) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(f"series coefficients must be int or Fraction, got {value!r}")
 
 
 class USeries:
-    """A truncated Laurent series in u over an exact coefficient ring."""
+    """A truncated Laurent series in u with rational coefficients."""
 
-    __slots__ = ("valuation", "coeffs", "order", "ring")
+    __slots__ = ("valuation", "coeffs", "order")
 
-    def __init__(self, valuation: int, coeffs: Iterable[Any], ring: CoefficientRing = RAT):
-        cs = [ring.coerce(c) for c in coeffs]
+    def __init__(self, valuation: int, coeffs: Iterable[Any]):
+        cs = [_rational(c) for c in coeffs]
         order = valuation + len(cs)
         # canonical form: leading coefficient nonzero, zero series empty
         while cs and not cs[0]:
@@ -105,31 +62,24 @@ class USeries:
         object.__setattr__(self, "valuation", valuation)
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "ring", ring)
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("USeries is immutable")
 
     @classmethod
-    def zero(cls, order: int, ring: CoefficientRing = RAT) -> USeries:
+    def zero(cls, order: int) -> USeries:
         """The series known to vanish at every exponent below ``order``."""
-        return cls(order, (), ring)
+        return cls(order, ())
 
     @classmethod
-    def one(cls, order: int, ring: CoefficientRing = RAT) -> USeries:
-        return cls.constant(ring.one(), order, ring)
+    def one(cls, order: int) -> USeries:
+        return cls.constant(Fraction(1), order)
 
     @classmethod
-    def constant(cls, value: Any, order: int, ring: CoefficientRing = RAT) -> USeries:
+    def constant(cls, value: Any, order: int) -> USeries:
         if order <= 0:
-            return cls.zero(order, ring)
-        return cls(0, [value] + [ring.zero()] * (order - 1), ring)
-
-    @classmethod
-    def monomial(cls, coeff: Any, exponent: int, order: int, ring: CoefficientRing = RAT) -> USeries:
-        if order <= exponent:
-            return cls.zero(order, ring)
-        return cls(exponent, [coeff] + [ring.zero()] * (order - exponent - 1), ring)
+            return cls.zero(order)
+        return cls(0, [value] + [Fraction(0)] * (order - 1))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -141,7 +91,7 @@ class USeries:
                 f"coefficient of u^{exponent} lies at or above truncation order {self.order}"
             )
         if exponent < self.valuation:
-            return self.ring.zero()
+            return Fraction(0)
         return self.coeffs[exponent - self.valuation]
 
     def truncate(self, order: int) -> USeries:
@@ -151,29 +101,19 @@ class USeries:
                 raise ValueError(f"cannot extend order {self.order} to {order}")
             return self
         if order <= self.valuation:
-            return USeries.zero(order, self.ring)
-        return USeries(self.valuation, self.coeffs[: order - self.valuation], self.ring)
+            return USeries.zero(order)
+        return USeries(self.valuation, self.coeffs[: order - self.valuation])
 
     def shift(self, k: int) -> USeries:
         """Multiply by ``u**k`` (k may be negative)."""
-        return USeries(self.valuation + k, self.coeffs, self.ring)
+        return USeries(self.valuation + k, self.coeffs)
 
     def scale(self, value: Any) -> USeries:
-        c = self.ring.coerce(value)
-        return USeries(self.valuation, [c * a for a in self.coeffs], self.ring)
-
-    def map_coefficients(self, fn: Any, ring: CoefficientRing | None = None) -> USeries:
-        """Apply ``fn`` to every known coefficient, optionally changing ring."""
-        target = self.ring if ring is None else ring
-        out = [fn(c) for c in self.coeffs]
-        if self.is_zero():
-            return USeries.zero(self.order, target)
-        return USeries(self.valuation, out, target)
+        c = _rational(value)
+        return USeries(self.valuation, [c * a for a in self.coeffs])
 
     def agrees(self, other: USeries) -> bool:
         """Equality of all coefficients both series determine."""
-        if self.ring != other.ring:
-            raise ValueError("mixed coefficient rings")
         upto = min(self.order, other.order)
         lo = min(self.valuation, other.valuation)
         return all(self.coefficient(k) == other.coefficient(k) for k in range(lo, upto))
@@ -182,8 +122,7 @@ class USeries:
         if not isinstance(other, USeries):
             return NotImplemented
         return (
-            self.ring == other.ring
-            and self.valuation == other.valuation
+            self.valuation == other.valuation
             and self.order == other.order
             and self.coeffs == other.coeffs
         )
@@ -191,46 +130,39 @@ class USeries:
     __hash__ = None  # type: ignore[assignment]
 
     def __neg__(self) -> USeries:
-        return USeries(self.valuation, [-c for c in self.coeffs], self.ring)
+        return USeries(self.valuation, [-c for c in self.coeffs])
 
     def __add__(self, other: USeries) -> USeries:
         if not isinstance(other, USeries):
             return NotImplemented
-        if self.ring != other.ring:
-            raise ValueError("mixed coefficient rings")
         order = min(self.order, other.order)
         lo = min(self.valuation, other.valuation)
         if order <= lo:
-            return USeries.zero(order, self.ring)
+            return USeries.zero(order)
         out = [self.coefficient(k) + other.coefficient(k) for k in range(lo, order)]
-        return USeries(lo, out, self.ring)
+        return USeries(lo, out)
 
     def __sub__(self, other: USeries) -> USeries:
         return self + (-other)
 
     def __mul__(self, other: Any) -> USeries:
         if isinstance(other, USeries):
-            if self.ring != other.ring:
-                raise ValueError("mixed coefficient rings")
             order = min(self.order + other.valuation, other.order + self.valuation)
             val = self.valuation + other.valuation
             n = order - val  # == min of the two relative precisions
             if n <= 0:
-                return USeries.zero(order, self.ring)
-            zero = self.ring.zero()
-            out = [zero] * n
+                return USeries.zero(order)
+            out = [Fraction(0)] * n
             for i, a in enumerate(self.coeffs):
                 if i >= n or not a:
                     continue
                 for j, b in enumerate(other.coeffs[: n - i]):
                     if b:
                         out[i + j] = out[i + j] + a * b
-            return USeries(val, out, self.ring)
-        try:
-            scalar = self.ring.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.scale(scalar)
+            return USeries(val, out)
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        return NotImplemented
 
     def __rmul__(self, other: Any) -> USeries:
         return self.__mul__(other)
@@ -257,24 +189,24 @@ def inv(f: USeries) -> USeries:
     """Multiplicative inverse; relative precision is preserved."""
     if f.is_zero():
         raise ZeroSeries(f"cannot invert a series with no nonzero coefficient below order {f.order}")
-    lead_inv = f.ring.invert(f.coeffs[0])
+    lead_inv = 1 / f.coeffs[0]  # canonical form: the leading coefficient is nonzero
     n = len(f.coeffs)
     # triangular recurrence: sum_{i<=k} f[i] * g[k-i] == 0 for 0 < k < n
-    out = [lead_inv] + [f.ring.zero()] * (n - 1)
+    out = [lead_inv] + [Fraction(0)] * (n - 1)
     for k in range(1, n):
-        acc = f.ring.zero()
+        acc = Fraction(0)
         for i in range(1, k + 1):
             if f.coeffs[i]:
                 acc = acc + f.coeffs[i] * out[k - i]
         out[k] = -lead_inv * acc
-    return USeries(-f.valuation, out, f.ring)
+    return USeries(-f.valuation, out)
 
 
 def pow_int(f: USeries, k: int) -> USeries:
     """Integer power; negative exponents go through inv()."""
     if k == 0:
         # relative precision window, like every other power
-        return USeries.one(f.order - f.valuation, f.ring)
+        return USeries.one(f.order - f.valuation)
     if k < 0:
         return pow_int(inv(f), -k)
     acc = None
@@ -297,8 +229,8 @@ def exp(f: USeries) -> USeries:
             f"exp() requires zero constant term, got {f.coeffs[0] if f.coeffs else 'unknown'}"
         )
     order = f.order
-    acc = USeries.one(order, f.ring)
-    term = USeries.one(order, f.ring)
+    acc = USeries.one(order)
+    term = USeries.one(order)
     k = 1
     while k * f.valuation < order:
         term = term * f * Fraction(1, k)
@@ -309,14 +241,14 @@ def exp(f: USeries) -> USeries:
 
 def log(f: USeries) -> USeries:
     """Logarithm of a series with constant term one."""
-    if not (f.valuation == 0 and f.coeffs and f.coeffs[0] == f.ring.one()):
+    if not (f.valuation == 0 and f.coeffs and f.coeffs[0] == 1):
         got = repr(f.coefficient(0)) if f.order > 0 else "unknown"
         raise ConstantTermNotOne(f"log() requires constant term exactly one, got {got}")
-    x = f - USeries.one(f.order, f.ring)
+    x = f - USeries.one(f.order)
     if x.is_zero():
-        return USeries.zero(f.order, f.ring)
-    acc = USeries.zero(f.order, f.ring)
-    term = USeries.one(f.order, f.ring)
+        return USeries.zero(f.order)
+    acc = USeries.zero(f.order)
+    term = USeries.one(f.order)
     k = 1
     while k * x.valuation < f.order:  # term k is x^k, valuation k*val(x)
         term = term * x

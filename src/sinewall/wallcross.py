@@ -88,15 +88,6 @@ def sine_factor(g: int, c: int, order: int) -> USeries:
     return pow_int(sinc_half(order), 2 * g - 2 + c)
 
 
-def falling_factorial(x, k: int) -> Fraction:
-    """x (x-1) ... (x-k+1); equals 1 when k = 0."""
-    x = Fraction(x)
-    out = Fraction(1)
-    for j in range(k):
-        out *= x - j
-    return out
-
-
 # order -> the products t1^a1 t2^a2 that eq_sum combines: row a2, entry a1,
 # each a tuple of (exponent, coefficient) pairs with the zeros left out
 _EQ_BASIS: dict[int, tuple] = {}

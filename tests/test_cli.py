@@ -6,9 +6,9 @@ import sys
 
 import pytest
 
+from sinewall import cli
 from sinewall.cli import (
     CheckFailed,
-    JobConfig,
     ParseError,
     dumps_canonical,
     load_table,
@@ -102,13 +102,32 @@ def test_load_table_errors(tmp_path):
         load_table(str(bad))
 
 
-def test_job_config_validation():
-    with pytest.raises(ValueError):
-        JobConfig("mu", direction="gw-to-ugw")
-    with pytest.raises(ValueError):
-        JobConfig("transform", input_path="x.json")
-    with pytest.raises(ValueError):
-        JobConfig("verify-identities", order=-1)
+def _forbid_computation(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("computation started before the argument check")
+
+    for name in ("verify_raw_equals_closed", "sine_factor", "mu_g0", "mu_g1"):
+        monkeypatch.setattr(cli, name, boom)
+
+
+def test_negative_order_refused(capsys, monkeypatch):
+    _forbid_computation(monkeypatch)
+    for argv in (["verify-identities", "--order", "-1"],
+                 ["expand-sine", "--g", "0", "--c", "4", "--order", "-1"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: order must be nonnegative\n"
+
+
+def test_negative_g_max_refused(capsys, monkeypatch):
+    _forbid_computation(monkeypatch)
+    assert main(["mu", "--g-max", "-1", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: g_max must be nonnegative\n"
+    assert main(["mu", "--g-max", "0", "--format", "json"]) == 0
+    assert capsys.readouterr().out == '{\n  "mu": {}\n}\n'
 
 
 # ---------------------------------------------------------------- transform

@@ -1,15 +1,11 @@
 """Partition combinatorics: counting identities and brute-force equivalence."""
 
-from fractions import Fraction as F
-
 import pytest
 
 from sinewall.partitions import (
     PartsMismatch,
-    StablePartition,
     ThreefoldPartition,
     descending_partitions,
-    enumerate_stable_partitions,
     enumerate_threefold_partitions,
     multinomial,
     multiplicities,
@@ -165,102 +161,3 @@ def test_threefold_splittings_validation():
     for args in ((-1, 1, 0), (0, -1, 0), (0, 1, -1)):
         with pytest.raises(ValueError):
             list(threefold_splittings(*args))
-
-
-# ---------------------------------------------------------------- stable
-
-
-def test_stable_partition_validation():
-    p = StablePartition(1, (((0, 1, (1,))),))
-    assert p.g0 == 1
-    with pytest.raises(ValueError):
-        StablePartition(-1, ((0, 0, (1,)),))
-    with pytest.raises(ValueError):
-        StablePartition(0, ((0, 2, (1,)),))  # marking flag must be 0 or 1
-    with pytest.raises(ValueError):
-        StablePartition(0, ((0, 0, ()),))  # ramification profile is nonempty
-    with pytest.raises(ValueError):
-        StablePartition(0, ((0, 0, (1, 2)),))  # not weakly decreasing
-
-
-def test_stable_example_g2_d2():
-    got = enumerate_stable_partitions(2, 0, 2, 2)
-    a = (1, 0, (1,))
-    b = (0, 0, (1, 1))
-    want = {
-        StablePartition(1, (a,)),
-        StablePartition(1, (b,)),
-        StablePartition(0, (a, a)),
-        StablePartition(0, (a, b)),
-        StablePartition(0, (b, b)),
-    }
-    assert len(got) == 5
-    assert set(got) == want
-    for p in got:
-        assert p.satisfies(2, 0, 2)
-
-
-def test_stable_parts_canonically_ordered():
-    for p in enumerate_stable_partitions(3, 2, 2, 2):
-        assert p.parts == tuple(sorted(p.parts, reverse=True))
-
-
-def test_stable_empty_when_nothing_fits():
-    assert enumerate_stable_partitions(0, 0, F(1, 2), 1) == []
-
-
-def test_stable_marked_zero_weight_parts_are_bounded():
-    # the only shape at d0 = 1/2 is (genus 0, one marking, eta = (1));
-    # its weight is zero, so multiplicity is capped by the marking budget
-    got = enumerate_stable_partitions(0, 2, F(1, 2), 1)
-    part = (0, 1, (1,))
-    assert set(got) == {
-        StablePartition(0, (part,)),
-        StablePartition(0, (part, part)),
-    }
-    for p in got:
-        assert p.satisfies(0, 2, F(1, 2))
-
-
-def test_stable_rejects_nonpositive_weight_threshold():
-    with pytest.raises(ValueError):
-        enumerate_stable_partitions(2, 0, 0, 2)
-    with pytest.raises(ValueError):
-        enumerate_stable_partitions(2, 0, -1, 2)
-
-
-def test_stable_detects_unbounded_family():
-    # d0 = 1 with cap >= 2 admits an unmarked weight-zero shape, so no finite
-    # listing exists
-    with pytest.raises(ValueError):
-        enumerate_stable_partitions(1, 0, 1, 2)
-
-
-def test_stable_every_result_satisfies_constraints():
-    # cap 2 keeps every grid point finite: an unmarked weight-zero shape
-    # needs eta = (d0 + 1,), out of reach for these thresholds
-    for g in range(4):
-        for n in range(3):
-            for d0 in (F(3, 2), 2, F(5, 2), 3):
-                got = enumerate_stable_partitions(g, n, d0, 2)
-                assert len(got) == len(set(got))
-                for p in got:
-                    assert p.satisfies(g, n, d0)
-
-
-def test_stable_unbounded_family_at_higher_cap():
-    # raising the cap to 3 exposes the unmarked eta = (3,) shape at d0 = 2
-    with pytest.raises(ValueError):
-        enumerate_stable_partitions(2, 0, 2, 3)
-
-
-def test_stable_cap_is_monotone():
-    small = set(enumerate_stable_partitions(2, 0, 3, 1))
-    large = set(enumerate_stable_partitions(2, 0, 3, 3))
-    assert small <= large
-
-
-def test_stable_int_and_fraction_thresholds_agree():
-    assert enumerate_stable_partitions(2, 0, 2, 2) == enumerate_stable_partitions(
-        2, 0, F(2), 2
-    )
