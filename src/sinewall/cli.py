@@ -50,8 +50,10 @@ class CheckFailed(Exception):
     """A requested check did not pass (exit status 1)."""
 
 
-_VALUE_RE = re.compile(r"^-?\d+(/\d+)?$")
-_GENUS_RE = re.compile(r"^(0|[1-9]\d*)$")
+# used with fullmatch and ASCII digits: "$" would also match before a trailing
+# newline and "\d" any Unicode digit, letting "1\n" or "1\u0662" alias "1" or "12"
+_VALUE_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_GENUS_RE = re.compile(r"0|[1-9][0-9]*")
 _KINDS = {k.value: k for k in Kind}
 
 
@@ -82,12 +84,12 @@ def parse_table_doc(doc) -> GenusTable:
         raise ParseError('"values" must be an object mapping genus to rational strings')
     values = {}
     for key, val in raw_values.items():
-        if not isinstance(key, str) or not _GENUS_RE.match(key):
+        if not isinstance(key, str) or not _GENUS_RE.fullmatch(key):
             raise ParseError(f"genus key {key!r} is not a nonnegative integer string")
         g = int(key)
         if g > g_max:
             raise ParseError(f"genus {g} exceeds g_max={g_max}")
-        if not isinstance(val, str) or not _VALUE_RE.match(val):
+        if not isinstance(val, str) or not _VALUE_RE.fullmatch(val):
             raise ParseError(f'value for genus {g} must be a "p/q" string, got {val!r}')
         try:
             values[g] = Fraction(val)

@@ -1,8 +1,11 @@
 r"""Partition enumeration for the wall-crossing sums.
 
-A ThreefoldPartition indexes those sums: it splits a genus g as
-g0 + sum(g1) + sum(g2), where g1 lists the genera attached to at most n
-marked points and g2 lists the genera of the extra bracket insertions.
+The raw wall-crossing sum runs over two independent lists of genera,
+each a `descending_partitions` tuple: g1 lists the genera attached to at
+most n marked points and g2 the genera of the extra bracket insertions.
+A ThreefoldPartition names one term of that sum together with its root
+genus, splitting a genus g as g0 + sum(g1) + sum(g2);
+`enumerate_threefold_partitions` lists the whole index set.
 
 Partitions are canonical weakly-decreasing tuples.  Orbit counts are
 restored by explicit multiplicity weights (`multinomial` for the marked
@@ -86,25 +89,6 @@ class ThreefoldPartition:
         return len(self.g2)
 
 
-def threefold_splittings(g0: int, delta: int, n: int) -> Iterator[ThreefoldPartition]:
-    """ThreefoldPartition with root genus g0 and added genus delta, in sorted order.
-
-    Yields every splitting of delta into a marked list g1 with k1 <= n and
-    an insertion list g2, ordered by (g1, g2).  delta = 0 is the trivial
-    splitting and yields nothing.
-    """
-    if g0 < 0 or delta < 0 or n < 0:
-        raise ValueError("g0, delta and n must be nonnegative")
-    if delta == 0:
-        return
-    splits = sorted((g1, g2)
-                    for s1 in range(delta + 1)
-                    for g1 in descending_partitions(s1, max_len=n)
-                    for g2 in descending_partitions(delta - s1))
-    for g1, g2 in splits:
-        yield ThreefoldPartition(g0, g1, g2)
-
-
 def enumerate_threefold_partitions(g: int, n: int) -> list[ThreefoldPartition]:
     """All ThreefoldPartition with total genus g and k1 <= n, in sorted order.
 
@@ -113,4 +97,10 @@ def enumerate_threefold_partitions(g: int, n: int) -> list[ThreefoldPartition]:
     """
     if g < 0 or n < 0:
         raise ValueError("g and n must be nonnegative")
-    return [p for g0 in range(g + 1) for p in threefold_splittings(g0, g - g0, n)]
+    return sorted((ThreefoldPartition(g0, g1, g2)
+                   for g0 in range(g + 1)
+                   for s1 in range(g - g0 + 1)
+                   for g1 in descending_partitions(s1, max_len=n)
+                   for g2 in descending_partitions(g - g0 - s1)
+                   if g1 or g2),
+                  key=lambda p: (p.g0, p.g1, p.g2))

@@ -10,9 +10,12 @@ makes equality testing decidable.
 
 Binary operations keep only coefficients both operands determine:
 ``order(f + g) == min(order(f), order(g))`` and
-``order(f * g) == min(order(f) + val(g), order(g) + val(f))``.  Inversion
-preserves relative precision, so ``inv(f)`` knows exactly as many
-coefficients as ``f`` does.
+``order(f * g) == min(order(f) + val(g), order(g) + val(f))``.  Integer
+powers, inversion included, preserve relative precision, so ``inv(f)``
+knows exactly as many coefficients as ``f`` does.
+
+``pow_int``, ``inv``, ``exp`` and ``log`` each make one pass over the
+coefficients, by a recurrence read off a first-order differential equation.
 
 Coefficients are exact rationals (`fractions.Fraction`); the constructor
 accepts `int` and `Fraction` and refuses everything else, floats included.
@@ -187,37 +190,29 @@ class USeries:
 
 def inv(f: USeries) -> USeries:
     """Multiplicative inverse; relative precision is preserved."""
-    if f.is_zero():
-        raise ZeroSeries(f"cannot invert a series with no nonzero coefficient below order {f.order}")
-    lead_inv = 1 / f.coeffs[0]  # canonical form: the leading coefficient is nonzero
-    n = len(f.coeffs)
-    # triangular recurrence: sum_{i<=k} f[i] * g[k-i] == 0 for 0 < k < n
-    out = [lead_inv] + [Fraction(0)] * (n - 1)
-    for k in range(1, n):
-        acc = Fraction(0)
-        for i in range(1, k + 1):
-            if f.coeffs[i]:
-                acc = acc + f.coeffs[i] * out[k - i]
-        out[k] = -lead_inv * acc
-    return USeries(-f.valuation, out)
+    return pow_int(f, -1)
 
 
 def pow_int(f: USeries, k: int) -> USeries:
-    """Integer power; negative exponents go through inv()."""
+    """Integer power by J.C.P. Miller's recurrence; relative precision is preserved.
+
+    With f = u^v (f_0 + f_1 u + ...), h = f^k / u^{kv} satisfies
+    m f_0 h_m = sum_{i=1..m} ((k+1) i - m) f_i h_{m-i}
+    (Knuth, TAOCP vol. 2, 4.7), for negative k as well.
+    """
     if k == 0:
         # relative precision window, like every other power
         return USeries.one(f.order - f.valuation)
-    if k < 0:
-        return pow_int(inv(f), -k)
-    acc = None
-    base = f
-    while k:
-        if k & 1:
-            acc = base if acc is None else acc * base
-        k >>= 1
-        if k:
-            base = base * base
-    return acc
+    if f.is_zero():
+        if k > 0:
+            return USeries.zero(k * f.order)
+        raise ZeroSeries(f"cannot invert a series with no nonzero coefficient below order {f.order}")
+    a = f.coeffs  # canonical form: the leading coefficient a[0] is nonzero
+    h = [a[0] ** k]
+    for m in range(1, len(a)):
+        acc = sum(((k + 1) * i - m) * a[i] * h[m - i] for i in range(1, m + 1) if a[i])
+        h.append(acc / (m * a[0]))  # a[0] is a Fraction, so an empty sum gives Fraction(0)
+    return USeries(k * f.valuation, h)
 
 
 def exp(f: USeries) -> USeries:
@@ -228,15 +223,11 @@ def exp(f: USeries) -> USeries:
         raise NonzeroConstantTerm(
             f"exp() requires zero constant term, got {f.coeffs[0] if f.coeffs else 'unknown'}"
         )
-    order = f.order
-    acc = USeries.one(order)
-    term = USeries.one(order)
-    k = 1
-    while k * f.valuation < order:
-        term = term * f * Fraction(1, k)
-        acc = acc + term
-        k += 1
-    return acc
+    a = [Fraction(0)] * f.valuation + list(f.coeffs)  # a[i] = [u^i] f
+    g = [Fraction(1)]  # g' = f' g: m g_m = sum_{i=1..m} i f_i g_{m-i}
+    for m in range(1, f.order):
+        g.append(sum((i * a[i] * g[m - i] for i in range(1, m + 1) if a[i]), Fraction(0)) / m)
+    return USeries(0, g)
 
 
 def log(f: USeries) -> USeries:
@@ -244,17 +235,12 @@ def log(f: USeries) -> USeries:
     if not (f.valuation == 0 and f.coeffs and f.coeffs[0] == 1):
         got = repr(f.coefficient(0)) if f.order > 0 else "unknown"
         raise ConstantTermNotOne(f"log() requires constant term exactly one, got {got}")
-    x = f - USeries.one(f.order)
-    if x.is_zero():
-        return USeries.zero(f.order)
-    acc = USeries.zero(f.order)
-    term = USeries.one(f.order)
-    k = 1
-    while k * x.valuation < f.order:  # term k is x^k, valuation k*val(x)
-        term = term * x
-        acc = acc + term * Fraction((-1) ** (k + 1), k)
-        k += 1
-    return acc
+    a = f.coeffs  # a[i] = [u^i] f, since the valuation is 0
+    ls = [Fraction(0)]  # f L' = f': m L_m = m f_m - sum_{i=1..m-1} (m-i) f_i L_{m-i}
+    for m in range(1, len(a)):
+        acc = sum(((m - i) * a[i] * ls[m - i] for i in range(1, m) if a[i]), Fraction(0))
+        ls.append(a[m] - acc / m)
+    return USeries(0, ls)
 
 
 def sinc_half(order: int) -> USeries:

@@ -9,12 +9,15 @@ so GW_h = sum_{g <= h} uGW_g [u^{2(h-g)}] S^{2g-2+c}.  The transform is
 triangular with unit diagonal ([u^0] S^k = 1), hence exactly invertible.
 
 The raw form: `correction_raw_sum` rebuilds, per root genus g0, the full
-multiplier series from first principles, as a sum over genus partitions in
-which each part contributes either a standalone multiplier mu_{g,1} at a
-marked point or a bracket insertion mu_{g,0}(-psi + H), the latter
-evaluated by stripping psi insertions (dilaton: each removal contributes
+multiplier series from first principles.  The added genus splits into a
+marked list, whose parts each contribute a standalone multiplier mu_{g,1}
+at a marked point, and an insertion list, whose parts each contribute a
+bracket insertion mu_{g,0}(-psi + H), evaluated by stripping psi
+insertions (dilaton: each removal contributes
 -(2 g0 - 2 + #remaining markings)) and then divisor insertions (each
-3H + c1 contributes 3(2 g0 - 2) + c).  `verify_raw_equals_closed` asserts
+3H + c1 contributes 3(2 g0 - 2) + c).  The two lists are chosen
+independently, so each coefficient is a convolution of a marked-list sum
+and an insertion-list sum.  `verify_raw_equals_closed` asserts
 exact coefficientwise agreement of the two routes; the inner coefficient
 identity it rests on is exposed separately as `eq_sum`.
 """
@@ -24,11 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Iterable, Mapping
 
 from . import hodge
-from .partitions import multinomial, multiplicities, threefold_splittings
+from .partitions import descending_partitions, multinomial, multiplicities
 from .series import USeries, exp, log, pow_int, sinc_half
 
 
@@ -228,15 +231,14 @@ def correction_raw_sum(g0: int, n: int, c: int, order: int,
                        vertex: VertexData | None = None) -> USeries:
     """The wall-crossing multiplier series over the genus-g0 bracket, raw route.
 
-    The u^{2 delta} coefficient sums over the splittings of the added
-    genus delta (`threefold_splittings`, root genus fixed at g0) into a
-    marked list g1 (at most n entries, multiplier mu_{g,1} each, orbit
-    count C(n, k1) * multinomial over repeats) and an insertion list g2
-    (its bracket from `insertion_bracket`, weighted 1 / prod(repeats!)).
-    The delta = 0 coefficient is 1.  Equals S^{2 g0 - 2 + c};
-    `verify_raw_equals_closed` is the arbiter.  Without ``vertex`` the
-    standard table is built for this call; a grid builds it once and
-    passes it in.
+    marked[s] sums the marked lists g1 of genus s (at most n entries,
+    multiplier mu_{g,1} each, orbit count C(n, k1) * multinomial over
+    repeats); inserted[t] sums the insertion lists g2 of genus t (bracket
+    from `insertion_bracket`, weighted 1 / prod(repeats!)).  The u^{2 delta}
+    coefficient is sum_s marked[s] inserted[delta - s], which is 1 at
+    delta = 0.  Equals S^{2 g0 - 2 + c}; `verify_raw_equals_closed` is the
+    arbiter.  Without ``vertex`` the standard table is built for this call;
+    a grid builds it once and passes it in.
     """
     if g0 < 0 or n < 0:
         raise ValueError("g0 and n must be nonnegative")
@@ -251,28 +253,17 @@ def correction_raw_sum(g0: int, n: int, c: int, order: int,
                    or g not in vertex.mu0_div]
         if missing:
             raise ValueError(f"vertex data lacks genera {missing} needed at order {order}")
+    marked = [sum((comb(n, len(g1)) * multinomial(len(g1), multiplicities(g1))
+                   * prod(vertex.mu1[gi] for gi in g1)
+                   for g1 in descending_partitions(s, max_len=n)), Fraction(0))
+              for s in range(dmax + 1)]
+    inserted = [sum((insertion_bracket(g0, n, c, g2, vertex)
+                     / prod(map(factorial, multiplicities(g2)))
+                     for g2 in descending_partitions(t)), Fraction(0))
+                for t in range(dmax + 1)]
     coeffs = [Fraction(0)] * order
-    coeffs[0] = Fraction(1)
-    # each g1 and each g2 recurs across many splittings; weigh each once
-    weights: dict[tuple[int, ...], Fraction] = {}   # g1 -> orbit count * prod mu1
-    brackets: dict[tuple[int, ...], Fraction] = {}  # g2 -> bracket / prod(repeats!)
-    for delta in range(1, dmax + 1):
-        total = Fraction(0)
-        for p in threefold_splittings(g0, delta, n):
-            if p.g1 not in weights:
-                weight = Fraction(comb(n, p.k1) * multinomial(p.k1, multiplicities(p.g1)))
-                for gi in p.g1:
-                    weight *= vertex.mu1[gi]
-                weights[p.g1] = weight
-            if not weights[p.g1]:
-                continue
-            if p.g2 not in brackets:
-                symmetry = 1
-                for m in multiplicities(p.g2):
-                    symmetry *= factorial(m)
-                brackets[p.g2] = insertion_bracket(g0, n, c, p.g2, vertex) / symmetry
-            total += weights[p.g1] * brackets[p.g2]
-        coeffs[2 * delta] = total
+    for delta in range(dmax + 1):
+        coeffs[2 * delta] = sum(marked[s] * inserted[delta - s] for s in range(delta + 1))
     return USeries(0, coeffs)
 
 
@@ -370,6 +361,13 @@ def verify_eq_sum(m1_range: Iterable[int] = range(-6, 1),
     return GridReport("bracket-reduction sum vs closed form", tuple(cells))
 
 
+def _transform_matrix(c: int, g_max: int) -> list[list[Fraction]]:
+    """Rows M[h][g] = [u^{2(h-g)}] S^{2g-2+c}, g <= h <= g_max: GW_h = sum_g uGW_g M[h][g]."""
+    factors = [sine_factor(g, c, 2 * g_max + 2) for g in range(g_max + 1)]
+    return [[factors[g].coefficient(2 * (h - g)) for g in range(h + 1)]
+            for h in range(g_max + 1)]
+
+
 def gw_from_ugw(t: GenusTable) -> GenusTable:
     """Forward transform: GW_h = sum_{g <= h} uGW_g [u^{2(h-g)}] S^{2g-2+c}.
 
@@ -377,12 +375,9 @@ def gw_from_ugw(t: GenusTable) -> GenusTable:
     """
     if t.kind is not Kind.UGW:
         raise ValueError(f"gw_from_ugw expects a uGW table, got {t.kind.value}")
-    order = 2 * t.g_max + 2
-    factors = {g: sine_factor(g, t.c, order) for g in range(t.g_max + 1)}
-    out = {}
-    for h in range(t.g_max + 1):
-        out[h] = sum((t.value(g) * factors[g].coefficient(2 * (h - g))
-                      for g in range(h + 1)), Fraction(0))
+    matrix = _transform_matrix(t.c, t.g_max)
+    out = {h: sum((t.value(g) * m for g, m in enumerate(row)), Fraction(0))
+           for h, row in enumerate(matrix)}
     return GenusTable(Kind.GW, t.c, t.primitive, out, t.g_max)
 
 
@@ -401,12 +396,11 @@ def ugw_from_gw(t: GenusTable) -> GenusTable:
         gaps = [g for g in range(g_min, t.g_max + 1) if g not in t.values]
         if gaps:
             raise MissingGenus(f"genera {gaps} absent below g_max={t.g_max}")
-        order = 2 * t.g_max + 2
-        factors = {g: sine_factor(g, t.c, order) for g in range(t.g_max + 1)}
+        matrix = _transform_matrix(t.c, t.g_max)
         for h in range(g_min, t.g_max + 1):
             acc = t.values[h]
             for g in range(h):
                 if out[g]:
-                    acc -= out[g] * factors[g].coefficient(2 * (h - g))
+                    acc -= out[g] * matrix[h][g]
             out[h] = acc
     return GenusTable(Kind.UGW, t.c, t.primitive, out, t.g_max)

@@ -102,6 +102,28 @@ def test_load_table_errors(tmp_path):
         load_table(str(bad))
 
 
+@pytest.mark.parametrize(
+    "values, named",
+    [
+        ({"0": "1", "1": "5", "1\n": "7"}, "'1\\n'"),
+        ({"0": "1", "12": "5", "1\u0662": "7"}, "'1\u0662'"),
+        ({"0": "1", "1": "5\n"}, "'5\\n'"),
+    ],
+)
+def test_non_canonical_key_or_value_refused(tmp_path, capsys, monkeypatch, values, named):
+    # "1\n" and "1\u0662" would otherwise alias genus 1 and 12 and overwrite their values
+    def boom(*args, **kwargs):
+        raise AssertionError("computation started before the input check")
+
+    monkeypatch.setattr(cli, "gw_from_gv", boom)
+    path = write_doc(tmp_path, "gv.json", make_doc(kind="gv", g_max=12, values=values))
+    assert main(["transform", "--direction", "gv-to-gw", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert named in captured.err
+
+
 def _forbid_computation(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("computation started before the argument check")

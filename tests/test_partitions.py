@@ -9,7 +9,6 @@ from sinewall.partitions import (
     enumerate_threefold_partitions,
     multinomial,
     multiplicities,
-    threefold_splittings,
 )
 
 
@@ -104,6 +103,9 @@ def test_threefold_trivial_cases():
     assert enumerate_threefold_partitions(0, 0) == []
     assert enumerate_threefold_partitions(0, 4) == []
     assert enumerate_threefold_partitions(1, 0) == [ThreefoldPartition(0, (), (1,))]
+    for args in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            enumerate_threefold_partitions(*args)
 
 
 def test_threefold_g2_n1_list():
@@ -145,19 +147,3 @@ def test_threefold_listing_is_sorted_and_deterministic():
     assert a == b
     assert a == sorted(a, key=lambda p: (p.g0, p.g1, p.g2))
 
-
-def test_threefold_splittings_match_filtered_enumeration():
-    # the per-root-genus generator is exactly the g0 slice of the full listing
-    for g0 in range(4):
-        for delta in range(7):
-            for n in range(5):
-                want = [p for p in enumerate_threefold_partitions(g0 + delta, n)
-                        if p.g0 == g0]
-                assert list(threefold_splittings(g0, delta, n)) == want
-
-
-def test_threefold_splittings_validation():
-    assert list(threefold_splittings(2, 0, 3)) == []
-    for args in ((-1, 1, 0), (0, -1, 0), (0, 1, -1)):
-        with pytest.raises(ValueError):
-            list(threefold_splittings(*args))

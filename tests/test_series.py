@@ -433,6 +433,62 @@ def test_pow_zero_is_one(f):
     assert p.order == f.order - f.valuation
 
 
+def repeated_product(f, k):
+    """f * ... * f with k >= 1 factors, by the Cauchy product alone."""
+    out = f
+    for _ in range(k - 1):
+        out = out * f
+    return out
+
+
+@given(invertible_series())
+def test_pow_matches_repeated_product(f):
+    # invertible_series draws valuations -2..2
+    n = f.order - f.valuation
+    assert pow_int(f, 0) == USeries.one(n)
+    for k in range(1, 9):
+        power = repeated_product(f, k)
+        assert pow_int(f, k) == power
+        assert pow_int(f, -k) == inv(power)
+        assert pow_int(f, -k) * power == USeries.one(n)
+
+
+def test_pow_of_zero_series_matches_repeated_product():
+    for order in range(-2, 4):
+        z = USeries.zero(order)
+        assert pow_int(z, 0) == USeries.one(0)
+        for k in range(1, 9):
+            assert pow_int(z, k) == repeated_product(z, k) == USeries.zero(k * order)
+            with pytest.raises(ZeroSeries):
+                pow_int(z, -k)
+
+
+@given(positive_valuation_series())
+def test_exp_matches_taylor_sum(f):
+    # sum_j f^j / j!; f^j vanishes below u^(j val(f)), so the sum is finite
+    want = term = USeries.one(f.order)
+    j = 1
+    while j * f.valuation < f.order:
+        term = term * f * F(1, j)
+        want = want + term
+        j += 1
+    assert exp(f) == want
+
+
+@given(unit_series())
+def test_log_matches_taylor_sum(f):
+    # sum_j (-1)^(j+1) x^j / j with x = f - 1
+    x = f - USeries.one(f.order)
+    want = USeries.zero(f.order)
+    term = USeries.one(f.order)
+    j = 1
+    while j * x.valuation < f.order:
+        term = term * x
+        want = want + term * F((-1) ** (j + 1), j)
+        j += 1
+    assert log(f) == want
+
+
 @given(useries(), st.integers(min_value=-3, max_value=3))
 def test_shift_roundtrip(f, k):
     assert f.shift(k).shift(-k) == f

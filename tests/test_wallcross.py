@@ -254,11 +254,14 @@ def test_insertion_bracket_matches_brute_force_expansion():
 
 
 def test_raw_sum_matches_oracle_on_random_vertex():
-    # order 13 reaches delta = 6, so g2 = (1,)*6 gives k2 = 6
+    # order 13 reaches delta = 6, so g2 = (1,)*6 gives k2 = 6; orders 1..3
+    # hold only the constant term and at most delta = 1
     rng = random.Random(2405)
     for g0, n, c in ((0, 0, 4), (1, 2, -1), (2, 4, 3), (3, 1, 0)):
         vertex = random_vertex(rng, 6)
-        assert correction_raw_sum(g0, n, c, 13, vertex) == raw_sum_oracle(g0, n, c, 13, vertex)
+        for order in (1, 2, 3, 13):
+            got = correction_raw_sum(g0, n, c, order, vertex)
+            assert got == raw_sum_oracle(g0, n, c, order, vertex)
 
 
 def test_grid_builds_standard_vertex_once(monkeypatch):
