@@ -16,6 +16,11 @@ order, genus keys 0..g_max in numeric order, two-space indent, trailing
 newline), so parse followed by serialize is byte-identical on canonical
 input.
 
+A repeated key in any json object is refused rather than letting the last
+one win.  `verify-identities --order`, `expand-sine --order` and
+`mu --g-max` are bounded by MAX_VERIFY_ORDER, MAX_SINE_ORDER and
+MAX_MU_G_MAX; a larger value is refused before any computation.
+
 Exit status: 0 success, 1 check failure (non-integral GV, identity
 mismatch), 2 input or usage error.
 """
@@ -41,6 +46,19 @@ from .wallcross import (
     verify_eq_sum,
     verify_raw_equals_closed,
 )
+
+# Largest accepted values.  On a 2-core VM with Python 3.11 each keeps one
+# call to about 2 s: verify-identities took 1.8 s at order 40 (21 s at 60),
+# expand-sine 1.2-1.6 s at order 500 (9 s at 1000), mu 0.6 s at g_max 40.
+MAX_VERIFY_ORDER = 40
+MAX_SINE_ORDER = 500
+MAX_MU_G_MAX = 40
+_LIMITS = {
+    ("verify-identities", "order"): MAX_VERIFY_ORDER,
+    ("expand-sine", "order"): MAX_SINE_ORDER,
+    ("mu", "g_max"): MAX_MU_G_MAX,
+}
+
 
 class ParseError(ValueError):
     """Input file violates the table schema."""
@@ -112,13 +130,23 @@ def dumps_canonical(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _unique_keys(pairs) -> dict:
+    """json object hook: plain json.loads would keep the last of repeated keys."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ParseError(f"repeated key {key!r} in a json object")
+        doc[key] = value
+    return doc
+
+
 def load_table(path: str) -> GenusTable:
     try:
         text = Path(path).read_text()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from None
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path} is not valid json: {e}") from None
     return parse_table_doc(doc)
@@ -358,20 +386,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-identities", help="run the internal identity suites")
     p.add_argument("--order", type=int, default=10,
-                   help="compare coefficients through u^order inclusive (default 10); "
-                        "the reduction-sum grid runs through u^(order+2)")
+                   help="compare coefficients through u^order inclusive (default 10, "
+                        f"at most {MAX_VERIFY_ORDER}); the reduction-sum grid runs "
+                        "through u^(order+2)")
     common(p)
 
     p = sub.add_parser("mu", help="print the vertex values mu_{g,0}, mu_{g,1}")
     p.add_argument("--g-max", type=int, default=5, dest="g_max",
-                   help="largest genus to print (default 5)")
+                   help=f"largest genus to print (default 5, at most {MAX_MU_G_MAX})")
     common(p)
 
     p = sub.add_parser("expand-sine", help="print coefficients of S^(2g-2+c)")
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--order", type=int, default=10,
-                   help="exclusive truncation order (default 10)")
+                   help=f"exclusive truncation order (default 10, at most {MAX_SINE_ORDER})")
     common(p)
 
     return parser
@@ -381,8 +410,12 @@ def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         for name in ("order", "g_max"):
-            if getattr(ns, name, 0) < 0:
+            value = getattr(ns, name, 0)
+            if value < 0:
                 raise ValueError(f"{name} must be nonnegative")
+            limit = _LIMITS.get((ns.command, name))
+            if limit is not None and value > limit:
+                raise ValueError(f"{name} must be at most {limit} for {ns.command}, got {value}")
         return _HANDLERS[ns.command](ns)
     except CheckFailed as e:
         print(f"check failed: {e}", file=sys.stderr)

@@ -17,9 +17,15 @@ insertions (dilaton: each removal contributes
 -(2 g0 - 2 + #remaining markings)) and then divisor insertions (each
 3H + c1 contributes 3(2 g0 - 2) + c).  The two lists are chosen
 independently, so each coefficient is a convolution of a marked-list sum
-and an insertion-list sum.  `verify_raw_equals_closed` asserts
-exact coefficientwise agreement of the two routes; the inner coefficient
-identity it rests on is exposed separately as `eq_sum`.
+and an insertion-list sum.  Those sums split into vertex-only tables (by
+genus and list length, and for insertions by the number of psi parts),
+built once per vertex table as integer numerators over a common
+denominator, and a per-cell combination with the binomials C(n, k1) and
+`reduce_bracket` in integer arithmetic.  `verify_raw_equals_closed`
+builds the tables once for its whole grid and asserts exact
+coefficientwise agreement of the two routes; the inner coefficient
+identity it rests on is exposed separately as `eq_sum`, whose products
+t1^a1 t2^a2 are likewise cached per order as integer numerators.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 from typing import Iterable, Mapping
 
 from . import hodge
@@ -91,8 +97,9 @@ def sine_factor(g: int, c: int, order: int) -> USeries:
     return pow_int(sinc_half(order), 2 * g - 2 + c)
 
 
-# order -> the products t1^a1 t2^a2 that eq_sum combines: row a2, entry a1,
-# each a tuple of (exponent, coefficient) pairs with the zeros left out
+# order -> (rows, den): the products t1^a1 t2^a2 that eq_sum combines, row
+# a2, entry a1, each a tuple of (exponent, numerator over den) pairs with the
+# zeros left out
 _EQ_BASIS: dict[int, tuple] = {}
 
 
@@ -102,7 +109,9 @@ def _eq_basis(order: int):
     Every factor has valuation >= 0, so the coefficients of a product
     below ``order`` depend only on those of its factors below ``order``;
     each power is truncated there rather than carrying the extra relative
-    precision a product of valuation-2 series would otherwise keep.
+    precision a product of valuation-2 series would otherwise keep.  The
+    coefficients are stored as integer numerators over one common
+    denominator.
     """
     basis = _EQ_BASIS.get(order)
     if basis is None:
@@ -116,14 +125,14 @@ def _eq_basis(order: int):
         for _ in range(amax):
             t1_pows.append((t1_pows[-1] * t1).truncate(order))
             t2_pows.append((t2_pows[-1] * t2).truncate(order))
-        rows = []
-        for a2 in range(amax + 1):
-            row = []
-            for a1 in range(amax + 1 - a2):
-                term = (t1_pows[a1] * t2_pows[a2]).truncate(order)
-                row.append(tuple((k, b) for k, b in enumerate(term.coeffs, term.valuation) if b))
-            rows.append(tuple(row))
-        basis = _EQ_BASIS[order] = tuple(rows)
+        terms = [[(t1_pows[a1] * t2_pows[a2]).truncate(order) for a1 in range(amax + 1 - a2)]
+                 for a2 in range(amax + 1)]
+        den = lcm(*(b.denominator for row in terms for term in row for b in term.coeffs))
+        rows = tuple(tuple(tuple((k, b.numerator * (den // b.denominator))
+                                 for k, b in enumerate(term.coeffs, term.valuation) if b)
+                           for term in row)
+                     for row in terms)
+        basis = _EQ_BASIS[order] = (rows, den)
     return basis
 
 
@@ -136,24 +145,37 @@ def eq_sum(m1, m2, order: int) -> USeries:
     collapses to (1 + t1)^{m1} exp(m2 log S) = S^{2 m1 + m2}; the closed
     form is what `verify_eq_sum` tests against.  The products
     t1^{a1} t2^{a2} do not depend on (m1, m2): they are built once per
-    order and kept in a module cache, so a call only forms the scalar
-    combination.
+    order and kept in a module cache as integer numerators, so a call only
+    forms the scalar coefficients, brings them to one denominator and sums
+    integers.
     """
     if order <= 0:
         return USeries.zero(order)
     m1 = Fraction(m1)
     m2 = Fraction(m2)
-    out = [Fraction(0)] * order
-    lead = Fraction(1)  # m2^a2 / a2!
-    for a2, row in enumerate(_eq_basis(order)):
-        coef = lead  # times ff(m1 - a2, a1) / a1!
+    p1, q1 = m1.numerator, m1.denominator
+    p2, q2 = m2.numerator, m2.denominator
+    rows, den = _eq_basis(order)
+    amax = len(rows) - 1
+    # with m1 = p1/q1, m2 = p2/q2, the coefficient (m2^a2 / a2!) (ff(m1 - a2, a1) / a1!)
+    # times w2[0] w1[0] = (amax! q2^amax)(amax! q1^amax) is the integer
+    # p2^a2 w2[a2] * prod_{i < a1} (p1 - (a2 + i) q1) * w1[a1]
+    top = factorial(amax)
+    w1 = [q1 ** (amax - a) * (top // factorial(a)) for a in range(amax + 1)]
+    w2 = [q2 ** (amax - a) * (top // factorial(a)) for a in range(amax + 1)]
+    out = [0] * order
+    lead = 1  # p2^a2
+    for a2, row in enumerate(rows):
+        ff = lead * w2[a2]
         for a1, term in enumerate(row):
-            if coef:
+            if ff:
+                coef = ff * w1[a1]
                 for k, b in term:
                     out[k] += coef * b
-            coef = coef * (m1 - a2 - a1) / (a1 + 1)
-        lead = lead * m2 / (a2 + 1)
-    return USeries(0, out)
+            ff *= p1 - (a2 + a1) * q1
+        lead *= p2
+    den *= w1[0] * w2[0]
+    return USeries(0, [Fraction(x, den) for x in out])
 
 
 @dataclass(frozen=True)
@@ -204,6 +226,18 @@ def reduce_bracket(g0: int, n: int, n_psi: int, n_div: int, c: int) -> int:
     return total * (3 * (2 * g0 - 2) + c) ** n_div
 
 
+def _by_psi(g2: tuple[int, ...], vertex: VertexData) -> list[Fraction]:
+    """by_psi[j] = [x^j] prod_i (mu0_psi[g_i] x + mu0_div[g_i]) over the entries of g2."""
+    by_psi = [Fraction(1)]
+    for gi in g2:
+        psi, div = vertex.mu0_psi[gi], vertex.mu0_div[gi]
+        nxt = [b * div for b in by_psi] + [Fraction(0)]
+        for j, b in enumerate(by_psi):
+            nxt[j + 1] += b * psi
+        by_psi = nxt
+    return by_psi
+
+
 def insertion_bracket(g0: int, n: int, c: int, g2: tuple[int, ...],
                       vertex: VertexData) -> Fraction:
     """The genus-g0 bracket with one insertion mu_{g,0}(-psi + H) per entry of g2.
@@ -215,16 +249,72 @@ def insertion_bracket(g0: int, n: int, c: int, g2: tuple[int, ...],
     parts, so the bracket is sum_j by_psi[j] reduce_bracket(g0, n, j, k2 - j, c),
     O(k2^2) work.
     """
-    by_psi = [Fraction(1)]
-    for gi in g2:
-        psi, div = vertex.mu0_psi[gi], vertex.mu0_div[gi]
-        nxt = [b * div for b in by_psi] + [Fraction(0)]
-        for j, b in enumerate(by_psi):
-            nxt[j + 1] += b * psi
-        by_psi = nxt
     k2 = len(g2)
-    return sum((b * reduce_bracket(g0, n, j, k2 - j, c) for j, b in enumerate(by_psi) if b),
-               Fraction(0))
+    return sum((b * reduce_bracket(g0, n, j, k2 - j, c)
+                for j, b in enumerate(_by_psi(g2, vertex)) if b), Fraction(0))
+
+
+def _raw_tables(vertex: VertexData, order: int):
+    """The vertex-only sums of the raw route below ``order``, built once per grid.
+
+    Returns (marked, inserted, den) with, for added genus s <= (order-1)//2,
+
+        marked[s][k1]       = sum over lists g1 of genus s with k1 parts of
+                              multinomial(k1, repeats) * prod mu1[g_i]
+        inserted[s][k2][j]  = sum over lists g2 of genus s with k2 parts of
+                              by_psi[j] / prod(repeats!)
+
+    as integer numerators: marked over one common denominator, inserted
+    over another, and den the product of the two.  Marked and insertion
+    lists of genus s are the same partitions of s, so one pass fills both.
+    """
+    dmax = (order - 1) // 2
+    missing = [g for g in range(1, dmax + 1)
+               if g not in vertex.mu1 or g not in vertex.mu0_psi or g not in vertex.mu0_div]
+    if missing:
+        raise ValueError(f"vertex data lacks genera {missing} needed at order {order}")
+    marked, inserted = [], []
+    for s in range(dmax + 1):
+        m_row = [Fraction(0)] * (s + 1)
+        i_row = [[Fraction(0)] * (k + 1) for k in range(s + 1)]
+        for parts in descending_partitions(s):
+            k, repeats = len(parts), multiplicities(parts)
+            m_row[k] += multinomial(k, repeats) * prod(vertex.mu1[gi] for gi in parts)
+            symmetry = prod(map(factorial, repeats))
+            for j, b in enumerate(_by_psi(parts, vertex)):
+                i_row[k][j] += b / symmetry
+        marked.append(m_row)
+        inserted.append(i_row)
+    m_den = lcm(*(x.denominator for row in marked for x in row))
+    i_den = lcm(*(x.denominator for row in inserted for by_k in row for x in by_k))
+    return (tuple(tuple(x.numerator * (m_den // x.denominator) for x in row) for row in marked),
+            tuple(tuple(tuple(x.numerator * (i_den // x.denominator) for x in by_k)
+                        for by_k in row) for row in inserted),
+            m_den * i_den)
+
+
+def _raw_sum_from(tables, g0: int, n: int, c: int, order: int) -> USeries:
+    """One (g0, n, c) cell of the raw route from `_raw_tables`, in integers.
+
+    marked[s] = sum_{k1} C(n, k1) marked[s][k1] (C(n, k1) = 0 past n, so
+    at most n marked points); inserted[t] = sum_{k2, j} inserted[t][k2][j]
+    reduce_bracket(g0, n, j, k2 - j, c); the u^{2 delta} coefficient is
+    sum_s marked[s] inserted[delta - s] over the common denominator.
+    """
+    if order <= 0:
+        return USeries.zero(order)
+    marked_t, inserted_t, den = tables
+    dmax = (order - 1) // 2
+    reduced = [[reduce_bracket(g0, n, j, k - j, c) for j in range(k + 1)]
+               for k in range(dmax + 1)]
+    marked = [sum(comb(n, k) * x for k, x in enumerate(marked_t[s])) for s in range(dmax + 1)]
+    inserted = [sum(x * r for by_k, r_k in zip(inserted_t[t], reduced) for x, r in zip(by_k, r_k))
+                for t in range(dmax + 1)]
+    coeffs = [Fraction(0)] * order
+    for delta in range(dmax + 1):
+        coeffs[2 * delta] = Fraction(sum(marked[s] * inserted[delta - s]
+                                         for s in range(delta + 1)), den)
+    return USeries(0, coeffs)
 
 
 def correction_raw_sum(g0: int, n: int, c: int, order: int,
@@ -234,37 +324,18 @@ def correction_raw_sum(g0: int, n: int, c: int, order: int,
     marked[s] sums the marked lists g1 of genus s (at most n entries,
     multiplier mu_{g,1} each, orbit count C(n, k1) * multinomial over
     repeats); inserted[t] sums the insertion lists g2 of genus t (bracket
-    from `insertion_bracket`, weighted 1 / prod(repeats!)).  The u^{2 delta}
-    coefficient is sum_s marked[s] inserted[delta - s], which is 1 at
-    delta = 0.  Equals S^{2 g0 - 2 + c}; `verify_raw_equals_closed` is the
-    arbiter.  Without ``vertex`` the standard table is built for this call;
-    a grid builds it once and passes it in.
+    as in `insertion_bracket`, weighted 1 / prod(repeats!)).  The
+    u^{2 delta} coefficient is sum_s marked[s] inserted[delta - s], which
+    is 1 at delta = 0.  Equals S^{2 g0 - 2 + c}; `verify_raw_equals_closed`
+    is the arbiter.  Without ``vertex`` the standard table is built for
+    this call.  A grid builds the vertex table and its vertex-only sums
+    once and combines them per cell; this call builds both for itself.
     """
     if g0 < 0 or n < 0:
         raise ValueError("g0 and n must be nonnegative")
-    if order <= 0:
-        return USeries.zero(order)
-    dmax = (order - 1) // 2
     if vertex is None:
-        vertex = VertexData.standard(dmax)
-    else:
-        missing = [g for g in range(1, dmax + 1)
-                   if g not in vertex.mu1 or g not in vertex.mu0_psi
-                   or g not in vertex.mu0_div]
-        if missing:
-            raise ValueError(f"vertex data lacks genera {missing} needed at order {order}")
-    marked = [sum((comb(n, len(g1)) * multinomial(len(g1), multiplicities(g1))
-                   * prod(vertex.mu1[gi] for gi in g1)
-                   for g1 in descending_partitions(s, max_len=n)), Fraction(0))
-              for s in range(dmax + 1)]
-    inserted = [sum((insertion_bracket(g0, n, c, g2, vertex)
-                     / prod(map(factorial, multiplicities(g2)))
-                     for g2 in descending_partitions(t)), Fraction(0))
-                for t in range(dmax + 1)]
-    coeffs = [Fraction(0)] * order
-    for delta in range(dmax + 1):
-        coeffs[2 * delta] = sum(marked[s] * inserted[delta - s] for s in range(delta + 1))
-    return USeries(0, coeffs)
+        vertex = VertexData.standard((order - 1) // 2)
+    return _raw_sum_from(_raw_tables(vertex, order), g0, n, c, order)
 
 
 @dataclass(frozen=True)
@@ -323,12 +394,13 @@ def verify_raw_equals_closed(g0_max: int = 3, n_max: int = 4,
     cs = sorted(set(int(c) for c in c_range))
     if vertex is None:
         vertex = VertexData.standard((internal - 1) // 2)
+    tables = _raw_tables(vertex, internal)
     cells = []
     for g0 in range(g0_max + 1):
         closed_by_c = {c: sine_factor(g0, c, internal) for c in cs}
         for n in range(n_max + 1):
             for c in cs:
-                raw = correction_raw_sum(g0, n, c, internal, vertex)
+                raw = _raw_sum_from(tables, g0, n, c, internal)
                 closed = closed_by_c[c]
                 ok = raw == closed
                 detail = "" if ok else _first_mismatch(raw, closed, order)

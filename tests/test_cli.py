@@ -152,6 +152,70 @@ def test_negative_g_max_refused(capsys, monkeypatch):
     assert capsys.readouterr().out == '{\n  "mu": {}\n}\n'
 
 
+class _Reached(Exception):
+    """Raised by a patched computation: the argument check let the call through."""
+
+
+@pytest.mark.parametrize(
+    "argv, name, limit, patched",
+    [
+        (["verify-identities", "--order"], "order", cli.MAX_VERIFY_ORDER,
+         ("verify_raw_equals_closed",)),
+        (["expand-sine", "--g", "1", "--c", "3", "--order"], "order", cli.MAX_SINE_ORDER,
+         ("sine_factor",)),
+        (["mu", "--format", "json", "--g-max"], "g_max", cli.MAX_MU_G_MAX, ("mu_g0", "mu_g1")),
+    ],
+)
+def test_cli_limits(capsys, monkeypatch, argv, name, limit, patched):
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    for fn in patched:
+        monkeypatch.setattr(cli, fn, reached)
+    for value in (limit - 1, limit):
+        with pytest.raises(_Reached):
+            main(argv + [str(value)])
+    _forbid_computation(monkeypatch)
+    assert main(argv + [str(limit + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    command = argv[0]
+    assert captured.err == f"error: {name} must be at most {limit} for {command}, got {limit + 1}\n"
+
+
+def test_cli_limits_cover_documented_workloads():
+    # the benchmark runs verify-identities through order 10, expand-sine
+    # through order 18 and mu through g_max 8; ROADMAP times order 14
+    assert cli.MAX_VERIFY_ORDER >= 14
+    assert cli.MAX_SINE_ORDER >= 18
+    assert cli.MAX_MU_G_MAX >= 8
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"class": {"c1_dot_beta": 4, "primitive": true}, "kind": "gv", "g_max": 2, '
+         '"values": {"0": "1", "1": "5", "1": "7"}}', "'1'"),
+        ('{"class": {"c1_dot_beta": 4, "primitive": false, "primitive": true}, "kind": "gv", '
+         '"g_max": 2, "values": {"0": "1"}}', "'primitive'"),
+        ('{"class": {"c1_dot_beta": 4, "primitive": true}, "kind": "gw", "kind": "gv", '
+         '"g_max": 2, "values": {"0": "1"}}', "'kind'"),
+    ],
+)
+def test_repeated_json_key_refused(tmp_path, capsys, monkeypatch, text, key):
+    # plain json.loads keeps the last of repeated keys and would exit 0
+    def boom(*args, **kwargs):
+        raise AssertionError("computation started before the input check")
+
+    monkeypatch.setattr(cli, "gw_from_gv", boom)
+    path = tmp_path / "gv.json"
+    path.write_text(text)
+    assert main(["transform", "--direction", "gv-to-gw", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: repeated key {key} in a json object\n"
+
+
 # ---------------------------------------------------------------- transform
 
 

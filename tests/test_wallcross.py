@@ -136,6 +136,35 @@ def test_eq_sum_basis_cache_across_orders(monkeypatch):
     assert sorted(wallcross._EQ_BASIS) == [9, 13]
 
 
+def test_eq_sum_rational_arguments():
+    # the integer-numerator combination must clear the denominators of m1, m2
+    order = 11
+    s = sinc_half(order)
+    s2, ls = s * s, log(s)
+    for m1, m2 in ((F(1, 2), F(-7, 3)), (-3, F(5, 4)), (F(-7, 3), 2), (F(2, 9), F(-1, 6))):
+        want = exp(ls.scale(m2)) * (pow_int(s2, m1) if isinstance(m1, int)
+                                    else exp(log(s2).scale(m1)))
+        assert eq_sum(m1, m2, order) == want
+
+
+def _raise_if_called(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} called by an independent route")
+    return refuse
+
+
+def test_eq_sum_uses_no_closed_form_kernel(monkeypatch):
+    monkeypatch.setattr(wallcross, "_EQ_BASIS", {})
+    want = {m: pow_int(sinc_half(13), int(2 * m[0] + m[1])) for m in ((-2, 3), (F(1, 2), 1))}
+    for name in ("pow_int", "exp"):
+        monkeypatch.setattr(wallcross, name, _raise_if_called(name))
+    assert eq_sum(-2, 3, 13) == want[(-2, 3)]  # cold: builds the basis
+    for name in ("sinc_half", "log"):
+        monkeypatch.setattr(wallcross, name, _raise_if_called(name))
+    for m, series in want.items():  # warm: touches no series kernel at all
+        assert eq_sum(*m, 13) == series
+
+
 def test_verify_eq_sum_grid():
     rep = verify_eq_sum(range(-2, 1), range(-2, 3), 8)
     assert rep.passed
@@ -264,38 +293,98 @@ def test_raw_sum_matches_oracle_on_random_vertex():
             assert got == raw_sum_oracle(g0, n, c, order, vertex)
 
 
+def _count_table_builds(monkeypatch, calls):
+    build = wallcross._raw_tables
+
+    def counting(vertex, order):
+        calls.append((vertex, order))
+        return build(vertex, order)
+
+    monkeypatch.setattr(wallcross, "_raw_tables", counting)
+
+
 def test_grid_builds_standard_vertex_once(monkeypatch):
-    calls = []
+    # and the vertex-only tables of the raw sum once, at the grid's order
+    vertex_calls, table_calls = [], []
     build = VertexData.standard
+    _count_table_builds(monkeypatch, table_calls)
 
     def counting(cls, g_top):
-        calls.append(g_top)
+        vertex_calls.append(g_top)
         return build(g_top)
 
     monkeypatch.setattr(VertexData, "standard", classmethod(counting))
     rep = verify_raw_equals_closed(1, 2, range(-1, 3), 8)
     assert rep.passed
-    assert calls == [4]
+    assert vertex_calls == [4]
+    assert len(table_calls) == 1 and table_calls[0][1] == 9
 
 
 def test_grid_uses_supplied_vertex_as_given(monkeypatch):
     vertex = VertexData.standard(4)
     seen = []
-    raw = wallcross.correction_raw_sum
-
-    def spy(g0, n, c, order, v=None):
-        seen.append(v)
-        return raw(g0, n, c, order, v)
 
     def no_build(cls, g_top):
         raise AssertionError("standard vertex data rebuilt despite a supplied table")
 
-    monkeypatch.setattr(wallcross, "correction_raw_sum", spy)
+    _count_table_builds(monkeypatch, seen)
     monkeypatch.setattr(VertexData, "standard", classmethod(no_build))
     rep = verify_raw_equals_closed(1, 1, range(0, 2), 8, vertex=vertex)
     assert rep.passed
-    assert len(seen) == 2 * 2 * 2
-    assert all(v is vertex for v in seen)
+    assert len(rep.cells) == 2 * 2 * 2
+    assert len(seen) == 1 and seen[0][0] is vertex
+
+
+def test_grid_cells_match_standalone_raw_sum_on_random_vertex(monkeypatch):
+    # each cell the grid combines from its shared tables equals the
+    # standalone call and the full-listing oracle, and its verdict follows
+    got = {}
+    combine = wallcross._raw_sum_from
+
+    def recording(tables, g0, n, c, order):
+        got[(g0, n, c)] = out = combine(tables, g0, n, c, order)
+        return out
+
+    monkeypatch.setattr(wallcross, "_raw_sum_from", recording)
+    rng = random.Random(518)
+    for _ in range(2):
+        vertex = random_vertex(rng, 4)
+        got.clear()
+        rep = verify_raw_equals_closed(2, 3, (-1, 2, 5), 8, vertex=vertex)
+        assert [cell.key for cell in rep.cells] == list(got)
+        for cell in rep.cells:
+            series = got[cell.key]
+            assert series == correction_raw_sum(*cell.key, 9, vertex)
+            assert series == raw_sum_oracle(*cell.key, 9, vertex)
+            assert cell.passed == (series == sine_factor(cell.key[0], cell.key[2], 9))
+
+
+def test_grid_failure_reports_unchanged_under_perturbation():
+    # criterion 7's perturbations: first failing key, its detail and the
+    # number of failing cells
+    base = VertexData.standard(4)
+    expected = {
+        ("mu1", 1): ((0, 1, 0), "u^2: got 253/3000, want 1/12", 12),
+        ("mu0_psi", 1): ((0, 0, 0), "u^2: got 32/375, want 1/12", 17),
+        ("mu0_div", 2): ((0, 0, 0), "u^4: got -11/6000, want 1/240", 15),
+    }
+    for (field, genus), (key, detail, failing) in expected.items():
+        rep = verify_raw_equals_closed(1, 2, range(0, 3), 8,
+                                       vertex=base.perturbed(field, genus, F(1, 1000)))
+        assert (rep.first_failure.key, rep.first_failure.detail) == (key, detail)
+        assert sum(not cell.passed for cell in rep.cells) == failing
+
+
+def test_raw_route_uses_no_closed_form_kernel(monkeypatch):
+    vertex = VertexData.standard(6)
+    want = {key: sine_factor(key[0], key[2], 13) for key in ((0, 0, 4), (2, 3, -1))}
+    for name in ("pow_int", "exp", "log", "sinc_half", "sine_factor"):
+        monkeypatch.setattr(wallcross, name, _raise_if_called(name))
+    tables = wallcross._raw_tables(vertex, 13)
+    for key, series in want.items():
+        assert correction_raw_sum(*key, 13) == series
+        assert correction_raw_sum(*key, 13, vertex) == series
+        assert wallcross._raw_sum_from(tables, *key, 13) == series
 
 
 def test_vertex_perturbation_is_local():
