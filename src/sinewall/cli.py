@@ -19,10 +19,12 @@ input.
 A repeated key in any json object is refused rather than letting the last
 one win.  `verify-identities --order`, `expand-sine --order` and
 `mu --g-max` are bounded by MAX_VERIFY_ORDER, MAX_SINE_ORDER and
-MAX_MU_G_MAX; a larger value is refused before any computation.
+MAX_MU_G_MAX, and `expand-sine --g/--c` and a table's c1_dot_beta by
+MAX_ABS_G_C in absolute value; a larger value is refused before any
+computation.
 
 Exit status: 0 success, 1 check failure (non-integral GV, identity
-mismatch), 2 input or usage error.
+mismatch), 2 input or usage error, an unwritable --output included.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .gv import GVReport, gate_check, gv_from_gw, gw_from_gv, report_on_gv
-from .hodge import mu_g0, mu_g1, verify_i_ratio, verify_mu_consistency
+from .hodge import i_function_expansion, mu_g0, mu_g1, verify_i_ratio, verify_mu_consistency
 from .wallcross import (
     GenusTable,
     Kind,
@@ -53,6 +55,10 @@ from .wallcross import (
 MAX_VERIFY_ORDER = 40
 MAX_SINE_ORDER = 500
 MAX_MU_G_MAX = 40
+# |g| and |c| of expand-sine and |c1_dot_beta| of a table.  At |g| = |c| = 10**6
+# and order 500 expand-sine takes about 2.9 s and its longest coefficient has
+# about 3000 digits, under CPython's 4300-digit string conversion limit.
+MAX_ABS_G_C = 10**6
 _LIMITS = {
     ("verify-identities", "order"): MAX_VERIFY_ORDER,
     ("expand-sine", "order"): MAX_SINE_ORDER,
@@ -88,6 +94,8 @@ def parse_table_doc(doc) -> GenusTable:
     c = cls["c1_dot_beta"]
     if isinstance(c, bool) or not isinstance(c, int):
         raise ParseError("c1_dot_beta must be an integer")
+    if abs(c) > MAX_ABS_G_C:
+        raise ParseError(f"|c1_dot_beta| must be at most {MAX_ABS_G_C}, got {c}")
     primitive = cls["primitive"]
     if not isinstance(primitive, bool):
         raise ParseError("primitive must be a boolean")
@@ -171,7 +179,10 @@ def _table_text(t: GenusTable) -> str:
 
 def _emit(text: str, ns: argparse.Namespace) -> None:
     if ns.output:
-        Path(ns.output).write_text(text)
+        try:
+            Path(ns.output).write_text(text)
+        except OSError as e:
+            raise ValueError(f"cannot write {ns.output}: {e.strerror or e}") from None
     else:
         sys.stdout.write(text)
 
@@ -262,10 +273,11 @@ def _handle_verify_identities(ns: argparse.Namespace) -> int:
     eq = verify_eq_sum(order=order + 2)
     rows.append((eq.name, eq.passed, len(eq.cells),
                  None if eq.passed else f"{eq.first_failure.key}: {eq.first_failure.detail}"))
-    mu = verify_mu_consistency(order)
+    expansion = i_function_expansion(2 * (order // 2) + 2)
+    mu = verify_mu_consistency(order, expansion=expansion)
     rows.append(("vertex closed form vs local expansion", mu.passed, len(mu.checked),
                  None if mu.passed else f"genus {mu.first_failure}: {mu.detail}"))
-    ratio = verify_i_ratio(order)
+    ratio = verify_i_ratio(order, expansion=expansion)
     rows.append(("expansion ratio vs marked-point constants", ratio.passed, len(ratio.checked),
                  None if ratio.passed else f"genus {ratio.first_failure}: {ratio.detail}"))
 
@@ -397,8 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("expand-sine", help="print coefficients of S^(2g-2+c)")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
+    p.add_argument("--g", type=int, required=True, help=f"at most {MAX_ABS_G_C} in absolute value")
+    p.add_argument("--c", type=int, required=True, help=f"at most {MAX_ABS_G_C} in absolute value")
     p.add_argument("--order", type=int, default=10,
                    help=f"exclusive truncation order (default 10, at most {MAX_SINE_ORDER})")
     common(p)
@@ -416,6 +428,11 @@ def main(argv: list[str] | None = None) -> int:
             limit = _LIMITS.get((ns.command, name))
             if limit is not None and value > limit:
                 raise ValueError(f"{name} must be at most {limit} for {ns.command}, got {value}")
+        for name in ("g", "c"):
+            value = getattr(ns, name, 0)
+            if abs(value) > MAX_ABS_G_C:
+                raise ValueError(f"|{name}| must be at most {MAX_ABS_G_C} for {ns.command}, "
+                                 f"got {value}")
         return _HANDLERS[ns.command](ns)
     except CheckFailed as e:
         print(f"check failed: {e}", file=sys.stderr)

@@ -16,14 +16,14 @@ and the companion constant mu_{g,1} = [u^{2g}] (S^2 - 1) = a_g.  The
 closed forms are authoritative; `i_function_expansion` re-derives them
 from the exponential identity so the two routes can be checked against
 each other, and `verify_i_ratio` checks that dividing the expansion by z
-reproduces the mu_{g,1} constants.
+reproduces the mu_{g,1} constants.  Both checks accept one shared expansion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from typing import Any, Mapping
 
 from .series import log, pow_int, sinc_half
@@ -105,9 +105,6 @@ class GradedPoly:
     def __neg__(self) -> GradedPoly:
         return GradedPoly({k: -q for k, q in self.terms.items()}, self.degree_cap)
 
-    def __sub__(self, other: GradedPoly) -> GradedPoly:
-        return self + (-other)
-
     def __mul__(self, other: Any) -> GradedPoly:
         if isinstance(other, GradedPoly):
             self._check_cap(other)
@@ -125,14 +122,6 @@ class GradedPoly:
 
     def __rmul__(self, other: Any) -> GradedPoly:
         return self.__mul__(other)
-
-    def __pow__(self, k: int) -> GradedPoly:
-        if k < 0:
-            raise ValueError("GradedPoly has no negative powers")
-        out = GradedPoly.one(self.degree_cap)
-        for _ in range(k):
-            out = out * self
-        return out
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -316,20 +305,15 @@ def i_function_expansion(order_u: int, z_depth: int = 3, degree_cap: int = 3,
             base = poly_j * q
             if not base:
                 continue
-            if j == 0:
-                put(1, base)            # (z - H)^1
-                put(0, -(hyper * base))
-            elif j == 1:
-                put(0, base)            # (z - H)^0
-            else:
-                m = j - 1               # expand (z - H)^(-m)
-                h_pow = GradedPoly.one(cap)
-                for i in range(0, cap + 1):
-                    term = base * h_pow * comb(m + i - 1, i)
-                    if not term:
-                        break
-                    put(-m - i, term)
-                    h_pow = h_pow * hyper
+            # (z - H)^e = sum_i binom(e, i) (-H)^i z^(e-i) with e = 1 - j
+            e, coef, h_pow = 1 - j, 1, GradedPoly.one(cap)
+            for i in range(cap + 1):
+                term = base * h_pow * coef
+                if not term:
+                    break
+                put(e - i, term)
+                h_pow = h_pow * hyper
+                coef = coef * (i - e) // (i + 1)  # binom(e, i+1) (-1)^(i+1)
         out[g] = ZLaurent(zterms, cap)
     return out
 

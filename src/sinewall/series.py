@@ -76,13 +76,9 @@ class USeries:
 
     @classmethod
     def one(cls, order: int) -> USeries:
-        return cls.constant(Fraction(1), order)
-
-    @classmethod
-    def constant(cls, value: Any, order: int) -> USeries:
         if order <= 0:
             return cls.zero(order)
-        return cls(0, [value] + [Fraction(0)] * (order - 1))
+        return cls(0, [Fraction(1)] + [Fraction(0)] * (order - 1))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -106,10 +102,6 @@ class USeries:
         if order <= self.valuation:
             return USeries.zero(order)
         return USeries(self.valuation, self.coeffs[: order - self.valuation])
-
-    def shift(self, k: int) -> USeries:
-        """Multiply by ``u**k`` (k may be negative)."""
-        return USeries(self.valuation + k, self.coeffs)
 
     def scale(self, value: Any) -> USeries:
         c = _rational(value)
@@ -169,9 +161,6 @@ class USeries:
 
     def __rmul__(self, other: Any) -> USeries:
         return self.__mul__(other)
-
-    def __pow__(self, k: int) -> USeries:
-        return pow_int(self, k)
 
     def __repr__(self) -> str:
         if self.is_zero():

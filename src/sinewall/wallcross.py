@@ -226,34 +226,6 @@ def reduce_bracket(g0: int, n: int, n_psi: int, n_div: int, c: int) -> int:
     return total * (3 * (2 * g0 - 2) + c) ** n_div
 
 
-def _by_psi(g2: tuple[int, ...], vertex: VertexData) -> list[Fraction]:
-    """by_psi[j] = [x^j] prod_i (mu0_psi[g_i] x + mu0_div[g_i]) over the entries of g2."""
-    by_psi = [Fraction(1)]
-    for gi in g2:
-        psi, div = vertex.mu0_psi[gi], vertex.mu0_div[gi]
-        nxt = [b * div for b in by_psi] + [Fraction(0)]
-        for j, b in enumerate(by_psi):
-            nxt[j + 1] += b * psi
-        by_psi = nxt
-    return by_psi
-
-
-def insertion_bracket(g0: int, n: int, c: int, g2: tuple[int, ...],
-                      vertex: VertexData) -> Fraction:
-    """The genus-g0 bracket with one insertion mu_{g,0}(-psi + H) per entry of g2.
-
-    Expanding prod_i (mu0_psi[g_i] (-psi) + mu0_div[g_i] (3H + c1)) gives
-    2^k2 choices, but `reduce_bracket` depends only on how many of them
-    pick -psi.  by_psi[j], the coefficient of x^j in
-    prod_i (mu0_psi[g_i] x + mu0_div[g_i]), sums the choices with j psi
-    parts, so the bracket is sum_j by_psi[j] reduce_bracket(g0, n, j, k2 - j, c),
-    O(k2^2) work.
-    """
-    k2 = len(g2)
-    return sum((b * reduce_bracket(g0, n, j, k2 - j, c)
-                for j, b in enumerate(_by_psi(g2, vertex)) if b), Fraction(0))
-
-
 def _raw_tables(vertex: VertexData, order: int):
     """The vertex-only sums of the raw route below ``order``, built once per grid.
 
@@ -262,11 +234,14 @@ def _raw_tables(vertex: VertexData, order: int):
         marked[s][k1]       = sum over lists g1 of genus s with k1 parts of
                               multinomial(k1, repeats) * prod mu1[g_i]
         inserted[s][k2][j]  = sum over lists g2 of genus s with k2 parts of
-                              by_psi[j] / prod(repeats!)
+                              by_psi[j] / prod(repeats!),
+        by_psi[j]           = [x^j] prod_i (mu0_psi[g_i] x + mu0_div[g_i])
 
-    as integer numerators: marked over one common denominator, inserted
-    over another, and den the product of the two.  Marked and insertion
-    lists of genus s are the same partitions of s, so one pass fills both.
+    (j counts the insertions read as -psi, all `reduce_bracket` needs of
+    them) as integer numerators: marked over one common denominator,
+    inserted over another, and den the product of the two.  Marked and
+    insertion lists of genus s are the same partitions of s, so one pass
+    fills both.
     """
     dmax = (order - 1) // 2
     missing = [g for g in range(1, dmax + 1)
@@ -280,8 +255,15 @@ def _raw_tables(vertex: VertexData, order: int):
         for parts in descending_partitions(s):
             k, repeats = len(parts), multiplicities(parts)
             m_row[k] += multinomial(k, repeats) * prod(vertex.mu1[gi] for gi in parts)
+            by_psi = [Fraction(1)]
+            for gi in parts:
+                psi, div = vertex.mu0_psi[gi], vertex.mu0_div[gi]
+                nxt = [b * div for b in by_psi] + [Fraction(0)]
+                for j, b in enumerate(by_psi):
+                    nxt[j + 1] += b * psi
+                by_psi = nxt
             symmetry = prod(map(factorial, repeats))
-            for j, b in enumerate(_by_psi(parts, vertex)):
+            for j, b in enumerate(by_psi):
                 i_row[k][j] += b / symmetry
         marked.append(m_row)
         inserted.append(i_row)
@@ -323,8 +305,8 @@ def correction_raw_sum(g0: int, n: int, c: int, order: int,
 
     marked[s] sums the marked lists g1 of genus s (at most n entries,
     multiplier mu_{g,1} each, orbit count C(n, k1) * multinomial over
-    repeats); inserted[t] sums the insertion lists g2 of genus t (bracket
-    as in `insertion_bracket`, weighted 1 / prod(repeats!)).  The
+    repeats); inserted[t] sums the insertion lists g2 of genus t (each
+    bracket stripped by `reduce_bracket`, weighted 1 / prod(repeats!)).  The
     u^{2 delta} coefficient is sum_s marked[s] inserted[delta - s], which
     is 1 at delta = 0.  Equals S^{2 g0 - 2 + c}; `verify_raw_equals_closed`
     is the arbiter.  Without ``vertex`` the standard table is built for

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from sinewall import cli
+from sinewall import cli, hodge
 from sinewall.cli import (
     CheckFailed,
     ParseError,
@@ -189,6 +189,62 @@ def test_cli_limits_cover_documented_workloads():
     assert cli.MAX_VERIFY_ORDER >= 14
     assert cli.MAX_SINE_ORDER >= 18
     assert cli.MAX_MU_G_MAX >= 8
+    # expand-sine jobs use g 0..8 and c -2..8, tables c -3..8
+    assert cli.MAX_ABS_G_C >= 8
+
+
+@pytest.mark.parametrize("name, sign", [("g", 1), ("g", -1), ("c", 1), ("c", -1)])
+def test_expand_sine_g_c_limit(capsys, monkeypatch, name, sign):
+    # a huge --g or --c used to compute and then fail at print on the digit cap
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    limit = cli.MAX_ABS_G_C
+    args = {"g": 1, "c": 3}
+
+    def argv(value):
+        args[name] = value
+        return ["expand-sine", "--g", str(args["g"]), "--c", str(args["c"]), "--order", "6"]
+
+    monkeypatch.setattr(cli, "sine_factor", reached)
+    for value in (limit - 1, limit):
+        with pytest.raises(_Reached):
+            main(argv(sign * value))
+    _forbid_computation(monkeypatch)
+    assert main(argv(sign * (limit + 1))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: |{name}| must be at most {limit} for expand-sine, "
+                            f"got {sign * (limit + 1)}\n")
+
+
+def test_c1_dot_beta_limit(tmp_path, capsys, monkeypatch):
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    monkeypatch.setattr(cli, "gw_from_gv", reached)
+    limit = cli.MAX_ABS_G_C
+    for c in (limit - 1, limit, -limit):
+        path = write_doc(tmp_path, "gv.json", make_doc(kind="gv", c=c, values={"0": "1"}))
+        with pytest.raises(_Reached):
+            main(["transform", "--direction", "gv-to-gw", "--input", path])
+    for c in (limit + 1, -limit - 1):
+        path = write_doc(tmp_path, "gv.json", make_doc(kind="gv", c=c, values={"0": "1"}))
+        assert main(["transform", "--direction", "gv-to-gw", "--input", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: |c1_dot_beta| must be at most {limit}, got {c}\n"
+
+
+def test_expand_sine_at_the_g_c_corner_prints(capsys):
+    # the largest accepted input at the largest order prints every coefficient
+    limit = str(cli.MAX_ABS_G_C)
+    assert main(["expand-sine", "--g", limit, "--c", limit,
+                 "--order", str(cli.MAX_SINE_ORDER), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["exponent"] == 3 * cli.MAX_ABS_G_C - 2
+    assert len(doc["coefficients"]) == cli.MAX_SINE_ORDER
+    assert doc["coefficients"]["0"] == "1"
 
 
 @pytest.mark.parametrize(
@@ -257,6 +313,21 @@ def test_transform_output_file(tmp_path, capsys):
                  "--format", "json", "--output", str(dest)]) == 0
     assert capsys.readouterr().out == ""
     assert json.loads(dest.read_text())["kind"] == "gw"
+
+
+@pytest.mark.parametrize("dest", ["missing/out.json", "."])
+def test_unwritable_output_exits_2(tmp_path, capsys, dest):
+    # a missing parent directory, or a directory: exit 1 is kept for failed checks
+    path = write_doc(tmp_path, "u.json", make_doc(kind="ugw", g_max=0, values={"0": "1"}))
+    target = tmp_path / dest
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["transform", "--direction", "ugw-to-gw", "--input", path,
+                 "--output", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert captured.err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_transform_wrong_kind_exits_2(tmp_path, capsys):
@@ -365,6 +436,22 @@ def test_verify_identities_json(capsys):
     assert len(doc["checks"]) == 4
     assert all(chk["passed"] for chk in doc["checks"])
     assert all(chk["first_failure"] is None for chk in doc["checks"])
+
+
+def test_verify_identities_builds_one_expansion(capsys, monkeypatch):
+    # both expansion checks read one shared expansion
+    calls = []
+    build = hodge.i_function_expansion
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(hodge, "i_function_expansion", counting)
+    monkeypatch.setattr(cli, "i_function_expansion", counting)
+    assert main(["verify-identities", "--order", "7"]) == 0
+    assert "overall: pass" in capsys.readouterr().out
+    assert calls == [(8,)]
 
 
 # ---------------------------------------------------------------- mu / expand

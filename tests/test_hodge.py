@@ -1,9 +1,11 @@
 """Vertex-value layer: graded polynomials, Laurent tails, mu constants."""
 
 from fractions import Fraction as F
+from math import comb, factorial
 
 import pytest
 
+from sinewall import hodge
 from sinewall.hodge import (
     GradedPoly,
     MuValue,
@@ -14,7 +16,7 @@ from sinewall.hodge import (
     verify_i_ratio,
     verify_mu_consistency,
 )
-from sinewall.series import pow_int, sinc_half
+from sinewall.series import log, pow_int, sinc_half
 
 
 CAP = 3
@@ -33,13 +35,13 @@ def test_graded_poly_basics():
     assert p.coefficient(0, 0) == 0
     assert bool(p)
     assert not GradedPoly.zero(CAP)
-    assert p - p == GradedPoly.zero(CAP)
+    assert p + (-p) == GradedPoly.zero(CAP)
 
 
 def test_graded_poly_cap_truncation():
-    assert (H ** 2) * (H ** 2) == GradedPoly.zero(CAP)
-    assert H * H * H == H ** 3
-    assert (H ** 3) * C1 == GradedPoly.zero(CAP)
+    assert (H * H) * (H * H) == GradedPoly.zero(CAP)
+    assert (H * H) * H == H * (H * H) == GradedPoly({(3, 0): 1}, CAP)
+    assert (H * H * H) * C1 == GradedPoly.zero(CAP)
     # the cap keeps total degree, mixing both variables
     assert (H * C1).coefficient(1, 1) == 1
     assert ((H * C1) * H).coefficient(2, 1) == 1
@@ -47,7 +49,7 @@ def test_graded_poly_cap_truncation():
 
 
 def test_graded_poly_ring_axioms_sampled():
-    xs = [ONE, H, C1, H + C1, H * 2 - C1, H ** 2 + C1, GradedPoly.zero(CAP)]
+    xs = [ONE, H, C1, H + C1, H * 2 + C1 * -1, H * H + C1, GradedPoly.zero(CAP)]
     for a in xs:
         for b in xs:
             assert a + b == b + a
@@ -69,13 +71,6 @@ def test_graded_poly_scalar():
     assert GradedPoly.scalar(F(5), CAP).coefficient(0, 0) == 5
     assert not GradedPoly.scalar(0, CAP)
     assert GradedPoly.scalar(F(1, 2), CAP) * H == H * F(1, 2)
-
-
-def test_graded_poly_pow():
-    assert (ONE + H) ** 3 == ONE + 3 * H + 3 * H ** 2 + H ** 3
-    assert (ONE + H) ** 0 == ONE
-    with pytest.raises(ValueError):
-        (ONE + H) ** -1
 
 
 # ---------------------------------------------------------------- zlaurent
@@ -219,6 +214,67 @@ def test_expansion_depth_only_lengthens_tail():
             assert deep[g].coefficient(p) == shallow[g].coefficient(p)
 
 
+def _expansion_oracle(order_u, z_depth, cap):
+    """{g: {z-power: {(H-power, c1-power): coefficient}}}, term by term.
+
+    z'^(1-j) carries S^2 (log S)^j (3H + c1)^j / j! for 0 <= j <= z_depth + 1,
+    and z' = z - H is expanded with math.comb: (z - H)^e is
+    sum_{i <= e} C(e, i) (-H)^i z^(e-i) for e >= 0 and
+    sum_i C(-e + i - 1, i) H^i z^(e-i) for e < 0.
+    """
+    s = sinc_half(order_u)
+    ls = log(s)
+    layers = [s * s]  # S^2 (log S)^j by repeated products
+    for _ in range(min(z_depth + 1, cap)):
+        layers.append(layers[-1] * ls)
+    out = {}
+    for g in range((order_u - 1) // 2 + 1):
+        zterms = {}
+        for j, layer in enumerate(layers):
+            q = layer.coefficient(2 * g) / factorial(j)
+            e = 1 - j
+            if e >= 0:
+                binom = [(i, comb(e, i) * (-1) ** i) for i in range(e + 1)]
+            else:
+                binom = [(i, comb(-e + i - 1, i)) for i in range(cap - j + 1)]
+            for k in range(j + 1):  # (3H + c1)^j = sum_k C(j, k) 3^k H^k c1^(j-k)
+                for i, b in binom:
+                    if j + i > cap:
+                        continue
+                    key = (k + i, j - k)
+                    by_z = zterms.setdefault(e - i, {})
+                    by_z[key] = by_z.get(key, F(0)) + q * comb(j, k) * 3**k * b
+        out[g] = {p: live for p, terms in zterms.items()
+                  if (live := {key: x for key, x in terms.items() if x})}
+    return out
+
+
+def test_expansion_matches_binomial_oracle_at_every_z_power():
+    # pins the negative z-powers too, which no closed form reaches
+    for order in range(1, 13):
+        for z_depth in range(1, 5):
+            for cap in range(2, 5):
+                got = i_function_expansion(order, z_depth, cap)
+                want = _expansion_oracle(order, z_depth, cap)
+                assert sorted(got) == sorted(want)
+                for g, zl in got.items():
+                    powers = set(want[g]) | set(range(zl.z_min, zl.z_max + 1))
+                    for p in powers:
+                        assert zl.coefficient(p).terms == want[g].get(p, {}), \
+                            (order, z_depth, cap, g, p)
+
+
+def test_expansion_runs_without_closed_form_vertex(monkeypatch):
+    # the expansion is the independent route to mu_g0 / mu_g1, so it may not call them
+    def refuse(*args, **kwargs):
+        raise AssertionError("closed-form vertex value used by the expansion")
+
+    want = i_function_expansion(12)
+    monkeypatch.setattr(hodge, "mu_g0", refuse)
+    monkeypatch.setattr(hodge, "mu_g1", refuse)
+    assert i_function_expansion(12) == want
+
+
 # ---------------------------------------------------------------- verification
 
 
@@ -273,3 +329,11 @@ def test_corrupted_negative_tail_is_invisible_to_mu_check():
     expn[2] = _corrupt(expn[2], -2, F(1, 1000))
     assert verify_mu_consistency(12, expansion=expn).passed
     assert verify_i_ratio(12, expansion=expn).passed
+
+
+def test_supplied_expansion_gives_the_same_report():
+    # verify-identities builds one expansion and hands it to both checks
+    for order in range(15):
+        expn = i_function_expansion(2 * (order // 2) + 2)
+        assert verify_mu_consistency(order, expansion=expn) == verify_mu_consistency(order)
+        assert verify_i_ratio(order, expansion=expn) == verify_i_ratio(order)

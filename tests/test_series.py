@@ -164,8 +164,9 @@ def test_constructor_rejects_floats():
 
 
 def test_constant_and_monomial():
-    assert USeries.constant(F(7), 3) == USeries(0, [F(7), 0, 0])
-    assert USeries.constant(F(7), 0) == USeries.zero(0)
+    assert USeries.one(3) == USeries(0, [F(1), 0, 0])
+    assert USeries.one(0) == USeries.zero(0)
+    assert USeries.one(-2) == USeries.zero(-2)
     m = USeries(3, [F(2), 0, 0])
     assert m.coefficient(3) == 2
     assert m.valuation == 3 and m.order == 6
@@ -206,11 +207,8 @@ def test_truncate_semantics():
         f.truncate(5)
 
 
-def test_shift_and_scale():
+def test_scale():
     f = USeries(0, [F(1), F(2)])
-    g = f.shift(3)
-    assert g.valuation == 3 and g.order == 5
-    assert g.shift(-3) == f
     assert f.scale(F(1, 2)) == USeries(0, [F(1, 2), F(1)])
     assert f.scale(0).is_zero()
     assert f.scale(0).order == f.order
@@ -277,7 +275,7 @@ def test_exp_requires_positive_valuation():
 
 def test_log_requires_unit_constant_term():
     with pytest.raises(ConstantTermNotOne):
-        log(USeries.constant(F(2), 5))
+        log(USeries(0, [F(2), 0, 0, 0, 0]))
     with pytest.raises(ConstantTermNotOne):
         log(USeries.zero(5))
     with pytest.raises(ConstantTermNotOne):
@@ -487,11 +485,6 @@ def test_log_matches_taylor_sum(f):
         want = want + term * F((-1) ** (j + 1), j)
         j += 1
     assert log(f) == want
-
-
-@given(useries(), st.integers(min_value=-3, max_value=3))
-def test_shift_roundtrip(f, k):
-    assert f.shift(k).shift(-k) == f
 
 
 @given(useries())

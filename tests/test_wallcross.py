@@ -19,7 +19,6 @@ from sinewall.wallcross import (
     correction_raw_sum,
     eq_sum,
     gw_from_ugw,
-    insertion_bracket,
     reduce_bracket,
     sine_factor,
     ugw_from_gw,
@@ -271,15 +270,6 @@ def random_vertex(rng, g_top):
         return {g: F(0) if rng.random() < 0.25 else F(rng.randint(-9, 9), rng.randint(1, 12))
                 for g in range(1, g_top + 1)}
     return VertexData(table(), table(), table())
-
-
-def test_insertion_bracket_matches_brute_force_expansion():
-    rng = random.Random(1848)
-    for _ in range(60):
-        vertex = random_vertex(rng, 6)
-        g0, n, c = rng.randint(0, 3), rng.randint(0, 4), rng.randint(-2, 6)
-        g2 = tuple(sorted((rng.randint(1, 6) for _ in range(rng.randint(0, 6))), reverse=True))
-        assert insertion_bracket(g0, n, c, g2, vertex) == brute_force_bracket(g0, n, c, g2, vertex)
 
 
 def test_raw_sum_matches_oracle_on_random_vertex():
