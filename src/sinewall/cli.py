@@ -21,7 +21,16 @@ one win.  `verify-identities --order`, `expand-sine --order` and
 `mu --g-max` are bounded by MAX_VERIFY_ORDER, MAX_SINE_ORDER and
 MAX_MU_G_MAX, and `expand-sine --g/--c` and a table's c1_dot_beta by
 MAX_ABS_G_C in absolute value; a larger value is refused before any
-computation.
+computation.  The numerator and the denominator of a table value, a
+genus key and a json integer are bounded by MAX_VALUE_DIGITS digits,
+checked on the string before any integer conversion.  Once the arguments
+are parsed, `main` lifts CPython's cap on int <-> str conversion and
+restores it on return, so the output of every accepted input prints.
+
+Each call is usually a fresh process, so import time is paid per call:
+the package imports all its modules eagerly (bench/tracer.py wraps only
+the modules loaded when it installs), and none of them imports
+dataclasses, which would pull in inspect, ast and dis.
 
 Exit status: 0 success, 1 check failure (non-integral GV, identity
 mismatch), 2 input or usage error, an unwritable --output included.
@@ -33,7 +42,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -59,6 +67,12 @@ MAX_MU_G_MAX = 40
 # and order 500 expand-sine takes about 2.9 s and its longest coefficient has
 # about 3000 digits, under CPython's 4300-digit string conversion limit.
 MAX_ABS_G_C = 10**6
+# Digits of the numerator or of the denominator of a table value, of a genus
+# key and of a json integer; twice the longest value the benchmark uses.
+# Checked on the string, before int() sees it: main lifts CPython's
+# 4300-digit conversion cap, and int() of n digits takes time quadratic in n
+# (8 s at 10**6 digits).
+MAX_VALUE_DIGITS = 1000
 _LIMITS = {
     ("verify-identities", "order"): MAX_VERIFY_ORDER,
     ("expand-sine", "order"): MAX_SINE_ORDER,
@@ -112,11 +126,16 @@ def parse_table_doc(doc) -> GenusTable:
     for key, val in raw_values.items():
         if not isinstance(key, str) or not _GENUS_RE.fullmatch(key):
             raise ParseError(f"genus key {key!r} is not a nonnegative integer string")
+        if len(key) > MAX_VALUE_DIGITS:
+            raise ParseError(f"genus key has more than {MAX_VALUE_DIGITS} digits")
         g = int(key)
         if g > g_max:
             raise ParseError(f"genus {g} exceeds g_max={g_max}")
         if not isinstance(val, str) or not _VALUE_RE.fullmatch(val):
             raise ParseError(f'value for genus {g} must be a "p/q" string, got {val!r}')
+        if any(len(part) > MAX_VALUE_DIGITS for part in val.lstrip("-").split("/")):
+            raise ParseError(f"value for genus {g} has a numerator or denominator of more "
+                             f"than {MAX_VALUE_DIGITS} digits")
         try:
             values[g] = Fraction(val)
         except ZeroDivisionError:
@@ -148,13 +167,20 @@ def _unique_keys(pairs) -> dict:
     return doc
 
 
+def _bounded_int(text: str) -> int:
+    """json integer hook: refuse a literal too long to convert in bounded time."""
+    if len(text.lstrip("-")) > MAX_VALUE_DIGITS:
+        raise ParseError(f"json integer of more than {MAX_VALUE_DIGITS} digits")
+    return int(text)
+
+
 def load_table(path: str) -> GenusTable:
     try:
         text = Path(path).read_text()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from None
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
+        doc = json.loads(text, object_pairs_hook=_unique_keys, parse_int=_bounded_int)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path} is not valid json: {e}") from None
     return parse_table_doc(doc)
@@ -251,7 +277,8 @@ def _handle_check_integrality(ns: argparse.Namespace) -> int:
         rep = gv_from_gw(table)
     elif table.kind is Kind.UGW:
         gate_check(table.c, table.primitive)
-        rep = report_on_gv(replace(table, kind=Kind.GV))
+        rep = report_on_gv(GenusTable(Kind.GV, table.c, table.primitive, table.values,
+                                      table.g_max))
     else:
         rep = report_on_gv(table)
     if ns.format == "json":
@@ -420,6 +447,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
+    # every accepted input bounds its output, so CPython's cap on int <-> str
+    # conversion (absent before 3.11, 0 when off) is lifted for this call only
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if cap:
+        sys.set_int_max_str_digits(0)
     try:
         for name in ("order", "g_max"):
             value = getattr(ns, name, 0)
@@ -440,6 +472,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

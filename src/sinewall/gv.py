@@ -14,8 +14,6 @@ nonzero genus seen together with an explicit truncation caveat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .wallcross import GenusTable, Kind, gw_from_ugw, ugw_from_gw
 
 
@@ -23,15 +21,22 @@ class ClassNotCovered(ValueError):
     """The Fano / primitive-CY hypothesis fails; the identification is unproven."""
 
 
-@dataclass(frozen=True)
 class GVReport:
     """A GV table plus its integrality and finiteness observations."""
 
-    table: GenusTable
-    integral: bool
-    non_integral_genera: tuple[int, ...]
-    largest_nonzero_genus: int | None
-    truncation_caveat: str
+    __slots__ = ("table", "integral", "non_integral_genera", "largest_nonzero_genus",
+                 "truncation_caveat")
+
+    def __init__(self, table: GenusTable, integral: bool, non_integral_genera: tuple[int, ...],
+                 largest_nonzero_genus: int | None, truncation_caveat: str):
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "integral", integral)
+        object.__setattr__(self, "non_integral_genera", non_integral_genera)
+        object.__setattr__(self, "largest_nonzero_genus", largest_nonzero_genus)
+        object.__setattr__(self, "truncation_caveat", truncation_caveat)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("GVReport is immutable")
 
 
 def gate_check(c: int, primitive: bool) -> None:
@@ -71,7 +76,7 @@ def gv_from_gw(t: GenusTable) -> GVReport:
         raise ValueError(f"gv_from_gw expects a GW table, got {t.kind.value}")
     gate_check(t.c, t.primitive)
     ugw = ugw_from_gw(t)
-    return _report(replace(ugw, kind=Kind.GV))
+    return _report(GenusTable(Kind.GV, ugw.c, ugw.primitive, ugw.values, ugw.g_max))
 
 
 def report_on_gv(t: GenusTable) -> GVReport:
@@ -86,4 +91,4 @@ def gw_from_gv(t: GenusTable) -> GenusTable:
     if t.kind is not Kind.GV:
         raise ValueError(f"gw_from_gv expects a GV table, got {t.kind.value}")
     gate_check(t.c, t.primitive)
-    return gw_from_ugw(replace(t, kind=Kind.UGW))
+    return gw_from_ugw(GenusTable(Kind.UGW, t.c, t.primitive, t.values, t.g_max))

@@ -17,12 +17,14 @@ closed forms are authoritative; `i_function_expansion` re-derives them
 from the exponential identity so the two routes can be checked against
 each other, and `verify_i_ratio` checks that dividing the expansion by z
 reproduces the mu_{g,1} constants.  Both checks accept one shared expansion.
+Both closed forms are memoised per genus, so the raw grid's vertex table
+and the two checks share one computation of each constant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial
 from typing import Any, Mapping
 
@@ -198,14 +200,20 @@ class ZLaurent:
         return " + ".join(f"z^{p}*({q})" for p, q in self._items())
 
 
-@dataclass(frozen=True)
 class MuValue:
     """mu_{g,0}(z) = a1*z + a_H*H + a_c1*c1 + scalar."""
 
-    a1: Fraction
-    a_H: Fraction
-    a_c1: Fraction
-    scalar: Fraction = Fraction(0)
+    __slots__ = ("a1", "a_H", "a_c1", "scalar")
+
+    def __init__(self, a1: Fraction, a_H: Fraction, a_c1: Fraction,
+                 scalar: Fraction = Fraction(0)):
+        object.__setattr__(self, "a1", a1)
+        object.__setattr__(self, "a_H", a_H)
+        object.__setattr__(self, "a_c1", a_c1)
+        object.__setattr__(self, "scalar", scalar)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError("MuValue is immutable")
 
     def as_zlaurent(self, cap: int) -> ZLaurent:
         const = (GradedPoly.hyperplane(cap) * self.a_H
@@ -214,16 +222,29 @@ class MuValue:
         return ZLaurent({1: GradedPoly.scalar(self.a1, cap), 0: const}, cap)
 
 
-@dataclass(frozen=True)
 class CheckReport:
     """Outcome of a per-genus identity check."""
 
-    passed: bool
-    checked: tuple[int, ...]
-    first_failure: int | None = None
-    detail: str = ""
+    __slots__ = ("passed", "checked", "first_failure", "detail")
+
+    def __init__(self, passed: bool, checked: tuple[int, ...], first_failure: int | None = None,
+                 detail: str = ""):
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "checked", checked)
+        object.__setattr__(self, "first_failure", first_failure)
+        object.__setattr__(self, "detail", detail)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError("CheckReport is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CheckReport):
+            return NotImplemented
+        return ((self.passed, self.checked, self.first_failure, self.detail)
+                == (other.passed, other.checked, other.first_failure, other.detail))
 
 
+@cache
 def mu_g0(g: int) -> MuValue:
     r"""The genus-g vertex value mu_{g,0}(z) = a_g (z - H) + b_g (3H + c1).
 
@@ -240,6 +261,7 @@ def mu_g0(g: int) -> MuValue:
     return MuValue(a1=a, a_H=-a + 3 * b, a_c1=b)
 
 
+@cache
 def mu_g1(g: int) -> Fraction:
     r"""The genus-g multiplier mu_{g,1} = [u^{2g}] (S^2 - 1); mu_{0,1} = 0 excluded."""
     if g < 1:

@@ -16,7 +16,6 @@ duplicate-free and set equality is decidable.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import factorial
 from typing import Iterator
 
@@ -57,24 +56,34 @@ def descending_partitions(total: int, max_part: int | None = None,
             yield (first,) + rest
 
 
-@dataclass(frozen=True)
 class ThreefoldPartition:
     """One correction term index: root genus g0 plus genus lists g1, g2."""
 
-    g0: int
-    g1: tuple[int, ...]
-    g2: tuple[int, ...]
+    __slots__ = ("g0", "g1", "g2")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "g1", tuple(self.g1))
-        object.__setattr__(self, "g2", tuple(self.g2))
-        if self.g0 < 0:
+    def __init__(self, g0: int, g1: tuple[int, ...], g2: tuple[int, ...]):
+        g1, g2 = tuple(g1), tuple(g2)
+        if g0 < 0:
             raise ValueError("root genus must be nonnegative")
-        for name, part in (("g1", self.g1), ("g2", self.g2)):
+        for name, part in (("g1", g1), ("g2", g2)):
             if any(x <= 0 for x in part):
                 raise ValueError(f"{name} entries must be positive")
             if any(part[i] < part[i + 1] for i in range(len(part) - 1)):
                 raise ValueError(f"{name} must be weakly decreasing")
+        object.__setattr__(self, "g0", g0)
+        object.__setattr__(self, "g1", g1)
+        object.__setattr__(self, "g2", g2)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("ThreefoldPartition is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ThreefoldPartition):
+            return NotImplemented
+        return (self.g0, self.g1, self.g2) == (other.g0, other.g1, other.g2)
+
+    def __hash__(self) -> int:
+        return hash((self.g0, self.g1, self.g2))
 
     @property
     def genus(self) -> int:

@@ -30,7 +30,6 @@ t1^a1 t2^a2 are likewise cached per order as integer numerators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
@@ -51,7 +50,6 @@ class Kind(Enum):
     GV = "gv"
 
 
-@dataclass(frozen=True)
 class GenusTable:
     """Per-class invariants indexed by genus.
 
@@ -60,26 +58,30 @@ class GenusTable:
     primitive; both travel with the table unchanged.
     """
 
-    kind: Kind
-    c: int
-    primitive: bool
-    values: Mapping[int, Fraction]
-    g_max: int
+    __slots__ = ("kind", "c", "primitive", "values", "g_max")
 
-    def __post_init__(self) -> None:
-        if self.g_max < 0:
+    def __init__(self, kind: Kind, c: int, primitive: bool, values: Mapping[int, Fraction],
+                 g_max: int):
+        if g_max < 0:
             raise ValueError("g_max must be nonnegative")
         clean = {}
-        for g, v in self.values.items():
+        for g, v in values.items():
             gi = int(g)
             if gi != g:
                 raise ValueError(f"genus {g!r} is not an integer")
-            if gi < 0 or gi > self.g_max:
-                raise ValueError(f"genus {gi} outside 0..{self.g_max}")
+            if gi < 0 or gi > g_max:
+                raise ValueError(f"genus {gi} outside 0..{g_max}")
             if isinstance(v, float):
                 raise ValueError("float values are not exact; pass Fraction or int")
             clean[gi] = Fraction(v)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "primitive", primitive)
         object.__setattr__(self, "values", clean)
+        object.__setattr__(self, "g_max", g_max)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("GenusTable is immutable")
 
     def value(self, g: int) -> Fraction:
         """The genus-g entry, with absent genera read as zero."""
@@ -178,7 +180,6 @@ def eq_sum(m1, m2, order: int) -> USeries:
     return USeries(0, [Fraction(x, den) for x in out])
 
 
-@dataclass(frozen=True)
 class VertexData:
     """Per-genus insertion coefficients feeding the raw wall-crossing sum.
 
@@ -188,9 +189,16 @@ class VertexData:
     closed forms; tests inject perturbed copies.
     """
 
-    mu1: Mapping[int, Fraction]
-    mu0_psi: Mapping[int, Fraction]
-    mu0_div: Mapping[int, Fraction]
+    __slots__ = ("mu1", "mu0_psi", "mu0_div")
+
+    def __init__(self, mu1: Mapping[int, Fraction], mu0_psi: Mapping[int, Fraction],
+                 mu0_div: Mapping[int, Fraction]):
+        object.__setattr__(self, "mu1", mu1)
+        object.__setattr__(self, "mu0_psi", mu0_psi)
+        object.__setattr__(self, "mu0_div", mu0_div)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("VertexData is immutable")
 
     @classmethod
     def standard(cls, g_top: int) -> VertexData:
@@ -206,7 +214,8 @@ class VertexData:
         """Copy with one coefficient shifted by delta (testing hook)."""
         table = dict(getattr(self, field))
         table[genus] = table.get(genus, Fraction(0)) + Fraction(delta)
-        return replace(self, **{field: table})
+        return VertexData(*(table if name == field else getattr(self, name)
+                            for name in self.__slots__))
 
 
 def reduce_bracket(g0: int, n: int, n_psi: int, n_div: int, c: int) -> int:
@@ -320,21 +329,31 @@ def correction_raw_sum(g0: int, n: int, c: int, order: int,
     return _raw_sum_from(_raw_tables(vertex, order), g0, n, c, order)
 
 
-@dataclass(frozen=True)
 class GridCell:
     """One verification cell: its parameter key and outcome."""
 
-    key: tuple
-    passed: bool
-    detail: str = ""
+    __slots__ = ("key", "passed", "detail")
+
+    def __init__(self, key: tuple, passed: bool, detail: str = ""):
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("GridCell is immutable")
 
 
-@dataclass(frozen=True)
 class GridReport:
     """Deterministic, lexicographically ordered verification results."""
 
-    name: str
-    cells: tuple[GridCell, ...]
+    __slots__ = ("name", "cells")
+
+    def __init__(self, name: str, cells: tuple[GridCell, ...]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "cells", cells)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("GridReport is immutable")
 
     @property
     def passed(self) -> bool:

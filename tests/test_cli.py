@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +17,7 @@ from sinewall.cli import (
     parse_table_doc,
     table_to_doc,
 )
-from sinewall.wallcross import Kind
+from sinewall.wallcross import GenusTable, Kind, ugw_from_gw
 
 
 def make_doc(kind="gw", c=4, primitive=True, g_max=2, values=None):
@@ -272,6 +273,70 @@ def test_repeated_json_key_refused(tmp_path, capsys, monkeypatch, text, key):
     assert captured.err == f"error: repeated key {key} in a json object\n"
 
 
+@pytest.mark.parametrize("digits", [999, 1000, 1001])
+@pytest.mark.parametrize("place", ["numerator", "denominator"])
+def test_value_digit_limit(tmp_path, capsys, monkeypatch, digits, place):
+    # checked on the string, before Fraction() or CPython's digit cap sees it
+    value = "-" + "7" * digits if place == "numerator" else "1/" + "7" * digits
+    path = write_doc(tmp_path, "u.json", make_doc(kind="ugw", g_max=1, values={"1": value}))
+    argv = ["transform", "--direction", "ugw-to-gw", "--input", path, "--format", "json"]
+    if digits <= cli.MAX_VALUE_DIGITS:
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["values"]["1"] == value
+        return
+
+    def boom(*args, **kwargs):
+        raise AssertionError("computation started before the input check")
+
+    monkeypatch.setattr(cli, "gw_from_ugw", boom)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: value for genus 1 has a numerator or denominator of "
+                            f"more than {cli.MAX_VALUE_DIGITS} digits\n")
+
+
+@pytest.mark.parametrize("field", ["key", "c1_dot_beta", "g_max"])
+def test_long_integers_refused_before_conversion(tmp_path, capsys, field):
+    # with CPython's digit cap lifted, int() of a long literal would take quadratic time
+    long = "9" * (cli.MAX_VALUE_DIGITS + 1)
+    doc = {"key": f'{{"class": {{"c1_dot_beta": 4, "primitive": true}}, "kind": "gv", '
+                  f'"g_max": 2, "values": {{"{long}": "1"}}}}',
+           "c1_dot_beta": f'{{"class": {{"c1_dot_beta": {long}, "primitive": true}}, '
+                          f'"kind": "gv", "g_max": 2, "values": {{}}}}',
+           "g_max": f'{{"class": {{"c1_dot_beta": 4, "primitive": true}}, "kind": "gv", '
+                    f'"g_max": -{long}, "values": {{}}}}'}[field]
+    path = tmp_path / "gv.json"
+    path.write_text(doc)
+    assert main(["transform", "--direction", "gv-to-gw", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    what = "genus key has" if field == "key" else "json integer of"
+    assert captured.err == f"error: {what} more than {cli.MAX_VALUE_DIGITS} digits\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int <-> str digit cap")
+def test_output_past_the_int_str_cap_prints_and_round_trips(tmp_path, capsys):
+    # accepted values of 999 digits whose gw transform has a longer denominator than
+    # CPython's 4300-digit default cap would let str() print
+    cap = sys.get_int_max_str_digits()
+    values = {str(g): f"1/{10**999 - 1 - g}" for g in range(6)}
+    path = write_doc(tmp_path, "u.json", make_doc(kind="ugw", c=3, g_max=5, values=values))
+    assert main(["transform", "--direction", "ugw-to-gw", "--input", path,
+                 "--format", "json"]) == 0
+    assert sys.get_int_max_str_digits() == cap
+    doc = json.loads(capsys.readouterr().out)
+    assert max(len(v) for v in doc["values"].values()) > 4300
+    sys.set_int_max_str_digits(0)
+    try:
+        gw = {int(g): Fraction(v) for g, v in doc["values"].items()}
+    finally:
+        sys.set_int_max_str_digits(cap)
+    ugw = ugw_from_gw(GenusTable(Kind.GW, 3, True, gw, 5)).dense()
+    assert ugw == {int(g): Fraction(v) for g, v in values.items()}
+
+
 # ---------------------------------------------------------------- transform
 
 
@@ -452,6 +517,25 @@ def test_verify_identities_builds_one_expansion(capsys, monkeypatch):
     assert main(["verify-identities", "--order", "7"]) == 0
     assert "overall: pass" in capsys.readouterr().out
     assert calls == [(8,)]
+
+
+def test_verify_identities_computes_each_vertex_constant_once(capsys, monkeypatch):
+    # the raw grid's vertex table and the two expansion checks share one
+    # computation of mu_{g,0} and of mu_{g,1} per genus; each builds S once
+    hodge.mu_g0.cache_clear()
+    hodge.mu_g1.cache_clear()
+    orders = []
+    build = hodge.sinc_half
+
+    def counting(order):
+        orders.append(order)
+        return build(order)
+
+    monkeypatch.setattr(hodge, "sinc_half", counting)
+    assert main(["verify-identities", "--order", "10"]) == 0
+    assert "overall: pass" in capsys.readouterr().out
+    # genera 1..5: mu_g0(g) and mu_g1(g) at order 2g + 2, the expansion at 12
+    assert sorted(orders) == sorted([2 * g + 2 for g in range(1, 6)] * 2 + [12])
 
 
 # ---------------------------------------------------------------- mu / expand

@@ -1,6 +1,9 @@
-"""Package surface: every exported name resolves, and something uses it."""
+"""Package surface: every exported name resolves, something uses it, and the CLI imports light."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import sinewall
@@ -47,3 +50,14 @@ def test_every_export_is_reached():
         used |= _used_names(path, with_strings=True)
     used |= _used_names(ROOT / "tests" / "test_acceptance.py")
     assert [name for name in sinewall.__all__ if name not in used] == []
+
+
+def test_cli_import_leaves_out_dataclasses():
+    # every CLI call is a fresh process, so its import cost is paid per call;
+    # dataclasses alone pulls in inspect, ast, dis and tokenize
+    probe = ("import sys, sinewall.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout == "[]\n"
