@@ -114,7 +114,7 @@ def parse_table_doc(doc) -> GenusTable:
     if not isinstance(primitive, bool):
         raise ParseError("primitive must be a boolean")
     kind = doc["kind"]
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ParseError(f'kind must be one of {sorted(_KINDS)}, got {kind!r}')
     g_max = doc["g_max"]
     if isinstance(g_max, bool) or not isinstance(g_max, int) or g_max < 0:
@@ -183,6 +183,8 @@ def load_table(path: str) -> GenusTable:
         doc = json.loads(text, object_pairs_hook=_unique_keys, parse_int=_bounded_int)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path} is not valid json: {e}") from None
+    except RecursionError:
+        raise ParseError(f"{path}: json nesting too deep") from None
     return parse_table_doc(doc)
 
 

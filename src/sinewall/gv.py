@@ -14,6 +14,8 @@ nonzero genus seen together with an explicit truncation caveat.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .wallcross import GenusTable, Kind, gw_from_ugw, ugw_from_gw
 
 
@@ -21,22 +23,11 @@ class ClassNotCovered(ValueError):
     """The Fano / primitive-CY hypothesis fails; the identification is unproven."""
 
 
-class GVReport:
+class GVReport(namedtuple("GVReport", "table integral non_integral_genera "
+                                      "largest_nonzero_genus truncation_caveat")):
     """A GV table plus its integrality and finiteness observations."""
 
-    __slots__ = ("table", "integral", "non_integral_genera", "largest_nonzero_genus",
-                 "truncation_caveat")
-
-    def __init__(self, table: GenusTable, integral: bool, non_integral_genera: tuple[int, ...],
-                 largest_nonzero_genus: int | None, truncation_caveat: str):
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "integral", integral)
-        object.__setattr__(self, "non_integral_genera", non_integral_genera)
-        object.__setattr__(self, "largest_nonzero_genus", largest_nonzero_genus)
-        object.__setattr__(self, "truncation_caveat", truncation_caveat)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("GVReport is immutable")
+    __slots__ = ()
 
 
 def gate_check(c: int, primitive: bool) -> None:

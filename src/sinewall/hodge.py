@@ -23,6 +23,7 @@ and the two checks share one computation of each constant.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from math import factorial
@@ -200,20 +201,10 @@ class ZLaurent:
         return " + ".join(f"z^{p}*({q})" for p, q in self._items())
 
 
-class MuValue:
+class MuValue(namedtuple("MuValue", "a1 a_H a_c1 scalar", defaults=(Fraction(0),))):
     """mu_{g,0}(z) = a1*z + a_H*H + a_c1*c1 + scalar."""
 
-    __slots__ = ("a1", "a_H", "a_c1", "scalar")
-
-    def __init__(self, a1: Fraction, a_H: Fraction, a_c1: Fraction,
-                 scalar: Fraction = Fraction(0)):
-        object.__setattr__(self, "a1", a1)
-        object.__setattr__(self, "a_H", a_H)
-        object.__setattr__(self, "a_c1", a_c1)
-        object.__setattr__(self, "scalar", scalar)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError("MuValue is immutable")
+    __slots__ = ()
 
     def as_zlaurent(self, cap: int) -> ZLaurent:
         const = (GradedPoly.hyperplane(cap) * self.a_H
@@ -222,26 +213,11 @@ class MuValue:
         return ZLaurent({1: GradedPoly.scalar(self.a1, cap), 0: const}, cap)
 
 
-class CheckReport:
+class CheckReport(namedtuple("CheckReport", "passed checked first_failure detail",
+                             defaults=(None, ""))):
     """Outcome of a per-genus identity check."""
 
-    __slots__ = ("passed", "checked", "first_failure", "detail")
-
-    def __init__(self, passed: bool, checked: tuple[int, ...], first_failure: int | None = None,
-                 detail: str = ""):
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "checked", checked)
-        object.__setattr__(self, "first_failure", first_failure)
-        object.__setattr__(self, "detail", detail)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError("CheckReport is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CheckReport):
-            return NotImplemented
-        return ((self.passed, self.checked, self.first_failure, self.detail)
-                == (other.passed, other.checked, other.first_failure, other.detail))
+    __slots__ = ()
 
 
 @cache

@@ -15,7 +15,7 @@ duplicate-free and set equality is decidable.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from math import factorial
 from typing import Iterator
 
@@ -56,12 +56,12 @@ def descending_partitions(total: int, max_part: int | None = None,
             yield (first,) + rest
 
 
-class ThreefoldPartition:
+class ThreefoldPartition(namedtuple("ThreefoldPartition", "g0 g1 g2")):
     """One correction term index: root genus g0 plus genus lists g1, g2."""
 
-    __slots__ = ("g0", "g1", "g2")
+    __slots__ = ()
 
-    def __init__(self, g0: int, g1: tuple[int, ...], g2: tuple[int, ...]):
+    def __new__(cls, g0: int, g1: tuple[int, ...], g2: tuple[int, ...]):
         g1, g2 = tuple(g1), tuple(g2)
         if g0 < 0:
             raise ValueError("root genus must be nonnegative")
@@ -70,20 +70,7 @@ class ThreefoldPartition:
                 raise ValueError(f"{name} entries must be positive")
             if any(part[i] < part[i + 1] for i in range(len(part) - 1)):
                 raise ValueError(f"{name} must be weakly decreasing")
-        object.__setattr__(self, "g0", g0)
-        object.__setattr__(self, "g1", g1)
-        object.__setattr__(self, "g2", g2)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("ThreefoldPartition is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ThreefoldPartition):
-            return NotImplemented
-        return (self.g0, self.g1, self.g2) == (other.g0, other.g1, other.g2)
-
-    def __hash__(self) -> int:
-        return hash((self.g0, self.g1, self.g2))
+        return super().__new__(cls, g0, g1, g2)
 
     @property
     def genus(self) -> int:
@@ -99,7 +86,7 @@ class ThreefoldPartition:
 
 
 def enumerate_threefold_partitions(g: int, n: int) -> list[ThreefoldPartition]:
-    """All ThreefoldPartition with total genus g and k1 <= n, in sorted order.
+    """All ThreefoldPartition with total genus g and k1 <= n, in (g0, g1, g2) order.
 
     The trivial splitting (g0 = g with both lists empty) indexes the
     uncorrected term and is excluded.
@@ -111,5 +98,4 @@ def enumerate_threefold_partitions(g: int, n: int) -> list[ThreefoldPartition]:
                    for s1 in range(g - g0 + 1)
                    for g1 in descending_partitions(s1, max_len=n)
                    for g2 in descending_partitions(g - g0 - s1)
-                   if g1 or g2),
-                  key=lambda p: (p.g0, p.g1, p.g2))
+                   if g1 or g2))

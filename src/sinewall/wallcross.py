@@ -30,6 +30,7 @@ t1^a1 t2^a2 are likewise cached per order as integer numerators.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
@@ -50,7 +51,7 @@ class Kind(Enum):
     GV = "gv"
 
 
-class GenusTable:
+class GenusTable(namedtuple("GenusTable", "kind c primitive values g_max")):
     """Per-class invariants indexed by genus.
 
     Genera above g_max are unknown, not zero.  ``c`` is the pairing of the
@@ -58,10 +59,10 @@ class GenusTable:
     primitive; both travel with the table unchanged.
     """
 
-    __slots__ = ("kind", "c", "primitive", "values", "g_max")
+    __slots__ = ()
 
-    def __init__(self, kind: Kind, c: int, primitive: bool, values: Mapping[int, Fraction],
-                 g_max: int):
+    def __new__(cls, kind: Kind, c: int, primitive: bool, values: Mapping[int, Fraction],
+                g_max: int):
         if g_max < 0:
             raise ValueError("g_max must be nonnegative")
         clean = {}
@@ -74,14 +75,7 @@ class GenusTable:
             if isinstance(v, float):
                 raise ValueError("float values are not exact; pass Fraction or int")
             clean[gi] = Fraction(v)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "primitive", primitive)
-        object.__setattr__(self, "values", clean)
-        object.__setattr__(self, "g_max", g_max)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("GenusTable is immutable")
+        return super().__new__(cls, kind, c, primitive, clean, g_max)
 
     def value(self, g: int) -> Fraction:
         """The genus-g entry, with absent genera read as zero."""
@@ -180,7 +174,7 @@ def eq_sum(m1, m2, order: int) -> USeries:
     return USeries(0, [Fraction(x, den) for x in out])
 
 
-class VertexData:
+class VertexData(namedtuple("VertexData", "mu1 mu0_psi mu0_div")):
     """Per-genus insertion coefficients feeding the raw wall-crossing sum.
 
     mu1[g] is the standalone marked-point multiplier mu_{g,1}; mu0_psi[g]
@@ -189,16 +183,7 @@ class VertexData:
     closed forms; tests inject perturbed copies.
     """
 
-    __slots__ = ("mu1", "mu0_psi", "mu0_div")
-
-    def __init__(self, mu1: Mapping[int, Fraction], mu0_psi: Mapping[int, Fraction],
-                 mu0_div: Mapping[int, Fraction]):
-        object.__setattr__(self, "mu1", mu1)
-        object.__setattr__(self, "mu0_psi", mu0_psi)
-        object.__setattr__(self, "mu0_div", mu0_div)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("VertexData is immutable")
+    __slots__ = ()
 
     @classmethod
     def standard(cls, g_top: int) -> VertexData:
@@ -214,8 +199,7 @@ class VertexData:
         """Copy with one coefficient shifted by delta (testing hook)."""
         table = dict(getattr(self, field))
         table[genus] = table.get(genus, Fraction(0)) + Fraction(delta)
-        return VertexData(*(table if name == field else getattr(self, name)
-                            for name in self.__slots__))
+        return self._replace(**{field: table})
 
 
 def reduce_bracket(g0: int, n: int, n_psi: int, n_div: int, c: int) -> int:
@@ -329,31 +313,16 @@ def correction_raw_sum(g0: int, n: int, c: int, order: int,
     return _raw_sum_from(_raw_tables(vertex, order), g0, n, c, order)
 
 
-class GridCell:
+class GridCell(namedtuple("GridCell", "key passed detail", defaults=("",))):
     """One verification cell: its parameter key and outcome."""
 
-    __slots__ = ("key", "passed", "detail")
-
-    def __init__(self, key: tuple, passed: bool, detail: str = ""):
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("GridCell is immutable")
+    __slots__ = ()
 
 
-class GridReport:
+class GridReport(namedtuple("GridReport", "name cells")):
     """Deterministic, lexicographically ordered verification results."""
 
-    __slots__ = ("name", "cells")
-
-    def __init__(self, name: str, cells: tuple[GridCell, ...]):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "cells", cells)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("GridReport is immutable")
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -80,6 +80,8 @@ def test_parse_accepts_sparse_values():
         lambda d: d["class"].update(c1_dot_beta=True),
         lambda d: d["class"].update(c1_dot_beta="4"),
         lambda d: d["class"].update(stray=0),
+        lambda d: d.update(kind=["gw"]),
+        lambda d: d.update(kind={"a": 1}),
     ],
 )
 def test_parse_rejects_malformed_documents(mangle):
@@ -313,6 +315,21 @@ def test_long_integers_refused_before_conversion(tmp_path, capsys, field):
     assert captured.out == ""
     what = "genus key has" if field == "key" else "json integer of"
     assert captured.err == f"error: {what} more than {cli.MAX_VALUE_DIGITS} digits\n"
+
+
+def test_deeply_nested_json_refused(tmp_path, capsys, monkeypatch):
+    # json.loads recurses once per level and would raise RecursionError
+    def boom(*args, **kwargs):
+        raise AssertionError("computation started before the input check")
+
+    monkeypatch.setattr(cli, "gw_from_gv", boom)
+    path = tmp_path / "gv.json"
+    path.write_text('{"class": {"c1_dot_beta": 4, "primitive": true}, "kind": "gv", '
+                    '"g_max": 2, "values": ' + "[" * 100_000 + "}")
+    assert main(["transform", "--direction", "gv-to-gw", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: json nesting too deep\n"
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),

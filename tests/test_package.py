@@ -4,9 +4,16 @@ import ast
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import sinewall
+from sinewall.gv import GVReport
+from sinewall.hodge import CheckReport, MuValue
+from sinewall.partitions import ThreefoldPartition
+from sinewall.wallcross import GenusTable, GridCell, GridReport, Kind, VertexData
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -61,3 +68,40 @@ def test_cli_import_leaves_out_dataclasses():
     proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                           env=env, check=True)
     assert proc.stdout == "[]\n"
+
+
+# each factory builds a fresh record from equal arguments on every call
+_RECORDS = {
+    "GenusTable": lambda: GenusTable(Kind.GW, 3, True, {0: Fraction(1, 2)}, 2),
+    "GVReport": lambda: GVReport(None, True, (), 0, "caveat"),
+    "GridCell": lambda: GridCell((1, 2), True),
+    "GridReport": lambda: GridReport("raw", (GridCell((0,), True),)),
+    "MuValue": lambda: MuValue(Fraction(1), Fraction(-1), Fraction(1, 2)),
+    "CheckReport": lambda: CheckReport(True, (1, 2)),
+    "VertexData": lambda: VertexData({1: Fraction(1)}, {1: Fraction(2)}, {1: Fraction(3)}),
+    "ThreefoldPartition": lambda: ThreefoldPartition(1, (2, 1), (1,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+def test_records_are_immutable_field_records(name):
+    record, twin = _RECORDS[name](), _RECORDS[name]()
+    fields = type(record)._fields
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], 0)
+    with pytest.raises(AttributeError):
+        record.extra = 0
+    assert type(record).__slots__ == ()
+    assert not hasattr(record, "__dict__")
+    assert record == twin and record is not twin
+    assert all(f"{field}=" in repr(record) for field in fields)
+
+
+def test_record_hashing_and_validation():
+    with pytest.raises(TypeError):
+        hash(_RECORDS["GenusTable"]())  # its values field is a dict
+    assert hash(_RECORDS["ThreefoldPartition"]()) == hash(_RECORDS["ThreefoldPartition"]())
+    with pytest.raises(ValueError):
+        GenusTable(Kind.GW, 3, True, {}, g_max=-1)
+    with pytest.raises(ValueError):
+        ThreefoldPartition(0, (1, 2), ())
