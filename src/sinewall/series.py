@@ -16,6 +16,9 @@ knows exactly as many coefficients as ``f`` does.
 
 ``pow_int``, ``inv``, ``exp`` and ``log`` each make one pass over the
 coefficients, by a recurrence read off a first-order differential equation.
+Products go through `convolve` on integer numerators over one common
+denominator (`numerators`), so a coefficient of a product costs integer
+multiplications and one `Fraction` at the end.
 
 Coefficients are exact rationals (`fractions.Fraction`); the constructor
 accepts `int` and `Fraction` and refuses everything else, floats included.
@@ -24,8 +27,8 @@ accepts `int` and `Fraction` and refuses everything else, floats included.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
-from typing import Any, Iterable
+from math import factorial, lcm
+from typing import Any, Iterable, Sequence
 
 
 class ZeroSeries(ValueError):
@@ -46,6 +49,25 @@ def _rational(value: Any) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"series coefficients must be int or Fraction, got {value!r}")
+
+
+def numerators(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators over the least common denominator: coeffs[i] == ints[i] / den."""
+    den = lcm(*(c.denominator for c in coeffs))  # 1 for no coefficients
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """The first n coefficients of the Cauchy product of a and b, zeros past either end."""
+    out = [0] * n
+    b_nonzero = [(j, y) for j, y in enumerate(b[:n]) if y]
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in b_nonzero:
+                if i + j >= n:
+                    break
+                out[i + j] += x * y
+    return out
 
 
 class USeries:
@@ -147,14 +169,10 @@ class USeries:
             n = order - val  # == min of the two relative precisions
             if n <= 0:
                 return USeries.zero(order)
-            out = [Fraction(0)] * n
-            for i, a in enumerate(self.coeffs):
-                if i >= n or not a:
-                    continue
-                for j, b in enumerate(other.coeffs[: n - i]):
-                    if b:
-                        out[i + j] = out[i + j] + a * b
-            return USeries(val, out)
+            a, da = numerators(self.coeffs[:n])
+            b, db = numerators(other.coeffs[:n])
+            den = da * db
+            return USeries(val, [Fraction(x, den) for x in convolve(a, b, n)])
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented

@@ -22,10 +22,15 @@ genus and list length, and for insertions by the number of psi parts),
 built once per vertex table as integer numerators over a common
 denominator, and a per-cell combination with the binomials C(n, k1) and
 `reduce_bracket` in integer arithmetic.  `verify_raw_equals_closed`
-builds the tables once for its whole grid and asserts exact
-coefficientwise agreement of the two routes; the inner coefficient
-identity it rests on is exposed separately as `eq_sum`, whose products
-t1^a1 t2^a2 are likewise cached per order as integer numerators.
+builds the tables once for its whole grid and each closed side S^k once
+per exponent k, and asserts exact coefficientwise agreement of the two
+routes, compared in integers: a cell's numerators against the closed
+side's, by cross-multiplication of the two denominators.  The inner
+coefficient identity it rests on is exposed separately as `eq_sum`, whose
+products t1^a1 t2^a2 are likewise cached per order as integer numerators;
+`verify_eq_sum` compares it the same way with closed cells formed by
+`convolve`.  Only a failing cell is turned back into series, to name its
+first mismatch.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from typing import Iterable, Mapping
 
 from . import hodge
 from .partitions import descending_partitions, multinomial, multiplicities
-from .series import USeries, exp, log, pow_int, sinc_half
+from .series import USeries, convolve, exp, log, numerators, pow_int, sinc_half
 
 
 class MissingGenus(ValueError):
@@ -147,6 +152,11 @@ def eq_sum(m1, m2, order: int) -> USeries:
     """
     if order <= 0:
         return USeries.zero(order)
+    return _from_numerators(*_eq_numerators(m1, m2, order))
+
+
+def _eq_numerators(m1, m2, order: int) -> tuple[list[int], int]:
+    """`eq_sum` for order >= 1 as integer numerators u^0..u^(order-1) over one denominator."""
     m1 = Fraction(m1)
     m2 = Fraction(m2)
     p1, q1 = m1.numerator, m1.denominator
@@ -170,8 +180,12 @@ def eq_sum(m1, m2, order: int) -> USeries:
                     out[k] += coef * b
             ff *= p1 - (a2 + a1) * q1
         lead *= p2
-    den *= w1[0] * w2[0]
-    return USeries(0, [Fraction(x, den) for x in out])
+    return out, den * w1[0] * w2[0]
+
+
+def _from_numerators(nums: list[int], den: int) -> USeries:
+    """The series sum_i (nums[i] / den) u^i."""
+    return USeries(0, [Fraction(x, den) for x in nums])
 
 
 class VertexData(namedtuple("VertexData", "mu1 mu0_psi mu0_div")):
@@ -268,16 +282,15 @@ def _raw_tables(vertex: VertexData, order: int):
             m_den * i_den)
 
 
-def _raw_sum_from(tables, g0: int, n: int, c: int, order: int) -> USeries:
+def _raw_sum_from(tables, g0: int, n: int, c: int, order: int) -> tuple[list[int], int]:
     """One (g0, n, c) cell of the raw route from `_raw_tables`, in integers.
 
     marked[s] = sum_{k1} C(n, k1) marked[s][k1] (C(n, k1) = 0 past n, so
     at most n marked points); inserted[t] = sum_{k2, j} inserted[t][k2][j]
     reduce_bracket(g0, n, j, k2 - j, c); the u^{2 delta} coefficient is
-    sum_s marked[s] inserted[delta - s] over the common denominator.
+    sum_s marked[s] inserted[delta - s].  Returns the numerators of
+    u^0..u^(order-1) and their common denominator.
     """
-    if order <= 0:
-        return USeries.zero(order)
     marked_t, inserted_t, den = tables
     dmax = (order - 1) // 2
     reduced = [[reduce_bracket(g0, n, j, k - j, c) for j in range(k + 1)]
@@ -285,11 +298,10 @@ def _raw_sum_from(tables, g0: int, n: int, c: int, order: int) -> USeries:
     marked = [sum(comb(n, k) * x for k, x in enumerate(marked_t[s])) for s in range(dmax + 1)]
     inserted = [sum(x * r for by_k, r_k in zip(inserted_t[t], reduced) for x, r in zip(by_k, r_k))
                 for t in range(dmax + 1)]
-    coeffs = [Fraction(0)] * order
+    coeffs = [0] * order
     for delta in range(dmax + 1):
-        coeffs[2 * delta] = Fraction(sum(marked[s] * inserted[delta - s]
-                                         for s in range(delta + 1)), den)
-    return USeries(0, coeffs)
+        coeffs[2 * delta] = sum(marked[s] * inserted[delta - s] for s in range(delta + 1))
+    return coeffs, den
 
 
 def correction_raw_sum(g0: int, n: int, c: int, order: int,
@@ -308,9 +320,11 @@ def correction_raw_sum(g0: int, n: int, c: int, order: int,
     """
     if g0 < 0 or n < 0:
         raise ValueError("g0 and n must be nonnegative")
+    if order <= 0:
+        return USeries.zero(order)
     if vertex is None:
         vertex = VertexData.standard((order - 1) // 2)
-    return _raw_sum_from(_raw_tables(vertex, order), g0, n, c, order)
+    return _from_numerators(*_raw_sum_from(_raw_tables(vertex, order), g0, n, c, order))
 
 
 class GridCell(namedtuple("GridCell", "key passed detail", defaults=("",))):
@@ -349,6 +363,17 @@ def _first_mismatch(got: USeries, want: USeries, order: int) -> str:
     return "series metadata differ"
 
 
+def _cell(key, got: list[int], den: int, want: list[int], want_den: int, order: int) -> GridCell:
+    """Compare got / den with want / want_den, both dense from u^0, by cross-multiplication.
+
+    Only a failing cell builds the two series, for its first mismatch.
+    """
+    if len(got) == len(want) and all(x * want_den == y * den for x, y in zip(got, want)):
+        return GridCell(key, True)
+    return GridCell(key, False, _first_mismatch(_from_numerators(got, den),
+                                                _from_numerators(want, want_den), order))
+
+
 def verify_raw_equals_closed(g0_max: int = 3, n_max: int = 4,
                              c_range: Iterable[int] = range(-2, 7),
                              order: int = 10,
@@ -356,25 +381,29 @@ def verify_raw_equals_closed(g0_max: int = 3, n_max: int = 4,
     """Check correction_raw_sum == sine_factor on a (g0, n, c) grid.
 
     Coefficients are compared for every exponent up to ``order``
-    inclusive.  Failures become report cells, never exceptions.  Without
-    ``vertex`` the standard table is built once for the whole grid, and
-    each closed side is computed once per (g0, c).
+    inclusive, in integers: each cell's numerators against the closed
+    side's by cross-multiplication.  Failures become report cells, never
+    exceptions.  Without ``vertex`` the standard table is built once for
+    the whole grid, and each closed side S^k is computed once per
+    exponent k = 2 g0 - 2 + c.
     """
     internal = order + 1
     cs = sorted(set(int(c) for c in c_range))
     if vertex is None:
         vertex = VertexData.standard((internal - 1) // 2)
     tables = _raw_tables(vertex, internal)
+    closed = {}  # k -> (numerators, denominator) of S^k, whose valuation is 0
+    for g0 in range(g0_max + 1):
+        for c in cs:
+            k = 2 * g0 - 2 + c
+            if k not in closed:
+                closed[k] = numerators(sine_factor(g0, c, internal).coeffs)
     cells = []
     for g0 in range(g0_max + 1):
-        closed_by_c = {c: sine_factor(g0, c, internal) for c in cs}
         for n in range(n_max + 1):
             for c in cs:
-                raw = _raw_sum_from(tables, g0, n, c, internal)
-                closed = closed_by_c[c]
-                ok = raw == closed
-                detail = "" if ok else _first_mismatch(raw, closed, order)
-                cells.append(GridCell((g0, n, c), ok, detail))
+                got, den = _raw_sum_from(tables, g0, n, c, internal)
+                cells.append(_cell((g0, n, c), got, den, *closed[2 * g0 - 2 + c], order))
     return GridReport("raw-sum vs closed-form multiplier", tuple(cells))
 
 
@@ -383,23 +412,24 @@ def verify_eq_sum(m1_range: Iterable[int] = range(-6, 1),
                   order: int = 12) -> GridReport:
     """Check eq_sum(m1, m2) == (1 + t1)^{m1} exp(m2 log S) on a grid.
 
-    Coefficients are compared through exponent ``order`` inclusive.
+    Coefficients are compared through exponent ``order`` inclusive, in
+    integers.  Each power (1 + t1)^{m1} = S^{2 m1} and each exp(m2 log S)
+    is built once, as numerators; a closed cell is their `convolve`.
     """
     internal = order + 1
     s = sinc_half(internal)
     ls = log(s)
     s2 = s * s
     m2s = sorted(set(int(m) for m in m2_range))
-    exp_by_m2 = {m2: exp(ls.scale(m2)) for m2 in m2s}
+    exp_by_m2 = {m2: numerators(exp(ls.scale(m2)).coeffs) for m2 in m2s}
     cells = []
     for m1 in sorted(set(int(m) for m in m1_range)):
-        closed_m1 = pow_int(s2, m1)
+        p, p_den = numerators(pow_int(s2, m1).coeffs)
         for m2 in m2s:
-            closed = closed_m1 * exp_by_m2[m2]
-            got = eq_sum(m1, m2, internal)
-            ok = got == closed
-            detail = "" if ok else _first_mismatch(got, closed, order)
-            cells.append(GridCell((m1, m2), ok, detail))
+            e, e_den = exp_by_m2[m2]
+            got, den = _eq_numerators(m1, m2, internal)
+            cells.append(_cell((m1, m2), got, den, convolve(p, e, internal), p_den * e_den,
+                               order))
     return GridReport("bracket-reduction sum vs closed form", tuple(cells))
 
 

@@ -520,6 +520,28 @@ def test_verify_identities_json(capsys):
     assert all(chk["first_failure"] is None for chk in doc["checks"])
 
 
+VERIFY_ROWS = (
+    ("raw-sum vs closed-form multiplier", lambda order: 180),
+    ("bracket-reduction sum vs closed form", lambda order: 133),
+    ("vertex closed form vs local expansion", lambda order: order // 2),
+    ("expansion ratio vs marked-point constants", lambda order: order // 2),
+)
+
+
+@pytest.mark.parametrize("order", range(15))
+def test_verify_identities_stdout_is_the_assembled_report(order, capsys):
+    # the whole stdout, byte for byte, in both formats
+    rows = [(name, cells(order)) for name, cells in VERIFY_ROWS]
+    text = "".join(f"{name}: pass ({n} cells)\n" for name, n in rows) + "overall: pass\n"
+    doc = {"order": order, "passed": True,
+           "checks": [{"name": name, "passed": True, "cells": n, "first_failure": None}
+                      for name, n in rows]}
+    assert main(["verify-identities", "--order", str(order)]) == 0
+    assert capsys.readouterr().out == text
+    assert main(["verify-identities", "--order", str(order), "--format", "json"]) == 0
+    assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+
+
 def test_verify_identities_builds_one_expansion(capsys, monkeypatch):
     # both expansion checks read one shared expansion
     calls = []

@@ -5,8 +5,9 @@ the library: the cosine identity 2 - 2cos u = u^2 S(u)^2, direct factorial
 sums for sin(x)/x, and a hand-rolled triangular solve for inverses.
 """
 
+import random
 from fractions import Fraction as F
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,9 +17,11 @@ from sinewall.series import (
     NonzeroConstantTerm,
     USeries,
     ZeroSeries,
+    convolve,
     exp,
     inv,
     log,
+    numerators,
     pow_int,
     sinc_half,
 )
@@ -377,6 +380,86 @@ def test_product_against_convolution_oracle(f, g):
     table = convolve_oracle(f, g)
     for k in range(got.valuation, got.order):
         assert got.coefficient(k) == table.get(k, F(0))
+
+
+SHARED_DEN = 2**7 * 3**4 * 5**3 * 7**2  # times up to 15000 stays below 10^12
+LARGE_PRIMES = (999999999989, 999999999961, 1000000007, 998244353)
+
+
+def random_rational(rng):
+    """Zero about a third of the time; else a denominator up to 10^12 that shares
+    factors with the others, is a large prime, or is drawn at random."""
+    if rng.random() < 0.3:
+        return F(0)
+    kind = rng.randrange(3)
+    if kind == 0:
+        den = SHARED_DEN * rng.randint(1, 15000)
+    elif kind == 1:
+        den = rng.choice(LARGE_PRIMES)
+    else:
+        den = rng.randint(1, 10**12)
+    return F(rng.randint(-10**15, 10**15), den)
+
+
+def random_series_data(rng):
+    """(valuation, order, dense coefficients from the valuation); the zero series too."""
+    valuation = rng.randint(-3, 3)
+    length = rng.choice((0, rng.randint(0, 20)))
+    coeffs = [random_rational(rng) for _ in range(length)]
+    if rng.random() < 0.1:
+        coeffs = [F(0)] * length
+    return valuation, valuation + length, coeffs
+
+
+def schoolbook_product(f, g):
+    """(valuation, coeffs, order) of f * g in canonical form, from plain Fraction lists.
+
+    The product knows min(order(f) + val(g), order(g) + val(f)), with val the
+    exponent of the first nonzero coefficient (the order, for the zero series).
+    """
+    fv, fo, fc = f
+    gv, go, gc = g
+    fv = next((fv + i for i, a in enumerate(fc) if a), fo)
+    gv = next((gv + j for j, b in enumerate(gc) if b), go)
+    fc, gc = fc[fv - f[0]:], gc[gv - g[0]:]
+    order = min(fo + gv, go + fv)
+    dense = {}
+    for i, a in enumerate(fc):
+        for j, b in enumerate(gc):
+            k = fv + gv + i + j
+            if k < order:
+                dense[k] = dense.get(k, F(0)) + a * b
+    nonzero = [k for k in sorted(dense) if dense[k] != 0]
+    if not nonzero:
+        return order, (), order
+    lo = nonzero[0]
+    return lo, tuple(dense.get(k, F(0)) for k in range(lo, order)), order
+
+
+def test_product_against_schoolbook_on_long_series_with_large_denominators():
+    rng = random.Random(9)
+    for _ in range(300):
+        f, g = random_series_data(rng), random_series_data(rng)
+        got = USeries(f[0], f[2]) * USeries(g[0], g[2])
+        assert (got.valuation, got.coeffs, got.order) == schoolbook_product(f, g)
+
+
+def test_convolve_and_numerators_against_schoolbook():
+    rng = random.Random(10)
+    for _ in range(200):
+        a = [rng.choice((0, rng.randint(-10**20, 10**20))) for _ in range(rng.randint(0, 20))]
+        b = [rng.choice((0, rng.randint(-10**20, 10**20))) for _ in range(rng.randint(0, 20))]
+        n = rng.randint(0, 25)
+        want = [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+                for k in range(n)]
+        assert convolve(a, b, n) == want
+        fs = [random_rational(rng) for _ in range(rng.randint(0, 20))]
+        ints, den = numerators(fs)
+        assert [F(x, den) for x in ints] == fs
+        least = 1
+        for f in fs:
+            least = least * f.denominator // gcd(least, f.denominator)
+        assert den == least
 
 
 @given(invertible_series())

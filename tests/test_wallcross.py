@@ -172,6 +172,79 @@ def test_verify_eq_sum_grid():
     assert "pass" in rep.summary()
 
 
+def test_eq_grid_failure_report_matches_series_comparison(monkeypatch):
+    # a negative control for the integer comparison: one numerator of the
+    # cached t2^1 shifted; the grid's failing cells, their order and their
+    # details equal those of comparing eq_sum with the closed series
+    order, internal = 8, 9
+    monkeypatch.setattr(wallcross, "_EQ_BASIS", {})
+    rows, den = wallcross._eq_basis(internal)
+    (k, b), *rest = rows[1][0]  # a2 = 1, a1 = 0
+    bumped = rows[:1] + ((((k, b + 1), *rest),) + rows[1][1:],) + rows[2:]
+    wallcross._EQ_BASIS[internal] = (bumped, den)
+    m1s, m2s = range(-3, 1), range(-2, 4)
+    rep = verify_eq_sum(m1s, m2s, order)
+    s = sinc_half(internal)
+    s2, ls = s * s, log(s)
+    want = []
+    for m1 in m1s:
+        for m2 in m2s:
+            got, closed = eq_sum(m1, m2, internal), pow_int(s2, m1) * exp(ls.scale(m2))
+            if got != closed:
+                e = next(e for e in range(internal) if got.coefficient(e) != closed.coefficient(e))
+                want.append(((m1, m2),
+                             f"u^{e}: got {got.coefficient(e)}, want {closed.coefficient(e)}"))
+    assert 0 < len(want) < len(rep.cells)  # m2 = 0 never reads t2
+    # the first failing key, its detail and the failing-cell count, and every other cell
+    assert [(cell.key, cell.detail) for cell in rep.cells if not cell.passed] == want
+
+
+def test_cell_compares_every_coefficient_by_cross_multiplication():
+    # equal fractions over different denominators pass; a change at any one
+    # exponent, to zero or away from it, fails with the series' first mismatch
+    want = [6, 0, -3, 0, 5, 2, 0]
+    assert wallcross._cell("k", [x * 7 for x in want], 84, want, 12, 6).passed
+    for e in range(len(want)):
+        for value in (0, want[e] + 1):
+            if value == want[e]:
+                continue
+            got = want[:e] + [value] + want[e + 1:]
+            cell = wallcross._cell("k", got, 12, want, 12, 6)
+            assert not cell.passed
+            assert cell.detail == f"u^{e}: got {F(value, 12)}, want {F(want[e], 12)}"
+
+
+def test_default_grids_build_each_closed_side_once(monkeypatch):
+    # the raw grid builds S^k once per exponent k = 2 g0 - 2 + c, -4..10; the
+    # eq grid one power per m1 and one exponential per m2; passing cells are
+    # compared in integers, so neither eq_sum nor _first_mismatch runs
+    exponents, powers, exps = [], [], []
+    sine, power, expo = wallcross.sine_factor, wallcross.pow_int, wallcross.exp
+
+    def counting_sine(g, c, order):
+        exponents.append(2 * g - 2 + c)
+        return sine(g, c, order)
+
+    def counting_power(f, k):
+        powers.append(k)
+        return power(f, k)
+
+    def counting_exp(f):
+        exps.append(f)
+        return expo(f)
+
+    monkeypatch.setattr(wallcross, "sine_factor", counting_sine)
+    for name in ("eq_sum", "_first_mismatch"):
+        monkeypatch.setattr(wallcross, name, _raise_if_called(name))
+    assert verify_raw_equals_closed().passed
+    assert sorted(exponents) == list(range(-4, 11))
+    monkeypatch.setattr(wallcross, "pow_int", counting_power)
+    monkeypatch.setattr(wallcross, "exp", counting_exp)
+    assert verify_eq_sum().passed
+    assert sorted(powers) == list(range(-6, 1))
+    assert len(exps) == 19
+
+
 # ---------------------------------------------------------------- raw sum
 
 
@@ -325,6 +398,11 @@ def test_grid_uses_supplied_vertex_as_given(monkeypatch):
     assert len(seen) == 1 and seen[0][0] is vertex
 
 
+def numerator_series(nums, den):
+    """The series sum_i (nums[i] / den) u^i of a grid cell's integer seam."""
+    return USeries(0, [F(x, den) for x in nums])
+
+
 def test_grid_cells_match_standalone_raw_sum_on_random_vertex(monkeypatch):
     # each cell the grid combines from its shared tables equals the
     # standalone call and the full-listing oracle, and its verdict follows
@@ -332,7 +410,8 @@ def test_grid_cells_match_standalone_raw_sum_on_random_vertex(monkeypatch):
     combine = wallcross._raw_sum_from
 
     def recording(tables, g0, n, c, order):
-        got[(g0, n, c)] = out = combine(tables, g0, n, c, order)
+        nums, den = out = combine(tables, g0, n, c, order)
+        got[(g0, n, c)] = numerator_series(nums, den)
         return out
 
     monkeypatch.setattr(wallcross, "_raw_sum_from", recording)
@@ -374,7 +453,7 @@ def test_raw_route_uses_no_closed_form_kernel(monkeypatch):
     for key, series in want.items():
         assert correction_raw_sum(*key, 13) == series
         assert correction_raw_sum(*key, 13, vertex) == series
-        assert wallcross._raw_sum_from(tables, *key, 13) == series
+        assert numerator_series(*wallcross._raw_sum_from(tables, *key, 13)) == series
 
 
 def test_vertex_perturbation_is_local():
