@@ -58,13 +58,13 @@ from .wallcross import (
 )
 
 # Largest accepted values.  On a 2-core VM with Python 3.11 each keeps one
-# call to about 2 s: verify-identities took 1.8 s at order 40 (21 s at 60),
-# expand-sine 1.2-1.6 s at order 500 (9 s at 1000), mu 0.6 s at g_max 40.
+# call to about 2 s: verify-identities took 1.3 s at order 40 (21 s at 60),
+# expand-sine 1.1 s at order 500 (9 s at 1000), mu 0.25 s at g_max 40.
 MAX_VERIFY_ORDER = 40
 MAX_SINE_ORDER = 500
 MAX_MU_G_MAX = 40
 # |g| and |c| of expand-sine and |c1_dot_beta| of a table.  At |g| = |c| = 10**6
-# and order 500 expand-sine takes about 2.9 s and its longest coefficient has
+# and order 500 expand-sine takes about 2.5 s and its longest coefficient has
 # about 3000 digits, under CPython's 4300-digit string conversion limit.
 MAX_ABS_G_C = 10**6
 # Digits of the numerator or of the denominator of a table value, of a genus

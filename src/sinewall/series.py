@@ -16,6 +16,12 @@ knows exactly as many coefficients as ``f`` does.
 
 ``pow_int``, ``inv``, ``exp`` and ``log`` each make one pass over the
 coefficients, by a recurrence read off a first-order differential equation.
+Each first finds the stride d of its input (`_stride`): the gcd of the
+exponents of the nonzero coefficients, counted from the valuation for
+``pow_int`` and from u^0 for ``exp`` and ``log``.  The input is then a series
+in x = u^d, so the recurrence runs on every d-th coefficient and its result
+is spread back to the multiples of d.  Every series of the pipeline is even
+in u (d = 2); a dense series has d = 1 and takes the same path.
 Products go through `convolve` on integer numerators over one common
 denominator (`numerators`), so a coefficient of a product costs integer
 multiplications and one `Fraction` at the end.
@@ -27,7 +33,7 @@ accepts `int` and `Fraction` and refuses everything else, floats included.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from typing import Any, Iterable, Sequence
 
 
@@ -77,16 +83,12 @@ class USeries:
 
     def __init__(self, valuation: int, coeffs: Iterable[Any]):
         cs = [_rational(c) for c in coeffs]
-        order = valuation + len(cs)
-        # canonical form: leading coefficient nonzero, zero series empty
-        while cs and not cs[0]:
-            cs.pop(0)
-            valuation += 1
-        if not cs:
-            valuation = order
-        object.__setattr__(self, "valuation", valuation)
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "order", order)
+        # canonical form: leading coefficient nonzero; the zero series is
+        # empty with valuation == order, which lead == len(cs) gives
+        lead = next((i for i, c in enumerate(cs) if c), len(cs))
+        object.__setattr__(self, "valuation", valuation + lead)
+        object.__setattr__(self, "coeffs", tuple(cs[lead:]))
+        object.__setattr__(self, "order", valuation + len(cs))
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("USeries is immutable")
@@ -195,6 +197,28 @@ class USeries:
         return " + ".join(parts) + f" + O(u^{self.order})"
 
 
+def _stride(a: Sequence[Fraction]) -> int:
+    """The gcd of the i >= 1 with a[i] nonzero, or len(a) if there is none.
+
+    With d = _stride(a), a[i] vanishes unless d divides i, so a[::d] holds
+    the same series in x = u^d.
+    """
+    d = 0
+    for i in range(1, len(a)):
+        if a[i]:
+            d = gcd(d, i)
+            if d == 1:
+                break
+    return d or len(a)
+
+
+def _spread(h: list[Fraction], d: int, n: int) -> list[Fraction]:
+    """The first n coefficients in u of the series h in x = u^d."""
+    out = [Fraction(0)] * n
+    out[::d] = h
+    return out
+
+
 def inv(f: USeries) -> USeries:
     """Multiplicative inverse; relative precision is preserved."""
     return pow_int(f, -1)
@@ -205,7 +229,9 @@ def pow_int(f: USeries, k: int) -> USeries:
 
     With f = u^v (f_0 + f_1 u + ...), h = f^k / u^{kv} satisfies
     m f_0 h_m = sum_{i=1..m} ((k+1) i - m) f_i h_{m-i}
-    (Knuth, TAOCP vol. 2, 4.7), for negative k as well.
+    (Knuth, TAOCP vol. 2, 4.7), for negative k as well.  When f_i vanishes
+    unless d divides i, the recurrence runs in x = u^d on f_0, f_d, f_2d, ...
+    and h is nonzero only at multiples of d.
     """
     if k == 0:
         # relative precision window, like every other power
@@ -214,40 +240,50 @@ def pow_int(f: USeries, k: int) -> USeries:
         if k > 0:
             return USeries.zero(k * f.order)
         raise ZeroSeries(f"cannot invert a series with no nonzero coefficient below order {f.order}")
-    a = f.coeffs  # canonical form: the leading coefficient a[0] is nonzero
+    d = _stride(f.coeffs)
+    a = f.coeffs[::d]  # canonical form: the leading coefficient a[0] is nonzero
     h = [a[0] ** k]
     for m in range(1, len(a)):
         acc = sum(((k + 1) * i - m) * a[i] * h[m - i] for i in range(1, m + 1) if a[i])
         h.append(acc / (m * a[0]))  # a[0] is a Fraction, so an empty sum gives Fraction(0)
-    return USeries(k * f.valuation, h)
+    return USeries(k * f.valuation, _spread(h, d, len(f.coeffs)))
 
 
 def exp(f: USeries) -> USeries:
-    """Exponential of a series with zero constant term and no negative powers."""
+    """Exponential of a series with zero constant term and no negative powers.
+
+    Runs in x = u^d, with d the gcd of the exponents of f's nonzero terms.
+    """
     if f.valuation < 0:
         raise NonzeroConstantTerm("exp() requires a series without negative powers")
     if f.valuation == 0:
         raise NonzeroConstantTerm(
             f"exp() requires zero constant term, got {f.coeffs[0] if f.coeffs else 'unknown'}"
         )
-    a = [Fraction(0)] * f.valuation + list(f.coeffs)  # a[i] = [u^i] f
+    full = [Fraction(0)] * f.valuation + list(f.coeffs)  # full[i] = [u^i] f
+    d = _stride(full)
+    a = full[::d]  # a[i] = [x^i] f
     g = [Fraction(1)]  # g' = f' g: m g_m = sum_{i=1..m} i f_i g_{m-i}
-    for m in range(1, f.order):
+    for m in range(1, len(a)):
         g.append(sum((i * a[i] * g[m - i] for i in range(1, m + 1) if a[i]), Fraction(0)) / m)
-    return USeries(0, g)
+    return USeries(0, _spread(g, d, f.order))
 
 
 def log(f: USeries) -> USeries:
-    """Logarithm of a series with constant term one."""
+    """Logarithm of a series with constant term one.
+
+    Runs in x = u^d, with d the gcd of the exponents of f's nonconstant terms.
+    """
     if not (f.valuation == 0 and f.coeffs and f.coeffs[0] == 1):
         got = repr(f.coefficient(0)) if f.order > 0 else "unknown"
         raise ConstantTermNotOne(f"log() requires constant term exactly one, got {got}")
-    a = f.coeffs  # a[i] = [u^i] f, since the valuation is 0
+    d = _stride(f.coeffs)  # the valuation is 0, so coeffs[i] = [u^i] f
+    a = f.coeffs[::d]  # a[i] = [x^i] f
     ls = [Fraction(0)]  # f L' = f': m L_m = m f_m - sum_{i=1..m-1} (m-i) f_i L_{m-i}
     for m in range(1, len(a)):
         acc = sum(((m - i) * a[i] * ls[m - i] for i in range(1, m) if a[i]), Fraction(0))
         ls.append(a[m] - acc / m)
-    return USeries(0, ls)
+    return USeries(0, _spread(ls, d, len(f.coeffs)))
 
 
 def sinc_half(order: int) -> USeries:

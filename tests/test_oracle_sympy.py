@@ -4,6 +4,8 @@ sympy expands (sin(u/2)/(u/2))^k symbolically; `sine_factor` and two
 columns of the `gw_from_ugw` matrix must agree with it exactly.  The
 benchmark's oracle uses the same power recurrence as `series.pow_int`, so
 this is the one check that shares neither code nor algorithm with it.
+`log` and `exp` of S, which run their recurrences in x = u^2, are checked
+the same way.
 """
 
 from fractions import Fraction as F
@@ -13,6 +15,7 @@ import pytest
 
 sp = pytest.importorskip("sympy")
 
+from sinewall.series import exp, log, sinc_half
 from sinewall.wallcross import GenusTable, Kind, gw_from_ugw, sine_factor
 
 ORDER = 14
@@ -41,3 +44,40 @@ def test_transform_column_matches_sympy(g0):
     want = sympy_sine_power(2 * g0 + 1)
     assert [gw.value(h) for h in range(g_max + 1)] == (
         [F(0)] * g0 + [want[2 * (h - g0)] for h in range(g0, g_max + 1)])
+
+
+@lru_cache(maxsize=None)
+def sympy_coefficients(expr, order):
+    """[u^j] of a sympy expression in u for j < order, as Fractions."""
+    u = sp.Symbol("u")
+    expansion = sp.series(expr, u, 0, order).removeO()
+    return [F(str(expansion.coeff(u, j))) for j in range(order)]
+
+
+def sympy_s():
+    u = sp.Symbol("u")
+    return sp.sin(u / 2) / (u / 2)
+
+
+def test_log_sinc_half_matches_sympy():
+    order = 22  # through u^21
+    got = log(sinc_half(order))
+    assert [got.coefficient(j) for j in range(order)] == sympy_coefficients(
+        sp.log(sympy_s()), order)
+
+
+@pytest.mark.parametrize("m", [-5, 3])
+def test_exp_of_multiple_of_log_sinc_half_matches_sympy(m):
+    # exp(m log S) = S^m
+    order = 22  # through u^21
+    got = exp(log(sinc_half(order)).scale(m))
+    assert [got.coefficient(j) for j in range(order)] == sympy_coefficients(
+        sympy_s() ** m, order)
+
+
+@pytest.mark.parametrize("k", [-7, 9])
+def test_sine_factor_through_u31_matches_sympy(k):
+    order = 32  # through u^31
+    got = sine_factor(0, k + 2, order)
+    assert [got.coefficient(j) for j in range(order)] == sympy_coefficients(
+        sympy_s() ** k, order)

@@ -544,21 +544,19 @@ def test_pow_of_zero_series_matches_repeated_product():
                 pow_int(z, -k)
 
 
-@given(positive_valuation_series())
-def test_exp_matches_taylor_sum(f):
-    # sum_j f^j / j!; f^j vanishes below u^(j val(f)), so the sum is finite
+def taylor_exp(f):
+    """sum_j f^j / j!; f^j vanishes below u^(j val(f)), so the sum is finite."""
     want = term = USeries.one(f.order)
     j = 1
     while j * f.valuation < f.order:
         term = term * f * F(1, j)
         want = want + term
         j += 1
-    assert exp(f) == want
+    return want
 
 
-@given(unit_series())
-def test_log_matches_taylor_sum(f):
-    # sum_j (-1)^(j+1) x^j / j with x = f - 1
+def taylor_log(f):
+    """sum_j (-1)^(j+1) x^j / j with x = f - 1."""
     x = f - USeries.one(f.order)
     want = USeries.zero(f.order)
     term = USeries.one(f.order)
@@ -567,7 +565,100 @@ def test_log_matches_taylor_sum(f):
         term = term * x
         want = want + term * F((-1) ** (j + 1), j)
         j += 1
-    assert log(f) == want
+    return want
+
+
+@given(positive_valuation_series())
+def test_exp_matches_taylor_sum(f):
+    assert exp(f) == taylor_exp(f)
+
+
+@given(unit_series())
+def test_log_matches_taylor_sum(f):
+    assert log(f) == taylor_log(f)
+
+
+# ---------------------------------------------------------------- strided series
+#
+# pow_int, exp and log run their recurrences in x = u^d when the input's
+# nonzero terms sit at multiples of d.  These inputs are u^v F(u^d), some with
+# one extra term off the stride, some whose only nonzero term is the first.
+
+
+@st.composite
+def strided_series(draw, valuations, first):
+    """(f, d): f = u^v (c_0 + c_d u^d + ...), its first coefficient drawn from
+    `first`, and d the stride it keeps (1 once an extra term breaks it)."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    v = draw(valuations)
+    n = draw(st.integers(min_value=1, max_value=4 * d + 2))  # coefficients from u^v
+    coeffs = [F(0)] * n
+    if not draw(st.booleans()):  # else only the first coefficient may be nonzero
+        for i in range(d, n, d):
+            coeffs[i] = draw(small_fraction)
+    coeffs[0] = draw(first)
+    off_stride = [i for i in range(1, n) if i % d]
+    if off_stride and draw(st.booleans()):
+        coeffs[draw(st.sampled_from(off_stride))] = draw(small_fraction.filter(bool))
+        d = 1
+    return USeries(v, coeffs), d
+
+
+def assert_off_stride_zero(g, origin, d):
+    for e in range(g.valuation, g.order):
+        if (e - origin) % d:
+            assert g.coefficient(e) == 0, (e, origin, d)
+
+
+@given(strided_series(st.integers(min_value=-2, max_value=3), small_fraction.filter(bool)))
+def test_strided_pow_matches_repeated_product(case):
+    f, d = case
+    n = f.order - f.valuation
+    for k in range(-4, 7):
+        got = pow_int(f, k)
+        if k == 0:
+            assert got == USeries.one(n)
+        elif k > 0:
+            assert got == repeated_product(f, k)
+        else:
+            power = repeated_product(f, -k)
+            assert got == inv(power)
+            assert got * power == USeries.one(n)
+        assert got.order - got.valuation == n
+        assert_off_stride_zero(got, k * f.valuation, d)
+
+
+@given(strided_series(st.just(0), st.just(F(0))))
+def test_strided_exp_matches_taylor_sum(case):
+    f, d = case  # exponents at multiples of d from u^0; the zero series too
+    got = exp(f)
+    assert got == taylor_exp(f)
+    assert_off_stride_zero(got, 0, d)
+
+
+@given(strided_series(st.just(0), st.just(F(1))))
+def test_strided_log_matches_taylor_sum(case):
+    f, d = case
+    got = log(f)
+    assert got == taylor_log(f)
+    assert_off_stride_zero(got, 0, d)
+
+
+def test_strided_edge_cases():
+    # one known coefficient: the stride is the whole length
+    assert pow_int(USeries(2, [F(3)]), -2) == USeries(-4, [F(1, 9)])
+    assert log(USeries.one(1)) == USeries.zero(1)
+    # the zero series of positive order has exp 1
+    for order in range(1, 6):
+        assert exp(USeries.zero(order)) == USeries.one(order)
+    # a lone leading term: d = len
+    assert pow_int(USeries(-1, [F(2), 0, 0, 0]), 3) == USeries(-3, [F(8), 0, 0, 0])
+    assert log(USeries(0, [F(1), 0, 0])) == USeries.zero(3)
+    assert exp(USeries(3, [F(5), 0])) == USeries(0, [F(1), 0, 0, F(5), 0])
+    # one term off the stride makes the kernel dense again
+    f = USeries(0, [F(1), 0, F(1), 0, 0, F(1)])
+    assert pow_int(f, 2) == f * f
+    assert exp(USeries(2, [F(1), F(1)])) == taylor_exp(USeries(2, [F(1), F(1)]))
 
 
 @given(useries())
