@@ -58,9 +58,10 @@ from .wallcross import (
 )
 
 # Largest accepted values.  On a 2-core VM with Python 3.11 each keeps one
-# call to about 2 s: verify-identities took 1.3 s at order 40 (21 s at 60),
-# expand-sine 1.1 s at order 500 (9 s at 1000), mu 0.25 s at g_max 40.
-MAX_VERIFY_ORDER = 40
+# call to about 2 s: verify-identities took 1.35-1.55 s at order 50 (0.5 s at
+# 40, 6.1 s at 60), expand-sine 1.1 s at order 500 (9 s at 1000), mu 0.25 s
+# at g_max 40.
+MAX_VERIFY_ORDER = 50
 MAX_SINE_ORDER = 500
 MAX_MU_G_MAX = 40
 # |g| and |c| of expand-sine and |c1_dot_beta| of a table.  At |g| = |c| = 10**6

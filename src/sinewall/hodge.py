@@ -17,8 +17,12 @@ closed forms are authoritative; `i_function_expansion` re-derives them
 from the exponential identity so the two routes can be checked against
 each other, and `verify_i_ratio` checks that dividing the expansion by z
 reproduces the mu_{g,1} constants.  Both checks accept one shared expansion.
-Both closed forms are memoised per genus, so the raw grid's vertex table
-and the two checks share one computation of each constant.
+The expansion substitutes z' = z - H once per z'-power: each layer's
+(z - H)^{1-j} times its class is expanded once, and every genus scales
+those pieces by its own u^{2g} coefficient.  Both closed forms are memoised
+per genus, so the raw grid's vertex table and the two checks share one
+computation of each constant.  `GradedPoly` coefficients are exact: `int`
+or `Fraction`, never a float.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ class GradedPoly:
 
     Terms of total degree above ``degree_cap`` are dropped by every
     operation, exactly like working modulo that power of the ideal (H, c1).
+    Coefficients are `int` or `Fraction`; anything else, floats included,
+    raises `TypeError`, as for `USeries`.
     """
 
     __slots__ = ("terms", "degree_cap")
@@ -48,9 +54,10 @@ class GradedPoly:
         for (i, j), q in terms.items():
             if i < 0 or j < 0:
                 raise ValueError("exponents must be nonnegative")
-            q = Fraction(q)
+            if not isinstance(q, (int, Fraction)):
+                raise TypeError(f"GradedPoly coefficients must be int or Fraction, got {q!r}")
             if q and i + j <= degree_cap:
-                clean[(i, j)] = q
+                clean[(i, j)] = Fraction(q)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "degree_cap", degree_cap)
 
@@ -63,7 +70,7 @@ class GradedPoly:
 
     @classmethod
     def scalar(cls, q, degree_cap: int) -> GradedPoly:
-        return cls({(0, 0): Fraction(q)}, degree_cap)
+        return cls({(0, 0): q}, degree_cap)
 
     @classmethod
     def one(cls, degree_cap: int) -> GradedPoly:
@@ -277,7 +284,9 @@ def i_function_expansion(order_u: int, z_depth: int = 3, degree_cap: int = 3,
     ls = log(s)
     hyper = GradedPoly.hyperplane(cap)
 
-    # z'^(1-j) carries S^2 (log S)^j a2^j / j!
+    # z'^(1-j) carries S^2 (log S)^j a2^j / j!; at z' = z - H it is
+    # a2^j (z - H)^e = sum_i a2^j binom(e, i) (-H)^i z^(e-i) with e = 1 - j,
+    # expanded once per layer as (z-power, class) pairs
     layers = []
     a2_pow = GradedPoly.one(cap)
     for j in range(0, z_depth + 2):
@@ -286,32 +295,26 @@ def i_function_expansion(order_u: int, z_depth: int = 3, degree_cap: int = 3,
             if not a2_pow:
                 break
         scalar_series = s2 if j == 0 else s2 * pow_int(ls, j) * Fraction(1, factorial(j))
-        layers.append((j, scalar_series, a2_pow))
+        e, coef, term = 1 - j, 1, a2_pow
+        pieces = []
+        for i in range(cap + 1):
+            piece = term * coef
+            if not piece:
+                break
+            pieces.append((e - i, piece))
+            term = term * hyper
+            coef = coef * (i - e) // (i + 1)  # binom(e, i+1) (-1)^(i+1)
+        layers.append((scalar_series, pieces))
 
     out: dict[int, ZLaurent] = {}
     for g in range(0, (order_u - 1) // 2 + 1):
         zterms: dict[int, GradedPoly] = {}
-
-        def put(power: int, poly: GradedPoly) -> None:
-            if poly:
-                zterms[power] = zterms.get(power, GradedPoly.zero(cap)) + poly
-
-        for j, scalar_series, poly_j in layers:
+        for scalar_series, pieces in layers:
             q = scalar_series.coefficient(2 * g)
             if not q:
                 continue
-            base = poly_j * q
-            if not base:
-                continue
-            # (z - H)^e = sum_i binom(e, i) (-H)^i z^(e-i) with e = 1 - j
-            e, coef, h_pow = 1 - j, 1, GradedPoly.one(cap)
-            for i in range(cap + 1):
-                term = base * h_pow * coef
-                if not term:
-                    break
-                put(e - i, term)
-                h_pow = h_pow * hyper
-                coef = coef * (i - e) // (i + 1)  # binom(e, i+1) (-1)^(i+1)
+            for power, poly in pieces:
+                zterms[power] = zterms.get(power, GradedPoly.zero(cap)) + poly * q
         out[g] = ZLaurent(zterms, cap)
     return out
 

@@ -24,7 +24,13 @@ is spread back to the multiples of d.  Every series of the pipeline is even
 in u (d = 2); a dense series has d = 1 and takes the same path.
 Products go through `convolve` on integer numerators over one common
 denominator (`numerators`), so a coefficient of a product costs integer
-multiplications and one `Fraction` at the end.
+multiplications and one `Fraction` at the end.  ``exp`` and ``log`` sum each
+step of their recurrence the same way: the input as numerators over its
+least common denominator, the result so far as numerators over the running
+lcm of its denominators (`_push`), and one `Fraction` per new coefficient.
+``pow_int`` still sums each step in `Fraction`; its integer form changes
+the transform's own timings, and waits until the benchmark measures the
+memory of a transform run independently of its job count (ROADMAP item 1).
 
 Coefficients are exact rationals (`fractions.Fraction`); the constructor
 accepts `int` and `Fraction` and refuses everything else, floats included.
@@ -219,6 +225,19 @@ def _spread(h: list[Fraction], d: int, n: int) -> list[Fraction]:
     return out
 
 
+def _push(nums: list[int], den: int, q: Fraction, weight: int) -> int:
+    """Append weight * q to the numerators nums over den; return their new denominator.
+
+    The denominator is the running lcm of the pushed denominators, so the
+    numerators already in nums are rescaled only when q brings a new factor.
+    """
+    new = lcm(den, q.denominator)
+    if new != den:
+        nums[:] = [x * (new // den) for x in nums]
+    nums.append(weight * q.numerator * (new // q.denominator))
+    return new
+
+
 def inv(f: USeries) -> USeries:
     """Multiplicative inverse; relative precision is preserved."""
     return pow_int(f, -1)
@@ -262,10 +281,14 @@ def exp(f: USeries) -> USeries:
         )
     full = [Fraction(0)] * f.valuation + list(f.coeffs)  # full[i] = [u^i] f
     d = _stride(full)
-    a = full[::d]  # a[i] = [x^i] f
+    a, den_a = numerators(full[::d])  # a[i] / den_a = [x^i] f
+    ia = [i * x for i, x in enumerate(a)]
     g = [Fraction(1)]  # g' = f' g: m g_m = sum_{i=1..m} i f_i g_{m-i}
+    nums, den = [1], 1  # nums[j] / den = g_j
     for m in range(1, len(a)):
-        g.append(sum((i * a[i] * g[m - i] for i in range(1, m + 1) if a[i]), Fraction(0)) / m)
+        acc = sum(ia[i] * nums[m - i] for i in range(1, m + 1) if ia[i])
+        g.append(Fraction(acc, m * den_a * den))
+        den = _push(nums, den, g[-1], 1)
     return USeries(0, _spread(g, d, f.order))
 
 
@@ -278,11 +301,13 @@ def log(f: USeries) -> USeries:
         got = repr(f.coefficient(0)) if f.order > 0 else "unknown"
         raise ConstantTermNotOne(f"log() requires constant term exactly one, got {got}")
     d = _stride(f.coeffs)  # the valuation is 0, so coeffs[i] = [u^i] f
-    a = f.coeffs[::d]  # a[i] = [x^i] f
+    a, den_a = numerators(f.coeffs[::d])  # a[i] / den_a = [x^i] f, so a[0] = den_a
     ls = [Fraction(0)]  # f L' = f': m L_m = m f_m - sum_{i=1..m-1} (m-i) f_i L_{m-i}
+    w, den = [0], 1  # w[j] / den = j L_j
     for m in range(1, len(a)):
-        acc = sum(((m - i) * a[i] * ls[m - i] for i in range(1, m) if a[i]), Fraction(0))
-        ls.append(a[m] - acc / m)
+        acc = m * a[m] * den - sum(a[i] * w[m - i] for i in range(1, m) if a[i])
+        ls.append(Fraction(acc, m * den_a * den))
+        den = _push(w, den, ls[-1], m)
     return USeries(0, _spread(ls, d, len(f.coeffs)))
 
 

@@ -19,17 +19,21 @@ insertions (dilaton: each removal contributes
 independently, so each coefficient is a convolution of a marked-list sum
 and an insertion-list sum.  Those sums split into vertex-only tables (by
 genus and list length, and for insertions by the number of psi parts),
-built once per vertex table as integer numerators over a common
-denominator, and a per-cell combination with the binomials C(n, k1) and
-`reduce_bracket` in integer arithmetic.  `verify_raw_equals_closed`
-builds the tables once for its whole grid and each closed side S^k once
-per exponent k, and asserts exact coefficientwise agreement of the two
-routes, compared in integers: a cell's numerators against the closed
-side's, by cross-multiplication of the two denominators.  The inner
-coefficient identity it rests on is exposed separately as `eq_sum`, whose
-products t1^a1 t2^a2 are likewise cached per order as integer numerators;
-`verify_eq_sum` compares it the same way with closed cells formed by
-`convolve`.  Only a failing cell is turned back into series, to name its
+built once per vertex table in integers and reduced to one least common
+denominator per table, and a per-(g0, n) combination in integer
+arithmetic.  For fixed (g0, n) each coefficient is a polynomial in the
+divisor weight B = 3(2 g0 - 2) + c: the combination builds it once, from
+the marked sums with the binomials C(n, k1) (once per n) and the psi
+falling products of `_bracket_factors`, and evaluates it at every c by
+Horner, for a grid and for a single `correction_raw_sum` alike.
+`verify_raw_equals_closed` builds the tables once for its whole grid and
+each closed side S^k once per exponent k, and asserts exact
+coefficientwise agreement of the two routes, compared in integers: a
+cell's numerators against the closed side's, by cross-multiplication of
+the two denominators.  The inner coefficient identity it rests on is
+exposed separately as `eq_sum`, whose products t1^a1 t2^a2 are likewise
+cached per order as integer numerators; `verify_eq_sum` compares it the
+same way with closed cells formed by `convolve`.  Only a failing cell is turned back into series, to name its
 first mismatch.
 """
 
@@ -38,7 +42,7 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from typing import Iterable, Mapping
 
 from . import hodge
@@ -216,23 +220,6 @@ class VertexData(namedtuple("VertexData", "mu1 mu0_psi mu0_div")):
         return self._replace(**{field: table})
 
 
-def reduce_bracket(g0: int, n: int, n_psi: int, n_div: int, c: int) -> int:
-    """Multiplier from stripping n_psi (-psi) and n_div (3H + c1) insertions.
-
-    The bracket starts with n ordinary markings plus the n_psi + n_div
-    insertion markings.  Each psi removal contributes -(2 g0 - 2 + m)
-    where m counts the markings remaining after it; each divisor removal
-    then contributes 3 (2 g0 - 2) + c.  The base bracket is normalized
-    to 1, so the result is a bare multiplier.
-    """
-    total = 1
-    m = n + n_psi + n_div
-    for _ in range(n_psi):
-        total *= -(2 * g0 - 2 + m - 1)
-        m -= 1
-    return total * (3 * (2 * g0 - 2) + c) ** n_div
-
-
 def _raw_tables(vertex: VertexData, order: int):
     """The vertex-only sums of the raw route below ``order``, built once per grid.
 
@@ -244,64 +231,123 @@ def _raw_tables(vertex: VertexData, order: int):
                               by_psi[j] / prod(repeats!),
         by_psi[j]           = [x^j] prod_i (mu0_psi[g_i] x + mu0_div[g_i])
 
-    (j counts the insertions read as -psi, all `reduce_bracket` needs of
-    them) as integer numerators: marked over one common denominator,
-    inserted over another, and den the product of the two.  Marked and
+    (j counts the insertions read as -psi, all `_bracket_factors` needs of
+    them) as integer numerators: marked over its least common denominator,
+    inserted over its own, and den the product of the two.  Marked and
     insertion lists of genus s are the same partitions of s, so one pass
-    fills both.
+    fills both.  The pass runs on integers: the vertex values are scaled
+    over the lcm D of their denominators, so the lists with k parts sum
+    to an integer over D^k, and with the weight k! / prod(repeats!) =
+    multinomial(k, repeats) over D^k k! for the insertion lists.  Only the
+    finished rows are reduced, to the least common denominators.
     """
     dmax = (order - 1) // 2
-    missing = [g for g in range(1, dmax + 1)
+    genera = range(1, dmax + 1)
+    missing = [g for g in genera
                if g not in vertex.mu1 or g not in vertex.mu0_psi or g not in vertex.mu0_div]
     if missing:
         raise ValueError(f"vertex data lacks genera {missing} needed at order {order}")
+    den_v = lcm(*(table[g].denominator for table in vertex for g in genera))
+    mu1, mu0_psi, mu0_div = ({g: table[g].numerator * (den_v // table[g].denominator)
+                              for g in genera} for table in vertex)
     marked, inserted = [], []
     for s in range(dmax + 1):
-        m_row = [Fraction(0)] * (s + 1)
-        i_row = [[Fraction(0)] * (k + 1) for k in range(s + 1)]
+        m_row = [0] * (s + 1)
+        i_row = [[0] * (k + 1) for k in range(s + 1)]
         for parts in descending_partitions(s):
-            k, repeats = len(parts), multiplicities(parts)
-            m_row[k] += multinomial(k, repeats) * prod(vertex.mu1[gi] for gi in parts)
-            by_psi = [Fraction(1)]
+            m_prod = prod(mu1[gi] for gi in parts)
+            by_psi = [1]
             for gi in parts:
-                psi, div = vertex.mu0_psi[gi], vertex.mu0_div[gi]
-                nxt = [b * div for b in by_psi] + [Fraction(0)]
+                psi, div = mu0_psi[gi], mu0_div[gi]
+                nxt = [b * div for b in by_psi] + [0]
                 for j, b in enumerate(by_psi):
                     nxt[j + 1] += b * psi
                 by_psi = nxt
-            symmetry = prod(map(factorial, repeats))
+            k = len(parts)
+            weight = multinomial(k, multiplicities(parts))
+            m_row[k] += weight * m_prod
+            by_k = i_row[k]
             for j, b in enumerate(by_psi):
-                i_row[k][j] += b / symmetry
+                by_k[j] += weight * b
         marked.append(m_row)
         inserted.append(i_row)
-    m_den = lcm(*(x.denominator for row in marked for x in row))
-    i_den = lcm(*(x.denominator for row in inserted for by_k in row for x in by_k))
-    return (tuple(tuple(x.numerator * (m_den // x.denominator) for x in row) for row in marked),
-            tuple(tuple(tuple(x.numerator * (i_den // x.denominator) for x in by_k)
-                        for by_k in row) for row in inserted),
+    m_q = [den_v**k for k in range(dmax + 1)]
+    i_q = [q * factorial(k) for k, q in enumerate(m_q)]
+    # x / q in lowest terms has denominator q // gcd(x, q)
+    m_den = lcm(*(m_q[k] // gcd(x, m_q[k]) for row in marked for k, x in enumerate(row)))
+    i_den = lcm(*(i_q[k] // gcd(x, i_q[k])
+                  for row in inserted for k, by_k in enumerate(row) for x in by_k))
+    return (tuple(tuple(x * m_den // m_q[k] for k, x in enumerate(row)) for row in marked),
+            tuple(tuple(tuple(x * i_den // i_q[k] for x in by_k) for k, by_k in enumerate(row))
+                  for row in inserted),
             m_den * i_den)
 
 
-def _raw_sum_from(tables, g0: int, n: int, c: int, order: int) -> tuple[list[int], int]:
-    """One (g0, n, c) cell of the raw route from `_raw_tables`, in integers.
+def _marked_sums(tables, n: int) -> list[int]:
+    """marked[s] = sum_{k1} C(n, k1) marked[s][k1]: the marked lists with at most n parts."""
+    return [sum(comb(n, k) * x for k, x in enumerate(row)) for row in tables[0]]
 
-    marked[s] = sum_{k1} C(n, k1) marked[s][k1] (C(n, k1) = 0 past n, so
-    at most n marked points); inserted[t] = sum_{k2, j} inserted[t][k2][j]
-    reduce_bracket(g0, n, j, k2 - j, c); the u^{2 delta} coefficient is
-    sum_s marked[s] inserted[delta - s].  Returns the numerators of
-    u^0..u^(order-1) and their common denominator.
+
+def _bracket_factors(g0: int, n: int, kmax: int) -> list[list[int]]:
+    """Row k, entry j: the multiplier of stripping j (-psi) insertions from a bracket.
+
+    The bracket holds n ordinary markings and k insertion markings.  Each
+    psi removal contributes -(2 g0 - 2 + m), where m counts the markings
+    remaining after it, so entry j is the falling product
+    prod_{i < j} -(2 g0 - 2 + n + k - 1 - i), each entry from the one
+    before.  The k - j divisor removals that follow contribute the divisor
+    weight 3 (2 g0 - 2) + c each; `_raw_cells` keeps that weight as the
+    variable of a polynomial.  The base bracket is normalized to 1.
     """
-    marked_t, inserted_t, den = tables
+    rows = []
+    for k in range(kmax + 1):
+        row = [1]
+        for i in range(k):
+            row.append(row[-1] * -(2 * g0 - 2 + n + k - 1 - i))
+        rows.append(row)
+    return rows
+
+
+def _raw_cells(tables, marked: list[int], g0: int, n: int, cs: Iterable[int],
+               order: int) -> list[list[int]]:
+    """The cells (g0, n, c) of the raw route for every c in cs, from `_raw_tables`.
+
+    ``marked`` is `_marked_sums(tables, n)`.  With the divisor weight
+    B = 3 (2 g0 - 2) + c, inserted[t] = sum_{k2, j} inserted[t][k2][j]
+    factors[k2][j] B^(k2 - j) is a polynomial in B, and so is the u^{2 delta}
+    coefficient sum_s marked[s] inserted[delta - s].  Those polynomials are
+    built once per (g0, n) and evaluated at each c by Horner.  Returns, per
+    c, the numerators of u^0..u^(order-1) over the tables' denominator.
+    """
     dmax = (order - 1) // 2
-    reduced = [[reduce_bracket(g0, n, j, k - j, c) for j in range(k + 1)]
-               for k in range(dmax + 1)]
-    marked = [sum(comb(n, k) * x for k, x in enumerate(marked_t[s])) for s in range(dmax + 1)]
-    inserted = [sum(x * r for by_k, r_k in zip(inserted_t[t], reduced) for x, r in zip(by_k, r_k))
-                for t in range(dmax + 1)]
-    coeffs = [0] * order
+    factors = _bracket_factors(g0, n, dmax)
+    inserted = []  # inserted[t][e]: the coefficient of B^e
+    for row in tables[1]:
+        poly = [0] * len(row)
+        for k, (by_k, f_k) in enumerate(zip(row, factors)):
+            for j, (x, f) in enumerate(zip(by_k, f_k)):
+                poly[k - j] += x * f
+        inserted.append(poly)
+    polys = []
     for delta in range(dmax + 1):
-        coeffs[2 * delta] = sum(marked[s] * inserted[delta - s] for s in range(delta + 1))
-    return coeffs, den
+        poly = [0] * (delta + 1)
+        for s in range(delta + 1):
+            m = marked[s]
+            if m:
+                for e, x in enumerate(inserted[delta - s]):
+                    poly[e] += m * x
+        polys.append(poly)
+    cells = []
+    for c in cs:
+        b = 3 * (2 * g0 - 2) + c
+        coeffs = [0] * order
+        for delta, poly in enumerate(polys):
+            acc = 0
+            for x in reversed(poly):
+                acc = acc * b + x
+            coeffs[2 * delta] = acc
+        cells.append(coeffs)
+    return cells
 
 
 def correction_raw_sum(g0: int, n: int, c: int, order: int,
@@ -311,12 +357,13 @@ def correction_raw_sum(g0: int, n: int, c: int, order: int,
     marked[s] sums the marked lists g1 of genus s (at most n entries,
     multiplier mu_{g,1} each, orbit count C(n, k1) * multinomial over
     repeats); inserted[t] sums the insertion lists g2 of genus t (each
-    bracket stripped by `reduce_bracket`, weighted 1 / prod(repeats!)).  The
-    u^{2 delta} coefficient is sum_s marked[s] inserted[delta - s], which
-    is 1 at delta = 0.  Equals S^{2 g0 - 2 + c}; `verify_raw_equals_closed`
-    is the arbiter.  Without ``vertex`` the standard table is built for
-    this call.  A grid builds the vertex table and its vertex-only sums
-    once and combines them per cell; this call builds both for itself.
+    bracket stripped by `_bracket_factors` and the divisor weight, weighted
+    1 / prod(repeats!)).  The u^{2 delta} coefficient is
+    sum_s marked[s] inserted[delta - s], which is 1 at delta = 0.  Equals
+    S^{2 g0 - 2 + c}; `verify_raw_equals_closed` is the arbiter.  Without
+    ``vertex`` the standard table is built for this call.  A grid builds
+    the vertex table and its vertex-only sums once and evaluates them per
+    (g0, n) at all its c; this call builds both for itself, for one c.
     """
     if g0 < 0 or n < 0:
         raise ValueError("g0 and n must be nonnegative")
@@ -324,7 +371,9 @@ def correction_raw_sum(g0: int, n: int, c: int, order: int,
         return USeries.zero(order)
     if vertex is None:
         vertex = VertexData.standard((order - 1) // 2)
-    return _from_numerators(*_raw_sum_from(_raw_tables(vertex, order), g0, n, c, order))
+    tables = _raw_tables(vertex, order)
+    (nums,) = _raw_cells(tables, _marked_sums(tables, n), g0, n, (c,), order)
+    return _from_numerators(nums, tables[2])
 
 
 class GridCell(namedtuple("GridCell", "key passed detail", defaults=("",))):
@@ -398,11 +447,12 @@ def verify_raw_equals_closed(g0_max: int = 3, n_max: int = 4,
             k = 2 * g0 - 2 + c
             if k not in closed:
                 closed[k] = numerators(sine_factor(g0, c, internal).coeffs)
+    den = tables[2]
+    marked = [_marked_sums(tables, n) for n in range(n_max + 1)]
     cells = []
     for g0 in range(g0_max + 1):
         for n in range(n_max + 1):
-            for c in cs:
-                got, den = _raw_sum_from(tables, g0, n, c, internal)
+            for c, got in zip(cs, _raw_cells(tables, marked[n], g0, n, cs, internal)):
                 cells.append(_cell((g0, n, c), got, den, *closed[2 * g0 - 2 + c], order))
     return GridReport("raw-sum vs closed-form multiplier", tuple(cells))
 

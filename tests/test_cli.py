@@ -542,6 +542,15 @@ def test_verify_identities_stdout_is_the_assembled_report(order, capsys):
     assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
 
 
+def test_verify_identities_passes_at_its_limit(capsys):
+    # the largest accepted order runs to the end and passes, in about 1.5 s
+    order = cli.MAX_VERIFY_ORDER
+    assert main(["verify-identities", "--order", str(order), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is True
+    assert [chk["cells"] for chk in doc["checks"]] == [cells(order) for _, cells in VERIFY_ROWS]
+
+
 def test_verify_identities_builds_one_expansion(capsys, monkeypatch):
     # both expansion checks read one shared expansion
     calls = []

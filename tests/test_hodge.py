@@ -73,6 +73,19 @@ def test_graded_poly_scalar():
     assert GradedPoly.scalar(F(1, 2), CAP) * H == H * F(1, 2)
 
 
+def test_graded_poly_refuses_inexact_coefficients():
+    # a float would be stored as its binary expansion, 0.1 as
+    # 3602879701896397/36028797018963968
+    for bad in (0.1, 2.0, "1/2", None):
+        with pytest.raises(TypeError):
+            GradedPoly({(0, 0): bad}, CAP)
+        with pytest.raises(TypeError):
+            GradedPoly.scalar(bad, CAP)
+        with pytest.raises(TypeError):
+            H * bad
+    assert GradedPoly({(1, 0): 3, (0, 1): F(1, 2)}, CAP) == H * 3 + C1 * F(1, 2)
+
+
 # ---------------------------------------------------------------- zlaurent
 
 

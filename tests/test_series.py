@@ -661,6 +661,51 @@ def test_strided_edge_cases():
     assert exp(USeries(2, [F(1), F(1)])) == taylor_exp(USeries(2, [F(1), F(1)]))
 
 
+# ---------------------------------------------------------------- integer exp and log
+#
+# exp and log sum each step on integer numerators over the running lcm of the
+# result's denominators.  The references run the same recurrences one Fraction
+# at a time, on the series in x = u^d.
+
+
+def fraction_exp(a):
+    """[x^m] exp(f) for m < len(a), with a[i] = [x^i] f and a[0] = 0."""
+    g = [F(1)]
+    for m in range(1, len(a)):
+        g.append(sum((i * a[i] * g[m - i] for i in range(1, m + 1)), F(0)) / m)
+    return g
+
+
+def fraction_log(a):
+    """[x^m] log(f) for m < len(a), with a[i] = [x^i] f and a[0] = 1."""
+    ls = [F(0)]
+    for m in range(1, len(a)):
+        ls.append(a[m] - sum(((m - i) * a[i] * ls[m - i] for i in range(1, m)), F(0)) / m)
+    return ls
+
+
+def in_u(h, d):
+    """The coefficients u^0..u^(d (len(h) - 1)) of the series h in x = u^d."""
+    out = [F(0)] * (d * (len(h) - 1) + 1)
+    out[::d] = h
+    return out
+
+
+def test_integer_exp_and_log_match_fraction_recurrence():
+    # denominators up to 10^12 that share factors, are large primes or are
+    # unrelated (random_rational), at strides 1, 2 and 3
+    rng = random.Random(12)
+    for _ in range(120):
+        d = rng.choice((1, 2, 3))
+        a = [random_rational(rng) for _ in range(rng.randint(1, 14))]
+        a[0] = F(1)
+        got = log(USeries(0, in_u(a, d)))
+        assert got == USeries(0, in_u(fraction_log(a), d))
+        a[0] = F(0)
+        got = exp(USeries(0, in_u(a, d)))
+        assert got == USeries(0, in_u(fraction_exp(a), d))
+
+
 @given(useries())
 def test_truncate_is_monotone(f):
     for k in range(f.valuation, f.order + 1):

@@ -19,7 +19,6 @@ from sinewall.wallcross import (
     correction_raw_sum,
     eq_sum,
     gw_from_ugw,
-    reduce_bracket,
     sine_factor,
     ugw_from_gw,
     verify_eq_sum,
@@ -72,24 +71,46 @@ def test_falling_factorial():
     assert _falling_factorial(F(1, 2), 2) == F(-1, 4)
 
 
+def stripped_bracket(g0, n, n_psi, n_div, c):
+    """The bracket multiplier by stripping one insertion marking at a time.
+
+    Starts from n + n_psi + n_div markings; each psi removal contributes
+    -(2 g0 - 2 + m) with m the markings remaining after it, then each
+    divisor removal contributes 3 (2 g0 - 2) + c.
+    """
+    total = 1
+    m = n + n_psi + n_div
+    for _ in range(n_psi):
+        total *= -(2 * g0 - 2 + m - 1)
+        m -= 1
+    return total * (3 * (2 * g0 - 2) + c) ** n_div
+
+
 def test_reduce_bracket_closed_form():
     # stripping n_psi psi-insertions then n_div divisor insertions equals
     # ff(m1 - n_div, n_psi) * m2^{n_div} with m1 = -(2g0 - 2 + n) and
-    # m2 = 3(2g0 - 2) + c
+    # m2 = 3(2g0 - 2) + c, for the factor table the raw cells use (times the
+    # divisor weight they evaluate at) and for the oracle's stepwise stripping
     for g0 in range(4):
         for n in range(4):
+            factors = wallcross._bracket_factors(g0, n, 6)
             for n_psi in range(4):
                 for n_div in range(3):
                     for c in (-2, 0, 1, 4):
                         m1 = -(2 * g0 - 2 + n)
                         m2 = 3 * (2 * g0 - 2) + c
                         want = _falling_factorial(m1 - n_div, n_psi) * m2**n_div
-                        assert reduce_bracket(g0, n, n_psi, n_div, c) == want
+                        assert factors[n_psi + n_div][n_psi] * m2**n_div == want
+                        assert stripped_bracket(g0, n, n_psi, n_div, c) == want
 
 
 def test_reduce_bracket_base_case():
-    assert reduce_bracket(0, 0, 0, 0, 5) == 1
-    assert reduce_bracket(3, 2, 0, 0, -1) == 1
+    # no psi insertion stripped leaves the base bracket, normalized to 1
+    assert wallcross._bracket_factors(0, 0, 0) == [[1]]
+    assert all(row[0] == 1 for row in wallcross._bracket_factors(3, 2, 5))
+    assert [len(row) for row in wallcross._bracket_factors(1, 1, 3)] == [1, 2, 3, 4]
+    assert stripped_bracket(0, 0, 0, 0, 5) == 1
+    assert stripped_bracket(3, 2, 0, 0, -1) == 1
 
 
 # ---------------------------------------------------------------- eq_sum
@@ -315,7 +336,7 @@ def brute_force_bracket(g0, n, c, g2, vertex):
         for gi, which in zip(g2, pick):
             coef *= vertex.mu0_psi[gi] if which == 0 else vertex.mu0_div[gi]
         n_psi = pick.count(0)
-        total += coef * reduce_bracket(g0, n, n_psi, len(g2) - n_psi, c)
+        total += coef * stripped_bracket(g0, n, n_psi, len(g2) - n_psi, c)
     return total
 
 
@@ -404,25 +425,27 @@ def numerator_series(nums, den):
 
 
 def test_grid_cells_match_standalone_raw_sum_on_random_vertex(monkeypatch):
-    # each cell the grid combines from its shared tables equals the
-    # standalone call and the full-listing oracle, and its verdict follows
+    # each cell the grid evaluates from its per-(g0, n) polynomial equals
+    # the standalone call and the full-listing oracle, and its verdict follows
     got = {}
-    combine = wallcross._raw_sum_from
+    combine = wallcross._raw_cells
 
-    def recording(tables, g0, n, c, order):
-        nums, den = out = combine(tables, g0, n, c, order)
-        got[(g0, n, c)] = numerator_series(nums, den)
-        return out
+    def recording(tables, marked, g0, n, cs, order):
+        cells = combine(tables, marked, g0, n, cs, order)
+        for c, nums in zip(cs, cells):
+            got[(g0, n, c)] = numerator_series(nums, tables[2])
+        return cells
 
-    monkeypatch.setattr(wallcross, "_raw_sum_from", recording)
+    monkeypatch.setattr(wallcross, "_raw_cells", recording)
     rng = random.Random(518)
     for _ in range(2):
         vertex = random_vertex(rng, 4)
         got.clear()
         rep = verify_raw_equals_closed(2, 3, (-1, 2, 5), 8, vertex=vertex)
-        assert [cell.key for cell in rep.cells] == list(got)
+        grid = dict(got)  # the standalone calls below record too
+        assert [cell.key for cell in rep.cells] == list(grid)
         for cell in rep.cells:
-            series = got[cell.key]
+            series = grid[cell.key]
             assert series == correction_raw_sum(*cell.key, 9, vertex)
             assert series == raw_sum_oracle(*cell.key, 9, vertex)
             assert cell.passed == (series == sine_factor(cell.key[0], cell.key[2], 9))
@@ -450,10 +473,12 @@ def test_raw_route_uses_no_closed_form_kernel(monkeypatch):
     for name in ("pow_int", "exp", "log", "sinc_half", "sine_factor"):
         monkeypatch.setattr(wallcross, name, _raise_if_called(name))
     tables = wallcross._raw_tables(vertex, 13)
-    for key, series in want.items():
-        assert correction_raw_sum(*key, 13) == series
-        assert correction_raw_sum(*key, 13, vertex) == series
-        assert numerator_series(*wallcross._raw_sum_from(tables, *key, 13)) == series
+    for (g0, n, c), series in want.items():
+        assert correction_raw_sum(g0, n, c, 13) == series
+        assert correction_raw_sum(g0, n, c, 13, vertex) == series
+        marked = wallcross._marked_sums(tables, n)
+        (nums,) = wallcross._raw_cells(tables, marked, g0, n, (c,), 13)
+        assert numerator_series(nums, tables[2]) == series
 
 
 def test_vertex_perturbation_is_local():
