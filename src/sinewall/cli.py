@@ -20,12 +20,13 @@ A repeated key in any json object is refused rather than letting the last
 one win.  `verify-identities --order`, `expand-sine --order` and
 `mu --g-max` are bounded by MAX_VERIFY_ORDER, MAX_SINE_ORDER and
 MAX_MU_G_MAX, and `expand-sine --g/--c` and a table's c1_dot_beta by
-MAX_ABS_G_C in absolute value; a larger value is refused before any
-computation.  The numerator and the denominator of a table value, a
-genus key and a json integer are bounded by MAX_VALUE_DIGITS digits,
-checked on the string before any integer conversion.  Once the arguments
-are parsed, `main` lifts CPython's cap on int <-> str conversion and
-restores it on return, so the output of every accepted input prints.
+MAX_ABS_G_C in absolute value, and a table's g_max by MAX_TABLE_G_MAX; a
+larger value is refused before any computation.  The numerator and the
+denominator of a table value, a genus key and a json integer are bounded
+by MAX_VALUE_DIGITS digits, checked on the string before any integer
+conversion.  Once the arguments are parsed, `main` lifts CPython's cap on
+int <-> str conversion and restores it on return, so the output of every
+accepted input prints.
 
 Each call is usually a fresh process, so import time is paid per call:
 the package imports all its modules eagerly (bench/tracer.py wraps only
@@ -74,6 +75,10 @@ MAX_ABS_G_C = 10**6
 # 4300-digit conversion cap, and int() of n digits takes time quadratic in n
 # (8 s at 10**6 digits).
 MAX_VALUE_DIGITS = 1000
+# g_max of a table: the largest that `bench/run.py --baseline` sends.  With
+# 13-digit values at c = 3 a transform took 0.45-0.56 s at g_max 40, 1.7-1.9 s
+# at 60, 3.0 s at 70 and 5.0 s at 80; longer values cost more.
+MAX_TABLE_G_MAX = 80
 _LIMITS = {
     ("verify-identities", "order"): MAX_VERIFY_ORDER,
     ("expand-sine", "order"): MAX_SINE_ORDER,
@@ -120,6 +125,8 @@ def parse_table_doc(doc) -> GenusTable:
     g_max = doc["g_max"]
     if isinstance(g_max, bool) or not isinstance(g_max, int) or g_max < 0:
         raise ParseError("g_max must be a nonnegative integer")
+    if g_max > MAX_TABLE_G_MAX:
+        raise ParseError(f"g_max must be at most {MAX_TABLE_G_MAX}, got {g_max}")
     raw_values = doc["values"]
     if not isinstance(raw_values, dict):
         raise ParseError('"values" must be an object mapping genus to rational strings')

@@ -12,17 +12,17 @@ coefficient yields the vertex value
     mu_{g,0}(z) = a_g * (z - H) + b_g * (3H + c1),
     a_g = [u^{2g}] S^2,   b_g = [u^{2g}] (S^2 * log S),
 
-and the companion constant mu_{g,1} = [u^{2g}] (S^2 - 1) = a_g.  The
-closed forms are authoritative; `i_function_expansion` re-derives them
-from the exponential identity so the two routes can be checked against
-each other, and `verify_i_ratio` checks that dividing the expansion by z
-reproduces the mu_{g,1} constants.  Both checks accept one shared expansion.
-The expansion substitutes z' = z - H once per z'-power: each layer's
-(z - H)^{1-j} times its class is expanded once, and every genus scales
-those pieces by its own u^{2g} coefficient.  Both closed forms are memoised
-per genus, so the raw grid's vertex table and the two checks share one
-computation of each constant.  `GradedPoly` coefficients are exact: `int`
-or `Fraction`, never a float.
+and the companion constant mu_{g,1} = [u^{2g}] (S^2 - 1) = a_g, read off
+`mu_g0`.  The closed forms are authoritative; `i_function_expansion`
+re-derives them from the exponential identity so the two routes can be
+checked against each other, and `verify_i_ratio` checks that dividing the
+expansion by z reproduces the mu_{g,1} constants.  Both checks accept one
+shared expansion.  The expansion substitutes z' = z - H once per
+z'-power: each layer's (z - H)^{1-j} times its class is expanded once, and
+every genus scales those pieces by its own u^{2g} coefficient.  `mu_g0` is
+memoised per genus and `mu_g1` reads it, so the raw grid's vertex table and
+the two checks share one computation of each constant.  `GradedPoly`
+coefficients are exact: `int` or `Fraction`, never a float.
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from math import factorial
 from typing import Any, Mapping
 
-from .series import log, pow_int, sinc_half
+from .series import log, sinc_half
 
 
 class GradedPoly:
@@ -244,13 +243,11 @@ def mu_g0(g: int) -> MuValue:
     return MuValue(a1=a, a_H=-a + 3 * b, a_c1=b)
 
 
-@cache
 def mu_g1(g: int) -> Fraction:
-    r"""The genus-g multiplier mu_{g,1} = [u^{2g}] (S^2 - 1); mu_{0,1} = 0 excluded."""
+    r"""mu_{g,1} = [u^{2g}] (S^2 - 1) = a_g, read off `mu_g0`; mu_{0,1} = 0 excluded."""
     if g < 1:
         raise ValueError("mu_g1 is defined for g >= 1 (the genus-0 value is 0)")
-    s = sinc_half(2 * g + 2)
-    return (s * s).coefficient(2 * g)
+    return mu_g0(g).a1
 
 
 def i_function_expansion(order_u: int, z_depth: int = 3, degree_cap: int = 3,
@@ -289,12 +286,13 @@ def i_function_expansion(order_u: int, z_depth: int = 3, degree_cap: int = 3,
     # expanded once per layer as (z-power, class) pairs
     layers = []
     a2_pow = GradedPoly.one(cap)
+    scalar_series = s2  # S^2 (log S)^j / j!, from the layer before: no power kernel
     for j in range(0, z_depth + 2):
         if j > 0:
             a2_pow = a2_pow * a2
             if not a2_pow:
                 break
-        scalar_series = s2 if j == 0 else s2 * pow_int(ls, j) * Fraction(1, factorial(j))
+            scalar_series = scalar_series * ls * Fraction(1, j)
         e, coef, term = 1 - j, 1, a2_pow
         pieces = []
         for i in range(cap + 1):

@@ -30,11 +30,12 @@ Horner, for a grid and for a single `correction_raw_sum` alike.
 each closed side S^k once per exponent k, and asserts exact
 coefficientwise agreement of the two routes, compared in integers: a
 cell's numerators against the closed side's, by cross-multiplication of
-the two denominators.  The inner coefficient identity it rests on is
-exposed separately as `eq_sum`, whose products t1^a1 t2^a2 are likewise
-cached per order as integer numerators; `verify_eq_sum` compares it the
-same way with closed cells formed by `convolve`.  Only a failing cell is turned back into series, to name its
-first mismatch.
+the two denominators.  The inner coefficient identity it rests on,
+`eq_sum`, has the same design: its basis t1^a1 t2^a2 is built once per
+call in integers, and for fixed m1 each coefficient is a polynomial in m2,
+evaluated at every m2 by Horner (`_eq_cells`).  `verify_eq_sum` compares
+it with closed cells formed by `convolve`.  A failing cell names its first
+mismatch from the integers it compared.
 """
 
 from __future__ import annotations
@@ -102,43 +103,34 @@ def sine_factor(g: int, c: int, order: int) -> USeries:
     return pow_int(sinc_half(order), 2 * g - 2 + c)
 
 
-# order -> (rows, den): the products t1^a1 t2^a2 that eq_sum combines, row
-# a2, entry a1, each a tuple of (exponent, numerator over den) pairs with the
-# zeros left out
-_EQ_BASIS: dict[int, tuple] = {}
-
-
 def _eq_basis(order: int):
-    """The products t1^a1 t2^a2 below ``order``, built once per order.
+    """The products t1^a1 t2^a2 below ``order`` that `eq_sum` combines.
 
-    Every factor has valuation >= 0, so the coefficients of a product
-    below ``order`` depend only on those of its factors below ``order``;
-    each power is truncated there rather than carrying the extra relative
-    precision a product of valuation-2 series would otherwise keep.  The
-    coefficients are stored as integer numerators over one common
-    denominator.
+    Returns (rows, den): row a2, entry a1 is a tuple of (exponent,
+    numerator over den) pairs with the zeros left out.  Every factor has
+    valuation >= 0, so the coefficients of a product below ``order``
+    depend only on those of its factors below ``order``; each power is
+    truncated there rather than carrying the extra relative precision a
+    product of valuation-2 series would otherwise keep.
     """
-    basis = _EQ_BASIS.get(order)
-    if basis is None:
-        s = sinc_half(order)
-        s2 = s * s
-        t1 = s2 - USeries.one(order)
-        t2 = s2 * log(s)
-        amax = (order - 1) // 2  # t1, t2 have valuation 2
-        t1_pows = [USeries.one(order)]
-        t2_pows = [USeries.one(order)]
-        for _ in range(amax):
-            t1_pows.append((t1_pows[-1] * t1).truncate(order))
-            t2_pows.append((t2_pows[-1] * t2).truncate(order))
-        terms = [[(t1_pows[a1] * t2_pows[a2]).truncate(order) for a1 in range(amax + 1 - a2)]
-                 for a2 in range(amax + 1)]
-        den = lcm(*(b.denominator for row in terms for term in row for b in term.coeffs))
-        rows = tuple(tuple(tuple((k, b.numerator * (den // b.denominator))
-                                 for k, b in enumerate(term.coeffs, term.valuation) if b)
-                           for term in row)
-                     for row in terms)
-        basis = _EQ_BASIS[order] = (rows, den)
-    return basis
+    s = sinc_half(order)
+    s2 = s * s
+    t1 = s2 - USeries.one(order)
+    t2 = s2 * log(s)
+    amax = (order - 1) // 2  # t1, t2 have valuation 2
+    t1_pows = [USeries.one(order)]
+    t2_pows = [USeries.one(order)]
+    for _ in range(amax):
+        t1_pows.append((t1_pows[-1] * t1).truncate(order))
+        t2_pows.append((t2_pows[-1] * t2).truncate(order))
+    terms = [[(t1_pows[a1] * t2_pows[a2]).truncate(order) for a1 in range(amax + 1 - a2)]
+             for a2 in range(amax + 1)]
+    den = lcm(*(b.denominator for row in terms for term in row for b in term.coeffs))
+    rows = tuple(tuple(tuple((k, b.numerator * (den // b.denominator))
+                             for k, b in enumerate(term.coeffs, term.valuation) if b)
+                       for term in row)
+                 for row in terms)
+    return rows, den
 
 
 def eq_sum(m1, m2, order: int) -> USeries:
@@ -148,43 +140,52 @@ def eq_sum(m1, m2, order: int) -> USeries:
 
     with t1 = S^2 - 1 and t2 = S^2 log S, truncated at ``order``.  It
     collapses to (1 + t1)^{m1} exp(m2 log S) = S^{2 m1 + m2}; the closed
-    form is what `verify_eq_sum` tests against.  The products
-    t1^{a1} t2^{a2} do not depend on (m1, m2): they are built once per
-    order and kept in a module cache as integer numerators, so a call only
-    forms the scalar coefficients, brings them to one denominator and sums
-    integers.
+    form is what `verify_eq_sum` tests against.  This call builds the
+    basis t1^{a1} t2^{a2} for itself and forms its one cell with `_eq_cells`,
+    as the grid does for all of its cells.  m1 and m2 may be rational.
     """
     if order <= 0:
         return USeries.zero(order)
-    return _from_numerators(*_eq_numerators(m1, m2, order))
+    ((nums, den),) = _eq_cells(_eq_basis(order), m1, (m2,), order)
+    return _from_numerators(nums, den)
 
 
-def _eq_numerators(m1, m2, order: int) -> tuple[list[int], int]:
-    """`eq_sum` for order >= 1 as integer numerators u^0..u^(order-1) over one denominator."""
-    m1 = Fraction(m1)
-    m2 = Fraction(m2)
-    p1, q1 = m1.numerator, m1.denominator
-    p2, q2 = m2.numerator, m2.denominator
-    rows, den = _eq_basis(order)
+def _eq_cells(basis, m1, m2s: Iterable, order: int) -> list[tuple[list[int], int]]:
+    """Per m2 in m2s, `eq_sum(m1, m2, order)` from `_eq_basis(order)` as (numerators, den).
+
+    With m1 = p1/q1, m2 = p2/q2 and amax = (order - 1) // 2, the term a1, a2
+    times (amax! q1^amax)(amax! q2^amax) has the integer coefficient
+    p2^a2 q2^(amax - a2) (amax! / a2!) q1^(amax - a1) (amax! / a1!)
+    prod_{i < a1} (p1 - (a2 + i) q1).  So for fixed m1 each u-coefficient is
+    a homogeneous polynomial in (p2, q2), summed over the basis once and
+    evaluated at each m2 by Horner.
+    """
+    rows, den = basis
     amax = len(rows) - 1
-    # with m1 = p1/q1, m2 = p2/q2, the coefficient (m2^a2 / a2!) (ff(m1 - a2, a1) / a1!)
-    # times w2[0] w1[0] = (amax! q2^amax)(amax! q1^amax) is the integer
-    # p2^a2 w2[a2] * prod_{i < a1} (p1 - (a2 + i) q1) * w1[a1]
+    p1, q1 = Fraction(m1).as_integer_ratio()
     top = factorial(amax)
     w1 = [q1 ** (amax - a) * (top // factorial(a)) for a in range(amax + 1)]
-    w2 = [q2 ** (amax - a) * (top // factorial(a)) for a in range(amax + 1)]
-    out = [0] * order
-    lead = 1  # p2^a2
+    polys = []  # polys[a2][k]: the coefficient of p2^a2 q2^(amax - a2) in u^k
     for a2, row in enumerate(rows):
-        ff = lead * w2[a2]
+        poly = [0] * order
+        ff = top // factorial(a2)
         for a1, term in enumerate(row):
-            if ff:
-                coef = ff * w1[a1]
-                for k, b in term:
-                    out[k] += coef * b
+            if not ff:
+                break  # ff(m1 - a2, a1) has reached 0 and stays there
+            coef = ff * w1[a1]
+            for k, b in term:
+                poly[k] += coef * b
             ff *= p1 - (a2 + a1) * q1
-        lead *= p2
-    return out, den * w1[0] * w2[0]
+        polys.append(poly)
+    cells = []
+    for m2 in m2s:
+        p2, q2 = Fraction(m2).as_integer_ratio()
+        acc, q_pow = polys[amax], 1
+        for poly in reversed(polys[:amax]):
+            q_pow *= q2
+            acc = [x * p2 + y * q_pow for x, y in zip(acc, poly)]
+        cells.append((acc, den * w1[0] * top * q_pow))
+    return cells
 
 
 def _from_numerators(nums: list[int], den: int) -> USeries:
@@ -404,23 +405,16 @@ class GridReport(namedtuple("GridReport", "name cells")):
         return line
 
 
-def _first_mismatch(got: USeries, want: USeries, order: int) -> str:
-    for k in range(order + 1):
-        a, b = got.coefficient(k), want.coefficient(k)
-        if a != b:
-            return f"u^{k}: got {a}, want {b}"
-    return "series metadata differ"
-
-
-def _cell(key, got: list[int], den: int, want: list[int], want_den: int, order: int) -> GridCell:
+def _cell(key, got: list[int], den: int, want: list[int], want_den: int) -> GridCell:
     """Compare got / den with want / want_den, both dense from u^0, by cross-multiplication.
 
-    Only a failing cell builds the two series, for its first mismatch.
+    A failing cell names its first mismatching exponent.
     """
-    if len(got) == len(want) and all(x * want_den == y * den for x, y in zip(got, want)):
-        return GridCell(key, True)
-    return GridCell(key, False, _first_mismatch(_from_numerators(got, den),
-                                                _from_numerators(want, want_den), order))
+    for k, (x, y) in enumerate(zip(got, want, strict=True)):
+        if x * want_den != y * den:
+            return GridCell(key, False,
+                            f"u^{k}: got {Fraction(x, den)}, want {Fraction(y, want_den)}")
+    return GridCell(key, True)
 
 
 def verify_raw_equals_closed(g0_max: int = 3, n_max: int = 4,
@@ -453,7 +447,7 @@ def verify_raw_equals_closed(g0_max: int = 3, n_max: int = 4,
     for g0 in range(g0_max + 1):
         for n in range(n_max + 1):
             for c, got in zip(cs, _raw_cells(tables, marked[n], g0, n, cs, internal)):
-                cells.append(_cell((g0, n, c), got, den, *closed[2 * g0 - 2 + c], order))
+                cells.append(_cell((g0, n, c), got, den, *closed[2 * g0 - 2 + c]))
     return GridReport("raw-sum vs closed-form multiplier", tuple(cells))
 
 
@@ -464,22 +458,22 @@ def verify_eq_sum(m1_range: Iterable[int] = range(-6, 1),
 
     Coefficients are compared through exponent ``order`` inclusive, in
     integers.  Each power (1 + t1)^{m1} = S^{2 m1} and each exp(m2 log S)
-    is built once, as numerators; a closed cell is their `convolve`.
+    is built once, as numerators; a closed cell is their `convolve`.  The
+    basis of `eq_sum` is built once for the grid, and `_eq_cells` forms
+    one row of m2 per m1.
     """
     internal = order + 1
     s = sinc_half(internal)
     ls = log(s)
     s2 = s * s
     m2s = sorted(set(int(m) for m in m2_range))
-    exp_by_m2 = {m2: numerators(exp(ls.scale(m2)).coeffs) for m2 in m2s}
+    exps = [numerators(exp(ls.scale(m2)).coeffs) for m2 in m2s]
+    basis = _eq_basis(internal)
     cells = []
     for m1 in sorted(set(int(m) for m in m1_range)):
         p, p_den = numerators(pow_int(s2, m1).coeffs)
-        for m2 in m2s:
-            e, e_den = exp_by_m2[m2]
-            got, den = _eq_numerators(m1, m2, internal)
-            cells.append(_cell((m1, m2), got, den, convolve(p, e, internal), p_den * e_den,
-                               order))
+        for m2, (e, e_den), (got, den) in zip(m2s, exps, _eq_cells(basis, m1, m2s, internal)):
+            cells.append(_cell((m1, m2), got, den, convolve(p, e, internal), p_den * e_den))
     return GridReport("bracket-reduction sum vs closed form", tuple(cells))
 
 

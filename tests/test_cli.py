@@ -1,9 +1,11 @@
 """Command-line surface: schema validation, directions, exit codes, formats."""
 
+import ast
 import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -194,6 +196,26 @@ def test_cli_limits_cover_documented_workloads():
     assert cli.MAX_MU_G_MAX >= 8
     # expand-sine jobs use g 0..8 and c -2..8, tables c -3..8
     assert cli.MAX_ABS_G_C >= 8
+    # every table g_max the benchmark and its baseline send is accepted
+    assert cli.MAX_TABLE_G_MAX >= max(_bench_table_g_maxes())
+
+
+def _bench_table_g_maxes() -> set[int]:
+    """The transform-deep rungs of bench/jobs.py and the g_max loop of `bench/run.py --baseline`."""
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    found = set()
+    for node in ast.parse((bench / "jobs.py").read_text()).body:
+        name = isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None)
+        if name in ("DEEP_BELOW", "DEEP_ABOVE"):
+            found.update(g_max for g_max, _ in ast.literal_eval(node.value))
+        elif name == "DEEP_MIDDLE":
+            found.add(ast.literal_eval(node.value))
+    baseline = [node for node in ast.walk(ast.parse((bench / "run.py").read_text()))
+                if isinstance(node, ast.For) and getattr(node.target, "id", None) == "g_max"]
+    assert len(baseline) == 1
+    found.update(ast.literal_eval(baseline[0].iter))
+    assert 40 in found and 80 in found
+    return found
 
 
 @pytest.mark.parametrize("name, sign", [("g", 1), ("g", -1), ("c", 1), ("c", -1)])
@@ -237,6 +259,42 @@ def test_c1_dot_beta_limit(tmp_path, capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: |c1_dot_beta| must be at most {limit}, got {c}\n"
+
+
+@pytest.mark.parametrize("argv, kind, patched", [
+    (["transform", "--direction", "ugw-to-gw"], "ugw", "gw_from_ugw"),
+    (["transform", "--direction", "gw-to-ugw"], "gw", "ugw_from_gw"),
+    (["check-integrality"], "gw", "gv_from_gw"),
+])
+def test_table_g_max_limit(tmp_path, capsys, monkeypatch, argv, kind, patched):
+    # a table's g_max was the last unbounded input: one of 10**6 with no
+    # values ran the forward transform without bound
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    def boom(*args, **kwargs):
+        raise AssertionError("computation started before the g_max check")
+
+    limit = cli.MAX_TABLE_G_MAX
+
+    def path(g_max):
+        values = {str(g): "1" for g in range(g_max + 1)}
+        return write_doc(tmp_path, "t.json", make_doc(kind=kind, c=3, g_max=g_max, values=values))
+
+    monkeypatch.setattr(cli, patched, reached)
+    for g_max in (limit - 1, limit):
+        with pytest.raises(_Reached):
+            main(argv + ["--input", path(g_max)])
+    for name in ("gw_from_ugw", "ugw_from_gw", "gv_from_gw", "gw_from_gv", "report_on_gv"):
+        monkeypatch.setattr(cli, name, boom)
+    assert main(argv + ["--input", path(limit + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: g_max must be at most {limit}, got {limit + 1}\n"
+    if kind == "ugw":
+        empty = write_doc(tmp_path, "e.json", make_doc(kind="ugw", g_max=10**6))
+        assert main(argv + ["--input", empty]) == 2
+        assert capsys.readouterr().err == f"error: g_max must be at most {limit}, got {10**6}\n"
 
 
 def test_expand_sine_at_the_g_c_corner_prints(capsys):
@@ -569,9 +627,8 @@ def test_verify_identities_builds_one_expansion(capsys, monkeypatch):
 
 def test_verify_identities_computes_each_vertex_constant_once(capsys, monkeypatch):
     # the raw grid's vertex table and the two expansion checks share one
-    # computation of mu_{g,0} and of mu_{g,1} per genus; each builds S once
+    # computation of mu_{g,0} per genus, which builds S once; mu_{g,1} reads it
     hodge.mu_g0.cache_clear()
-    hodge.mu_g1.cache_clear()
     orders = []
     build = hodge.sinc_half
 
@@ -582,8 +639,8 @@ def test_verify_identities_computes_each_vertex_constant_once(capsys, monkeypatc
     monkeypatch.setattr(hodge, "sinc_half", counting)
     assert main(["verify-identities", "--order", "10"]) == 0
     assert "overall: pass" in capsys.readouterr().out
-    # genera 1..5: mu_g0(g) and mu_g1(g) at order 2g + 2, the expansion at 12
-    assert sorted(orders) == sorted([2 * g + 2 for g in range(1, 6)] * 2 + [12])
+    # genera 1..5: mu_g0(g) at order 2g + 2, the expansion at 12
+    assert sorted(orders) == [2 * g + 2 for g in range(1, 6)] + [12]
 
 
 # ---------------------------------------------------------------- mu / expand

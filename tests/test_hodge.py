@@ -286,6 +286,8 @@ def test_expansion_runs_without_closed_form_vertex(monkeypatch):
     monkeypatch.setattr(hodge, "mu_g0", refuse)
     monkeypatch.setattr(hodge, "mu_g1", refuse)
     assert i_function_expansion(12) == want
+    # nor a power kernel: layer j is layer j-1 times log S / j
+    assert not hasattr(hodge, "pow_int") and not hasattr(hodge, "exp")
 
 
 # ---------------------------------------------------------------- verification

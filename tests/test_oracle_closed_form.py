@@ -14,8 +14,16 @@ constants follow: a_g = [u^{2g}] S^2 = 2 (-1)^g / (2g + 2)! and
 b_g = [u^{2g}] (S^2 log S), the convolution of the a_j with the log S
 coefficients.  The Bernoulli numbers come from the Akiyama-Tanigawa
 algorithm on Fractions.
+
+Two uses reach the transform itself.  Column g of its matrix is
+[u^{2(h-g)}] S^{2g-2+c}, the binomial sum wherever 2g - 2 + c >= 0.  And a
+rigid (-1,-1) curve in degree 1 (c = 0, primitive) has
+sum_g GW_g u^{2g-2} = (2 sin(u/2))^{-2}, so GW_g = [u^{2g}] S^{-2} (Faber and
+Pandharipande, "Hodge integrals and Gromov-Witten theory", Invent. Math.
+139, 2000): its GV table is n_0 = 1 and n_g = 0 for g >= 1.
 """
 
+import json
 from fractions import Fraction as F
 from math import comb, factorial
 
@@ -23,10 +31,15 @@ import pytest
 
 import sinewall
 from sinewall import exp, log, mu_g0, mu_g1, pow_int, sinc_half, sine_factor
+from sinewall.cli import main
+from sinewall.wallcross import _transform_matrix
 
 LOG_N = 29  # log S through u^58
 POWER_J = 19  # S^m and S^{-2} through u^38
 MU_G = 20
+MATRIX_G_MAX = 40  # the largest g_max the benchmark transforms
+MATRIX_CS = (0, 2, 3, 5)
+FP_G = 20
 
 
 def bernoulli(n_max):
@@ -56,10 +69,23 @@ def inverse_square_oracle(n_max):
 
 
 def sine_power_oracle(m, j_max):
-    """[u^{2j}] S^m for m >= 0 and j = 0..j_max, by the binomial sum."""
-    return [F((-1) ** j, factorial(2 * j + m))
-            * sum((-1) ** i * comb(m, i) * F(m - 2 * i, 2) ** (2 * j + m) for i in range(m + 1))
+    """[u^{2j}] S^m for m >= 0 and j = 0..j_max, by the binomial sum over 2^(2j+m)."""
+    return [F((-1) ** j * sum((-1) ** i * comb(m, i) * (m - 2 * i) ** (2 * j + m)
+                              for i in range(m + 1)),
+              2 ** (2 * j + m) * factorial(2 * j + m))
             for j in range(j_max + 1)]
+
+
+def matrix_oracle(c, g_max):
+    """{g: [M[h][g] for h = g..g_max]} for every column g with k = 2g - 2 + c >= 0."""
+    return {g: sine_power_oracle(2 * g - 2 + c, g_max - g)
+            for g in range(g_max + 1) if 2 * g - 2 + c >= 0}
+
+
+def faber_pandharipande_doc(g_max):
+    """The GW table of a rigid (-1,-1) curve in degree 1: GW_g = [u^{2g}] S^{-2}."""
+    return {"class": {"c1_dot_beta": 0, "primitive": True}, "kind": "gw", "g_max": g_max,
+            "values": {str(g): str(v) for g, v in enumerate(inverse_square_oracle(g_max))}}
 
 
 def vertex_oracle(g_max):
@@ -72,7 +98,8 @@ def vertex_oracle(g_max):
 
 def all_oracles():
     return (log_s_oracle(LOG_N), inverse_square_oracle(POWER_J),
-            [sine_power_oracle(m, POWER_J) for m in range(13)], vertex_oracle(MU_G))
+            [sine_power_oracle(m, POWER_J) for m in range(13)], vertex_oracle(MU_G),
+            [matrix_oracle(c, MATRIX_G_MAX) for c in MATRIX_CS], faber_pandharipande_doc(FP_G))
 
 
 def even_coefficients(series, n_max):
@@ -113,6 +140,37 @@ def test_vertex_constants_against_closed_forms():
         assert (mv.a1, mv.a_H, mv.a_c1) == (a[g], -a[g] + 3 * b[g], b[g])
 
 
+@pytest.mark.parametrize("c", MATRIX_CS)
+def test_transform_matrix_columns_against_binomial_sum(c):
+    matrix = _transform_matrix(c, MATRIX_G_MAX)
+    columns = matrix_oracle(c, MATRIX_G_MAX)
+    assert len(columns) == MATRIX_G_MAX + (0 if c == 0 else 1)  # only c = 0 skips g = 0
+    for g, column in columns.items():
+        assert [matrix[h][g] for h in range(g, MATRIX_G_MAX + 1)] == column, g
+
+
+def test_faber_pandharipande_rigid_curve(tmp_path, capsys):
+    doc = faber_pandharipande_doc(FP_G)
+    assert [doc["values"][str(g)] for g in range(3)] == ["1", "1/12", "1/240"]
+    path = tmp_path / "fp.json"
+    path.write_text(json.dumps(doc))
+    assert main(["transform", "--direction", "gw-to-gv", "--input", str(path),
+                 "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["kind"], out["g_max"]) == ("gv", FP_G)
+    assert out["values"] == {str(g): "1" if g == 0 else "0" for g in range(FP_G + 1)}
+    assert main(["check-integrality", "--input", str(path)]) == 0
+    assert "integral: yes" in capsys.readouterr().out
+    # the same numbers on a class the coverage gate does not admit
+    doc["class"]["primitive"] = False
+    path.write_text(json.dumps(doc))
+    for argv in (["transform", "--direction", "gw-to-gv"], ["check-integrality"]):
+        assert main(argv + ["--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "primitive=False" in captured.err
+
+
 def _refuse(name):
     def refuse(*args, **kwargs):
         raise AssertionError(f"{name} called by a closed-form oracle")
@@ -122,7 +180,7 @@ def _refuse(name):
 def test_oracles_use_no_series_kernel(monkeypatch):
     want = all_oracles()
     for module in (sinewall, sinewall.series, sinewall.wallcross, sinewall.hodge):
-        for name in ("pow_int", "exp", "log", "sinc_half"):
+        for name in ("pow_int", "exp", "log", "sinc_half", "sine_factor"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, _refuse(name))
     with pytest.raises(AssertionError):

@@ -144,16 +144,29 @@ def test_eq_sum_recovers_sine_power():
     assert eq_sum(-1, 6, 12) == pow_int(sinc_half(12), 4)
 
 
-def test_eq_sum_basis_cache_across_orders(monkeypatch):
-    # an order seen before reuses its basis; a new order builds its own
-    monkeypatch.setattr(wallcross, "_EQ_BASIS", {})
+def test_eq_basis_across_orders_built_once_per_call(monkeypatch):
+    # each call builds the basis of its own order and keeps nothing; a grid
+    # builds it once, at its internal order
     for order in (9, 13, 9):
         s = sinc_half(order)
         for m1, m2 in ((-2, 3), (0, -4), (1, 5), (-3, 0)):
             got = eq_sum(m1, m2, order)
             assert got == pow_int(s, 2 * m1 + m2)
             assert eq_sum(m1, m2, order) == got
-    assert sorted(wallcross._EQ_BASIS) == [9, 13]
+    assert not [name for name, value in vars(wallcross).items()
+                if isinstance(value, dict) and not name.startswith("__")]
+    calls = []
+    build = wallcross._eq_basis
+
+    def counting(order):
+        calls.append(order)
+        return build(order)
+
+    monkeypatch.setattr(wallcross, "_eq_basis", counting)
+    assert verify_eq_sum(range(-3, 1), range(-2, 5), 8).passed
+    assert calls == [9]
+    assert eq_sum(-2, 3, 9) == pow_int(sinc_half(9), -1)
+    assert calls == [9, 9]
 
 
 def test_eq_sum_rational_arguments():
@@ -174,15 +187,17 @@ def _raise_if_called(name):
 
 
 def test_eq_sum_uses_no_closed_form_kernel(monkeypatch):
-    monkeypatch.setattr(wallcross, "_EQ_BASIS", {})
     want = {m: pow_int(sinc_half(13), int(2 * m[0] + m[1])) for m in ((-2, 3), (F(1, 2), 1))}
+    basis = wallcross._eq_basis(13)
     for name in ("pow_int", "exp"):
         monkeypatch.setattr(wallcross, name, _raise_if_called(name))
-    assert eq_sum(-2, 3, 13) == want[(-2, 3)]  # cold: builds the basis
+    for m, series in want.items():  # each call builds its basis from S and log S
+        assert eq_sum(*m, 13) == series
     for name in ("sinc_half", "log"):
         monkeypatch.setattr(wallcross, name, _raise_if_called(name))
-    for m, series in want.items():  # warm: touches no series kernel at all
-        assert eq_sum(*m, 13) == series
+    for (m1, m2), series in want.items():  # on a prebuilt basis: no series kernel at all
+        ((nums, den),) = wallcross._eq_cells(basis, m1, (m2,), 13)
+        assert wallcross._from_numerators(nums, den) == series
 
 
 def test_verify_eq_sum_grid():
@@ -195,14 +210,18 @@ def test_verify_eq_sum_grid():
 
 def test_eq_grid_failure_report_matches_series_comparison(monkeypatch):
     # a negative control for the integer comparison: one numerator of the
-    # cached t2^1 shifted; the grid's failing cells, their order and their
+    # basis's t2^1 shifted; the grid's failing cells, their order and their
     # details equal those of comparing eq_sum with the closed series
     order, internal = 8, 9
-    monkeypatch.setattr(wallcross, "_EQ_BASIS", {})
     rows, den = wallcross._eq_basis(internal)
     (k, b), *rest = rows[1][0]  # a2 = 1, a1 = 0
     bumped = rows[:1] + ((((k, b + 1), *rest),) + rows[1][1:],) + rows[2:]
-    wallcross._EQ_BASIS[internal] = (bumped, den)
+
+    def bumped_basis(n):
+        assert n == internal
+        return bumped, den
+
+    monkeypatch.setattr(wallcross, "_eq_basis", bumped_basis)
     m1s, m2s = range(-3, 1), range(-2, 4)
     rep = verify_eq_sum(m1s, m2s, order)
     s = sinc_half(internal)
@@ -222,23 +241,25 @@ def test_eq_grid_failure_report_matches_series_comparison(monkeypatch):
 
 def test_cell_compares_every_coefficient_by_cross_multiplication():
     # equal fractions over different denominators pass; a change at any one
-    # exponent, to zero or away from it, fails with the series' first mismatch
+    # exponent, to zero or away from it, fails naming that exponent
     want = [6, 0, -3, 0, 5, 2, 0]
-    assert wallcross._cell("k", [x * 7 for x in want], 84, want, 12, 6).passed
+    assert wallcross._cell("k", [x * 7 for x in want], 84, want, 12).passed
+    with pytest.raises(ValueError):  # a short side is an error, not a truncated comparison
+        wallcross._cell("k", want[:-1], 12, want, 12)
     for e in range(len(want)):
         for value in (0, want[e] + 1):
             if value == want[e]:
                 continue
             got = want[:e] + [value] + want[e + 1:]
-            cell = wallcross._cell("k", got, 12, want, 12, 6)
+            cell = wallcross._cell("k", got, 12, want, 12)
             assert not cell.passed
             assert cell.detail == f"u^{e}: got {F(value, 12)}, want {F(want[e], 12)}"
 
 
 def test_default_grids_build_each_closed_side_once(monkeypatch):
     # the raw grid builds S^k once per exponent k = 2 g0 - 2 + c, -4..10; the
-    # eq grid one power per m1 and one exponential per m2; passing cells are
-    # compared in integers, so neither eq_sum nor _first_mismatch runs
+    # eq grid one power per m1 and one exponential per m2; cells are compared
+    # in integers, so neither eq_sum nor any series round trip runs
     exponents, powers, exps = [], [], []
     sine, power, expo = wallcross.sine_factor, wallcross.pow_int, wallcross.exp
 
@@ -255,7 +276,7 @@ def test_default_grids_build_each_closed_side_once(monkeypatch):
         return expo(f)
 
     monkeypatch.setattr(wallcross, "sine_factor", counting_sine)
-    for name in ("eq_sum", "_first_mismatch"):
+    for name in ("eq_sum", "_from_numerators"):
         monkeypatch.setattr(wallcross, name, _raise_if_called(name))
     assert verify_raw_equals_closed().passed
     assert sorted(exponents) == list(range(-4, 11))
