@@ -28,9 +28,9 @@ coefficients are exact: `int` or `Fraction`, never a float.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
-from typing import Any, Mapping
 
 from .series import log, sinc_half
 
@@ -46,7 +46,7 @@ class GradedPoly:
 
     __slots__ = ("terms", "degree_cap")
 
-    def __init__(self, terms: Mapping[tuple[int, int], Any], degree_cap: int):
+    def __init__(self, terms: Mapping[tuple[int, int], int | Fraction], degree_cap: int):
         if degree_cap < 0:
             raise ValueError("degree_cap must be nonnegative")
         clean = {}
@@ -60,7 +60,7 @@ class GradedPoly:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "degree_cap", degree_cap)
 
-    def __setattr__(self, name: str, value: Any) -> None:
+    def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("GradedPoly is immutable")
 
     @classmethod
@@ -114,7 +114,7 @@ class GradedPoly:
     def __neg__(self) -> GradedPoly:
         return GradedPoly({k: -q for k, q in self.terms.items()}, self.degree_cap)
 
-    def __mul__(self, other: Any) -> GradedPoly:
+    def __mul__(self, other: object) -> GradedPoly:
         if isinstance(other, GradedPoly):
             self._check_cap(other)
             out: dict[tuple[int, int], Fraction] = {}
@@ -129,7 +129,7 @@ class GradedPoly:
             return GradedPoly({k: q * other for k, q in self.terms.items()}, self.degree_cap)
         return NotImplemented
 
-    def __rmul__(self, other: Any) -> GradedPoly:
+    def __rmul__(self, other: object) -> GradedPoly:
         return self.__mul__(other)
 
     def __repr__(self) -> str:
@@ -167,7 +167,7 @@ class ZLaurent:
             )
         object.__setattr__(self, "cap", cap)
 
-    def __setattr__(self, name: str, value: Any) -> None:
+    def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ZLaurent is immutable")
 
     @property

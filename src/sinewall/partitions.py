@@ -16,8 +16,8 @@ duplicate-free and set equality is decidable.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from collections.abc import Iterator
 from math import factorial
-from typing import Iterator
 
 
 class PartsMismatch(ValueError):

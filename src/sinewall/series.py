@@ -38,9 +38,9 @@ accepts `int` and `Fraction` and refuses everything else, floats included.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from typing import Any, Iterable, Sequence
 
 
 class ZeroSeries(ValueError):
@@ -55,7 +55,7 @@ class ConstantTermNotOne(ValueError):
     """Raised by log() unless the input has constant term exactly one."""
 
 
-def _rational(value: Any) -> Fraction:
+def _rational(value: object) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -87,7 +87,7 @@ class USeries:
 
     __slots__ = ("valuation", "coeffs", "order")
 
-    def __init__(self, valuation: int, coeffs: Iterable[Any]):
+    def __init__(self, valuation: int, coeffs: Iterable[int | Fraction]):
         cs = [_rational(c) for c in coeffs]
         # canonical form: leading coefficient nonzero; the zero series is
         # empty with valuation == order, which lead == len(cs) gives
@@ -96,7 +96,7 @@ class USeries:
         object.__setattr__(self, "coeffs", tuple(cs[lead:]))
         object.__setattr__(self, "order", valuation + len(cs))
 
-    def __setattr__(self, name: str, value: Any) -> None:
+    def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("USeries is immutable")
 
     @classmethod
@@ -113,7 +113,7 @@ class USeries:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, exponent: int) -> Any:
+    def coefficient(self, exponent: int) -> Fraction:
         """Coefficient of ``u**exponent``; exponents >= order are unknown."""
         if exponent >= self.order:
             raise ValueError(
@@ -133,7 +133,7 @@ class USeries:
             return USeries.zero(order)
         return USeries(self.valuation, self.coeffs[: order - self.valuation])
 
-    def scale(self, value: Any) -> USeries:
+    def scale(self, value: int | Fraction) -> USeries:
         c = _rational(value)
         return USeries(self.valuation, [c * a for a in self.coeffs])
 
@@ -170,7 +170,7 @@ class USeries:
     def __sub__(self, other: USeries) -> USeries:
         return self + (-other)
 
-    def __mul__(self, other: Any) -> USeries:
+    def __mul__(self, other: object) -> USeries:
         if isinstance(other, USeries):
             order = min(self.order + other.valuation, other.order + self.valuation)
             val = self.valuation + other.valuation
@@ -185,7 +185,7 @@ class USeries:
             return self.scale(other)
         return NotImplemented
 
-    def __rmul__(self, other: Any) -> USeries:
+    def __rmul__(self, other: object) -> USeries:
         return self.__mul__(other)
 
     def __repr__(self) -> str:

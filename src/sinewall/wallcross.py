@@ -41,10 +41,10 @@ mismatch from the integers it compared.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from enum import Enum
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
-from typing import Iterable, Mapping
 
 from . import hodge
 from .partitions import descending_partitions, multinomial, multiplicities

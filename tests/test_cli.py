@@ -2,17 +2,22 @@
 
 import ast
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sinewall import cli, hodge
 from sinewall.cli import (
+    COMMANDS,
     CheckFailed,
     ParseError,
+    build_parser,
     dumps_canonical,
     load_table,
     main,
@@ -36,6 +41,9 @@ def write_doc(tmp_path, name, doc):
     p.write_text(json.dumps(doc))
     return str(p)
 
+
+# a child interpreter imports sinewall from this checkout, as pytest does
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
 
 LINE_GV = {"kind": "gv", "c": 4, "g_max": 3, "values": {"0": "1"}}
 
@@ -699,7 +707,141 @@ def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "sinewall.cli", "expand-sine", "--g", "0",
          "--c", "4", "--order", "6"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout == "u^0: 1\nu^2: -1/12\nu^4: 1/360\n"
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    # the `sinewall` console script calls main() with no argument; the
+    # "=" form takes the argparse path, the other the table reader's
+    for argv in (["expand-sine", "--g", "0", "--c", "4", "--order", "6"],
+                 ["expand-sine", "--g=0", "--c", "4", "--order", "6"]):
+        monkeypatch.setattr(sys, "argv", ["sinewall", *argv])
+        assert main() == 0
+        assert capsys.readouterr().out == "u^0: 1\nu^2: -1/12\nu^4: 1/360\n"
+
+
+def test_module_help_exits_0(monkeypatch):
+    # argparse wraps help at $COLUMNS, else at the terminal's width
+    monkeypatch.setenv("COLUMNS", "80")
+    proc = subprocess.run([sys.executable, "-m", "sinewall.cli", "--help"],
+                          capture_output=True, text=True, env=dict(CHILD_ENV, COLUMNS="80"))
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: sinewall [-h]")
+    assert proc.stdout == build_parser().format_help()
+    assert proc.stderr == ""
+
+
+# ---------------------------------------------------------------- table reader
+
+
+_FLAGS = sorted({flag for _, options in COMMANDS.values() for flag in options})
+_VALUES = ("-1", "-0", "-1.5", "-x", "-", "", " 3", "1_0", "\u0663", "3", "0", "t.json",
+           "json", "text", "xml", "gw-to-ugw", "ugw-to-gw", "gw-to-gv", "gv-to-gw")
+_flag = st.one_of(
+    st.sampled_from(_FLAGS),                                                       # exact
+    st.sampled_from(sorted({f[:k] for f in _FLAGS for k in range(3, len(f))})),   # abbreviated
+    st.sampled_from(("--frob", "-x", "-h", "--help", "--")),                      # unknown, help
+)
+_value = st.sampled_from(_VALUES)
+_stray_group = st.one_of(
+    st.tuples(_flag, _value),
+    st.tuples(st.builds(lambda f, v: f"{f}={v}", _flag, _value)),
+    st.tuples(st.one_of(_flag, _value)),
+)
+
+
+def _option_value(spec):
+    if "choices" in spec:
+        return st.one_of(st.sampled_from(spec["choices"]), _value)
+    if "type" in spec:
+        return st.one_of(st.sampled_from(("3", "0", "-1", "-0", " 3", "1_0", "\u0663")), _value)
+    return _value
+
+
+@st.composite
+def _argv(draw):
+    """Mostly canonical argv: the command's options in any order, each given or
+    left out, with stray groups inserted, so both readers see both kinds."""
+    command = draw(st.sampled_from([*COMMANDS, "frobnicate", ""]))
+    options = COMMANDS[command if command in COMMANDS else "mu"][1]  # unknown: mu's options
+    groups = []
+    for flag in draw(st.permutations(list(options))):
+        # a required option is left out one time in eight, an optional one half the time
+        if draw(st.integers(0, 7)) < (7 if options[flag].get("required") else 4):
+            groups.append((flag, draw(_option_value(options[flag]))))
+    for group in draw(st.lists(_stray_group, max_size=2)):
+        groups.insert(draw(st.integers(0, len(groups))), group)
+    return [command, *(token for group in groups for token in group)]
+
+
+@settings(max_examples=600)
+@given(argv=_argv())
+@example(argv=["mu", "--g-max", "-1"])
+@example(argv=["expand-sine", "--g", "\u0663", "--c", "-0", "--order", " 3"])
+@example(argv=["transform", "--input", "", "--direction", "gv-to-gw", "--format", "json"])
+@example(argv=["verify-identities", "--order", "1_0", "--output", "t.json"])
+@example(argv=["check-integrality", "--input", "-1.5"])
+def test_table_reader_matches_argparse(argv):
+    # whenever the table reader accepts an argv, argparse reads it the same;
+    # repeated options, missing required ones and the rest are argparse's
+    ns = cli._read_canonical(argv)
+    if ns is not None:
+        assert vars(ns) == vars(build_parser().parse_args(argv))
+
+
+def test_table_reader_leaves_the_rest_to_argparse():
+    for argv in ([], ["mu", "--g-max"], ["mu", "--g", "3"], ["mu", "--g-max=3"],
+                 ["mu", "--g-max", "3", "--g-max", "4"], ["expand-sine", "--g", "1"],
+                 ["mu", "--format", "xml"], ["mu", "--g-max", "x"], ["mu", "--g-max", "-x"],
+                 ["transform", "--input", "-", "--direction", "gw-to-gv"], ["mu", "-h"],
+                 ["mu", "--", "--g-max", "3"], ["frobnicate"]):
+        assert cli._read_canonical(argv) is None, argv
+
+
+def test_parser_options_match_table():
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    assert list(subparsers.choices) == list(COMMANDS)
+    for command, parser in subparsers.choices.items():
+        options = [a for a in parser._actions if a.dest != "help"]
+        assert [s for a in options for s in a.option_strings] == list(COMMANDS[command][1])
+        for action in options:
+            spec = COMMANDS[command][1][action.option_strings[0]]
+            assert action.dest == action.option_strings[0][2:].replace("-", "_")
+            assert (action.type, action.choices, action.required, action.default) == (
+                spec.get("type"), spec.get("choices"), spec.get("required", False),
+                spec.get("default"))
+
+
+# ---------------------------------------------------------------- empty paths
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "--direction", "ugw-to-gw", "--input", ""],
+    ["transform", "--direction", "ugw-to-gw", "--input=", "--format", "json"],
+    ["check-integrality", "--input", ""],
+])
+def test_empty_input_path_refused(capsys, monkeypatch, argv):
+    # "" is not read as the current directory
+    def boom(*args, **kwargs):
+        raise AssertionError("input read before the argument check")
+
+    monkeypatch.setattr(cli, "load_table", boom)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --input must name a file, got an empty path\n"
+
+
+def test_empty_output_path_refused(tmp_path, capsys, monkeypatch):
+    # "" is not read as "no --output": the report would go to stdout
+    _forbid_computation(monkeypatch)
+    path = write_doc(tmp_path, "u.json", make_doc(kind="ugw", g_max=0, values={"0": "1"}))
+    for argv in (["verify-identities", "--order", "4", "--output", ""],
+                 ["transform", "--direction", "ugw-to-gw", "--input", path, "--output", ""]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --output must name a file, got an empty path\n"

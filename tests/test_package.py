@@ -59,15 +59,31 @@ def test_every_export_is_reached():
     assert [name for name in sinewall.__all__ if name not in used] == []
 
 
-def test_cli_import_leaves_out_dataclasses():
+# modules a CLI call has no use for: argparse (with gettext, and locale on its
+# first message lookup) serves only help and non-canonical argv, dataclasses
+# pulls in inspect, ast, dis and tokenize; typing and pathlib are unused
+_UNUSED_MODULES = ("argparse", "gettext", "locale", "typing", "pathlib", "dataclasses", "inspect")
+
+
+def test_cli_call_leaves_out_unused_modules(tmp_path):
     # every CLI call is a fresh process, so its import cost is paid per call;
-    # dataclasses alone pulls in inspect, ast, dis and tokenize
-    probe = ("import sys, sinewall.cli; "
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    # -S keeps out what site itself imports (.pth files can import typing)
+    table = tmp_path / "u.json"
+    table.write_text('{"class": {"c1_dot_beta": 4, "primitive": true}, "kind": "ugw", '
+                     '"g_max": 2, "values": {"0": "1"}}')
+    out = tmp_path / "gw.json"
+    argv = ["transform", "--direction", "ugw-to-gw", "--input", str(table),
+            "--format", "json", "--output", str(out)]
+    probe = (f"import sys\nunused = {_UNUSED_MODULES!r}\n"
+             "import sinewall.cli\n"
+             "print([m for m in unused if m in sys.modules])\n"
+             f"print(sinewall.cli.main({argv!r}))\n"
+             "print([m for m in unused if m in sys.modules])\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                           env=env, check=True)
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[]\n0\n[]\n"
+    assert '"kind": "gw"' in out.read_text()
 
 
 # each factory builds a fresh record from equal arguments on every call
