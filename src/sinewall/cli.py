@@ -24,9 +24,11 @@ MAX_ABS_G_C in absolute value, and a table's g_max by MAX_TABLE_G_MAX; a
 larger value is refused before any computation.  The numerator and the
 denominator of a table value, a genus key and a json integer are bounded
 by MAX_VALUE_DIGITS digits, checked on the string before any integer
-conversion.  Once the arguments are parsed, `main` lifts CPython's cap on
-int <-> str conversion and restores it on return, so the output of every
-accepted input prints.
+conversion.  An input file is read to at most MAX_INPUT_CHARS characters,
+the canonical size of the largest table those limits admit; a longer one
+is refused before json parsing.  Once the arguments are parsed, `main`
+lifts CPython's cap on int <-> str conversion and restores it on return,
+so the output of every accepted input prints.
 
 Each call is usually a fresh process, so import time is paid per call.
 The package imports all its modules eagerly (bench/tracer.py wraps only
@@ -42,8 +44,12 @@ typing and pathlib imported (medians of 20 pairs, 2-core VM, Python 3.11).
 
 An empty --input or --output path is refused before any computation.
 
-Exit status: 0 success, 1 check failure (non-integral GV, identity
-mismatch), 2 input or usage error, an unwritable --output included.
+Each handler computes its report, renders it in the requested format and
+returns it with the failure of a requested check (non-integral GV values,
+an identity mismatch), or None.  `main` alone writes the report, to stdout
+or --output, then prints "check failed: <failure>" to stderr for a failure.
+Exit status: 0 success, 1 check failure, 2 input or usage error, an
+unwritable --output included, which is reported before a check failure.
 """
 
 from __future__ import annotations
@@ -87,6 +93,13 @@ MAX_VALUE_DIGITS = 1000
 # 13-digit values at c = 3 a transform took 0.45-0.56 s at g_max 40, 1.7-1.9 s
 # at 60, 3.0 s at 70 and 5.0 s at 80; longer values cost more.
 MAX_TABLE_G_MAX = 80
+# Characters of an input file, read before any json parsing.  The canonical
+# form of the largest table the limits above admit (g_max 80, c1_dot_beta
+# -10**6, primitive false, every value "-<1000 digits>/<1000 digits>") has
+# 118 header characters, 10 value lines of 2015 for genera 0..9 and 71 of 2016
+# for genera 10..80 less the last line's comma, and 6 closing ones:
+# 118 + 10 * 2015 + 71 * 2016 - 1 + 6 = 163 409.
+MAX_INPUT_CHARS = 163_409
 _LIMITS = {
     ("verify-identities", "order"): MAX_VERIFY_ORDER,
     ("expand-sine", "order"): MAX_SINE_ORDER,
@@ -96,10 +109,6 @@ _LIMITS = {
 
 class ParseError(ValueError):
     """Input file violates the table schema."""
-
-
-class CheckFailed(Exception):
-    """A requested check did not pass (exit status 1)."""
 
 
 # used with fullmatch and ASCII digits: "$" would also match before a trailing
@@ -193,9 +202,11 @@ def _bounded_int(text: str) -> int:
 def load_table(path: str) -> GenusTable:
     try:
         with open(path) as f:
-            text = f.read()
+            text = f.read(MAX_INPUT_CHARS + 1)
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from None
+    if len(text) > MAX_INPUT_CHARS:
+        raise ParseError(f"{path} has more than {MAX_INPUT_CHARS} characters")
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys, parse_int=_bounded_int)
     except json.JSONDecodeError as e:
@@ -253,92 +264,75 @@ def _gv_report_text(rep: GVReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _handle_transform(ns: SimpleNamespace) -> int:
+# the kind of table each direction reads; a gw table is always inverted
+_SOURCE_KINDS = {"gw-to-ugw": Kind.GW, "ugw-to-gw": Kind.UGW, "gw-to-gv": Kind.GW,
+                 "gv-to-gw": Kind.GV}
+
+
+def _handle_transform(ns: SimpleNamespace) -> tuple[str, str | None]:
     table = load_table(ns.input)
-    direction = ns.direction
-    need = {"gw-to-ugw": Kind.GW, "ugw-to-gw": Kind.UGW,
-            "gw-to-gv": Kind.GW, "gv-to-gw": Kind.GV}[direction]
+    need = _SOURCE_KINDS[ns.direction]
     if table.kind is not need:
         raise ParseError(
-            f"direction {direction} expects a {need.value} table, got {table.kind.value}"
+            f"direction {ns.direction} expects a {need.value} table, got {table.kind.value}"
         )
-    if direction in ("gw-to-ugw", "gw-to-gv"):
+    if need is Kind.GW:
         _require_complete(table)
-
-    if direction == "gw-to-ugw":
-        out = ugw_from_gw(table)
-    elif direction == "ugw-to-gw":
-        out = gw_from_ugw(table)
-    elif direction == "gv-to-gw":
-        out = gw_from_gv(table)
-    else:
+    if ns.direction == "gw-to-gv":
         rep = gv_from_gw(table)
-        if ns.format == "json":
-            _emit(dumps_canonical(table_to_doc(rep.table)), ns)
-        else:
-            _emit(_gv_report_text(rep), ns)
-        if not rep.integral:
-            raise CheckFailed(
-                f"GV values non-integral at genera {list(rep.non_integral_genera)}"
-            )
-        return 0
-
-    if ns.format == "json":
-        _emit(dumps_canonical(table_to_doc(out)), ns)
+        text = (dumps_canonical(table_to_doc(rep.table)) if ns.format == "json"
+                else _gv_report_text(rep))
+        return text, None if rep.integral else (
+            f"GV values non-integral at genera {list(rep.non_integral_genera)}")
+    if ns.direction == "gw-to-ugw":
+        out = ugw_from_gw(table)
+    elif ns.direction == "ugw-to-gw":
+        out = gw_from_ugw(table)
     else:
-        _emit(_table_text(out), ns)
-    return 0
+        out = gw_from_gv(table)
+    return (dumps_canonical(table_to_doc(out)) if ns.format == "json" else _table_text(out)), None
 
 
-def _handle_check_integrality(ns: SimpleNamespace) -> int:
+def _handle_check_integrality(ns: SimpleNamespace) -> tuple[str, str | None]:
     table = load_table(ns.input)
     if table.kind is Kind.GW:
         _require_complete(table)
         rep = gv_from_gw(table)
     elif table.kind is Kind.UGW:
         gate_check(table.c, table.primitive)
-        rep = report_on_gv(GenusTable(Kind.GV, table.c, table.primitive, table.values,
-                                      table.g_max))
+        rep = report_on_gv(table._replace(kind=Kind.GV))
     else:
         rep = report_on_gv(table)
-    if ns.format == "json":
-        _emit(dumps_canonical(_gv_report_doc(rep)), ns)
-    else:
-        _emit(_gv_report_text(rep), ns)
-    if not rep.integral:
-        raise CheckFailed(f"non-integral at genera {list(rep.non_integral_genera)}")
-    return 0
+    text = dumps_canonical(_gv_report_doc(rep)) if ns.format == "json" else _gv_report_text(rep)
+    return text, None if rep.integral else (
+        f"non-integral at genera {list(rep.non_integral_genera)}")
 
 
-def _handle_verify_identities(ns: SimpleNamespace) -> int:
+def _handle_verify_identities(ns: SimpleNamespace) -> tuple[str, str | None]:
     order = ns.order
-    rows = []
-
-    raw = verify_raw_equals_closed(order=order)
-    rows.append((raw.name, raw.passed, len(raw.cells),
-                 None if raw.passed else f"{raw.first_failure.key}: {raw.first_failure.detail}"))
-    eq = verify_eq_sum(order=order + 2)
-    rows.append((eq.name, eq.passed, len(eq.cells),
-                 None if eq.passed else f"{eq.first_failure.key}: {eq.first_failure.detail}"))
+    grids = (verify_raw_equals_closed(order=order), verify_eq_sum(order=order + 2))
     expansion = i_function_expansion(2 * (order // 2) + 2)
-    mu = verify_mu_consistency(order, expansion=expansion)
-    rows.append(("vertex closed form vs local expansion", mu.passed, len(mu.checked),
-                 None if mu.passed else f"genus {mu.first_failure}: {mu.detail}"))
-    ratio = verify_i_ratio(order, expansion=expansion)
-    rows.append(("expansion ratio vs marked-point constants", ratio.passed, len(ratio.checked),
-                 None if ratio.passed else f"genus {ratio.first_failure}: {ratio.detail}"))
+    checks = (("vertex closed form vs local expansion",
+               verify_mu_consistency(order, expansion=expansion)),
+              ("expansion ratio vs marked-point constants",
+               verify_i_ratio(order, expansion=expansion)))
+    rows = [(rep.name, rep.passed, len(rep.cells),
+             None if rep.passed else f"{rep.first_failure.key}: {rep.first_failure.detail}")
+            for rep in grids]
+    rows += [(name, rep.passed, len(rep.checked),
+              None if rep.passed else f"genus {rep.first_failure}: {rep.detail}")
+             for name, rep in checks]
 
     all_passed = all(passed for _, passed, _, _ in rows)
     if ns.format == "json":
-        doc = {
+        text = dumps_canonical({
             "order": order,
             "passed": all_passed,
             "checks": [
                 {"name": name, "passed": passed, "cells": cells, "first_failure": fail}
                 for name, passed, cells, fail in rows
             ],
-        }
-        _emit(dumps_canonical(doc), ns)
+        })
     else:
         lines = [
             f"{name}: {'pass' if passed else 'FAIL'} ({cells} cells)"
@@ -346,10 +340,8 @@ def _handle_verify_identities(ns: SimpleNamespace) -> int:
             for name, passed, cells, fail in rows
         ]
         lines.append(f"overall: {'pass' if all_passed else 'FAIL'}")
-        _emit("\n".join(lines) + "\n", ns)
-    if not all_passed:
-        raise CheckFailed("identity verification failed")
-    return 0
+        text = "\n".join(lines) + "\n"
+    return text, None if all_passed else "identity verification failed"
 
 
 def _mu0_text(g: int) -> str:
@@ -368,7 +360,7 @@ def _mu0_text(g: int) -> str:
     return out
 
 
-def _handle_mu(ns: SimpleNamespace) -> int:
+def _handle_mu(ns: SimpleNamespace) -> tuple[str, None]:
     if ns.format == "json":
         doc = {"mu": {}}
         for g in range(1, ns.g_max + 1):
@@ -377,19 +369,16 @@ def _handle_mu(ns: SimpleNamespace) -> int:
                 "z": str(mv.a1), "H": str(mv.a_H), "c1": str(mv.a_c1),
                 "scalar": str(mv.scalar), "mu1": str(mu_g1(g)),
             }
-        _emit(dumps_canonical(doc), ns)
-    else:
-        lines = [f"g={g}: mu0 = {_mu0_text(g)} ; mu1 = {mu_g1(g)}"
-                 for g in range(1, ns.g_max + 1)]
-        _emit("\n".join(lines) + "\n", ns)
-    return 0
+        return dumps_canonical(doc), None
+    lines = [f"g={g}: mu0 = {_mu0_text(g)} ; mu1 = {mu_g1(g)}" for g in range(1, ns.g_max + 1)]
+    return "\n".join(lines) + "\n", None
 
 
-def _handle_expand_sine(ns: SimpleNamespace) -> int:
+def _handle_expand_sine(ns: SimpleNamespace) -> tuple[str, None]:
     order = ns.order
     series = sine_factor(ns.g, ns.c, order)
     if ns.format == "json":
-        doc = {
+        return dumps_canonical({
             "g": ns.g,
             "c": ns.c,
             "exponent": 2 * ns.g - 2 + ns.c,
@@ -399,16 +388,13 @@ def _handle_expand_sine(ns: SimpleNamespace) -> int:
                 str(k): str(series.coefficient(k))
                 for k in range(series.valuation, series.order)
             },
-        }
-        _emit(dumps_canonical(doc), ns)
-    else:
-        lines = [f"u^{k}: {series.coefficient(k)}"
-                 for k in range(series.valuation, series.order)
-                 if series.coefficient(k)]
-        if not lines:
-            lines = [f"no nonzero coefficients below u^{order}"]
-        _emit("\n".join(lines) + "\n", ns)
-    return 0
+        }), None
+    lines = [f"u^{k}: {series.coefficient(k)}"
+             for k in range(series.valuation, series.order)
+             if series.coefficient(k)]
+    if not lines:
+        lines = [f"no nonzero coefficients below u^{order}"]
+    return "\n".join(lines) + "\n", None
 
 
 _HANDLERS = {
@@ -539,9 +525,11 @@ def main(argv: list[str] | None = None) -> int:
         for name in ("input", "output"):
             if getattr(ns, name, None) == "":
                 raise ValueError(f"--{name} must name a file, got an empty path")
-        return _HANDLERS[ns.command](ns)
-    except CheckFailed as e:
-        print(f"check failed: {e}", file=sys.stderr)
+        text, failure = _HANDLERS[ns.command](ns)
+        _emit(text, ns)
+        if failure is None:
+            return 0
+        print(f"check failed: {failure}", file=sys.stderr)
         return 1
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

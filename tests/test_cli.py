@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from sinewall import cli, hodge
 from sinewall.cli import (
     COMMANDS,
-    CheckFailed,
     ParseError,
     build_parser,
     dumps_canonical,
@@ -24,7 +23,8 @@ from sinewall.cli import (
     parse_table_doc,
     table_to_doc,
 )
-from sinewall.wallcross import GenusTable, Kind, ugw_from_gw
+from sinewall.hodge import GradedPoly, ZLaurent
+from sinewall.wallcross import GenusTable, Kind, VertexData, ugw_from_gw
 
 
 def make_doc(kind="gw", c=4, primitive=True, g_max=2, values=None):
@@ -398,6 +398,64 @@ def test_deeply_nested_json_refused(tmp_path, capsys, monkeypatch):
     assert captured.err == f"error: {path}: json nesting too deep\n"
 
 
+# the table computations a refused input file must not reach
+_TABLE_WORK = ("gw_from_ugw", "ugw_from_gw", "gv_from_gw", "gw_from_gv", "report_on_gv")
+
+
+def test_input_char_limit_is_the_largest_canonical_table(tmp_path):
+    # every limit at its extreme: the longest value, c1_dot_beta, kind and g_max
+    digits = cli.MAX_VALUE_DIGITS
+    value = -Fraction(10**digits - 1, 10 ** (digits - 1))
+    table = GenusTable(Kind.UGW, -cli.MAX_ABS_G_C, False,
+                       dict.fromkeys(range(cli.MAX_TABLE_G_MAX + 1), value), cli.MAX_TABLE_G_MAX)
+    text = dumps_canonical(table_to_doc(table))
+    assert len(text) == cli.MAX_INPUT_CHARS
+    path = tmp_path / "largest.json"
+    path.write_text(text)
+    assert load_table(str(path)) == table
+
+
+def test_input_file_size_limit(tmp_path, capsys, monkeypatch):
+    # whitespace padding is valid json; past the limit the file is refused unparsed
+    def boom(*args, **kwargs):
+        raise AssertionError("computation started before the input check")
+
+    _forbid_computation(monkeypatch)
+    limit = cli.MAX_INPUT_CHARS
+    text = json.dumps(make_doc(kind="gv", g_max=1, values={"0": "1", "1": "2"}))
+    path = tmp_path / "gv.json"
+    path.write_text("{" + " " * (limit - len(text)) + text[1:])
+    assert main(["check-integrality", "--input", str(path)]) == 0
+    assert "integral: yes" in capsys.readouterr().out
+    for name in _TABLE_WORK:
+        monkeypatch.setattr(cli, name, boom)
+    path.write_text("{" + " " * (limit + 1 - len(text)) + text[1:])
+    assert main(["check-integrality", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path} has more than {limit} characters\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_endless_input_refused_promptly():
+    # the whole file used to be read, here until memory ran out; the child's
+    # address space is capped so that a regression fails fast
+    resource = pytest.importorskip("resource")
+    probe = ("import sys\nfrom sinewall import cli\n"
+             "def forbid(*args, **kwargs):\n    raise AssertionError('computation started')\n"
+             f"for name in {_TABLE_WORK!r}:\n    setattr(cli, name, forbid)\n"
+             "sys.exit(cli.main(['check-integrality', '--input', '/dev/zero']))\n")
+    cap = 512 * 2**20
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=CHILD_ENV, timeout=60, preexec_fn=limit_memory)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: /dev/zero has more than {cli.MAX_INPUT_CHARS} characters\n"
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                     reason="this Python has no int <-> str digit cap")
 def test_output_past_the_int_str_cap_prints_and_round_trips(tmp_path, capsys):
@@ -649,6 +707,139 @@ def test_verify_identities_computes_each_vertex_constant_once(capsys, monkeypatc
     assert "overall: pass" in capsys.readouterr().out
     # genera 1..5: mu_g0(g) at order 2g + 2, the expansion at 12
     assert sorted(orders) == [2 * g + 2 for g in range(1, 6)] + [12]
+
+
+# ---------------------------------------------------------------- exit 1
+# A failed check writes its whole report, then one stderr line, then exits 1.
+
+NON_INTEGRAL_GW = make_doc(kind="gw", g_max=2, values={"0": "1", "1": "-1/12", "2": "361/360000"})
+NON_INTEGRAL_GV = make_doc(kind="gv", g_max=2, values={"0": "1", "1": "0", "2": "-71/40000"})
+CAVEAT = "genera above g_max=2 are unknown; vanishing beyond that bound is not verified"
+NON_INTEGRAL_TEXT = (
+    "kind: gv  c1.beta: 4  primitive: true  g_max: 2\n"
+    "g=0: 1\ng=1: 0\ng=2: -71/40000\n"
+    "integral: NO\nnon-integral genera: [2]\nlargest nonzero genus: 2\n"
+    f"caveat: {CAVEAT}\n"
+)
+NON_INTEGRAL_REPORT = {"integral": False, "non_integral_genera": [2], "largest_nonzero_genus": 2,
+                       "truncation_caveat": CAVEAT, "table": NON_INTEGRAL_GV}
+
+
+@pytest.mark.parametrize("argv, fmt, out, err", [
+    (["transform", "--direction", "gw-to-gv"], "text", NON_INTEGRAL_TEXT,
+     "check failed: GV values non-integral at genera [2]\n"),
+    (["transform", "--direction", "gw-to-gv"], "json", json.dumps(NON_INTEGRAL_GV, indent=2) + "\n",
+     "check failed: GV values non-integral at genera [2]\n"),
+    (["check-integrality"], "text", NON_INTEGRAL_TEXT,
+     "check failed: non-integral at genera [2]\n"),
+    (["check-integrality"], "json", json.dumps(NON_INTEGRAL_REPORT, indent=2) + "\n",
+     "check failed: non-integral at genera [2]\n"),
+])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_non_integral_report_then_exit_1(tmp_path, capsys, argv, fmt, out, err, to_file):
+    path = write_doc(tmp_path, "g.json", NON_INTEGRAL_GW)
+    dest = tmp_path / "report"
+    argv = argv + ["--input", path, "--format", fmt] + (["--output", str(dest)] if to_file else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (dest.read_text() if to_file else captured.out) == out
+    assert captured.out == ("" if to_file else out)
+    assert captured.err == err
+
+
+def _verify_report(order, failures):
+    """The report of `verify-identities --order order` in both formats; failures: row -> text."""
+    rows = [(name, cells(order), failures.get(i)) for i, (name, cells) in enumerate(VERIFY_ROWS)]
+    text = "".join(f"{name}: {'FAIL' if fail else 'pass'} ({n} cells)"
+                   + (f" first failure {fail}" if fail else "") + "\n"
+                   for name, n, fail in rows)
+    text += f"overall: {'FAIL' if failures else 'pass'}\n"
+    doc = {"order": order, "passed": not failures,
+           "checks": [{"name": name, "passed": fail is None, "cells": n, "first_failure": fail}
+                      for name, n, fail in rows]}
+    return text, json.dumps(doc, indent=2) + "\n"
+
+
+def _bump_raw_vertex(monkeypatch):
+    """Run the CLI's raw grid on a vertex table with mu_{1,1} bumped; return its report at 10."""
+    verify = cli.verify_raw_equals_closed
+
+    def bumped(**kwargs):
+        vertex = VertexData.standard(kwargs["order"] // 2).perturbed("mu1", 1, Fraction(1, 1000))
+        return verify(vertex=vertex, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_raw_equals_closed", bumped)
+    return bumped(order=10)
+
+
+def _bump_expansion(monkeypatch, genus, power):
+    """Run the CLI's expansion checks on an expansion bumped at one (genus, z power)."""
+    build = cli.i_function_expansion
+
+    def bumped(order_u):
+        expansion = build(order_u)
+        zl = expansion[genus]
+        terms = {p: zl.coefficient(p) for p in range(zl.z_min, zl.z_max + 1)}
+        terms[power] = (terms.get(power, GradedPoly.zero(zl.cap))
+                        + GradedPoly.scalar(Fraction(1, 1000), zl.cap))
+        expansion[genus] = ZLaurent(terms, zl.cap)
+        return expansion
+
+    monkeypatch.setattr(cli, "i_function_expansion", bumped)
+    return bumped(12)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_identities_raw_failure_exits_1(capsys, monkeypatch, fmt):
+    rep = _bump_raw_vertex(monkeypatch)
+    assert not rep.passed and len(rep.first_failure.key) == 3  # (g0, n, c)
+    failure = f"{rep.first_failure.key}: {rep.first_failure.detail}"
+    text, doc = _verify_report(10, {0: failure})
+    assert main(["verify-identities", "--order", "10", "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (text if fmt == "text" else doc)
+    assert captured.err == "check failed: identity verification failed\n"
+    if fmt == "text":
+        assert (f"raw-sum vs closed-form multiplier: FAIL (180 cells) first failure "
+                f"{rep.first_failure.key}: ") in captured.out
+        assert captured.out.endswith("overall: FAIL\n")
+
+
+@pytest.mark.parametrize("genus, power, rows", [(3, 0, [2]), (4, 1, [2, 3])])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_identities_expansion_failure_exits_1(capsys, monkeypatch, genus, power, rows, fmt):
+    # the acceptance negative control, through the CLI: a z^0 bump fails the
+    # closed-form row, a z^1 bump both rows
+    expansion = _bump_expansion(monkeypatch, genus, power)
+    reps = [hodge.verify_mu_consistency(10, expansion=expansion),
+            hodge.verify_i_ratio(10, expansion=expansion)]
+    assert [2 + i for i, rep in enumerate(reps) if not rep.passed] == rows
+    assert all(rep.first_failure == genus for rep in reps if not rep.passed)
+    text, doc = _verify_report(10, {2 + i: f"genus {genus}: {rep.detail}"
+                                    for i, rep in enumerate(reps) if not rep.passed})
+    assert main(["verify-identities", "--order", "10", "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (text if fmt == "text" else doc)
+    assert f"first failure genus {genus}: " in text
+    assert captured.err == "check failed: identity verification failed\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "--direction", "gw-to-gv"],
+    ["check-integrality"],
+    ["verify-identities", "--order", "10"],
+])
+def test_unwritable_output_on_a_failed_check_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # the write fails before the check is reported: exit 2, not 1
+    _bump_raw_vertex(monkeypatch)
+    if argv[0] != "verify-identities":
+        argv = argv + ["--input", write_doc(tmp_path, "g.json", NON_INTEGRAL_GW)]
+    target = tmp_path / "missing" / "out"
+    assert main(argv + ["--output", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert captured.err.count("\n") == 1
 
 
 # ---------------------------------------------------------------- mu / expand
