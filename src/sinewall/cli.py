@@ -73,8 +73,8 @@ from .wallcross import (
 )
 
 # Largest accepted values.  On a 2-core VM with Python 3.11 each keeps one
-# call to about 2 s: verify-identities took 1.35-1.55 s at order 50 (0.5 s at
-# 40, 6.1 s at 60), expand-sine 1.1 s at order 500 (9 s at 1000), mu 0.25 s
+# call to about 2 s: verify-identities took 0.8-1.2 s at order 50 (0.3 s at
+# 40, 4.4 s at 60), expand-sine 1.1 s at order 500 (9 s at 1000), mu 0.25 s
 # at g_max 40.
 MAX_VERIFY_ORDER = 50
 MAX_SINE_ORDER = 500
@@ -201,10 +201,12 @@ def _bounded_int(text: str) -> int:
 
 def load_table(path: str) -> GenusTable:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:  # json's own encoding, whatever the locale
             text = f.read(MAX_INPUT_CHARS + 1)
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path} is not UTF-8 text ({e.reason})") from None
     if len(text) > MAX_INPUT_CHARS:
         raise ParseError(f"{path} has more than {MAX_INPUT_CHARS} characters")
     try:

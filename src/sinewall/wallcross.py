@@ -27,15 +27,18 @@ the marked sums with the binomials C(n, k1) (once per n) and the psi
 falling products of `_bracket_factors`, and evaluates it at every c by
 Horner, for a grid and for a single `correction_raw_sum` alike.
 `verify_raw_equals_closed` builds the tables once for its whole grid and
-each closed side S^k once per exponent k, and asserts exact
-coefficientwise agreement of the two routes, compared in integers: a
-cell's numerators against the closed side's, by cross-multiplication of
-the two denominators.  The inner coefficient identity it rests on,
-`eq_sum`, has the same design: its basis t1^a1 t2^a2 is built once per
-call in integers, and for fixed m1 each coefficient is a polynomial in m2,
-evaluated at every m2 by Horner (`_eq_cells`).  `verify_eq_sum` compares
-it with closed cells formed by `convolve`.  A failing cell names its first
-mismatch from the integers it compared.
+asserts exact coefficientwise agreement of the two routes, compared in
+integers: a cell's numerators against the closed side's, by
+cross-multiplication of the two denominators.  The inner coefficient
+identity it rests on, `eq_sum`, has the same design: its basis t1^a1 t2^a2
+is built once per call in integers, and for fixed m1 each coefficient is a
+polynomial in m2, evaluated at every m2 by Horner (`_eq_cells`).  Both
+grids read their closed sides from one table of sine powers per grid
+(`_sine_powers`): S^k for exactly the exponents the grid reads, each one
+integer `convolve` in x = u^2 from the power before, starting from S or
+S^-1.  That table uses no `log` and no `exp`, so it shares no kernel with
+the eq basis, and the raw route uses no series kernel at all.  A failing
+cell names its first mismatch from the integers it compared.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from math import comb, factorial, gcd, lcm, prod
 
 from . import hodge
 from .partitions import descending_partitions, multinomial, multiplicities
-from .series import USeries, convolve, exp, log, numerators, pow_int, sinc_half
+from .series import USeries, convolve, log, numerators, pow_int, sinc_half
 
 
 class MissingGenus(ValueError):
@@ -101,6 +104,40 @@ def sine_factor(g: int, c: int, order: int) -> USeries:
     if order <= 0:
         return USeries.zero(order)
     return pow_int(sinc_half(order), 2 * g - 2 + c)
+
+
+def _sine_powers(ks: Iterable[int], order: int) -> dict[int, tuple[list[int], int]]:
+    """S^k for every k in ks, as (numerators of u^0..u^(order-1), one denominator).
+
+    The closed side of both identity grids.  S and S^-1 are the only series
+    built, by `sinc_half` and one `pow_int`; every power steps from the one
+    before by one integer `convolve` in x = u^2 with S (k > 0) or S^-1
+    (k < 0), and each is reduced by the gcd of its numerators and its
+    denominator.  No `log` or `exp`, which the eq basis reads, enters here.
+    """
+    ks = set(ks)
+    if order <= 0:
+        return {k: ([], 1) for k in ks}
+    s = sinc_half(order)
+    n = (order + 1) // 2  # coefficients of x = u^2 below u^order
+    powers = {}
+    for sign in (1, -1):
+        top = max((sign * k for k in ks), default=0)
+        if top <= 0:
+            continue
+        step, step_den = numerators((s if sign > 0 else pow_int(s, -1)).coeffs[::2])
+        nums, den = [1], 1
+        for j in range(1, top + 1):
+            nums, den = convolve(nums, step, n), den * step_den
+            g = gcd(den, *nums)
+            nums, den = [x // g for x in nums], den // g
+            if sign * j in ks:
+                dense = [0] * order
+                dense[::2] = nums
+                powers[sign * j] = (dense, den)
+    if 0 in ks:
+        powers[0] = ([1] + [0] * (order - 1), 1)
+    return powers
 
 
 def _eq_basis(order: int):
@@ -421,26 +458,21 @@ def verify_raw_equals_closed(g0_max: int = 3, n_max: int = 4,
                              c_range: Iterable[int] = range(-2, 7),
                              order: int = 10,
                              vertex: VertexData | None = None) -> GridReport:
-    """Check correction_raw_sum == sine_factor on a (g0, n, c) grid.
+    """Check correction_raw_sum == S^(2 g0 - 2 + c) on a (g0, n, c) grid.
 
     Coefficients are compared for every exponent up to ``order``
     inclusive, in integers: each cell's numerators against the closed
     side's by cross-multiplication.  Failures become report cells, never
     exceptions.  Without ``vertex`` the standard table is built once for
-    the whole grid, and each closed side S^k is computed once per
-    exponent k = 2 g0 - 2 + c.
+    the whole grid.  The closed sides come from one table of sine powers
+    (`_sine_powers`), one entry per exponent k = 2 g0 - 2 + c.
     """
     internal = order + 1
     cs = sorted(set(int(c) for c in c_range))
     if vertex is None:
         vertex = VertexData.standard((internal - 1) // 2)
     tables = _raw_tables(vertex, internal)
-    closed = {}  # k -> (numerators, denominator) of S^k, whose valuation is 0
-    for g0 in range(g0_max + 1):
-        for c in cs:
-            k = 2 * g0 - 2 + c
-            if k not in closed:
-                closed[k] = numerators(sine_factor(g0, c, internal).coeffs)
+    closed = _sine_powers({2 * g0 - 2 + c for g0 in range(g0_max + 1) for c in cs}, internal)
     den = tables[2]
     marked = [_marked_sums(tables, n) for n in range(n_max + 1)]
     cells = []
@@ -454,26 +486,23 @@ def verify_raw_equals_closed(g0_max: int = 3, n_max: int = 4,
 def verify_eq_sum(m1_range: Iterable[int] = range(-6, 1),
                   m2_range: Iterable[int] = range(-6, 13),
                   order: int = 12) -> GridReport:
-    """Check eq_sum(m1, m2) == (1 + t1)^{m1} exp(m2 log S) on a grid.
+    """Check eq_sum(m1, m2) == (1 + t1)^{m1} exp(m2 log S) = S^{2 m1 + m2} on a grid.
 
     Coefficients are compared through exponent ``order`` inclusive, in
-    integers.  Each power (1 + t1)^{m1} = S^{2 m1} and each exp(m2 log S)
-    is built once, as numerators; a closed cell is their `convolve`.  The
-    basis of `eq_sum` is built once for the grid, and `_eq_cells` forms
-    one row of m2 per m1.
+    integers.  The closed cells come from one table of sine powers
+    (`_sine_powers`), one entry per exponent 2 m1 + m2.  The basis of
+    `eq_sum` is built once for the grid, and `_eq_cells` forms one row of
+    m2 per m1.
     """
     internal = order + 1
-    s = sinc_half(internal)
-    ls = log(s)
-    s2 = s * s
+    m1s = sorted(set(int(m) for m in m1_range))
     m2s = sorted(set(int(m) for m in m2_range))
-    exps = [numerators(exp(ls.scale(m2)).coeffs) for m2 in m2s]
+    closed = _sine_powers({2 * m1 + m2 for m1 in m1s for m2 in m2s}, internal)
     basis = _eq_basis(internal)
     cells = []
-    for m1 in sorted(set(int(m) for m in m1_range)):
-        p, p_den = numerators(pow_int(s2, m1).coeffs)
-        for m2, (e, e_den), (got, den) in zip(m2s, exps, _eq_cells(basis, m1, m2s, internal)):
-            cells.append(_cell((m1, m2), got, den, convolve(p, e, internal), p_den * e_den))
+    for m1 in m1s:
+        for m2, (got, den) in zip(m2s, _eq_cells(basis, m1, m2s, internal)):
+            cells.append(_cell((m1, m2), got, den, *closed[2 * m1 + m2]))
     return GridReport("bracket-reduction sum vs closed form", tuple(cells))
 
 

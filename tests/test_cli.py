@@ -1,6 +1,7 @@
 """Command-line surface: schema validation, directions, exit codes, formats."""
 
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -436,6 +437,25 @@ def test_input_file_size_limit(tmp_path, capsys, monkeypatch):
     assert captured.err == f"error: {path} has more than {limit} characters\n"
 
 
+def test_input_not_utf8_refused_naming_the_file(tmp_path, capsys, monkeypatch):
+    # json is read as UTF-8 whatever the locale; a UTF-16 file (bytes ff fe
+    # first) used to be refused with the codec's message and no file named
+    def boom(*args, **kwargs):
+        raise AssertionError("computation started before the input check")
+
+    for name in _TABLE_WORK:
+        monkeypatch.setattr(cli, name, boom)
+    path = tmp_path / "utf16.json"
+    path.write_bytes(json.dumps(make_doc(kind="gv", g_max=0, values={"0": "1"})).encode("utf-16"))
+    assert path.read_bytes()[:2] == b"\xff\xfe"
+    for argv in (["check-integrality", "--input", str(path)],
+                 ["transform", "--direction", "gv-to-gw", "--input", str(path)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path} is not UTF-8 text (invalid start byte)\n"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
 def test_endless_input_refused_promptly():
     # the whole file used to be read, here until memory ran out; the child's
@@ -666,8 +686,30 @@ def test_verify_identities_stdout_is_the_assembled_report(order, capsys):
     assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
 
 
+# sha256 of the whole verify-identities stdout above the byte-for-byte range,
+# recorded before the grids read their closed sides from one table of sine powers
+VERIFY_STDOUT_SHA256 = {
+    (20, "text"): "ce5f4cddefbd9edaf3247cca008df45c5fdeb18943f70a5e73ff8433ed9c9aca",
+    (20, "json"): "6a3d99db6f7c9e5d04dd3b2d688f6ab911e97a51bd4929ef526315f6aa1b0674",
+    (30, "text"): "89cbb829bb0c20e84bd89263771be2d9dd2ad63b763c9e91abb10e1d03195583",
+    (30, "json"): "dceea5b8f74b32c4ef65ac79eb4b96c7bb727c0aae2607ed044d9da0adbb4ff0",
+    (40, "text"): "968ad385bfa9cc96ca870c371eb94e35ce868c2633f7c4a239f199ba751d65fb",
+    (40, "json"): "2b84821020a27ad7e607d5497e5af3a7cb409000e1fcc5590b1525bc285d8078",
+    (50, "text"): "a414f74badc535f909d53e3c11135285ab792019f737f734ee92289a5aba51af",
+    (50, "json"): "31cf94e60a01df328782d9de7bd9632b6c2abe0b81983b0d60639e730432d1f2",
+}
+
+
+@pytest.mark.parametrize("order", (20, 30, 40, 50))
+def test_verify_identities_stdout_pinned_at_high_order(order, capsys):
+    for fmt in ("text", "json"):
+        assert main(["verify-identities", "--order", str(order), "--format", fmt]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == VERIFY_STDOUT_SHA256[order, fmt]
+
+
 def test_verify_identities_passes_at_its_limit(capsys):
-    # the largest accepted order runs to the end and passes, in about 1.5 s
+    # the largest accepted order runs to the end and passes, in about 1 s
     order = cli.MAX_VERIFY_ORDER
     assert main(["verify-identities", "--order", str(order), "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -8,9 +8,9 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from sinewall import wallcross
+from sinewall import series, wallcross
 from sinewall.partitions import enumerate_threefold_partitions, multinomial, multiplicities
-from sinewall.series import USeries, exp, inv, log, pow_int, sinc_half
+from sinewall.series import USeries, exp, inv, log, numerators, pow_int, sinc_half
 from sinewall.wallcross import (
     GenusTable,
     Kind,
@@ -189,8 +189,8 @@ def _raise_if_called(name):
 def test_eq_sum_uses_no_closed_form_kernel(monkeypatch):
     want = {m: pow_int(sinc_half(13), int(2 * m[0] + m[1])) for m in ((-2, 3), (F(1, 2), 1))}
     basis = wallcross._eq_basis(13)
-    for name in ("pow_int", "exp"):
-        monkeypatch.setattr(wallcross, name, _raise_if_called(name))
+    assert not hasattr(wallcross, "exp")
+    monkeypatch.setattr(wallcross, "pow_int", _raise_if_called("pow_int"))
     for m, series in want.items():  # each call builds its basis from S and log S
         assert eq_sum(*m, 13) == series
     for name in ("sinc_half", "log"):
@@ -257,34 +257,74 @@ def test_cell_compares_every_coefficient_by_cross_multiplication():
 
 
 def test_default_grids_build_each_closed_side_once(monkeypatch):
-    # the raw grid builds S^k once per exponent k = 2 g0 - 2 + c, -4..10; the
-    # eq grid one power per m1 and one exponential per m2; cells are compared
-    # in integers, so neither eq_sum nor any series round trip runs
-    exponents, powers, exps = [], [], []
-    sine, power, expo = wallcross.sine_factor, wallcross.pow_int, wallcross.exp
+    # each grid makes one table of sine powers holding exactly the exponents
+    # it reads: k = 2 g0 - 2 + c, -4..10, for the raw grid and 2 m1 + m2,
+    # -18..12, for the eq grid.  The table builds S once and inverts it once;
+    # no closed side goes through sine_factor or exp (which wallcross no
+    # longer imports), and cells are compared in integers, so neither eq_sum
+    # nor any series round trip runs
+    assert not hasattr(wallcross, "exp")
+    calls, inside = [], []
+    table, sinc, power = wallcross._sine_powers, wallcross.sinc_half, wallcross.pow_int
 
-    def counting_sine(g, c, order):
-        exponents.append(2 * g - 2 + c)
-        return sine(g, c, order)
+    def counting_table(ks, order):
+        ks = set(ks)
+        calls.append(("_sine_powers", sorted(ks), order))
+        inside.append(True)
+        try:
+            return table(ks, order)
+        finally:
+            inside.pop()
+
+    def counting_sinc(order):
+        if inside:  # _eq_basis builds its own S, outside the table
+            calls.append(("sinc_half", order))
+        return sinc(order)
 
     def counting_power(f, k):
-        powers.append(k)
+        calls.append(("pow_int", k, bool(inside)))
         return power(f, k)
 
-    def counting_exp(f):
-        exps.append(f)
-        return expo(f)
-
-    monkeypatch.setattr(wallcross, "sine_factor", counting_sine)
-    for name in ("eq_sum", "_from_numerators"):
+    monkeypatch.setattr(wallcross, "_sine_powers", counting_table)
+    monkeypatch.setattr(wallcross, "sinc_half", counting_sinc)
+    monkeypatch.setattr(wallcross, "pow_int", counting_power)
+    for name in ("sine_factor", "eq_sum", "_from_numerators"):
         monkeypatch.setattr(wallcross, name, _raise_if_called(name))
     assert verify_raw_equals_closed().passed
-    assert sorted(exponents) == list(range(-4, 11))
-    monkeypatch.setattr(wallcross, "pow_int", counting_power)
-    monkeypatch.setattr(wallcross, "exp", counting_exp)
+    assert calls == [("_sine_powers", list(range(-4, 11)), 11), ("sinc_half", 11),
+                     ("pow_int", -1, True)]
+    calls.clear()
     assert verify_eq_sum().passed
-    assert sorted(powers) == list(range(-6, 1))
-    assert len(exps) == 19
+    assert calls == [("_sine_powers", list(range(-18, 13)), 13), ("sinc_half", 13),
+                     ("pow_int", -1, True)]
+
+
+def test_sine_powers_equal_sine_factor():
+    # the grids' closed side against the transform's kernel, as fractions:
+    # every exponent both default grids read, at every order up to 30
+    ks = range(-18, 13)
+    for order in range(1, 31):
+        powers = wallcross._sine_powers(ks, order)
+        assert sorted(powers) == list(ks)
+        for k, (nums, den) in powers.items():
+            want, want_den = numerators(sine_factor(0, k + 2, order).coeffs)
+            assert len(nums) == len(want) == order
+            assert [F(x, den) for x in nums] == [F(y, want_den) for y in want]
+    assert wallcross._sine_powers([3, -1], 0) == {3: ([], 1), -1: ([], 1)}
+    assert wallcross._sine_powers([], 9) == {}
+    assert wallcross._sine_powers([0], 4) == {0: ([1, 0, 0, 0], 1)}
+
+
+def test_sine_powers_use_no_log_exp_or_sine_factor(monkeypatch):
+    # the closed side shares no kernel with the eq basis (log S) or with the
+    # transform (sine_factor): S, one inverse and integer products only
+    want = wallcross._sine_powers(range(-7, 8), 15)
+    assert not hasattr(wallcross, "exp")
+    for name in ("log", "sine_factor"):
+        monkeypatch.setattr(wallcross, name, _raise_if_called(name))
+    for name in ("exp", "log"):
+        monkeypatch.setattr(series, name, _raise_if_called(name))
+    assert wallcross._sine_powers(range(-7, 8), 15) == want
 
 
 # ---------------------------------------------------------------- raw sum
@@ -491,7 +531,8 @@ def test_grid_failure_reports_unchanged_under_perturbation():
 def test_raw_route_uses_no_closed_form_kernel(monkeypatch):
     vertex = VertexData.standard(6)
     want = {key: sine_factor(key[0], key[2], 13) for key in ((0, 0, 4), (2, 3, -1))}
-    for name in ("pow_int", "exp", "log", "sinc_half", "sine_factor"):
+    assert not hasattr(wallcross, "exp")
+    for name in ("pow_int", "log", "sinc_half", "sine_factor"):
         monkeypatch.setattr(wallcross, name, _raise_if_called(name))
     tables = wallcross._raw_tables(vertex, 13)
     for (g0, n, c), series in want.items():
