@@ -7,10 +7,10 @@ A ThreefoldPartition names one term of that sum together with its root
 genus, splitting a genus g as g0 + sum(g1) + sum(g2);
 `enumerate_threefold_partitions` lists the whole index set.
 
-Partitions are canonical weakly-decreasing tuples.  Orbit counts are
-restored by explicit multiplicity weights (`multinomial` for the marked
-list, 1 / prod(m_j!) for the unmarked one), so enumerations stay
-duplicate-free and set equality is decidable.
+Partitions are canonical weakly-decreasing tuples, from one walk
+(`descending_walk`).  Orbit counts are restored by multiplicity weights
+(`multinomial` for the marked list, 1 / prod(m_j!) for the unmarked
+one), so enumerations stay duplicate-free and set equality is decidable.
 """
 
 from __future__ import annotations
@@ -41,19 +41,22 @@ def multiplicities(values) -> tuple[int, ...]:
     return tuple(Counter(values).values())
 
 
-def descending_partitions(total: int, max_part: int | None = None,
-                          max_len: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Weakly-decreasing tuples of positive integers with the given sum."""
-    if total == 0:
-        yield ()
-        return
-    if max_len is not None and max_len <= 0:
-        return
-    top = total if max_part is None else min(max_part, total)
-    for first in range(top, 0, -1):
-        rest_len = None if max_len is None else max_len - 1
-        for rest in descending_partitions(total - first, first, rest_len):
-            yield (first,) + rest
+def descending_walk(top: int) -> Iterator[tuple[int, ...]]:
+    """Every weakly-decreasing positive tuple with sum <= top, in preorder of the prefix tree.
+
+    Larger parts come first, and a tuple's prefixes are the last tuples walked at shorter lengths.
+    """
+    stack = [((), top, top)]  # (tuple, top minus its sum, its largest next part)
+    while stack:
+        parts, rest, largest = stack.pop()
+        yield parts
+        stack.extend((parts + (p,), rest - p, min(p, rest - p)) for p in range(1, largest + 1))
+
+
+def descending_partitions(total: int, max_len: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Weakly-decreasing tuples of positive integers with the given sum, largest parts first."""
+    return (parts for parts in descending_walk(total)
+            if sum(parts) == total and (max_len is None or len(parts) <= max_len))
 
 
 class ThreefoldPartition(namedtuple("ThreefoldPartition", "g0 g1 g2")):
@@ -95,7 +98,6 @@ def enumerate_threefold_partitions(g: int, n: int) -> list[ThreefoldPartition]:
         raise ValueError("g and n must be nonnegative")
     return sorted((ThreefoldPartition(g0, g1, g2)
                    for g0 in range(g + 1)
-                   for s1 in range(g - g0 + 1)
-                   for g1 in descending_partitions(s1, max_len=n)
-                   for g2 in descending_partitions(g - g0 - s1)
+                   for g1 in descending_walk(g - g0) if len(g1) <= n
+                   for g2 in descending_partitions(g - g0 - sum(g1))
                    if g1 or g2))

@@ -19,26 +19,26 @@ insertions (dilaton: each removal contributes
 independently, so each coefficient is a convolution of a marked-list sum
 and an insertion-list sum.  Those sums split into vertex-only tables (by
 genus and list length, and for insertions by the number of psi parts),
-built once per vertex table in integers and reduced to one least common
-denominator per table, and a per-(g0, n) combination in integer
-arithmetic.  For fixed (g0, n) each coefficient is a polynomial in the
-divisor weight B = 3(2 g0 - 2) + c: the combination builds it once, from
-the marked sums with the binomials C(n, k1) (once per n) and the psi
-falling products of `_bracket_factors`, and evaluates it at every c by
-Horner, for a grid and for a single `correction_raw_sum` alike.
+built once per vertex table by one integer walk over the partitions and
+reduced to one least common denominator per table, and a per-(g0, n)
+combination in integer arithmetic.  For fixed (g0, n) each coefficient is
+a polynomial in the divisor weight B = 3(2 g0 - 2) + c: the combination
+builds it once, from the marked sums with the binomials C(n, k1) (once per
+n) and the psi falling products of `_bracket_factors`, and evaluates it at
+every c by Horner, for a grid and for a single `correction_raw_sum` alike.
 `verify_raw_equals_closed` builds the tables once for its whole grid and
 asserts exact coefficientwise agreement of the two routes, compared in
 integers: a cell's numerators against the closed side's, by
 cross-multiplication of the two denominators.  The inner coefficient
 identity it rests on, `eq_sum`, has the same design: its basis t1^a1 t2^a2
-is built once per call in integers, and for fixed m1 each coefficient is a
-polynomial in m2, evaluated at every m2 by Horner (`_eq_cells`).  Both
-grids read their closed sides from one table of sine powers per grid
-(`_sine_powers`): S^k for exactly the exponents the grid reads, each one
-integer `convolve` in x = u^2 from the power before, starting from S or
-S^-1.  That table uses no `log` and no `exp`, so it shares no kernel with
-the eq basis, and the raw route uses no series kernel at all.  A failing
-cell names its first mismatch from the integers it compared.
+is built once per call by integer `convolve`s, and for fixed m1 each
+coefficient is a polynomial in m2, evaluated at every m2 by Horner
+(`_eq_cells`).  Both grids read their closed sides from one table of sine
+powers per grid (`_sine_powers`): S^k for exactly the exponents the grid
+reads, each one integer `convolve` in x = u^2 from the power before,
+starting from S or S^-1, with no `log` or `exp`.  The eq basis alone reads
+`log S`, and builds its own powers; the raw route uses no series kernel.
+A failing cell names its first mismatch from the integers it compared.
 """
 
 from __future__ import annotations
@@ -47,10 +47,10 @@ from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from enum import Enum
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm
 
 from . import hodge
-from .partitions import descending_partitions, multinomial, multiplicities
+from .partitions import descending_walk
 from .series import USeries, convolve, log, numerators, pow_int, sinc_half
 
 
@@ -146,26 +146,30 @@ def _eq_basis(order: int):
     Returns (rows, den): row a2, entry a1 is a tuple of (exponent,
     numerator over den) pairs with the zeros left out.  Every factor has
     valuation >= 0, so the coefficients of a product below ``order``
-    depend only on those of its factors below ``order``; each power is
-    truncated there rather than carrying the extra relative precision a
-    product of valuation-2 series would otherwise keep.
+    depend only on those of its factors below ``order``: t1 = S^2 - 1,
+    t2 = S^2 log S, their powers (each reduced by its gcd) and products
+    are integer numerators in x = u^2 cut there, one `convolve` each.
     """
+    n = (order + 1) // 2  # x^0..x^(n-1) lie below u^order; t1, t2 have valuation 1 in x
     s = sinc_half(order)
-    s2 = s * s
-    t1 = s2 - USeries.one(order)
-    t2 = s2 * log(s)
-    amax = (order - 1) // 2  # t1, t2 have valuation 2
-    t1_pows = [USeries.one(order)]
-    t2_pows = [USeries.one(order)]
-    for _ in range(amax):
-        t1_pows.append((t1_pows[-1] * t1).truncate(order))
-        t2_pows.append((t2_pows[-1] * t2).truncate(order))
-    terms = [[(t1_pows[a1] * t2_pows[a2]).truncate(order) for a1 in range(amax + 1 - a2)]
-             for a2 in range(amax + 1)]
-    den = lcm(*(b.denominator for row in terms for term in row for b in term.coeffs))
-    rows = tuple(tuple(tuple((k, b.numerator * (den // b.denominator))
-                             for k, b in enumerate(term.coeffs, term.valuation) if b)
-                       for term in row)
+    s_nums, s_den = numerators(s.coeffs[::2])
+    log_nums, log_den = numerators([0, *log(s).coeffs[::2]])  # log S starts at u^2
+    s2 = convolve(s_nums, s_nums, n)
+    t1 = [0] + s2[1:]  # S^2 has constant term 1
+    t2 = convolve(s2, log_nums, n)
+    t1_pows, t2_pows = [([1], 1)], [([1], 1)]
+    for _ in range(n - 1):
+        for pows, base, base_den in ((t1_pows, t1, s_den**2), (t2_pows, t2, s_den**2 * log_den)):
+            nums, d = pows[-1]
+            nums, d = convolve(nums, base, n), d * base_den
+            g = gcd(d, *nums)
+            pows.append(([x // g for x in nums], d // g))
+    terms = [[(convolve(a, b, n), da * db) for a, da in t1_pows[:n - a2]]
+             for a2, (b, db) in enumerate(t2_pows)]
+    # x / d in lowest terms has denominator d // gcd(x, d)
+    den = lcm(*(d // gcd(x, d) for row in terms for nums, d in row for x in nums))
+    rows = tuple(tuple(tuple((2 * i, x * den // d) for i, x in enumerate(nums) if x)
+                       for nums, d in row)
                  for row in terms)
     return rows, den
 
@@ -272,43 +276,37 @@ def _raw_tables(vertex: VertexData, order: int):
     (j counts the insertions read as -psi, all `_bracket_factors` needs of
     them) as integer numerators: marked over its least common denominator,
     inserted over its own, and den the product of the two.  Marked and
-    insertion lists of genus s are the same partitions of s, so one pass
-    fills both.  The pass runs on integers: the vertex values are scaled
-    over the lcm D of their denominators, so the lists with k parts sum
-    to an integer over D^k, and with the weight k! / prod(repeats!) =
-    multinomial(k, repeats) over D^k k! for the insertion lists.  Only the
-    finished rows are reduced, to the least common denominators.
+    insertion lists of genus s are the same partitions of s, so one walk
+    fills both, each list adding one part to its prefix's sums, in integers:
+    the vertex values are scaled over the lcm D of their denominators, so
+    the lists with k parts sum to an integer over D^k, and with the weight
+    k! / prod(repeats!) = multinomial(k, repeats) over D^k k! for the
+    insertion lists.  Only the finished rows are reduced, to the least
+    common denominators.
     """
     dmax = (order - 1) // 2
     genera = range(1, dmax + 1)
-    missing = [g for g in genera
-               if g not in vertex.mu1 or g not in vertex.mu0_psi or g not in vertex.mu0_div]
+    missing = [g for g in genera if any(g not in table for table in vertex)]
     if missing:
         raise ValueError(f"vertex data lacks genera {missing} needed at order {order}")
     den_v = lcm(*(table[g].denominator for table in vertex for g in genera))
     mu1, mu0_psi, mu0_div = ({g: table[g].numerator * (den_v // table[g].denominator)
                               for g in genera} for table in vertex)
-    marked, inserted = [], []
-    for s in range(dmax + 1):
-        m_row = [0] * (s + 1)
-        i_row = [[0] * (k + 1) for k in range(s + 1)]
-        for parts in descending_partitions(s):
-            m_prod = prod(mu1[gi] for gi in parts)
-            by_psi = [1]
-            for gi in parts:
-                psi, div = mu0_psi[gi], mu0_div[gi]
-                nxt = [b * div for b in by_psi] + [0]
-                for j, b in enumerate(by_psi):
-                    nxt[j + 1] += b * psi
-                by_psi = nxt
-            k = len(parts)
-            weight = multinomial(k, multiplicities(parts))
-            m_row[k] += weight * m_prod
-            by_k = i_row[k]
-            for j, b in enumerate(by_psi):
-                by_k[j] += weight * b
-        marked.append(m_row)
-        inserted.append(i_row)
+    marked = [[0] * (s + 1) for s in range(dmax + 1)]
+    inserted = [[[0] * (k + 1) for k in range(s + 1)] for s in range(dmax + 1)]
+    states = [(0, 1, [1], 1)]  # per list length: genus, prod mu1, by_psi, weight
+    for parts in descending_walk(dmax):
+        k = len(parts)
+        if k:  # extend the state of parts[:-1], the last list of length k - 1
+            gi = parts[-1]
+            s, m_prod, by_psi, weight = states[k - 1]
+            psi, div = mu0_psi[gi], mu0_div[gi]
+            by_psi = [b * div + a * psi for a, b in zip([0] + by_psi, by_psi + [0])]
+            # gi ends a run of k - parts.index(gi) equal parts
+            states[k:] = [(s + gi, m_prod * mu1[gi], by_psi, weight * k // (k - parts.index(gi)))]
+        s, m_prod, by_psi, weight = states[k]
+        marked[s][k] += weight * m_prod
+        inserted[s][k] = [x + weight * b for x, b in zip(inserted[s][k], by_psi)]
     m_q = [den_v**k for k in range(dmax + 1)]
     i_q = [q * factorial(k) for k, q in enumerate(m_q)]
     # x / q in lowest terms has denominator q // gcd(x, q)

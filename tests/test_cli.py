@@ -687,7 +687,9 @@ def test_verify_identities_stdout_is_the_assembled_report(order, capsys):
 
 
 # sha256 of the whole verify-identities stdout above the byte-for-byte range,
-# recorded before the grids read their closed sides from one table of sine powers
+# recorded before the grids read their closed sides from one table of sine
+# powers; order 57 from the handler itself, before the raw tables were built
+# by a prefix walk and when the CLI still refused orders above 50
 VERIFY_STDOUT_SHA256 = {
     (20, "text"): "ce5f4cddefbd9edaf3247cca008df45c5fdeb18943f70a5e73ff8433ed9c9aca",
     (20, "json"): "6a3d99db6f7c9e5d04dd3b2d688f6ab911e97a51bd4929ef526315f6aa1b0674",
@@ -697,10 +699,12 @@ VERIFY_STDOUT_SHA256 = {
     (40, "json"): "2b84821020a27ad7e607d5497e5af3a7cb409000e1fcc5590b1525bc285d8078",
     (50, "text"): "a414f74badc535f909d53e3c11135285ab792019f737f734ee92289a5aba51af",
     (50, "json"): "31cf94e60a01df328782d9de7bd9632b6c2abe0b81983b0d60639e730432d1f2",
+    (57, "text"): "9bb8667d880d2c773b72ce98f567d1e9c702d1e4264b3d609b1987290cc4a8fb",
+    (57, "json"): "6f0eb1b789b43bdb653118c67b4c196a768e42883356c5bc5b3fa9532490c4e6",
 }
 
 
-@pytest.mark.parametrize("order", (20, 30, 40, 50))
+@pytest.mark.parametrize("order", (20, 30, 40, 50, 57))
 def test_verify_identities_stdout_pinned_at_high_order(order, capsys):
     for fmt in ("text", "json"):
         assert main(["verify-identities", "--order", str(order), "--format", fmt]) == 0

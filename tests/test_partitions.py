@@ -6,6 +6,7 @@ from sinewall.partitions import (
     PartsMismatch,
     ThreefoldPartition,
     descending_partitions,
+    descending_walk,
     enumerate_threefold_partitions,
     multinomial,
     multiplicities,
@@ -78,9 +79,41 @@ def test_descending_partitions_counts():
 
 
 def test_descending_partitions_filters():
-    assert set(descending_partitions(4, max_part=2)) == {(2, 2), (2, 1, 1), (1, 1, 1, 1)}
     assert set(descending_partitions(4, max_len=2)) == {(4,), (3, 1), (2, 2)}
-    assert list(descending_partitions(3, max_part=1, max_len=2)) == []
+
+
+def recursive_descending_partitions(total, max_part=None, max_len=None):
+    """`descending_partitions` as a recursion over the first part, the reference for the walk."""
+    if total == 0:
+        yield ()
+        return
+    if max_len is not None and max_len <= 0:
+        return
+    top = total if max_part is None else min(max_part, total)
+    for first in range(top, 0, -1):
+        rest_len = None if max_len is None else max_len - 1
+        for rest in recursive_descending_partitions(total - first, first, rest_len):
+            yield (first,) + rest
+
+
+def test_descending_partitions_equal_the_recursion_in_order():
+    for total in range(16):
+        for max_len in (None, *range(total + 2)):
+            assert (list(descending_partitions(total, max_len))
+                    == list(recursive_descending_partitions(total, max_len=max_len)))
+
+
+def test_descending_walk_lists_each_tuple_once_after_its_prefixes():
+    # p(0..14); the walk up to top lists every partition of every s <= top
+    p = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135]
+    for top in range(15):
+        walked = list(descending_walk(top))
+        assert len(walked) == len(set(walked)) == sum(p[:top + 1])
+        assert set(walked) == {parts for s in range(top + 1) for parts in partition_oracle(s)}
+        last = []  # last[k]: the last tuple walked of length k
+        for parts in walked:
+            assert last[:len(parts)] == [parts[:k] for k in range(len(parts))]
+            last[len(parts):] = [parts]
 
 
 # ---------------------------------------------------------------- threefold

@@ -3,13 +3,18 @@
 import random
 from fractions import Fraction as F
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm, prod
 
 import pytest
 from hypothesis import given, strategies as st
 
 from sinewall import series, wallcross
-from sinewall.partitions import enumerate_threefold_partitions, multinomial, multiplicities
+from sinewall.partitions import (
+    descending_partitions,
+    enumerate_threefold_partitions,
+    multinomial,
+    multiplicities,
+)
 from sinewall.series import USeries, exp, inv, log, numerators, pow_int, sinc_half
 from sinewall.wallcross import (
     GenusTable,
@@ -167,6 +172,31 @@ def test_eq_basis_across_orders_built_once_per_call(monkeypatch):
     assert calls == [9]
     assert eq_sum(-2, 3, 9) == pow_int(sinc_half(9), -1)
     assert calls == [9, 9]
+
+
+def reference_eq_basis(order):
+    """`_eq_basis` by truncated `USeries` products, converted to integers afterwards."""
+    s = sinc_half(order)
+    s2 = s * s
+    t1, t2 = s2 - USeries.one(order), s2 * log(s)
+    amax = (order - 1) // 2
+    t1_pows, t2_pows = [USeries.one(order)], [USeries.one(order)]
+    for _ in range(amax):
+        t1_pows.append((t1_pows[-1] * t1).truncate(order))
+        t2_pows.append((t2_pows[-1] * t2).truncate(order))
+    terms = [[(t1_pows[a1] * t2_pows[a2]).truncate(order) for a1 in range(amax + 1 - a2)]
+             for a2 in range(amax + 1)]
+    den = lcm(*(b.denominator for row in terms for term in row for b in term.coeffs))
+    rows = tuple(tuple(tuple((k, b.numerator * (den // b.denominator))
+                             for k, b in enumerate(term.coeffs, term.valuation) if b)
+                       for term in row)
+                 for row in terms)
+    return rows, den
+
+
+def test_eq_basis_equals_the_series_products():
+    for order in range(1, 22):
+        assert wallcross._eq_basis(order) == reference_eq_basis(order)
 
 
 def test_eq_sum_rational_arguments():
@@ -382,6 +412,52 @@ def test_raw_sum_detects_mu0_div_perturbation():
     vertex = VertexData.standard(5).perturbed("mu0_div", 2, F(1, 1000))
     rep = verify_raw_equals_closed(1, 1, range(0, 2), 10, vertex=vertex)
     assert not rep.passed
+
+
+def reference_raw_tables(vertex, order):
+    """`_raw_tables` rebuilt per partition, with multinomial(k, multiplicities(parts))."""
+    dmax = (order - 1) // 2
+    genera = range(1, dmax + 1)
+    den_v = lcm(*(table[g].denominator for table in vertex for g in genera))
+    mu1, mu0_psi, mu0_div = ({g: table[g].numerator * (den_v // table[g].denominator)
+                              for g in genera} for table in vertex)
+    marked, inserted = [], []
+    for s in range(dmax + 1):
+        m_row = [0] * (s + 1)
+        i_row = [[0] * (k + 1) for k in range(s + 1)]
+        for parts in descending_partitions(s):
+            m_prod = prod(mu1[gi] for gi in parts)
+            by_psi = [1]
+            for gi in parts:
+                psi, div = mu0_psi[gi], mu0_div[gi]
+                nxt = [b * div for b in by_psi] + [0]
+                for j, b in enumerate(by_psi):
+                    nxt[j + 1] += b * psi
+                by_psi = nxt
+            k = len(parts)
+            weight = multinomial(k, multiplicities(parts))
+            m_row[k] += weight * m_prod
+            for j, b in enumerate(by_psi):
+                i_row[k][j] += weight * b
+        marked.append(m_row)
+        inserted.append(i_row)
+    m_q = [den_v**k for k in range(dmax + 1)]
+    i_q = [q * factorial(k) for k, q in enumerate(m_q)]
+    m_den = lcm(*(m_q[k] // gcd(x, m_q[k]) for row in marked for k, x in enumerate(row)))
+    i_den = lcm(*(i_q[k] // gcd(x, i_q[k])
+                  for row in inserted for k, by_k in enumerate(row) for x in by_k))
+    return (tuple(tuple(x * m_den // m_q[k] for k, x in enumerate(row)) for row in marked),
+            tuple(tuple(tuple(x * i_den // i_q[k] for x in by_k) for k, by_k in enumerate(row))
+                  for row in inserted),
+            m_den * i_den)
+
+
+def test_raw_tables_equal_the_per_partition_sums():
+    standard = VertexData.standard(15)
+    shifted = standard.perturbed("mu0_psi", 2, F(3, 7)).perturbed("mu1", 1, F(-5, 11))
+    for order in range(1, 32):
+        for vertex in (standard, shifted):
+            assert wallcross._raw_tables(vertex, order) == reference_raw_tables(vertex, order)
 
 
 def test_raw_sum_rejects_short_vertex_table():
