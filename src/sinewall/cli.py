@@ -75,7 +75,7 @@ from .wallcross import (
 # Largest accepted values.  On a 2-core VM with Python 3.11 each keeps one
 # call to about 2 s: verify-identities took 0.9-1.2 s at order 57 (0.5 s at
 # 50, 1.3 s at 58, 1.7 s at 60), expand-sine 1.1 s at order 500 (9 s at
-# 1000), mu 0.25 s at g_max 40.
+# 1000), mu 0.12 s at g_max 40.
 MAX_VERIFY_ORDER = 57
 MAX_SINE_ORDER = 500
 MAX_MU_G_MAX = 40

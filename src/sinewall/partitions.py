@@ -45,8 +45,10 @@ def descending_walk(top: int) -> Iterator[tuple[int, ...]]:
     """Every weakly-decreasing positive tuple with sum <= top, in preorder of the prefix tree.
 
     Larger parts come first, and a tuple's prefixes are the last tuples walked at shorter lengths.
+    Below top = 0 not even the empty tuple qualifies.
     """
-    stack = [((), top, top)]  # (tuple, top minus its sum, its largest next part)
+    # (tuple, top minus its sum, its largest next part)
+    stack = [((), top, top)] if top >= 0 else []
     while stack:
         parts, rest, largest = stack.pop()
         yield parts

@@ -35,10 +35,16 @@ is built once per call by integer `convolve`s, and for fixed m1 each
 coefficient is a polynomial in m2, evaluated at every m2 by Horner
 (`_eq_cells`).  Both grids read their closed sides from one table of sine
 powers per grid (`_sine_powers`): S^k for exactly the exponents the grid
-reads, each one integer `convolve` in x = u^2 from the power before,
-starting from S or S^-1, with no `log` or `exp`.  The eq basis alone reads
-`log S`, and builds its own powers; the raw route uses no series kernel.
-A failing cell names its first mismatch from the integers it compared.
+reads, with no `log` or `exp`.  The eq basis alone reads `log S`.  The
+raw route uses no series kernel.
+
+Every series the grids compare is even in u, so their helpers work in
+x = u^2 alone: a grid turns its order into the number of x-coefficients it
+compares once, every helper takes and returns integer numerators of
+x^0..x^(size-1), and only `eq_sum` and `correction_raw_sum` spread a result
+back to u.  The powers of S, S^-1, t1 and t2 are each a `_ladder`, one
+integer `convolve` per power.  A failing cell names its first mismatch as a
+power of u, from the integers it compared.
 """
 
 from __future__ import annotations
@@ -106,69 +112,60 @@ def sine_factor(g: int, c: int, order: int) -> USeries:
     return pow_int(sinc_half(order), 2 * g - 2 + c)
 
 
-def _sine_powers(ks: Iterable[int], order: int) -> dict[int, tuple[list[int], int]]:
-    """S^k for every k in ks, as (numerators of u^0..u^(order-1), one denominator).
+def _ladder(step: list[int], step_den: int, top: int, size: int) -> list[tuple[list[int], int]]:
+    """(step / step_den)^j for j = 0..top, each as numerators of x^0..x^(size-1) over one den.
 
-    The closed side of both identity grids.  S and S^-1 are the only series
-    built, by `sinc_half` and one `pow_int`; every power steps from the one
-    before by one integer `convolve` in x = u^2 with S (k > 0) or S^-1
-    (k < 0), and each is reduced by the gcd of its numerators and its
-    denominator.  No `log` or `exp`, which the eq basis reads, enters here.
+    Every power is one integer `convolve` from the power before, reduced by
+    the gcd of its numerators and its denominator.  Entry 0 is 1.
     """
-    ks = set(ks)
-    if order <= 0:
-        return {k: ([], 1) for k in ks}
-    s = sinc_half(order)
-    n = (order + 1) // 2  # coefficients of x = u^2 below u^order
-    powers = {}
-    for sign in (1, -1):
-        top = max((sign * k for k in ks), default=0)
-        if top <= 0:
-            continue
-        step, step_den = numerators((s if sign > 0 else pow_int(s, -1)).coeffs[::2])
-        nums, den = [1], 1
-        for j in range(1, top + 1):
-            nums, den = convolve(nums, step, n), den * step_den
-            g = gcd(den, *nums)
-            nums, den = [x // g for x in nums], den // g
-            if sign * j in ks:
-                dense = [0] * order
-                dense[::2] = nums
-                powers[sign * j] = (dense, den)
-    if 0 in ks:
-        powers[0] = ([1] + [0] * (order - 1), 1)
+    powers = [([int(i == 0) for i in range(size)], 1)]
+    for _ in range(top):
+        nums, den = powers[-1]
+        nums, den = convolve(nums, step, size), den * step_den
+        g = gcd(den, *nums)
+        powers.append(([x // g for x in nums], den // g))
     return powers
 
 
-def _eq_basis(order: int):
-    """The products t1^a1 t2^a2 below ``order`` that `eq_sum` combines.
+def _sine_powers(ks: Iterable[int], size: int) -> dict[int, tuple[list[int], int]]:
+    """S^k for every k in ks, as (numerators of x^0..x^(size-1), one denominator), x = u^2.
 
-    Returns (rows, den): row a2, entry a1 is a tuple of (exponent,
-    numerator over den) pairs with the zeros left out.  Every factor has
-    valuation >= 0, so the coefficients of a product below ``order``
-    depend only on those of its factors below ``order``: t1 = S^2 - 1,
-    t2 = S^2 log S, their powers (each reduced by its gcd) and products
-    are integer numerators in x = u^2 cut there, one `convolve` each.
+    The closed side of both identity grids.  S and S^-1 are the only series
+    built, by `sinc_half` and one `pow_int` (only when some k < 0); each
+    power is a rung of a `_ladder` on S or S^-1.  No `log` or `exp`, which
+    the eq basis reads, enters here.
     """
-    n = (order + 1) // 2  # x^0..x^(n-1) lie below u^order; t1, t2 have valuation 1 in x
-    s = sinc_half(order)
+    ks = set(ks)
+    s = sinc_half(2 * size + 1)  # through x^size, so that S^-1 exists at size 0
+    up = _ladder(*numerators(s.coeffs[::2]), max(ks, default=0), size)
+    low = min(ks, default=0)
+    down = _ladder(*numerators(pow_int(s, -1).coeffs[::2]), -low, size) if low < 0 else up
+    return {k: (up if k >= 0 else down)[abs(k)] for k in ks}
+
+
+def _eq_basis(size: int):
+    """The products t1^a1 t2^a2 of x^0..x^(size-1), x = u^2, that `eq_sum` combines.
+
+    Returns (rows, den): row a2, entry a1 is a tuple of (exponent in x,
+    numerator over den) pairs with the zeros left out.  Every factor has
+    valuation >= 0, so the coefficients of a product below x^size depend
+    only on those of its factors below x^size: t1 = S^2 - 1 and
+    t2 = S^2 log S have valuation 1, their powers are `_ladder`s and each
+    product is one `convolve`.
+    """
+    s = sinc_half(2 * size + 1)  # through x^size, so that log S exists at size 0
     s_nums, s_den = numerators(s.coeffs[::2])
-    log_nums, log_den = numerators([0, *log(s).coeffs[::2]])  # log S starts at u^2
-    s2 = convolve(s_nums, s_nums, n)
-    t1 = [0] + s2[1:]  # S^2 has constant term 1
-    t2 = convolve(s2, log_nums, n)
-    t1_pows, t2_pows = [([1], 1)], [([1], 1)]
-    for _ in range(n - 1):
-        for pows, base, base_den in ((t1_pows, t1, s_den**2), (t2_pows, t2, s_den**2 * log_den)):
-            nums, d = pows[-1]
-            nums, d = convolve(nums, base, n), d * base_den
-            g = gcd(d, *nums)
-            pows.append(([x // g for x in nums], d // g))
-    terms = [[(convolve(a, b, n), da * db) for a, da in t1_pows[:n - a2]]
+    log_nums, log_den = numerators([0, *log(s).coeffs[::2]])  # log S starts at x^1
+    s2 = convolve(s_nums, s_nums, size)
+    t1 = [0, *s2[1:]]  # S^2 has constant term 1
+    t2 = convolve(s2, log_nums, size)
+    t1_pows = _ladder(t1, s_den**2, size - 1, size)
+    t2_pows = _ladder(t2, s_den**2 * log_den, size - 1, size)
+    terms = [[(convolve(a, b, size), da * db) for a, da in t1_pows[:size - a2]]
              for a2, (b, db) in enumerate(t2_pows)]
     # x / d in lowest terms has denominator d // gcd(x, d)
     den = lcm(*(d // gcd(x, d) for row in terms for nums, d in row for x in nums))
-    rows = tuple(tuple(tuple((2 * i, x * den // d) for i, x in enumerate(nums) if x)
+    rows = tuple(tuple(tuple((i, x * den // d) for i, x in enumerate(nums) if x)
                        for nums, d in row)
                  for row in terms)
     return rows, den
@@ -187,17 +184,18 @@ def eq_sum(m1, m2, order: int) -> USeries:
     """
     if order <= 0:
         return USeries.zero(order)
-    ((nums, den),) = _eq_cells(_eq_basis(order), m1, (m2,), order)
-    return _from_numerators(nums, den)
+    size = (order + 1) // 2
+    ((nums, den),) = _eq_cells(_eq_basis(size), m1, (m2,), size)
+    return _from_numerators(nums, den, order)
 
 
-def _eq_cells(basis, m1, m2s: Iterable, order: int) -> list[tuple[list[int], int]]:
-    """Per m2 in m2s, `eq_sum(m1, m2, order)` from `_eq_basis(order)` as (numerators, den).
+def _eq_cells(basis, m1, m2s: Iterable, size: int) -> list[tuple[list[int], int]]:
+    """Per m2 in m2s, `eq_sum(m1, m2)` from `_eq_basis(size)` as (x-numerators, den).
 
-    With m1 = p1/q1, m2 = p2/q2 and amax = (order - 1) // 2, the term a1, a2
+    With m1 = p1/q1, m2 = p2/q2 and amax = size - 1, the term a1, a2
     times (amax! q1^amax)(amax! q2^amax) has the integer coefficient
     p2^a2 q2^(amax - a2) (amax! / a2!) q1^(amax - a1) (amax! / a1!)
-    prod_{i < a1} (p1 - (a2 + i) q1).  So for fixed m1 each u-coefficient is
+    prod_{i < a1} (p1 - (a2 + i) q1).  So for fixed m1 each x-coefficient is
     a homogeneous polynomial in (p2, q2), summed over the basis once and
     evaluated at each m2 by Horner.
     """
@@ -206,16 +204,16 @@ def _eq_cells(basis, m1, m2s: Iterable, order: int) -> list[tuple[list[int], int
     p1, q1 = Fraction(m1).as_integer_ratio()
     top = factorial(amax)
     w1 = [q1 ** (amax - a) * (top // factorial(a)) for a in range(amax + 1)]
-    polys = []  # polys[a2][k]: the coefficient of p2^a2 q2^(amax - a2) in u^k
+    polys = []  # polys[a2][i]: the coefficient of p2^a2 q2^(amax - a2) in x^i
     for a2, row in enumerate(rows):
-        poly = [0] * order
+        poly = [0] * size
         ff = top // factorial(a2)
         for a1, term in enumerate(row):
             if not ff:
                 break  # ff(m1 - a2, a1) has reached 0 and stays there
             coef = ff * w1[a1]
-            for k, b in term:
-                poly[k] += coef * b
+            for i, b in term:
+                poly[i] += coef * b
             ff *= p1 - (a2 + a1) * q1
         polys.append(poly)
     cells = []
@@ -229,9 +227,11 @@ def _eq_cells(basis, m1, m2s: Iterable, order: int) -> list[tuple[list[int], int
     return cells
 
 
-def _from_numerators(nums: list[int], den: int) -> USeries:
-    """The series sum_i (nums[i] / den) u^i."""
-    return USeries(0, [Fraction(x, den) for x in nums])
+def _from_numerators(nums: list[int], den: int, order: int) -> USeries:
+    """The series sum_i (nums[i] / den) u^(2i), truncated at ``order`` > 0."""
+    coeffs = [0] * order
+    coeffs[::2] = [Fraction(x, den) for x in nums]
+    return USeries(0, coeffs)
 
 
 class VertexData(namedtuple("VertexData", "mu1 mu0_psi mu0_div")):
@@ -262,10 +262,10 @@ class VertexData(namedtuple("VertexData", "mu1 mu0_psi mu0_div")):
         return self._replace(**{field: table})
 
 
-def _raw_tables(vertex: VertexData, order: int):
-    """The vertex-only sums of the raw route below ``order``, built once per grid.
+def _raw_tables(vertex: VertexData, size: int):
+    """The vertex-only sums of the raw route for added genus s < ``size``, built once per grid.
 
-    Returns (marked, inserted, den) with, for added genus s <= (order-1)//2,
+    Returns (marked, inserted, den) with, for added genus s < size,
 
         marked[s][k1]       = sum over lists g1 of genus s with k1 parts of
                               multinomial(k1, repeats) * prod mu1[g_i]
@@ -284,18 +284,17 @@ def _raw_tables(vertex: VertexData, order: int):
     insertion lists.  Only the finished rows are reduced, to the least
     common denominators.
     """
-    dmax = (order - 1) // 2
-    genera = range(1, dmax + 1)
+    genera = range(1, size)
     missing = [g for g in genera if any(g not in table for table in vertex)]
     if missing:
-        raise ValueError(f"vertex data lacks genera {missing} needed at order {order}")
+        raise ValueError(f"vertex data lacks genera {missing}, needed through genus {size - 1}")
     den_v = lcm(*(table[g].denominator for table in vertex for g in genera))
     mu1, mu0_psi, mu0_div = ({g: table[g].numerator * (den_v // table[g].denominator)
                               for g in genera} for table in vertex)
-    marked = [[0] * (s + 1) for s in range(dmax + 1)]
-    inserted = [[[0] * (k + 1) for k in range(s + 1)] for s in range(dmax + 1)]
+    marked = [[0] * (s + 1) for s in range(size)]
+    inserted = [[[0] * (k + 1) for k in range(s + 1)] for s in range(size)]
     states = [(0, 1, [1], 1)]  # per list length: genus, prod mu1, by_psi, weight
-    for parts in descending_walk(dmax):
+    for parts in descending_walk(size - 1):
         k = len(parts)
         if k:  # extend the state of parts[:-1], the last list of length k - 1
             gi = parts[-1]
@@ -307,7 +306,7 @@ def _raw_tables(vertex: VertexData, order: int):
         s, m_prod, by_psi, weight = states[k]
         marked[s][k] += weight * m_prod
         inserted[s][k] = [x + weight * b for x, b in zip(inserted[s][k], by_psi)]
-    m_q = [den_v**k for k in range(dmax + 1)]
+    m_q = [den_v**k for k in range(size)]
     i_q = [q * factorial(k) for k, q in enumerate(m_q)]
     # x / q in lowest terms has denominator q // gcd(x, q)
     m_den = lcm(*(m_q[k] // gcd(x, m_q[k]) for row in marked for k, x in enumerate(row)))
@@ -344,8 +343,7 @@ def _bracket_factors(g0: int, n: int, kmax: int) -> list[list[int]]:
     return rows
 
 
-def _raw_cells(tables, marked: list[int], g0: int, n: int, cs: Iterable[int],
-               order: int) -> list[list[int]]:
+def _raw_cells(tables, marked: list[int], g0: int, n: int, cs: Iterable[int]) -> list[list[int]]:
     """The cells (g0, n, c) of the raw route for every c in cs, from `_raw_tables`.
 
     ``marked`` is `_marked_sums(tables, n)`.  With the divisor weight
@@ -353,10 +351,10 @@ def _raw_cells(tables, marked: list[int], g0: int, n: int, cs: Iterable[int],
     factors[k2][j] B^(k2 - j) is a polynomial in B, and so is the u^{2 delta}
     coefficient sum_s marked[s] inserted[delta - s].  Those polynomials are
     built once per (g0, n) and evaluated at each c by Horner.  Returns, per
-    c, the numerators of u^0..u^(order-1) over the tables' denominator.
+    c, the numerators of x^delta = u^(2 delta) for every added genus delta
+    of the tables, over the tables' denominator.
     """
-    dmax = (order - 1) // 2
-    factors = _bracket_factors(g0, n, dmax)
+    factors = _bracket_factors(g0, n, len(marked) - 1)
     inserted = []  # inserted[t][e]: the coefficient of B^e
     for row in tables[1]:
         poly = [0] * len(row)
@@ -365,7 +363,7 @@ def _raw_cells(tables, marked: list[int], g0: int, n: int, cs: Iterable[int],
                 poly[k - j] += x * f
         inserted.append(poly)
     polys = []
-    for delta in range(dmax + 1):
+    for delta in range(len(marked)):
         poly = [0] * (delta + 1)
         for s in range(delta + 1):
             m = marked[s]
@@ -376,12 +374,12 @@ def _raw_cells(tables, marked: list[int], g0: int, n: int, cs: Iterable[int],
     cells = []
     for c in cs:
         b = 3 * (2 * g0 - 2) + c
-        coeffs = [0] * order
-        for delta, poly in enumerate(polys):
+        coeffs = []
+        for poly in polys:
             acc = 0
             for x in reversed(poly):
                 acc = acc * b + x
-            coeffs[2 * delta] = acc
+            coeffs.append(acc)
         cells.append(coeffs)
     return cells
 
@@ -405,11 +403,12 @@ def correction_raw_sum(g0: int, n: int, c: int, order: int,
         raise ValueError("g0 and n must be nonnegative")
     if order <= 0:
         return USeries.zero(order)
+    size = (order + 1) // 2
     if vertex is None:
-        vertex = VertexData.standard((order - 1) // 2)
-    tables = _raw_tables(vertex, order)
-    (nums,) = _raw_cells(tables, _marked_sums(tables, n), g0, n, (c,), order)
-    return _from_numerators(nums, tables[2])
+        vertex = VertexData.standard(size - 1)
+    tables = _raw_tables(vertex, size)
+    (nums,) = _raw_cells(tables, _marked_sums(tables, n), g0, n, (c,))
+    return _from_numerators(nums, tables[2], order)
 
 
 class GridCell(namedtuple("GridCell", "key passed detail", defaults=("",))):
@@ -441,14 +440,14 @@ class GridReport(namedtuple("GridReport", "name cells")):
 
 
 def _cell(key, got: list[int], den: int, want: list[int], want_den: int) -> GridCell:
-    """Compare got / den with want / want_den, both dense from u^0, by cross-multiplication.
+    """Compare got / den with want / want_den, both dense in x = u^2, by cross-multiplication.
 
-    A failing cell names its first mismatching exponent.
+    A failing cell names its first mismatch, at x^k, as u^(2k).
     """
     for k, (x, y) in enumerate(zip(got, want, strict=True)):
         if x * want_den != y * den:
             return GridCell(key, False,
-                            f"u^{k}: got {Fraction(x, den)}, want {Fraction(y, want_den)}")
+                            f"u^{2 * k}: got {Fraction(x, den)}, want {Fraction(y, want_den)}")
     return GridCell(key, True)
 
 
@@ -465,18 +464,18 @@ def verify_raw_equals_closed(g0_max: int = 3, n_max: int = 4,
     the whole grid.  The closed sides come from one table of sine powers
     (`_sine_powers`), one entry per exponent k = 2 g0 - 2 + c.
     """
-    internal = order + 1
+    size = max(order // 2 + 1, 0)  # x^0..x^(size-1), x = u^2, reach u^order
     cs = sorted(set(int(c) for c in c_range))
     if vertex is None:
-        vertex = VertexData.standard((internal - 1) // 2)
-    tables = _raw_tables(vertex, internal)
-    closed = _sine_powers({2 * g0 - 2 + c for g0 in range(g0_max + 1) for c in cs}, internal)
+        vertex = VertexData.standard(size - 1)
+    tables = _raw_tables(vertex, size)
+    closed = _sine_powers({2 * g0 - 2 + c for g0 in range(g0_max + 1) for c in cs}, size)
     den = tables[2]
     marked = [_marked_sums(tables, n) for n in range(n_max + 1)]
     cells = []
     for g0 in range(g0_max + 1):
         for n in range(n_max + 1):
-            for c, got in zip(cs, _raw_cells(tables, marked[n], g0, n, cs, internal)):
+            for c, got in zip(cs, _raw_cells(tables, marked[n], g0, n, cs)):
                 cells.append(_cell((g0, n, c), got, den, *closed[2 * g0 - 2 + c]))
     return GridReport("raw-sum vs closed-form multiplier", tuple(cells))
 
@@ -492,14 +491,14 @@ def verify_eq_sum(m1_range: Iterable[int] = range(-6, 1),
     `eq_sum` is built once for the grid, and `_eq_cells` forms one row of
     m2 per m1.
     """
-    internal = order + 1
+    size = max(order // 2 + 1, 0)  # x^0..x^(size-1), x = u^2, reach u^order
     m1s = sorted(set(int(m) for m in m1_range))
     m2s = sorted(set(int(m) for m in m2_range))
-    closed = _sine_powers({2 * m1 + m2 for m1 in m1s for m2 in m2s}, internal)
-    basis = _eq_basis(internal)
+    closed = _sine_powers({2 * m1 + m2 for m1 in m1s for m2 in m2s}, size)
+    basis = _eq_basis(size)
     cells = []
     for m1 in m1s:
-        for m2, (got, den) in zip(m2s, _eq_cells(basis, m1, m2s, internal)):
+        for m2, (got, den) in zip(m2s, _eq_cells(basis, m1, m2s, size)):
             cells.append(_cell((m1, m2), got, den, *closed[2 * m1 + m2]))
     return GridReport("bracket-reduction sum vs closed form", tuple(cells))
 

@@ -114,6 +114,8 @@ def test_descending_walk_lists_each_tuple_once_after_its_prefixes():
         for parts in walked:
             assert last[:len(parts)] == [parts[:k] for k in range(len(parts))]
             last[len(parts):] = [parts]
+    for top in range(-3, 0):  # no tuple, not even (), has a negative sum
+        assert list(descending_walk(top)) == []
 
 
 # ---------------------------------------------------------------- threefold

@@ -151,7 +151,7 @@ def test_eq_sum_recovers_sine_power():
 
 def test_eq_basis_across_orders_built_once_per_call(monkeypatch):
     # each call builds the basis of its own order and keeps nothing; a grid
-    # builds it once, at its internal order
+    # builds it once, at its x-length: x^0..x^4 reach u^8 and lie below u^9
     for order in (9, 13, 9):
         s = sinc_half(order)
         for m1, m2 in ((-2, 3), (0, -4), (1, 5), (-3, 0)):
@@ -163,19 +163,20 @@ def test_eq_basis_across_orders_built_once_per_call(monkeypatch):
     calls = []
     build = wallcross._eq_basis
 
-    def counting(order):
-        calls.append(order)
-        return build(order)
+    def counting(size):
+        calls.append(size)
+        return build(size)
 
     monkeypatch.setattr(wallcross, "_eq_basis", counting)
     assert verify_eq_sum(range(-3, 1), range(-2, 5), 8).passed
-    assert calls == [9]
+    assert calls == [5]
     assert eq_sum(-2, 3, 9) == pow_int(sinc_half(9), -1)
-    assert calls == [9, 9]
+    assert calls == [5, 5]
 
 
-def reference_eq_basis(order):
-    """`_eq_basis` by truncated `USeries` products, converted to integers afterwards."""
+def reference_eq_basis(size):
+    """`_eq_basis` by truncated `USeries` products, converted to integers in x = u^2 afterwards."""
+    order = 2 * size - 1
     s = sinc_half(order)
     s2 = s * s
     t1, t2 = s2 - USeries.one(order), s2 * log(s)
@@ -186,8 +187,10 @@ def reference_eq_basis(order):
         t2_pows.append((t2_pows[-1] * t2).truncate(order))
     terms = [[(t1_pows[a1] * t2_pows[a2]).truncate(order) for a1 in range(amax + 1 - a2)]
              for a2 in range(amax + 1)]
+    assert all(k % 2 == 0 for row in terms for term in row
+               for k, b in enumerate(term.coeffs, term.valuation) if b)
     den = lcm(*(b.denominator for row in terms for term in row for b in term.coeffs))
-    rows = tuple(tuple(tuple((k, b.numerator * (den // b.denominator))
+    rows = tuple(tuple(tuple((k // 2, b.numerator * (den // b.denominator))
                              for k, b in enumerate(term.coeffs, term.valuation) if b)
                        for term in row)
                  for row in terms)
@@ -195,8 +198,9 @@ def reference_eq_basis(order):
 
 
 def test_eq_basis_equals_the_series_products():
-    for order in range(1, 22):
-        assert wallcross._eq_basis(order) == reference_eq_basis(order)
+    for size in range(1, 12):
+        assert wallcross._eq_basis(size) == reference_eq_basis(size)
+    assert wallcross._eq_basis(0) == (((),), 1)  # below u^0: no product has a coefficient
 
 
 def test_eq_sum_rational_arguments():
@@ -218,16 +222,17 @@ def _raise_if_called(name):
 
 def test_eq_sum_uses_no_closed_form_kernel(monkeypatch):
     want = {m: pow_int(sinc_half(13), int(2 * m[0] + m[1])) for m in ((-2, 3), (F(1, 2), 1))}
-    basis = wallcross._eq_basis(13)
     assert not hasattr(wallcross, "exp")
-    monkeypatch.setattr(wallcross, "pow_int", _raise_if_called("pow_int"))
+    for name in ("pow_int", "sine_factor", "_sine_powers"):
+        monkeypatch.setattr(wallcross, name, _raise_if_called(name))
+    basis = wallcross._eq_basis(7)  # x^0..x^6 lie below u^13
     for m, series in want.items():  # each call builds its basis from S and log S
         assert eq_sum(*m, 13) == series
     for name in ("sinc_half", "log"):
         monkeypatch.setattr(wallcross, name, _raise_if_called(name))
     for (m1, m2), series in want.items():  # on a prebuilt basis: no series kernel at all
-        ((nums, den),) = wallcross._eq_cells(basis, m1, (m2,), 13)
-        assert wallcross._from_numerators(nums, den) == series
+        ((nums, den),) = wallcross._eq_cells(basis, m1, (m2,), 7)
+        assert wallcross._from_numerators(nums, den, 13) == series
 
 
 def test_verify_eq_sum_grid():
@@ -242,13 +247,13 @@ def test_eq_grid_failure_report_matches_series_comparison(monkeypatch):
     # a negative control for the integer comparison: one numerator of the
     # basis's t2^1 shifted; the grid's failing cells, their order and their
     # details equal those of comparing eq_sum with the closed series
-    order, internal = 8, 9
-    rows, den = wallcross._eq_basis(internal)
+    order, internal, size = 8, 9, 5  # x^0..x^4 reach u^8 and lie below u^9
+    rows, den = wallcross._eq_basis(size)
     (k, b), *rest = rows[1][0]  # a2 = 1, a1 = 0
     bumped = rows[:1] + ((((k, b + 1), *rest),) + rows[1][1:],) + rows[2:]
 
     def bumped_basis(n):
-        assert n == internal
+        assert n == size
         return bumped, den
 
     monkeypatch.setattr(wallcross, "_eq_basis", bumped_basis)
@@ -271,7 +276,7 @@ def test_eq_grid_failure_report_matches_series_comparison(monkeypatch):
 
 def test_cell_compares_every_coefficient_by_cross_multiplication():
     # equal fractions over different denominators pass; a change at any one
-    # exponent, to zero or away from it, fails naming that exponent
+    # coefficient in x = u^2, to zero or away from it, fails naming its exponent in u
     want = [6, 0, -3, 0, 5, 2, 0]
     assert wallcross._cell("k", [x * 7 for x in want], 84, want, 12).passed
     with pytest.raises(ValueError):  # a short side is an error, not a truncated comparison
@@ -283,13 +288,14 @@ def test_cell_compares_every_coefficient_by_cross_multiplication():
             got = want[:e] + [value] + want[e + 1:]
             cell = wallcross._cell("k", got, 12, want, 12)
             assert not cell.passed
-            assert cell.detail == f"u^{e}: got {F(value, 12)}, want {F(want[e], 12)}"
+            assert cell.detail == f"u^{2 * e}: got {F(value, 12)}, want {F(want[e], 12)}"
 
 
 def test_default_grids_build_each_closed_side_once(monkeypatch):
     # each grid makes one table of sine powers holding exactly the exponents
     # it reads: k = 2 g0 - 2 + c, -4..10, for the raw grid and 2 m1 + m2,
-    # -18..12, for the eq grid.  The table builds S once and inverts it once;
+    # -18..12, for the eq grid, through x^5 and x^6 (u^10 and u^12).  The
+    # table builds S (one term further, through x^6 and x^7) once and inverts it once;
     # no closed side goes through sine_factor or exp (which wallcross no
     # longer imports), and cells are compared in integers, so neither eq_sum
     # nor any series round trip runs
@@ -297,12 +303,12 @@ def test_default_grids_build_each_closed_side_once(monkeypatch):
     calls, inside = [], []
     table, sinc, power = wallcross._sine_powers, wallcross.sinc_half, wallcross.pow_int
 
-    def counting_table(ks, order):
+    def counting_table(ks, size):
         ks = set(ks)
-        calls.append(("_sine_powers", sorted(ks), order))
+        calls.append(("_sine_powers", sorted(ks), size))
         inside.append(True)
         try:
-            return table(ks, order)
+            return table(ks, size)
         finally:
             inside.pop()
 
@@ -321,40 +327,44 @@ def test_default_grids_build_each_closed_side_once(monkeypatch):
     for name in ("sine_factor", "eq_sum", "_from_numerators"):
         monkeypatch.setattr(wallcross, name, _raise_if_called(name))
     assert verify_raw_equals_closed().passed
-    assert calls == [("_sine_powers", list(range(-4, 11)), 11), ("sinc_half", 11),
+    assert calls == [("_sine_powers", list(range(-4, 11)), 6), ("sinc_half", 13),
                      ("pow_int", -1, True)]
     calls.clear()
     assert verify_eq_sum().passed
-    assert calls == [("_sine_powers", list(range(-18, 13)), 13), ("sinc_half", 13),
+    assert calls == [("_sine_powers", list(range(-18, 13)), 7), ("sinc_half", 15),
                      ("pow_int", -1, True)]
 
 
 def test_sine_powers_equal_sine_factor():
     # the grids' closed side against the transform's kernel, as fractions:
-    # every exponent both default grids read, at every order up to 30
+    # every exponent both default grids read, through every x^(size-1) up to
+    # x^15 (u^30); the transform's series holds zeros at every odd exponent
     ks = range(-18, 13)
-    for order in range(1, 31):
-        powers = wallcross._sine_powers(ks, order)
+    for size in range(0, 16):
+        powers = wallcross._sine_powers(ks, size)
         assert sorted(powers) == list(ks)
         for k, (nums, den) in powers.items():
-            want, want_den = numerators(sine_factor(0, k + 2, order).coeffs)
-            assert len(nums) == len(want) == order
+            factor = sine_factor(0, k + 2, 2 * size)
+            assert not any(factor.coeffs[1::2])
+            want, want_den = numerators(factor.coeffs[::2])
+            assert len(nums) == len(want) == size
             assert [F(x, den) for x in nums] == [F(y, want_den) for y in want]
     assert wallcross._sine_powers([3, -1], 0) == {3: ([], 1), -1: ([], 1)}
     assert wallcross._sine_powers([], 9) == {}
-    assert wallcross._sine_powers([0], 4) == {0: ([1, 0, 0, 0], 1)}
+    assert wallcross._sine_powers([0], 2) == {0: ([1, 0], 1)}
+    assert wallcross._sine_powers([0, -2], 1) == {0: ([1], 1), -2: ([1], 1)}
 
 
 def test_sine_powers_use_no_log_exp_or_sine_factor(monkeypatch):
     # the closed side shares no kernel with the eq basis (log S) or with the
     # transform (sine_factor): S, one inverse and integer products only
-    want = wallcross._sine_powers(range(-7, 8), 15)
+    want = wallcross._sine_powers(range(-7, 8), 8)
     assert not hasattr(wallcross, "exp")
     for name in ("log", "sine_factor"):
         monkeypatch.setattr(wallcross, name, _raise_if_called(name))
     for name in ("exp", "log"):
         monkeypatch.setattr(series, name, _raise_if_called(name))
-    assert wallcross._sine_powers(range(-7, 8), 15) == want
+    assert wallcross._sine_powers(range(-7, 8), 8) == want
 
 
 # ---------------------------------------------------------------- raw sum
@@ -392,6 +402,19 @@ def test_verify_raw_equals_closed_small_grid():
     assert all(cell.passed for cell in rep.cells)
 
 
+def test_grids_pass_vacuously_at_negative_orders():
+    # at a negative order a grid compares no coefficient, and at order 0 only
+    # u^0: every cell of the full grid passes, as the other identity rows
+    # do, and nothing raises
+    for order in range(-3, 1):
+        for grid in (verify_raw_equals_closed, verify_eq_sum):
+            rep, want = grid(order=order), grid(order=0)
+            assert rep.passed
+            assert [cell.key for cell in rep.cells] == [cell.key for cell in want.cells]
+    # and a vertex table needs no genus there
+    assert verify_raw_equals_closed(order=-1, vertex=VertexData({}, {}, {})).passed
+
+
 def test_raw_sum_detects_mu1_perturbation():
     vertex = VertexData.standard(4).perturbed("mu1", 1, F(1, 1000))
     # marked-point multipliers never enter unmarked sums
@@ -414,9 +437,9 @@ def test_raw_sum_detects_mu0_div_perturbation():
     assert not rep.passed
 
 
-def reference_raw_tables(vertex, order):
+def reference_raw_tables(vertex, size):
     """`_raw_tables` rebuilt per partition, with multinomial(k, multiplicities(parts))."""
-    dmax = (order - 1) // 2
+    dmax = size - 1
     genera = range(1, dmax + 1)
     den_v = lcm(*(table[g].denominator for table in vertex for g in genera))
     mu1, mu0_psi, mu0_div = ({g: table[g].numerator * (den_v // table[g].denominator)
@@ -455,9 +478,10 @@ def reference_raw_tables(vertex, order):
 def test_raw_tables_equal_the_per_partition_sums():
     standard = VertexData.standard(15)
     shifted = standard.perturbed("mu0_psi", 2, F(3, 7)).perturbed("mu1", 1, F(-5, 11))
-    for order in range(1, 32):
+    for size in range(0, 17):
         for vertex in (standard, shifted):
-            assert wallcross._raw_tables(vertex, order) == reference_raw_tables(vertex, order)
+            assert wallcross._raw_tables(vertex, size) == reference_raw_tables(vertex, size)
+    assert wallcross._raw_tables(standard, 0) == ((), (), 1)
 
 
 def test_raw_sum_rejects_short_vertex_table():
@@ -538,7 +562,7 @@ def test_grid_builds_standard_vertex_once(monkeypatch):
     rep = verify_raw_equals_closed(1, 2, range(-1, 3), 8)
     assert rep.passed
     assert vertex_calls == [4]
-    assert len(table_calls) == 1 and table_calls[0][1] == 9
+    assert len(table_calls) == 1 and table_calls[0][1] == 5  # x^0..x^4 reach u^8
 
 
 def test_grid_uses_supplied_vertex_as_given(monkeypatch):
@@ -556,9 +580,11 @@ def test_grid_uses_supplied_vertex_as_given(monkeypatch):
     assert len(seen) == 1 and seen[0][0] is vertex
 
 
-def numerator_series(nums, den):
-    """The series sum_i (nums[i] / den) u^i of a grid cell's integer seam."""
-    return USeries(0, [F(x, den) for x in nums])
+def numerator_series(nums, den, order):
+    """The series sum_i (nums[i] / den) u^(2i) of a grid cell's integer seam, below u^order."""
+    coeffs = [F(0)] * order
+    coeffs[::2] = [F(x, den) for x in nums]
+    return USeries(0, coeffs)
 
 
 def test_grid_cells_match_standalone_raw_sum_on_random_vertex(monkeypatch):
@@ -567,10 +593,10 @@ def test_grid_cells_match_standalone_raw_sum_on_random_vertex(monkeypatch):
     got = {}
     combine = wallcross._raw_cells
 
-    def recording(tables, marked, g0, n, cs, order):
-        cells = combine(tables, marked, g0, n, cs, order)
+    def recording(tables, marked, g0, n, cs):
+        cells = combine(tables, marked, g0, n, cs)
         for c, nums in zip(cs, cells):
-            got[(g0, n, c)] = numerator_series(nums, tables[2])
+            got[(g0, n, c)] = numerator_series(nums, tables[2], 9)
         return cells
 
     monkeypatch.setattr(wallcross, "_raw_cells", recording)
@@ -590,7 +616,8 @@ def test_grid_cells_match_standalone_raw_sum_on_random_vertex(monkeypatch):
 
 def test_grid_failure_reports_unchanged_under_perturbation():
     # criterion 7's perturbations: first failing key, its detail and the
-    # number of failing cells
+    # number of failing cells, through u^8 at orders 8 and 9 (u^9 is odd, so
+    # both compare x^0..x^4; the odd order catches an off-by-one x-length)
     base = VertexData.standard(4)
     expected = {
         ("mu1", 1): ((0, 1, 0), "u^2: got 253/3000, want 1/12", 12),
@@ -598,10 +625,11 @@ def test_grid_failure_reports_unchanged_under_perturbation():
         ("mu0_div", 2): ((0, 0, 0), "u^4: got -11/6000, want 1/240", 15),
     }
     for (field, genus), (key, detail, failing) in expected.items():
-        rep = verify_raw_equals_closed(1, 2, range(0, 3), 8,
-                                       vertex=base.perturbed(field, genus, F(1, 1000)))
-        assert (rep.first_failure.key, rep.first_failure.detail) == (key, detail)
-        assert sum(not cell.passed for cell in rep.cells) == failing
+        for order in (8, 9):
+            rep = verify_raw_equals_closed(1, 2, range(0, 3), order,
+                                           vertex=base.perturbed(field, genus, F(1, 1000)))
+            assert (rep.first_failure.key, rep.first_failure.detail) == (key, detail)
+            assert sum(not cell.passed for cell in rep.cells) == failing
 
 
 def test_raw_route_uses_no_closed_form_kernel(monkeypatch):
@@ -610,13 +638,13 @@ def test_raw_route_uses_no_closed_form_kernel(monkeypatch):
     assert not hasattr(wallcross, "exp")
     for name in ("pow_int", "log", "sinc_half", "sine_factor"):
         monkeypatch.setattr(wallcross, name, _raise_if_called(name))
-    tables = wallcross._raw_tables(vertex, 13)
+    tables = wallcross._raw_tables(vertex, 7)  # x^0..x^6 lie below u^13
     for (g0, n, c), series in want.items():
         assert correction_raw_sum(g0, n, c, 13) == series
         assert correction_raw_sum(g0, n, c, 13, vertex) == series
         marked = wallcross._marked_sums(tables, n)
-        (nums,) = wallcross._raw_cells(tables, marked, g0, n, (c,), 13)
-        assert numerator_series(nums, tables[2]) == series
+        (nums,) = wallcross._raw_cells(tables, marked, g0, n, (c,))
+        assert numerator_series(nums, tables[2], 13) == series
 
 
 def test_vertex_perturbation_is_local():
