@@ -1,96 +1,12 @@
 """Exact engine for sine-power wall-crossing of genus-indexed curve counts."""
 
-from .series import (
-    ConstantTermNotOne,
-    NonzeroConstantTerm,
-    USeries,
-    ZeroSeries,
-    exp,
-    inv,
-    log,
-    pow_int,
-    sinc_half,
-)
-from .partitions import (
-    PartsMismatch,
-    ThreefoldPartition,
-    descending_partitions,
-    enumerate_threefold_partitions,
-    multinomial,
-    multiplicities,
-)
-from .hodge import (
-    CheckReport,
-    GradedPoly,
-    MuValue,
-    ZLaurent,
-    i_function_expansion,
-    mu_g0,
-    mu_g1,
-    verify_i_ratio,
-    verify_mu_consistency,
-)
-from .wallcross import (
-    GenusTable,
-    GridCell,
-    GridReport,
-    Kind,
-    MissingGenus,
-    VertexData,
-    correction_raw_sum,
-    eq_sum,
-    gw_from_ugw,
-    sine_factor,
-    ugw_from_gw,
-    verify_eq_sum,
-    verify_raw_equals_closed,
-)
-from .gv import ClassNotCovered, GVReport, gate_check, gv_from_gw, gw_from_gv, report_on_gv
+from . import gv, hodge, partitions, series, wallcross
+from .series import *
+from .partitions import *
+from .hodge import *
+from .wallcross import *
+from .gv import *
 
-__all__ = [
-    "USeries",
-    "inv",
-    "exp",
-    "log",
-    "pow_int",
-    "sinc_half",
-    "ZeroSeries",
-    "NonzeroConstantTerm",
-    "ConstantTermNotOne",
-    "PartsMismatch",
-    "ThreefoldPartition",
-    "multinomial",
-    "multiplicities",
-    "descending_partitions",
-    "enumerate_threefold_partitions",
-    "GradedPoly",
-    "ZLaurent",
-    "MuValue",
-    "CheckReport",
-    "mu_g0",
-    "mu_g1",
-    "i_function_expansion",
-    "verify_mu_consistency",
-    "verify_i_ratio",
-    "Kind",
-    "GenusTable",
-    "MissingGenus",
-    "VertexData",
-    "GridCell",
-    "GridReport",
-    "sine_factor",
-    "eq_sum",
-    "correction_raw_sum",
-    "verify_raw_equals_closed",
-    "verify_eq_sum",
-    "gw_from_ugw",
-    "ugw_from_gw",
-    "ClassNotCovered",
-    "GVReport",
-    "gate_check",
-    "gv_from_gw",
-    "gw_from_gv",
-    "report_on_gv",
-]
+__all__ = [*series.__all__, *partitions.__all__, *hodge.__all__, *wallcross.__all__, *gv.__all__]
 
 __version__ = "0.1.0"

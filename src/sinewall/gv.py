@@ -18,6 +18,8 @@ from collections import namedtuple
 
 from .wallcross import GenusTable, Kind, gw_from_ugw, ugw_from_gw
 
+__all__ = ["ClassNotCovered", "GVReport", "gate_check", "gv_from_gw", "gw_from_gv", "report_on_gv"]
+
 
 class ClassNotCovered(ValueError):
     """The Fano / primitive-CY hypothesis fails; the identification is unproven."""

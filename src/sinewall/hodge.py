@@ -34,6 +34,11 @@ from functools import cache
 
 from .series import log, sinc_half
 
+__all__ = [
+    "CheckReport", "GradedPoly", "MuValue", "ZLaurent", "i_function_expansion", "mu_g0", "mu_g1",
+    "verify_i_ratio", "verify_mu_consistency",
+]
+
 
 class GradedPoly:
     """Polynomial in the commuting classes H and c1, capped by total degree.

@@ -1,16 +1,20 @@
 r"""Partition enumeration for the wall-crossing sums.
 
-The raw wall-crossing sum runs over two independent lists of genera,
-each a `descending_partitions` tuple: g1 lists the genera attached to at
-most n marked points and g2 the genera of the extra bracket insertions.
-A ThreefoldPartition names one term of that sum together with its root
-genus, splitting a genus g as g0 + sum(g1) + sum(g2);
-`enumerate_threefold_partitions` lists the whole index set.
+One walk (`descending_walk`) lists every weakly-decreasing tuple of
+positive integers up to a sum, each right after its prefixes.  The raw
+wall-crossing sum runs over that walk directly: g1 lists the genera
+attached to at most n marked points and g2 the genera of the extra
+bracket insertions, both partitions of the added genus, and each list
+extends the sums of its prefix by one part.  `descending_partitions`
+(the partitions of one sum, filtered from the walk) and
+`enumerate_threefold_partitions` (the whole index set, each term a
+ThreefoldPartition that splits a genus g as g0 + sum(g1) + sum(g2))
+name the same index set as explicit tuples, for the tests and the
+benchmark's tracer.
 
-Partitions are canonical weakly-decreasing tuples, from one walk
-(`descending_walk`).  Orbit counts are restored by multiplicity weights
-(`multinomial` for the marked list, 1 / prod(m_j!) for the unmarked
-one), so enumerations stay duplicate-free and set equality is decidable.
+Orbit counts are restored by multiplicity weights (`multinomial` for the
+marked list, 1 / prod(m_j!) for the unmarked one), so enumerations stay
+duplicate-free and set equality is decidable.
 """
 
 from __future__ import annotations
@@ -18,6 +22,11 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from collections.abc import Iterator
 from math import factorial
+
+__all__ = [
+    "PartsMismatch", "ThreefoldPartition", "descending_partitions",
+    "enumerate_threefold_partitions", "multinomial", "multiplicities",
+]
 
 
 class PartsMismatch(ValueError):
@@ -55,10 +64,9 @@ def descending_walk(top: int) -> Iterator[tuple[int, ...]]:
         stack.extend((parts + (p,), rest - p, min(p, rest - p)) for p in range(1, largest + 1))
 
 
-def descending_partitions(total: int, max_len: int | None = None) -> Iterator[tuple[int, ...]]:
+def descending_partitions(total: int) -> Iterator[tuple[int, ...]]:
     """Weakly-decreasing tuples of positive integers with the given sum, largest parts first."""
-    return (parts for parts in descending_walk(total)
-            if sum(parts) == total and (max_len is None or len(parts) <= max_len))
+    return (parts for parts in descending_walk(total) if sum(parts) == total)
 
 
 class ThreefoldPartition(namedtuple("ThreefoldPartition", "g0 g1 g2")):

@@ -42,6 +42,11 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
+__all__ = [
+    "ConstantTermNotOne", "NonzeroConstantTerm", "USeries", "ZeroSeries", "exp", "inv", "log",
+    "pow_int", "sinc_half",
+]
+
 
 class ZeroSeries(ValueError):
     """Raised when inverting a series with no known nonzero coefficient."""

@@ -6,7 +6,15 @@ class with c1(X),
     sum_g GW_g u^{2g-2}  =  sum_g uGW_g u^{2g-2} S^{2g-2+c},
 
 so GW_h = sum_{g <= h} uGW_g [u^{2(h-g)}] S^{2g-2+c}.  The transform is
-triangular with unit diagonal ([u^0] S^k = 1), hence exactly invertible.
+triangular with unit diagonal ([u^0] S^k = 1), hence exactly invertible,
+and Lagrange inversion of w = u^2 S^2 writes the inverse from the same
+powers of S: with k = 2h - 2 + c,
+
+    uGW_h = GW_h + sum_{g < h} GW_g (1 - 2(h-g)/k) [u^{2(h-g)}] S^{-k},
+
+where (1 - 2(h-g)/k) [u^{2(h-g)}] S^{-k} reads 2(h-g) [u^{2(h-g)}] log S
+when k = 0.  Both directions build their matrix from one S and apply it
+to the table the same way (`_apply`); nothing is solved.
 
 The raw form: `correction_raw_sum` rebuilds, per root genus g0, the full
 multiplier series from first principles.  The added genus splits into a
@@ -59,6 +67,12 @@ from . import hodge
 from .partitions import descending_walk
 from .series import USeries, convolve, log, numerators, pow_int, sinc_half
 
+__all__ = [
+    "GenusTable", "GridCell", "GridReport", "Kind", "MissingGenus", "VertexData",
+    "correction_raw_sum", "eq_sum", "gw_from_ugw", "sine_factor", "ugw_from_gw", "verify_eq_sum",
+    "verify_raw_equals_closed",
+]
+
 
 class MissingGenus(ValueError):
     """Raised when an inverse transform meets a gap below g_max."""
@@ -70,12 +84,22 @@ class Kind(Enum):
     GV = "gv"
 
 
+def _int_arg(name: str, value):
+    """``value`` itself if it is an int and not a bool; a TypeError that names it otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    return value
+
+
 class GenusTable(namedtuple("GenusTable", "kind c primitive values g_max")):
     """Per-class invariants indexed by genus.
 
     Genera above g_max are unknown, not zero.  ``c`` is the pairing of the
     curve class with c1(X) and ``primitive`` records whether the class is
-    primitive; both travel with the table unchanged.
+    primitive; both travel with the table unchanged.  ``c`` must be an int
+    and ``primitive`` a bool: anything else is refused with TypeError, since
+    a float c would reach the series kernels and a truthy non-bool would
+    pass the GV gate.
     """
 
     __slots__ = ()
@@ -84,6 +108,9 @@ class GenusTable(namedtuple("GenusTable", "kind c primitive values g_max")):
                 g_max: int):
         if g_max < 0:
             raise ValueError("g_max must be nonnegative")
+        _int_arg("c", c)
+        if not isinstance(primitive, bool):
+            raise TypeError(f"primitive must be a bool, got {primitive!r}")
         clean = {}
         for g, v in values.items():
             gi = int(g)
@@ -180,8 +207,13 @@ def eq_sum(m1, m2, order: int) -> USeries:
     collapses to (1 + t1)^{m1} exp(m2 log S) = S^{2 m1 + m2}; the closed
     form is what `verify_eq_sum` tests against.  This call builds the
     basis t1^{a1} t2^{a2} for itself and forms its one cell with `_eq_cells`,
-    as the grid does for all of its cells.  m1 and m2 may be rational.
+    as the grid does for all of its cells.  m1 and m2 may be rational: each
+    must be an int or a Fraction (not a float, whose binary expansion is
+    not the number meant), or TypeError names it.
     """
+    for name, m in (("m1", m1), ("m2", m2)):
+        if isinstance(m, bool) or not isinstance(m, (int, Fraction)):
+            raise TypeError(f"{name} must be an int or a Fraction, got {m!r}")
     if order <= 0:
         return USeries.zero(order)
     size = (order + 1) // 2
@@ -401,6 +433,7 @@ def correction_raw_sum(g0: int, n: int, c: int, order: int,
     """
     if g0 < 0 or n < 0:
         raise ValueError("g0 and n must be nonnegative")
+    _int_arg("c", c)
     if order <= 0:
         return USeries.zero(order)
     size = (order + 1) // 2
@@ -460,12 +493,13 @@ def verify_raw_equals_closed(g0_max: int = 3, n_max: int = 4,
     Coefficients are compared for every exponent up to ``order``
     inclusive, in integers: each cell's numerators against the closed
     side's by cross-multiplication.  Failures become report cells, never
-    exceptions.  Without ``vertex`` the standard table is built once for
+    exceptions; an entry of ``c_range`` that is not an int is refused with
+    TypeError.  Without ``vertex`` the standard table is built once for
     the whole grid.  The closed sides come from one table of sine powers
     (`_sine_powers`), one entry per exponent k = 2 g0 - 2 + c.
     """
     size = max(order // 2 + 1, 0)  # x^0..x^(size-1), x = u^2, reach u^order
-    cs = sorted(set(int(c) for c in c_range))
+    cs = sorted({_int_arg("c_range entry", c) for c in c_range})
     if vertex is None:
         vertex = VertexData.standard(size - 1)
     tables = _raw_tables(vertex, size)
@@ -489,11 +523,12 @@ def verify_eq_sum(m1_range: Iterable[int] = range(-6, 1),
     integers.  The closed cells come from one table of sine powers
     (`_sine_powers`), one entry per exponent 2 m1 + m2.  The basis of
     `eq_sum` is built once for the grid, and `_eq_cells` forms one row of
-    m2 per m1.
+    m2 per m1.  An entry of either range that is not an int is refused with
+    TypeError.
     """
     size = max(order // 2 + 1, 0)  # x^0..x^(size-1), x = u^2, reach u^order
-    m1s = sorted(set(int(m) for m in m1_range))
-    m2s = sorted(set(int(m) for m in m2_range))
+    m1s = sorted({_int_arg("m1_range entry", m) for m in m1_range})
+    m2s = sorted({_int_arg("m2_range entry", m) for m in m2_range})
     closed = _sine_powers({2 * m1 + m2 for m1 in m1s for m2 in m2s}, size)
     basis = _eq_basis(size)
     cells = []
@@ -505,9 +540,38 @@ def verify_eq_sum(m1_range: Iterable[int] = range(-6, 1),
 
 def _transform_matrix(c: int, g_max: int) -> list[list[Fraction]]:
     """Rows M[h][g] = [u^{2(h-g)}] S^{2g-2+c}, g <= h <= g_max: GW_h = sum_g uGW_g M[h][g]."""
-    factors = [sine_factor(g, c, 2 * g_max + 2) for g in range(g_max + 1)]
-    return [[factors[g].coefficient(2 * (h - g)) for g in range(h + 1)]
-            for h in range(g_max + 1)]
+    s = sinc_half(2 * g_max + 2)
+    factors = [pow_int(s, 2 * g - 2 + c) for g in range(g_max + 1)]
+    return [[factors[g].coefficient(2 * (h - g)) for g in range(h + 1)] for h in range(g_max + 1)]
+
+
+def _inverse_matrix(c: int, g_max: int) -> list[list[Fraction]]:
+    """Rows N[h][g], g <= h <= g_max, of the inverse transform: uGW_h = sum_g GW_g N[h][g].
+
+    With x = u^2 and w = x S^2, the transform reads sum_h GW_h x^(h-1) S^-c
+    = sum_g uGW_g w^(g-1), so uGW_h is the coefficient of w^(h-1), which
+    Lagrange inversion reads off in x.  With k = 2h - 2 + c and m = h - g,
+
+        N[h][g] = (1 - 2m/k) [u^{2m}] S^{-k},    or 2m [u^{2m}] log S when k = 0,
+
+    and N[h][h] = 1.  The powers of S are those the forward matrix uses,
+    negated and taken per row, from the same S.
+    """
+    s = sinc_half(2 * g_max + 2)
+    rows = []
+    for h in range(g_max + 1):
+        k = 2 * h - 2 + c
+        f = pow_int(s, -k) if k else log(s)
+        rows.append([f.coefficient(2 * m) * (Fraction(k - 2 * m, k) if k else 2 * m)
+                     for m in range(h, 0, -1)] + [Fraction(1)])
+    return rows
+
+
+def _apply(matrix: list[list[Fraction]], t: GenusTable, kind: Kind) -> GenusTable:
+    """The table of ``kind`` with values[h] = sum_g t.value(g) matrix[h][g], dense on 0..g_max."""
+    values = {h: sum((t.value(g) * m for g, m in enumerate(row)), Fraction(0))
+              for h, row in enumerate(matrix)}
+    return GenusTable(kind, t.c, t.primitive, values, t.g_max)
 
 
 def gw_from_ugw(t: GenusTable) -> GenusTable:
@@ -517,32 +581,21 @@ def gw_from_ugw(t: GenusTable) -> GenusTable:
     """
     if t.kind is not Kind.UGW:
         raise ValueError(f"gw_from_ugw expects a uGW table, got {t.kind.value}")
-    matrix = _transform_matrix(t.c, t.g_max)
-    out = {h: sum((t.value(g) * m for g, m in enumerate(row)), Fraction(0))
-           for h, row in enumerate(matrix)}
-    return GenusTable(Kind.GW, t.c, t.primitive, out, t.g_max)
+    return _apply(_transform_matrix(t.c, t.g_max), t, Kind.GW)
 
 
 def ugw_from_gw(t: GenusTable) -> GenusTable:
     """Inverse transform: the unique uGW table mapping to t under gw_from_ugw.
 
-    The transform is triangular with unit diagonal, so inversion is exact.
-    Genera below the minimal present genus are taken as exact zeros; a gap
-    between that genus and g_max raises MissingGenus.
+    The transform is triangular with unit diagonal, so its inverse is too:
+    `_inverse_matrix` builds it outright, and the table goes through the
+    same apply as the forward transform, with no solve.  Genera below the
+    minimal present genus are taken as exact zeros; a gap between that
+    genus and g_max raises MissingGenus.
     """
     if t.kind is not Kind.GW:
         raise ValueError(f"ugw_from_gw expects a GW table, got {t.kind.value}")
-    out = {g: Fraction(0) for g in range(t.g_max + 1)}
-    if t.values:
-        g_min = min(t.values)
-        gaps = [g for g in range(g_min, t.g_max + 1) if g not in t.values]
-        if gaps:
-            raise MissingGenus(f"genera {gaps} absent below g_max={t.g_max}")
-        matrix = _transform_matrix(t.c, t.g_max)
-        for h in range(g_min, t.g_max + 1):
-            acc = t.values[h]
-            for g in range(h):
-                if out[g]:
-                    acc -= out[g] * matrix[h][g]
-            out[h] = acc
-    return GenusTable(Kind.UGW, t.c, t.primitive, out, t.g_max)
+    gaps = [g for g in range(min(t.values, default=t.g_max + 1), t.g_max + 1) if g not in t.values]
+    if gaps:
+        raise MissingGenus(f"genera {gaps} absent below g_max={t.g_max}")
+    return _apply(_inverse_matrix(t.c, t.g_max), t, Kind.UGW)

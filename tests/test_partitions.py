@@ -78,29 +78,20 @@ def test_descending_partitions_counts():
         assert set(got) == partition_oracle(total)
 
 
-def test_descending_partitions_filters():
-    assert set(descending_partitions(4, max_len=2)) == {(4,), (3, 1), (2, 2)}
-
-
-def recursive_descending_partitions(total, max_part=None, max_len=None):
+def recursive_descending_partitions(total, max_part=None):
     """`descending_partitions` as a recursion over the first part, the reference for the walk."""
     if total == 0:
         yield ()
         return
-    if max_len is not None and max_len <= 0:
-        return
     top = total if max_part is None else min(max_part, total)
     for first in range(top, 0, -1):
-        rest_len = None if max_len is None else max_len - 1
-        for rest in recursive_descending_partitions(total - first, first, rest_len):
+        for rest in recursive_descending_partitions(total - first, first):
             yield (first,) + rest
 
 
 def test_descending_partitions_equal_the_recursion_in_order():
     for total in range(16):
-        for max_len in (None, *range(total + 2)):
-            assert (list(descending_partitions(total, max_len))
-                    == list(recursive_descending_partitions(total, max_len=max_len)))
+        assert list(descending_partitions(total)) == list(recursive_descending_partitions(total))
 
 
 def test_descending_walk_lists_each_tuple_once_after_its_prefixes():

@@ -235,6 +235,24 @@ def test_eq_sum_uses_no_closed_form_kernel(monkeypatch):
         assert wallcross._from_numerators(nums, den, 13) == series
 
 
+def test_eq_sum_refuses_a_float_argument():
+    # eq_sum(0.1, 2, 6) used to compute with the binary expansion of 0.1
+    with pytest.raises(TypeError, match="m1 must be an int or a Fraction"):
+        eq_sum(0.1, 2, 6)
+    with pytest.raises(TypeError, match="m2 must be an int or a Fraction"):
+        eq_sum(F(1, 2), 2.0, 6)
+    with pytest.raises(TypeError, match="m1"):
+        eq_sum(True, 2, 6)
+
+
+def test_verify_eq_sum_refuses_ranges_that_are_not_ints():
+    # both ranges used to be truncated by int(): m1 = -0.5 was checked as m1 = 0
+    with pytest.raises(TypeError, match="m1_range entry must be an int"):
+        verify_eq_sum(m1_range=[-0.5], m2_range=[1], order=4)
+    with pytest.raises(TypeError, match="m2_range entry must be an int"):
+        verify_eq_sum(m1_range=[-1], m2_range=[F(3, 2)], order=4)
+
+
 def test_verify_eq_sum_grid():
     rep = verify_eq_sum(range(-2, 1), range(-2, 3), 8)
     assert rep.passed
@@ -647,6 +665,16 @@ def test_raw_route_uses_no_closed_form_kernel(monkeypatch):
         assert numerator_series(nums, tables[2], 13) == series
 
 
+def test_raw_routes_refuse_a_c_that_is_not_an_int():
+    # c_range=[2.9] used to check c = 2 and key its cells (g0, n, 2)
+    with pytest.raises(TypeError, match="c_range entry must be an int"):
+        verify_raw_equals_closed(1, 1, [2.9], 4)
+    with pytest.raises(TypeError, match="c_range entry must be an int"):
+        verify_raw_equals_closed(1, 1, [False, 1], 4)
+    with pytest.raises(TypeError, match="c must be an int"):
+        correction_raw_sum(1, 1, 2.5, 6)
+
+
 def test_vertex_perturbation_is_local():
     base = VertexData.standard(3)
     bumped = base.perturbed("mu1", 2, F(1, 1000))
@@ -681,6 +709,20 @@ def test_genus_table_validation():
         GenusTable(Kind.GW, 0, True, {0: 0.5}, 2)
 
 
+def test_genus_table_refuses_a_c_that_is_not_an_int():
+    # a float c used to fail only later, inside pow_int, as a series coefficient
+    for c in (1.5, 0.0, F(3), True):
+        with pytest.raises(TypeError, match="c must be an int"):
+            GenusTable(Kind.GW, c, True, {0: 1}, 2)
+
+
+def test_genus_table_refuses_a_primitive_that_is_not_a_bool():
+    # c = 0 with primitive = 1 used to pass the GV gate
+    for primitive in ("yes", 1, None):
+        with pytest.raises(TypeError, match="primitive must be a bool"):
+            GenusTable(Kind.GW, 0, primitive, {0: 1}, 2)
+
+
 def test_transform_line_class_values():
     ugw = GenusTable(Kind.UGW, 4, True, {0: 1}, 2)
     gw = gw_from_ugw(ugw)
@@ -697,6 +739,8 @@ def test_transform_exponent_zero_class():
 def test_transform_empty_table():
     ugw = GenusTable(Kind.UGW, 2, False, {}, 2)
     assert gw_from_ugw(ugw).dense() == {0: F(0), 1: F(0), 2: F(0)}
+    gw = GenusTable(Kind.GW, 2, False, {}, 2)
+    assert ugw_from_gw(gw).dense() == {0: F(0), 1: F(0), 2: F(0)}
 
 
 def test_transform_kind_checks():
@@ -720,6 +764,49 @@ def test_inverse_transform_from_min_occupied_genus():
     assert u.value(0) == 0 and u.value(1) == 0
     assert u.value(2) == 5
     assert u.value(3) == F(61, 8)
+
+
+def _matrix_product(a, b):
+    return [[sum(a[h][j] * b[j][g] for j in range(g, h + 1)) for g in range(h + 1)]
+            for h in range(len(a))]
+
+
+def _identity(n):
+    return [[F(int(g == h)) for g in range(h + 1)] for h in range(n)]
+
+
+def test_inverse_matrix_inverts_the_transform_matrix():
+    for c in range(-8, 13):
+        for g_max in range(10):
+            n, m = wallcross._inverse_matrix(c, g_max), wallcross._transform_matrix(c, g_max)
+            assert _matrix_product(n, m) == _identity(g_max + 1), (c, g_max)
+    # extreme exponents, and g_max 30 with a row of k = 2h - 2 + c = 0 (the log S row)
+    for c, g_max in ((10**6, 8), (-10**6, 8), (2, 30), (0, 30)):
+        n, m = wallcross._inverse_matrix(c, g_max), wallcross._transform_matrix(c, g_max)
+        assert _matrix_product(n, m) == _identity(g_max + 1), (c, g_max)
+
+
+def test_inverse_matrix_is_not_computed_from_the_forward_matrix(monkeypatch):
+    want = {c: wallcross._inverse_matrix(c, 6) for c in (-3, 0, 2, 5)}
+    for name in ("_transform_matrix", "sine_factor", "ugw_from_gw"):
+        monkeypatch.setattr(wallcross, name, _raise_if_called(name))
+    for c, matrix in want.items():
+        assert wallcross._inverse_matrix(c, 6) == matrix
+
+
+def test_both_directions_share_one_apply(monkeypatch):
+    # the inverse is a matrix apply like the forward transform: no solve
+    applied = []
+    real = wallcross._apply
+
+    def recording(matrix, t, kind):
+        applied.append((kind, len(matrix)))
+        return real(matrix, t, kind)
+
+    monkeypatch.setattr(wallcross, "_apply", recording)
+    gw = gw_from_ugw(GenusTable(Kind.UGW, 3, True, {0: 1, 2: F(1, 7)}, 4))
+    assert ugw_from_gw(gw).dense() == {0: F(1), 1: F(0), 2: F(1, 7), 3: F(0), 4: F(0)}
+    assert applied == [(Kind.GW, 5), (Kind.UGW, 5)]
 
 
 def test_roundtrip_line_example():
