@@ -61,12 +61,13 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from .gv import GVReport, gate_check, gv_from_gw, gw_from_gv, report_on_gv
-from .hodge import i_function_expansion, mu_g0, mu_g1, verify_i_ratio, verify_mu_consistency
+from .hodge import i_function_expansion, mu_values, verify_i_ratio, verify_mu_consistency
 from .wallcross import (
     GenusTable,
     Kind,
     gw_from_ugw,
     sine_factor,
+    sine_power_table,
     ugw_from_gw,
     verify_eq_sum,
     verify_raw_equals_closed,
@@ -112,9 +113,11 @@ class ParseError(ValueError):
 
 
 # used with fullmatch and ASCII digits: "$" would also match before a trailing
-# newline and "\d" any Unicode digit, letting "1\n" or "1\u0662" alias "1" or "12"
-_VALUE_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
-_GENUS_RE = re.compile(r"0|[1-9][0-9]*")
+# newline and "\d" any Unicode digit, letting "1\n" or "1\u0662" alias "1" or "12".
+# The patterns are compiled on first use (re caches them), so a call that
+# parses no table compiles none.
+_VALUE_RE = r"-?[0-9]+(/[0-9]+)?"
+_GENUS_RE = r"0|[1-9][0-9]*"
 _KINDS = {k.value: k for k in Kind}
 
 
@@ -149,14 +152,14 @@ def parse_table_doc(doc) -> GenusTable:
         raise ParseError('"values" must be an object mapping genus to rational strings')
     values = {}
     for key, val in raw_values.items():
-        if not isinstance(key, str) or not _GENUS_RE.fullmatch(key):
+        if not isinstance(key, str) or not re.fullmatch(_GENUS_RE, key):
             raise ParseError(f"genus key {key!r} is not a nonnegative integer string")
         if len(key) > MAX_VALUE_DIGITS:
             raise ParseError(f"genus key has more than {MAX_VALUE_DIGITS} digits")
         g = int(key)
         if g > g_max:
             raise ParseError(f"genus {g} exceeds g_max={g_max}")
-        if not isinstance(val, str) or not _VALUE_RE.fullmatch(val):
+        if not isinstance(val, str) or not re.fullmatch(_VALUE_RE, val):
             raise ParseError(f'value for genus {g} must be a "p/q" string, got {val!r}')
         if any(len(part) > MAX_VALUE_DIGITS for part in val.lstrip("-").split("/")):
             raise ParseError(f"value for genus {g} has a numerator or denominator of more "
@@ -312,7 +315,12 @@ def _handle_check_integrality(ns: SimpleNamespace) -> tuple[str, str | None]:
 
 def _handle_verify_identities(ns: SimpleNamespace) -> tuple[str, str | None]:
     order = ns.order
-    grids = (verify_raw_equals_closed(order=order), verify_eq_sum(order=order + 2))
+    # one table of sine powers for both grids' closed sides: the eq grid reads
+    # 2 m1 + m2 = -18..12 through u^(order + 2), which holds the raw grid's
+    # 2 g0 - 2 + c = -4..10 through u^order
+    closed = sine_power_table(range(-18, 13), order + 2)
+    grids = (verify_raw_equals_closed(order=order, closed=closed),
+             verify_eq_sum(order=order + 2, closed=closed))
     expansion = i_function_expansion(2 * (order // 2) + 2)
     checks = (("vertex closed form vs local expansion",
                verify_mu_consistency(order, expansion=expansion)),
@@ -346,8 +354,7 @@ def _handle_verify_identities(ns: SimpleNamespace) -> tuple[str, str | None]:
     return text, None if all_passed else "identity verification failed"
 
 
-def _mu0_text(g: int) -> str:
-    mv = mu_g0(g)
+def _mu0_text(mv) -> str:
     bits = []
     for coeff, sym in ((mv.a1, "z"), (mv.a_H, "H"), (mv.a_c1, "c1"), (mv.scalar, "")):
         if not coeff:
@@ -363,16 +370,15 @@ def _mu0_text(g: int) -> str:
 
 
 def _handle_mu(ns: SimpleNamespace) -> tuple[str, None]:
+    # one build of every genus; mu_{g,1} is a_g, the z coefficient of mu_{g,0}
+    mu = enumerate(mu_values(ns.g_max), 1)
     if ns.format == "json":
-        doc = {"mu": {}}
-        for g in range(1, ns.g_max + 1):
-            mv = mu_g0(g)
-            doc["mu"][str(g)] = {
-                "z": str(mv.a1), "H": str(mv.a_H), "c1": str(mv.a_c1),
-                "scalar": str(mv.scalar), "mu1": str(mu_g1(g)),
-            }
+        doc = {"mu": {
+            str(g): {"z": str(mv.a1), "H": str(mv.a_H), "c1": str(mv.a_c1),
+                     "scalar": str(mv.scalar), "mu1": str(mv.a1)}
+            for g, mv in mu}}
         return dumps_canonical(doc), None
-    lines = [f"g={g}: mu0 = {_mu0_text(g)} ; mu1 = {mu_g1(g)}" for g in range(1, ns.g_max + 1)]
+    lines = [f"g={g}: mu0 = {_mu0_text(mv)} ; mu1 = {mv.a1}" for g, mv in mu]
     return "\n".join(lines) + "\n", None
 
 
@@ -444,8 +450,8 @@ COMMANDS = {
         "--format": _FORMAT, "--output": _OUTPUT,
     }),
 }
-# argparse reads an argument matching this as a value, not as an option
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+# argparse reads an argument matching this as a value, not as an option (compiled on first use)
+_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
 
 
 def build_parser():
@@ -487,7 +493,7 @@ def _read_canonical(argv: list[str]) -> SimpleNamespace | None:
             ns[dest] = spec.get("default")
             continue
         value = given[flag]
-        if value.startswith("-") and not _NEGATIVE_NUMBER.match(value):
+        if value.startswith("-") and not re.match(_NEGATIVE_NUMBER, value):
             return None
         if "type" in spec:
             try:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .wallcross import GenusTable, Kind, gw_from_ugw, ugw_from_gw
+from .wallcross import GenusTable, Kind, _int_arg, gw_from_ugw, ugw_from_gw
 
 __all__ = ["ClassNotCovered", "GVReport", "gate_check", "gv_from_gw", "gw_from_gv", "report_on_gv"]
 
@@ -33,7 +33,15 @@ class GVReport(namedtuple("GVReport", "table integral non_integral_genera "
 
 
 def gate_check(c: int, primitive: bool) -> None:
-    """Raise ClassNotCovered unless c > 0, or c = 0 with a primitive class."""
+    """Raise ClassNotCovered unless c > 0, or c = 0 with a primitive class.
+
+    ``c`` must be an int and ``primitive`` a bool, as in `GenusTable`:
+    anything else is refused with TypeError, since a float c or a truthy
+    non-bool would otherwise pass the gate.
+    """
+    _int_arg("c", c)
+    if not isinstance(primitive, bool):
+        raise TypeError(f"primitive must be a bool, got {primitive!r}")
     if c > 0:
         return
     if c == 0 and primitive:

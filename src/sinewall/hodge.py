@@ -19,10 +19,14 @@ checked against each other, and `verify_i_ratio` checks that dividing the
 expansion by z reproduces the mu_{g,1} constants.  Both checks accept one
 shared expansion.  The expansion substitutes z' = z - H once per
 z'-power: each layer's (z - H)^{1-j} times its class is expanded once, and
-every genus scales those pieces by its own u^{2g} coefficient.  `mu_g0` is
-memoised per genus and `mu_g1` reads it, so the raw grid's vertex table and
-the two checks share one computation of each constant.  `GradedPoly`
-coefficients are exact: `int` or `Fraction`, never a float.
+every genus scales those pieces by its own u^{2g} coefficient.  The layers'
+series S^2 (log S)^j / j! are integer numerators in x = u^2, built by
+`convolve` from one S and one log S, and each genus sums its pieces on
+plain dicts over one denominator, with one `GradedPoly` per z-power.  The closed forms of every genus come from one build
+(`mu_values`): one S, S^2 and S^2 log S through the top genus, memoised per
+top genus, so the raw grid's vertex table, the two checks and `mu --g-max`
+each read one build; `mu_g0` and `mu_g1` read it for a single genus.
+`GradedPoly` coefficients are exact: `int` or `Fraction`, never a float.
 """
 
 from __future__ import annotations
@@ -32,11 +36,11 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
 
-from .series import log, sinc_half
+from .series import convolve, log, numerators, sinc_half
 
 __all__ = [
     "CheckReport", "GradedPoly", "MuValue", "ZLaurent", "i_function_expansion", "mu_g0", "mu_g1",
-    "verify_i_ratio", "verify_mu_consistency",
+    "mu_values", "verify_i_ratio", "verify_mu_consistency",
 ]
 
 
@@ -61,7 +65,7 @@ class GradedPoly:
             if not isinstance(q, (int, Fraction)):
                 raise TypeError(f"GradedPoly coefficients must be int or Fraction, got {q!r}")
             if q and i + j <= degree_cap:
-                clean[(i, j)] = Fraction(q)
+                clean[(i, j)] = q if isinstance(q, Fraction) else Fraction(q)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "degree_cap", degree_cap)
 
@@ -165,11 +169,10 @@ class ZLaurent:
             object.__setattr__(self, "coeffs", ())
         else:
             lo, hi = min(live), max(live)
+            zero = GradedPoly.zero(cap)
             object.__setattr__(self, "z_min", lo)
             object.__setattr__(
-                self, "coeffs",
-                tuple(live.get(p, GradedPoly.zero(cap)) for p in range(lo, hi + 1)),
-            )
+                self, "coeffs", tuple(live.get(p, zero) for p in range(lo, hi + 1)))
         object.__setattr__(self, "cap", cap)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -218,9 +221,7 @@ class MuValue(namedtuple("MuValue", "a1 a_H a_c1 scalar", defaults=(Fraction(0),
     __slots__ = ()
 
     def as_zlaurent(self, cap: int) -> ZLaurent:
-        const = (GradedPoly.hyperplane(cap) * self.a_H
-                 + GradedPoly.first_chern(cap) * self.a_c1
-                 + GradedPoly.scalar(self.scalar, cap))
+        const = GradedPoly({(1, 0): self.a_H, (0, 1): self.a_c1, (0, 0): self.scalar}, cap)
         return ZLaurent({1: GradedPoly.scalar(self.a1, cap), 0: const}, cap)
 
 
@@ -232,20 +233,34 @@ class CheckReport(namedtuple("CheckReport", "passed checked first_failure detail
 
 
 @cache
+def mu_values(g_top: int) -> tuple[MuValue, ...]:
+    r"""The vertex values mu_{g,0} for g = 1..g_top, entry g - 1, from one build.
+
+    a_g = [u^{2g}] S^2 and b_g = [u^{2g}] (S^2 log S) for every genus are
+    read off one S, S^2 and S^2 log S through u^{2 g_top}.  Memoised per
+    g_top, so the raw grid's vertex table and the two expansion checks of
+    one `verify-identities` call share one build.  Empty below g_top = 1.
+    """
+    if g_top < 1:
+        return ()
+    s = sinc_half(2 * g_top + 2)
+    s2 = s * s
+    s2_log = s2 * log(s)
+    return tuple(MuValue(a1=a, a_H=-a + 3 * b, a_c1=b)
+                 for a, b in ((s2.coefficient(2 * g), s2_log.coefficient(2 * g))
+                              for g in range(1, g_top + 1)))
+
+
 def mu_g0(g: int) -> MuValue:
     r"""The genus-g vertex value mu_{g,0}(z) = a_g (z - H) + b_g (3H + c1).
 
     Here a_g = [u^{2g}] S^2 and b_g = [u^{2g}] (S^2 log S) with
-    S = sin(u/2)/(u/2); mu_{0,0} = 0 is excluded (g >= 1).
+    S = sin(u/2)/(u/2); mu_{0,0} = 0 is excluded (g >= 1).  Read off
+    `mu_values(g)`.
     """
     if g < 1:
         raise ValueError("mu_g0 is defined for g >= 1 (the genus-0 value is 0)")
-    order = 2 * g + 2
-    s = sinc_half(order)
-    s2 = s * s
-    a = s2.coefficient(2 * g)
-    b = (s2 * log(s)).coefficient(2 * g)
-    return MuValue(a1=a, a_H=-a + 3 * b, a_c1=b)
+    return mu_values(g)[g - 1]
 
 
 def mu_g1(g: int) -> Fraction:
@@ -281,44 +296,58 @@ def i_function_expansion(order_u: int, z_depth: int = 3, degree_cap: int = 3,
     if order_u <= 0:
         return {}
 
+    # S and log S as numerators of x^0..x^(size-1), x = u^2, over one denominator each
+    size = (order_u + 1) // 2
     s = sinc_half(order_u)
-    s2 = s * s
+    s_nums, s_den = numerators([s.coefficient(2 * i) for i in range(size)])
     ls = log(s)
-    hyper = GradedPoly.hyperplane(cap)
+    l_nums, l_den = numerators([ls.coefficient(2 * i) for i in range(size)])
 
     # z'^(1-j) carries S^2 (log S)^j a2^j / j!; at z' = z - H it is
     # a2^j (z - H)^e = sum_i a2^j binom(e, i) (-H)^i z^(e-i) with e = 1 - j,
-    # expanded once per layer as (z-power, class) pairs
+    # expanded once per layer as (z-power, class) pairs: the terms of a2^j,
+    # i powers of H up and scaled, on plain dicts
     layers = []
     a2_pow = GradedPoly.one(cap)
-    scalar_series = s2  # S^2 (log S)^j / j!, from the layer before: no power kernel
+    # S^2 (log S)^j / j! in x, from the layer before (no power kernel); each
+    # layer's denominator divides the next one's
+    scalar = convolve(s_nums, s_nums, size), s_den * s_den
     for j in range(0, z_depth + 2):
         if j > 0:
             a2_pow = a2_pow * a2
             if not a2_pow:
                 break
-            scalar_series = scalar_series * ls * Fraction(1, j)
-        e, coef, term = 1 - j, 1, a2_pow
+            scalar = convolve(scalar[0], l_nums, size), scalar[1] * l_den * j
+        # an integral class (3H + c1 is one) keeps the sums below in ints
+        terms = {key: x.numerator if x.denominator == 1 else x for key, x in a2_pow.terms.items()}
+        e, coef = 1 - j, 1
         pieces = []
         for i in range(cap + 1):
-            piece = term * coef
+            piece = {(h + i, c): x * coef for (h, c), x in terms.items()
+                     if coef and h + i + c <= cap}
             if not piece:
                 break
             pieces.append((e - i, piece))
-            term = term * hyper
             coef = coef * (i - e) // (i + 1)  # binom(e, i+1) (-1)^(i+1)
-        layers.append((scalar_series, pieces))
+        layers.append((scalar, pieces))
 
+    # each genus sums its layers' pieces on plain dicts over the last layer's
+    # denominator, one GradedPoly per z-power
+    den = layers[-1][0][1]
+    scaled = [([x * (den // d) for x in nums], pieces) for (nums, d), pieces in layers]
     out: dict[int, ZLaurent] = {}
-    for g in range(0, (order_u - 1) // 2 + 1):
-        zterms: dict[int, GradedPoly] = {}
-        for scalar_series, pieces in layers:
-            q = scalar_series.coefficient(2 * g)
-            if not q:
+    for g in range(size):
+        zterms: dict[int, dict[tuple[int, int], int | Fraction]] = {}
+        for nums, pieces in scaled:
+            n = nums[g]
+            if not n:
                 continue
-            for power, poly in pieces:
-                zterms[power] = zterms.get(power, GradedPoly.zero(cap)) + poly * q
-        out[g] = ZLaurent(zterms, cap)
+            for power, terms in pieces:
+                acc = zterms.setdefault(power, {})
+                for key, x in terms.items():
+                    acc[key] = acc.get(key, 0) + x * n
+        out[g] = ZLaurent({p: GradedPoly({key: Fraction(x, den) for key, x in terms.items()}, cap)
+                           for p, terms in zterms.items()}, cap)
     return out
 
 
@@ -334,9 +363,10 @@ def verify_mu_consistency(order_u: int, z_depth: int = 3, degree_cap: int = 3,
         g_top = order_u // 2
         expansion = i_function_expansion(2 * g_top + 2, z_depth, degree_cap)
     genera = tuple(g for g in sorted(expansion) if g >= 1)
+    mu = mu_values(max(genera, default=0))
     for g in genera:
         zl = expansion[g]
-        if zl.nonneg() != mu_g0(g).as_zlaurent(zl.cap):
+        if zl.nonneg() != mu[g - 1].as_zlaurent(zl.cap):
             return CheckReport(False, genera, g,
                                f"[z>=0] mismatch at genus {g}: {zl.nonneg()!r}")
     return CheckReport(True, genera)
@@ -353,10 +383,11 @@ def verify_i_ratio(order_u: int, z_depth: int = 3, degree_cap: int = 3,
         g_top = order_u // 2
         expansion = i_function_expansion(2 * g_top + 2, z_depth, degree_cap)
     genera = tuple(g for g in sorted(expansion) if g >= 1)
+    mu = mu_values(max(genera, default=0))
     for g in genera:
         zl = expansion[g]
         lhs = zl.shift(-1).nonneg()
-        rhs = ZLaurent({0: GradedPoly.scalar(mu_g1(g), zl.cap)}, zl.cap)
+        rhs = ZLaurent({0: GradedPoly.scalar(mu[g - 1].a1, zl.cap)}, zl.cap)
         if lhs != rhs:
             return CheckReport(False, genera, g,
                                f"ratio mismatch at genus {g}: {lhs!r} != {rhs!r}")

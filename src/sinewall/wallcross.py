@@ -32,19 +32,24 @@ reduced to one least common denominator per table, and a per-(g0, n)
 combination in integer arithmetic.  For fixed (g0, n) each coefficient is
 a polynomial in the divisor weight B = 3(2 g0 - 2) + c: the combination
 builds it once, from the marked sums with the binomials C(n, k1) (once per
-n) and the psi falling products of `_bracket_factors`, and evaluates it at
-every c by Horner, for a grid and for a single `correction_raw_sum` alike.
-`verify_raw_equals_closed` builds the tables once for its whole grid and
-asserts exact coefficientwise agreement of the two routes, compared in
-integers: a cell's numerators against the closed side's, by
-cross-multiplication of the two denominators.  The inner coefficient
-identity it rests on, `eq_sum`, has the same design: its basis t1^a1 t2^a2
-is built once per call by integer `convolve`s, and for fixed m1 each
-coefficient is a polynomial in m2, evaluated at every m2 by Horner
-(`_eq_cells`).  Both grids read their closed sides from one table of sine
-powers per grid (`_sine_powers`): S^k for exactly the exponents the grid
-reads, with no `log` or `exp`.  The eq basis alone reads `log S`.  The
-raw route uses no series kernel.
+n) and the insertion polynomials (`_inserted_polys`, from the psi falling
+products of `_bracket_factors`, once per bracket 2 g0 - 2 + n, the only way
+they depend on g0 and n), and evaluates it at every c by Horner, for a grid
+and for a single `correction_raw_sum` alike.  `verify_raw_equals_closed`
+builds the tables once for its whole grid and asserts exact coefficientwise
+agreement of the two routes, compared in integers: each closed row is put
+over the grid's one denominator once, so a cell is one comparison of whole
+rows (`_grid_cells`), and `_cell` cross-multiplies any other cell and names
+a failing cell's first mismatch.  The inner coefficient identity it rests on, `eq_sum`, has the same design: its
+basis t1^a1 t2^a2 is built once per call by integer `convolve`s, and for
+fixed m1 each coefficient is a polynomial in m2, evaluated at every m2 by
+Horner (`_eq_cells`).  Both grids read their closed sides from a table of
+sine powers (`_sine_powers`): S^k for the exponents the grid reads, with no
+`log` or `exp`.  Called alone, a grid builds its own; given ``closed`` (a
+`sine_power_table`), it cuts each row to its own order, so one table per
+`verify-identities` call serves both grids.  The eq basis alone reads
+`log S`.  The raw route uses no series kernel, and its vertex table
+(`VertexData.standard`) reads one build of the vertex values.
 
 Every series the grids compare is even in u, so their helpers work in
 x = u^2 alone: a grid turns its order into the number of x-coefficients it
@@ -69,8 +74,8 @@ from .series import USeries, convolve, log, numerators, pow_int, sinc_half
 
 __all__ = [
     "GenusTable", "GridCell", "GridReport", "Kind", "MissingGenus", "VertexData",
-    "correction_raw_sum", "eq_sum", "gw_from_ugw", "sine_factor", "ugw_from_gw", "verify_eq_sum",
-    "verify_raw_equals_closed",
+    "correction_raw_sum", "eq_sum", "gw_from_ugw", "sine_factor", "sine_power_table",
+    "ugw_from_gw", "verify_eq_sum", "verify_raw_equals_closed",
 ]
 
 
@@ -170,6 +175,38 @@ def _sine_powers(ks: Iterable[int], size: int) -> dict[int, tuple[list[int], int
     return {k: (up if k >= 0 else down)[abs(k)] for k in ks}
 
 
+def sine_power_table(ks: Iterable[int], order: int) -> dict[int, tuple[list[int], int]]:
+    """S^k for every k in ks through u^order inclusive, as `_sine_powers` builds it.
+
+    The ``closed`` argument of both identity grids: one table built for the
+    larger of two grids serves both, each grid reading its exponents cut to
+    its own order.
+    """
+    return _sine_powers(ks, max(order // 2 + 1, 0))
+
+
+def _closed_sides(closed: Mapping[int, tuple[list[int], int]] | None, ks: set[int],
+                  size: int) -> dict[int, tuple[list[int], int]]:
+    """A grid's closed sides, S^k for k in ks through x^(size-1): its own table, or ``closed`` cut.
+
+    Each row of ``closed`` is cut to x^0..x^(size-1) and put back in lowest
+    terms, so the result equals `_sine_powers(ks, size)`.  A supplied table
+    that lacks an exponent or is too short is refused with ValueError
+    rather than compared short.
+    """
+    if closed is None:
+        return _sine_powers(ks, size)
+    short = sorted(k for k in ks if k not in closed or len(closed[k][0]) < size)
+    if short:
+        raise ValueError(f"closed table lacks exponents {short} through x^{size - 1}")
+    cut = {}
+    for k in ks:
+        nums, den = closed[k][0][:size], closed[k][1]
+        g = gcd(den, *nums)
+        cut[k] = [x // g for x in nums], den // g
+    return cut
+
+
 def _eq_basis(size: int):
     """The products t1^a1 t2^a2 of x^0..x^(size-1), x = u^2, that `eq_sum` combines.
 
@@ -229,33 +266,39 @@ def _eq_cells(basis, m1, m2s: Iterable, size: int) -> list[tuple[list[int], int]
     p2^a2 q2^(amax - a2) (amax! / a2!) q1^(amax - a1) (amax! / a1!)
     prod_{i < a1} (p1 - (a2 + i) q1).  So for fixed m1 each x-coefficient is
     a homogeneous polynomial in (p2, q2), summed over the basis once and
-    evaluated at each m2 by Horner.
+    evaluated at each m2 by Horner.  t1 and t2 both start at x^1, so the
+    coefficient of x^i has degree at most i in p2.
     """
     rows, den = basis
     amax = len(rows) - 1
-    p1, q1 = Fraction(m1).as_integer_ratio()
+    p1, q1 = m1.as_integer_ratio()
     top = factorial(amax)
     w1 = [q1 ** (amax - a) * (top // factorial(a)) for a in range(amax + 1)]
-    polys = []  # polys[a2][i]: the coefficient of p2^a2 q2^(amax - a2) in x^i
+    by_x = [[0] * (amax + 1) for _ in range(size)]  # by_x[i][a2]: of p2^a2 q2^(amax - a2) in x^i
     for a2, row in enumerate(rows):
-        poly = [0] * size
         ff = top // factorial(a2)
         for a1, term in enumerate(row):
             if not ff:
                 break  # ff(m1 - a2, a1) has reached 0 and stays there
             coef = ff * w1[a1]
             for i, b in term:
-                poly[i] += coef * b
+                by_x[i][a2] += coef * b
             ff *= p1 - (a2 + a1) * q1
-        polys.append(poly)
+    for poly in by_x:
+        while poly and not poly[-1]:
+            poly.pop()
     cells = []
     for m2 in m2s:
-        p2, q2 = Fraction(m2).as_integer_ratio()
-        acc, q_pow = polys[amax], 1
-        for poly in reversed(polys[:amax]):
-            q_pow *= q2
-            acc = [x * p2 + y * q_pow for x, y in zip(acc, poly)]
-        cells.append((acc, den * w1[0] * top * q_pow))
+        p2, q2 = m2.as_integer_ratio()
+        polys = by_x if q2 == 1 else [[x * q2 ** (amax - a) for a, x in enumerate(poly)]
+                                      for poly in by_x]
+        nums = []
+        for poly in polys:
+            acc = 0
+            for x in reversed(poly):
+                acc = acc * p2 + x
+            nums.append(acc)
+        cells.append((nums, den * w1[0] * top * q2**amax))
     return cells
 
 
@@ -279,13 +322,10 @@ class VertexData(namedtuple("VertexData", "mu1 mu0_psi mu0_div")):
 
     @classmethod
     def standard(cls, g_top: int) -> VertexData:
-        mu1, psi, div = {}, {}, {}
-        for g in range(1, g_top + 1):
-            mv = hodge.mu_g0(g)
-            mu1[g] = hodge.mu_g1(g)
-            psi[g] = mv.a1
-            div[g] = mv.a_c1
-        return cls(mu1, psi, div)
+        """Genera 1..g_top from one build of the vertex values (`hodge.mu_values`)."""
+        values = hodge.mu_values(g_top)
+        a = {g: mv.a1 for g, mv in enumerate(values, 1)}
+        return cls(a, dict(a), {g: mv.a_c1 for g, mv in enumerate(values, 1)})
 
     def perturbed(self, field: str, genus: int, delta) -> VertexData:
         """Copy with one coefficient shifted by delta (testing hook)."""
@@ -355,45 +395,58 @@ def _marked_sums(tables, n: int) -> list[int]:
     return [sum(comb(n, k) * x for k, x in enumerate(row)) for row in tables[0]]
 
 
-def _bracket_factors(g0: int, n: int, kmax: int) -> list[list[int]]:
+def _bracket_factors(bracket: int, kmax: int) -> list[list[int]]:
     """Row k, entry j: the multiplier of stripping j (-psi) insertions from a bracket.
 
-    The bracket holds n ordinary markings and k insertion markings.  Each
-    psi removal contributes -(2 g0 - 2 + m), where m counts the markings
-    remaining after it, so entry j is the falling product
-    prod_{i < j} -(2 g0 - 2 + n + k - 1 - i), each entry from the one
-    before.  The k - j divisor removals that follow contribute the divisor
-    weight 3 (2 g0 - 2) + c each; `_raw_cells` keeps that weight as the
-    variable of a polynomial.  The base bracket is normalized to 1.
+    The bracket has genus g0 and holds n ordinary markings and k insertion
+    markings, and ``bracket`` is 2 g0 - 2 + n.  Each psi removal contributes
+    -(2 g0 - 2 + m), where m counts the markings remaining after it, so
+    entry j is the falling product prod_{i < j} -(bracket + k - 1 - i), each
+    entry from the one before.  The k - j divisor removals that follow
+    contribute the divisor weight 3 (2 g0 - 2) + c each; `_raw_cells` keeps
+    that weight as the variable of a polynomial.  The base bracket is
+    normalized to 1.
     """
     rows = []
     for k in range(kmax + 1):
         row = [1]
         for i in range(k):
-            row.append(row[-1] * -(2 * g0 - 2 + n + k - 1 - i))
+            row.append(row[-1] * -(bracket + k - 1 - i))
         rows.append(row)
     return rows
 
 
-def _raw_cells(tables, marked: list[int], g0: int, n: int, cs: Iterable[int]) -> list[list[int]]:
-    """The cells (g0, n, c) of the raw route for every c in cs, from `_raw_tables`.
+def _inserted_polys(tables, bracket: int) -> list[list[int]]:
+    """inserted[t][e]: the insertion lists of genus t as a polynomial in the divisor weight B.
 
-    ``marked`` is `_marked_sums(tables, n)`.  With the divisor weight
-    B = 3 (2 g0 - 2) + c, inserted[t] = sum_{k2, j} inserted[t][k2][j]
-    factors[k2][j] B^(k2 - j) is a polynomial in B, and so is the u^{2 delta}
-    coefficient sum_s marked[s] inserted[delta - s].  Those polynomials are
-    built once per (g0, n) and evaluated at each c by Horner.  Returns, per
-    c, the numerators of x^delta = u^(2 delta) for every added genus delta
-    of the tables, over the tables' denominator.
+    inserted[t] = sum_{k2, j} inserted[t][k2][j] factors[k2][j] B^(k2 - j)
+    from `_raw_tables` and `_bracket_factors(bracket)`, so it depends on
+    (g0, n) only through bracket = 2 g0 - 2 + n; a grid builds it once per
+    bracket.
     """
-    factors = _bracket_factors(g0, n, len(marked) - 1)
-    inserted = []  # inserted[t][e]: the coefficient of B^e
+    factors = _bracket_factors(bracket, len(tables[1]) - 1)
+    inserted = []
     for row in tables[1]:
         poly = [0] * len(row)
         for k, (by_k, f_k) in enumerate(zip(row, factors)):
             for j, (x, f) in enumerate(zip(by_k, f_k)):
                 poly[k - j] += x * f
         inserted.append(poly)
+    return inserted
+
+
+def _raw_cells(inserted: list[list[int]], marked: list[int], g0: int,
+               cs: Iterable[int]) -> list[list[int]]:
+    """The cells (g0, n, c) of the raw route for every c in cs.
+
+    ``inserted`` is `_inserted_polys(tables, 2 g0 - 2 + n)` and ``marked``
+    is `_marked_sums(tables, n)`.  With the divisor weight
+    B = 3 (2 g0 - 2) + c, the u^{2 delta} coefficient
+    sum_s marked[s] inserted[delta - s] is a polynomial in B, built once per
+    (g0, n) and evaluated at each c by Horner.  Returns, per c, the
+    numerators of x^delta = u^(2 delta) for every added genus delta of the
+    tables, over the tables' denominator.
+    """
     polys = []
     for delta in range(len(marked)):
         poly = [0] * (delta + 1)
@@ -440,7 +493,8 @@ def correction_raw_sum(g0: int, n: int, c: int, order: int,
     if vertex is None:
         vertex = VertexData.standard(size - 1)
     tables = _raw_tables(vertex, size)
-    (nums,) = _raw_cells(tables, _marked_sums(tables, n), g0, n, (c,))
+    (nums,) = _raw_cells(_inserted_polys(tables, 2 * g0 - 2 + n), _marked_sums(tables, n), g0,
+                         (c,))
     return _from_numerators(nums, tables[2], order)
 
 
@@ -484,10 +538,34 @@ def _cell(key, got: list[int], den: int, want: list[int], want_den: int) -> Grid
     return GridCell(key, True)
 
 
+def _grid_cells(computed: Iterable, closed: Mapping[int, tuple[list[int], int]]
+                ) -> tuple[GridCell, ...]:
+    """One GridCell per (key, k, got, den) in ``computed``: got / den against closed[k].
+
+    A grid's cells share their denominator, and a closed row in lowest terms
+    divides the denominator of every cell equal to it, so each row is put
+    over that denominator once and a cell is one comparison of whole rows.
+    Every other cell goes through `_cell`, which cross-multiplies and names
+    the first mismatch.
+    """
+    scaled = {}  # (k, den): closed[k] over den, or None when den is not a multiple of its den
+    cells = []
+    for key, k, got, den in computed:
+        if (k, den) not in scaled:
+            want, want_den = closed[k]
+            q, r = divmod(den, want_den)
+            scaled[k, den] = None if r else [y * q for y in want]
+        cells.append(GridCell(key, True) if got == scaled[k, den]
+                     else _cell(key, got, den, *closed[k]))
+    return tuple(cells)
+
+
 def verify_raw_equals_closed(g0_max: int = 3, n_max: int = 4,
                              c_range: Iterable[int] = range(-2, 7),
                              order: int = 10,
-                             vertex: VertexData | None = None) -> GridReport:
+                             vertex: VertexData | None = None,
+                             closed: Mapping[int, tuple[list[int], int]] | None = None
+                             ) -> GridReport:
     """Check correction_raw_sum == S^(2 g0 - 2 + c) on a (g0, n, c) grid.
 
     Coefficients are compared for every exponent up to ``order``
@@ -495,47 +573,50 @@ def verify_raw_equals_closed(g0_max: int = 3, n_max: int = 4,
     side's by cross-multiplication.  Failures become report cells, never
     exceptions; an entry of ``c_range`` that is not an int is refused with
     TypeError.  Without ``vertex`` the standard table is built once for
-    the whole grid.  The closed sides come from one table of sine powers
-    (`_sine_powers`), one entry per exponent k = 2 g0 - 2 + c.
+    the whole grid.  The closed sides come from one table of sine powers,
+    one entry per exponent k = 2 g0 - 2 + c: ``closed`` (a
+    `sine_power_table` through u^order or further) or, without it, one
+    built for this grid.  The insertion polynomials are built once per
+    bracket 2 g0 - 2 + n and the marked sums once per n.
     """
     size = max(order // 2 + 1, 0)  # x^0..x^(size-1), x = u^2, reach u^order
     cs = sorted({_int_arg("c_range entry", c) for c in c_range})
+    closed = _closed_sides(closed, {2 * g0 - 2 + c for g0 in range(g0_max + 1) for c in cs}, size)
     if vertex is None:
         vertex = VertexData.standard(size - 1)
     tables = _raw_tables(vertex, size)
-    closed = _sine_powers({2 * g0 - 2 + c for g0 in range(g0_max + 1) for c in cs}, size)
     den = tables[2]
     marked = [_marked_sums(tables, n) for n in range(n_max + 1)]
-    cells = []
-    for g0 in range(g0_max + 1):
-        for n in range(n_max + 1):
-            for c, got in zip(cs, _raw_cells(tables, marked[n], g0, n, cs)):
-                cells.append(_cell((g0, n, c), got, den, *closed[2 * g0 - 2 + c]))
-    return GridReport("raw-sum vs closed-form multiplier", tuple(cells))
+    inserted = {b: _inserted_polys(tables, b)
+                for b in {2 * g0 - 2 + n for g0 in range(g0_max + 1) for n in range(n_max + 1)}}
+    computed = (((g0, n, c), 2 * g0 - 2 + c, got, den)
+                for g0 in range(g0_max + 1) for n in range(n_max + 1)
+                for c, got in zip(cs, _raw_cells(inserted[2 * g0 - 2 + n], marked[n], g0, cs)))
+    return GridReport("raw-sum vs closed-form multiplier", _grid_cells(computed, closed))
 
 
 def verify_eq_sum(m1_range: Iterable[int] = range(-6, 1),
                   m2_range: Iterable[int] = range(-6, 13),
-                  order: int = 12) -> GridReport:
+                  order: int = 12,
+                  closed: Mapping[int, tuple[list[int], int]] | None = None) -> GridReport:
     """Check eq_sum(m1, m2) == (1 + t1)^{m1} exp(m2 log S) = S^{2 m1 + m2} on a grid.
 
     Coefficients are compared through exponent ``order`` inclusive, in
-    integers.  The closed cells come from one table of sine powers
-    (`_sine_powers`), one entry per exponent 2 m1 + m2.  The basis of
-    `eq_sum` is built once for the grid, and `_eq_cells` forms one row of
+    integers.  The closed cells come from one table of sine powers, one
+    entry per exponent 2 m1 + m2: ``closed`` (a `sine_power_table` through
+    u^order or further) or, without it, one built for this grid.  The basis
+    of `eq_sum` is built once for the grid, and `_eq_cells` forms one row of
     m2 per m1.  An entry of either range that is not an int is refused with
     TypeError.
     """
     size = max(order // 2 + 1, 0)  # x^0..x^(size-1), x = u^2, reach u^order
     m1s = sorted({_int_arg("m1_range entry", m) for m in m1_range})
     m2s = sorted({_int_arg("m2_range entry", m) for m in m2_range})
-    closed = _sine_powers({2 * m1 + m2 for m1 in m1s for m2 in m2s}, size)
+    closed = _closed_sides(closed, {2 * m1 + m2 for m1 in m1s for m2 in m2s}, size)
     basis = _eq_basis(size)
-    cells = []
-    for m1 in m1s:
-        for m2, (got, den) in zip(m2s, _eq_cells(basis, m1, m2s, size)):
-            cells.append(_cell((m1, m2), got, den, *closed[2 * m1 + m2]))
-    return GridReport("bracket-reduction sum vs closed form", tuple(cells))
+    computed = (((m1, m2), 2 * m1 + m2, got, den)
+                for m1 in m1s for m2, (got, den) in zip(m2s, _eq_cells(basis, m1, m2s, size)))
+    return GridReport("bracket-reduction sum vs closed form", _grid_cells(computed, closed))
 
 
 def _transform_matrix(c: int, g_max: int) -> list[list[Fraction]]:

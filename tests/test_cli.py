@@ -1,6 +1,7 @@
 """Command-line surface: schema validation, directions, exit codes, formats."""
 
 import ast
+import functools
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sinewall import cli, hodge
+from sinewall import cli, hodge, wallcross
 from sinewall.cli import (
     COMMANDS,
     ParseError,
@@ -142,7 +143,7 @@ def _forbid_computation(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("computation started before the argument check")
 
-    for name in ("verify_raw_equals_closed", "sine_factor", "mu_g0", "mu_g1"):
+    for name in ("sine_power_table", "verify_raw_equals_closed", "sine_factor", "mu_values"):
         monkeypatch.setattr(cli, name, boom)
 
 
@@ -162,6 +163,7 @@ def test_negative_g_max_refused(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: g_max must be nonnegative\n"
+    monkeypatch.undo()  # g_max 0 asks mu_values(0) for its empty tuple
     assert main(["mu", "--g-max", "0", "--format", "json"]) == 0
     assert capsys.readouterr().out == '{\n  "mu": {}\n}\n'
 
@@ -174,10 +176,10 @@ class _Reached(Exception):
     "argv, name, limit, patched",
     [
         (["verify-identities", "--order"], "order", cli.MAX_VERIFY_ORDER,
-         ("verify_raw_equals_closed",)),
+         ("sine_power_table", "verify_raw_equals_closed")),
         (["expand-sine", "--g", "1", "--c", "3", "--order"], "order", cli.MAX_SINE_ORDER,
          ("sine_factor",)),
-        (["mu", "--format", "json", "--g-max"], "g_max", cli.MAX_MU_G_MAX, ("mu_g0", "mu_g1")),
+        (["mu", "--format", "json", "--g-max"], "g_max", cli.MAX_MU_G_MAX, ("mu_values",)),
     ],
 )
 def test_cli_limits(capsys, monkeypatch, argv, name, limit, patched):
@@ -689,8 +691,16 @@ def test_verify_identities_stdout_is_the_assembled_report(order, capsys):
 # sha256 of the whole verify-identities stdout above the byte-for-byte range,
 # recorded before the grids read their closed sides from one table of sine
 # powers; order 57 from the handler itself, before the raw tables were built
-# by a prefix walk and when the CLI still refused orders above 50
+# by a prefix walk and when the CLI still refused orders above 50; orders 6, 8
+# and 10, the benchmark's, before both grids shared one table of sine powers
+# and the vertex values came from one build
 VERIFY_STDOUT_SHA256 = {
+    (6, "text"): "f63d9c3f91850969504b84622521f62b44b14a689d8f1661bc754b9430e4336e",
+    (6, "json"): "46ab2917c22bf352e0c855658ad3c0ccdd0be89c30b164e7c2395730e1a52f31",
+    (8, "text"): "2513a25de9ddd215d54e36505cab2ed8629d61ae5bd7584d09a3c293c8ff6cc1",
+    (8, "json"): "e07862d5232dc8dcb9ec122ee3a305da016e8f1f4e4da3bf3b7aaa207a08b203",
+    (10, "text"): "fd6b2a63eb7ea723ceacc5441586728b8ad0abc6468aba8e002e60a4d819eb10",
+    (10, "json"): "f40cd5ae848ebe9fa1f2853bf870ed1d7e94b22a2087c23422a88347a2c5af95",
     (20, "text"): "ce5f4cddefbd9edaf3247cca008df45c5fdeb18943f70a5e73ff8433ed9c9aca",
     (20, "json"): "6a3d99db6f7c9e5d04dd3b2d688f6ab911e97a51bd4929ef526315f6aa1b0674",
     (30, "text"): "89cbb829bb0c20e84bd89263771be2d9dd2ad63b763c9e91abb10e1d03195583",
@@ -704,7 +714,7 @@ VERIFY_STDOUT_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("order", (20, 30, 40, 50, 57))
+@pytest.mark.parametrize("order", (6, 8, 10, 20, 30, 40, 50, 57))
 def test_verify_identities_stdout_pinned_at_high_order(order, capsys):
     for fmt in ("text", "json"):
         assert main(["verify-identities", "--order", str(order), "--format", fmt]) == 0
@@ -738,9 +748,10 @@ def test_verify_identities_builds_one_expansion(capsys, monkeypatch):
 
 
 def test_verify_identities_computes_each_vertex_constant_once(capsys, monkeypatch):
-    # the raw grid's vertex table and the two expansion checks share one
-    # computation of mu_{g,0} per genus, which builds S once; mu_{g,1} reads it
-    hodge.mu_g0.cache_clear()
+    # the raw grid's vertex table and the two expansion checks share one build
+    # of the vertex values at the top genus, which builds S once; mu_{g,1} reads
+    # it.  The memo is per top genus, so it is cleared to see this call's build
+    hodge.mu_values.cache_clear()
     orders = []
     build = hodge.sinc_half
 
@@ -751,8 +762,33 @@ def test_verify_identities_computes_each_vertex_constant_once(capsys, monkeypatc
     monkeypatch.setattr(hodge, "sinc_half", counting)
     assert main(["verify-identities", "--order", "10"]) == 0
     assert "overall: pass" in capsys.readouterr().out
-    # genera 1..5: mu_g0(g) at order 2g + 2, the expansion at 12
-    assert sorted(orders) == [2 * g + 2 for g in range(1, 6)] + [12]
+    # genera 1..5 from one build at order 2 * 5 + 2, the expansion at 12
+    assert sorted(orders) == [12, 12]
+    info = hodge.mu_values.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+
+
+@pytest.mark.parametrize("order", (0, 1, 8, 11))
+def test_verify_identities_builds_one_table_and_one_vertex_build(order, capsys, monkeypatch):
+    # one table of sine powers serves both grids' closed sides, and one build
+    # of the vertex values serves the raw grid and both expansion checks
+    tables, vertex_builds = [], []
+    table, vertex = wallcross._sine_powers, hodge.mu_values.__wrapped__
+
+    def counting_table(ks, size):
+        tables.append((sorted(set(ks)), size))
+        return table(ks, size)
+
+    def counting_vertex(g_top):
+        vertex_builds.append(g_top)
+        return vertex(g_top)
+
+    monkeypatch.setattr(wallcross, "_sine_powers", counting_table)
+    monkeypatch.setattr(hodge, "mu_values", functools.cache(counting_vertex))
+    assert main(["verify-identities", "--order", str(order), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    assert tables == [(list(range(-18, 13)), order // 2 + 2)]
+    assert vertex_builds == [order // 2]
 
 
 # ---------------------------------------------------------------- exit 1

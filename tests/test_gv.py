@@ -1,5 +1,6 @@
 """BPS extraction: class gate, integrality reporting, integer roundtrips."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -44,6 +45,21 @@ def test_gate_rejects_negative_pairing():
 
 
 # ---------------------------------------------------------------- line class
+
+
+@pytest.mark.parametrize("c, primitive, named", [
+    (0.0, 1, "c must be an int, got 0.0"),
+    (0.5, "no", "c must be an int, got 0.5"),
+    (True, False, "c must be an int, got True"),
+    (F(3), True, "c must be an int, got Fraction(3, 1)"),
+    (0, 1, "primitive must be a bool, got 1"),
+    (2, "no", "primitive must be a bool, got 'no'"),
+    (3, None, "primitive must be a bool, got None"),
+])
+def test_gate_refuses_a_c_or_primitive_of_the_wrong_type(c, primitive, named):
+    # as GenusTable does: a float c or a truthy non-bool would otherwise pass
+    with pytest.raises(TypeError, match=f"^{re.escape(named)}$"):
+        gate_check(c, primitive)
 
 
 def test_line_class_forward():

@@ -283,8 +283,8 @@ def test_expansion_runs_without_closed_form_vertex(monkeypatch):
         raise AssertionError("closed-form vertex value used by the expansion")
 
     want = i_function_expansion(12)
-    monkeypatch.setattr(hodge, "mu_g0", refuse)
-    monkeypatch.setattr(hodge, "mu_g1", refuse)
+    for name in ("mu_values", "mu_g0", "mu_g1"):
+        monkeypatch.setattr(hodge, name, refuse)
     assert i_function_expansion(12) == want
     # nor a power kernel: layer j is layer j-1 times log S / j
     assert not hasattr(hodge, "pow_int") and not hasattr(hodge, "exp")

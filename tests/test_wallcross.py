@@ -98,7 +98,7 @@ def test_reduce_bracket_closed_form():
     # divisor weight they evaluate at) and for the oracle's stepwise stripping
     for g0 in range(4):
         for n in range(4):
-            factors = wallcross._bracket_factors(g0, n, 6)
+            factors = wallcross._bracket_factors(2 * g0 - 2 + n, 6)
             for n_psi in range(4):
                 for n_div in range(3):
                     for c in (-2, 0, 1, 4):
@@ -111,9 +111,9 @@ def test_reduce_bracket_closed_form():
 
 def test_reduce_bracket_base_case():
     # no psi insertion stripped leaves the base bracket, normalized to 1
-    assert wallcross._bracket_factors(0, 0, 0) == [[1]]
-    assert all(row[0] == 1 for row in wallcross._bracket_factors(3, 2, 5))
-    assert [len(row) for row in wallcross._bracket_factors(1, 1, 3)] == [1, 2, 3, 4]
+    assert wallcross._bracket_factors(-2, 0) == [[1]]
+    assert all(row[0] == 1 for row in wallcross._bracket_factors(6, 5))
+    assert [len(row) for row in wallcross._bracket_factors(1, 3)] == [1, 2, 3, 4]
     assert stripped_bracket(0, 0, 0, 0, 5) == 1
     assert stripped_bracket(3, 2, 0, 0, -1) == 1
 
@@ -307,6 +307,53 @@ def test_cell_compares_every_coefficient_by_cross_multiplication():
             cell = wallcross._cell("k", got, 12, want, 12)
             assert not cell.passed
             assert cell.detail == f"u^{2 * e}: got {F(value, 12)}, want {F(want[e], 12)}"
+
+
+def test_grid_cells_compare_whole_rows_or_cross_multiply():
+    # a row over a multiple of the closed denominator is one comparison; any
+    # other cell, a closed row not in lowest terms included, is cross-multiplied,
+    # and a failing cell keeps the detail of `_cell`
+    want = [12, -2, 1]  # 1 - x/6 + x^2/12, in lowest terms over 12
+    closed = {0: (want, 12), 1: ([24, -4, 2], 24)}  # row 1 the same series, not reduced
+    computed = [
+        ("over 84", 0, [x * 7 for x in want], 84),
+        ("over 12", 0, want, 12),
+        ("unreduced row", 1, want, 12),
+        ("unreduced cell", 0, [36, -6, 3], 36),
+        ("off at x^2", 0, [12, -2, 2], 12),
+        ("off at x^1", 1, [12, 0, 1], 12),
+    ]
+    cells = wallcross._grid_cells(iter(computed), closed)
+    assert [cell.key for cell in cells] == [key for key, *_ in computed]
+    assert [cell.passed for cell in cells] == [True, True, True, True, False, False]
+    assert [cell.detail for cell in cells[4:]] == ["u^4: got 1/6, want 1/12",
+                                                    "u^2: got 0, want -1/6"]
+    with pytest.raises(ValueError):  # a short side is an error here too
+        wallcross._grid_cells(iter([("short", 0, want[:-1], 12)]), closed)
+
+
+def test_grids_read_a_shared_table_cut_to_their_order():
+    # one table through the larger order serves both grids: each cuts its rows
+    # to its own order and back to lowest terms, and reports as if it had
+    # built its own table, failures included
+    bad = VertexData.standard(5).perturbed("mu0_div", 2, F(1, 1000))
+    for order in (0, 1, 6, 9, 10):
+        closed = wallcross.sine_power_table(range(-18, 13), order + 2)
+        assert closed == wallcross._sine_powers(range(-18, 13), order // 2 + 2)
+        for size in range(order // 2 + 3):
+            for ks in ({0}, set(range(-4, 11)), set(range(-18, 13))):
+                assert wallcross._closed_sides(closed, ks, size) == wallcross._sine_powers(ks, size)
+        assert (verify_raw_equals_closed(order=order, closed=closed)
+                == verify_raw_equals_closed(order=order))
+        assert (verify_raw_equals_closed(1, 2, range(0, 3), order, bad, closed)
+                == verify_raw_equals_closed(1, 2, range(0, 3), order, bad))
+        assert verify_eq_sum(order=order + 2, closed=closed) == verify_eq_sum(order=order + 2)
+    # a table that lacks an exponent or an x-power is refused, not compared short
+    short = wallcross.sine_power_table(range(-4, 11), 8)
+    with pytest.raises(ValueError, match=r"lacks exponents \[-6, -5\] through x\^4"):
+        verify_raw_equals_closed(c_range=range(-4, 7), order=8, closed=short)
+    with pytest.raises(ValueError, match=r"lacks exponents \[-4, .*, 10\] through x\^5"):
+        verify_raw_equals_closed(order=10, closed=short)
 
 
 def test_default_grids_build_each_closed_side_once(monkeypatch):
@@ -607,26 +654,32 @@ def numerator_series(nums, den, order):
 
 def test_grid_cells_match_standalone_raw_sum_on_random_vertex(monkeypatch):
     # each cell the grid evaluates from its per-(g0, n) polynomial equals
-    # the standalone call and the full-listing oracle, and its verdict follows
-    got = {}
-    combine = wallcross._raw_cells
+    # the standalone call and the full-listing oracle, and its verdict follows;
+    # the grid evaluates its cells in key order, one (g0, n) per call
+    calls, dens = [], []
+    combine, build = wallcross._raw_cells, wallcross._raw_tables
 
-    def recording(tables, marked, g0, n, cs):
-        cells = combine(tables, marked, g0, n, cs)
-        for c, nums in zip(cs, cells):
-            got[(g0, n, c)] = numerator_series(nums, tables[2], 9)
+    def recording_tables(vertex, size):
+        tables = build(vertex, size)
+        dens.append(tables[2])
+        return tables
+
+    def recording(inserted, marked, g0, cs):
+        cells = combine(inserted, marked, g0, cs)
+        calls.extend((g0, c, numerator_series(nums, dens[-1], 9)) for c, nums in zip(cs, cells))
         return cells
 
+    monkeypatch.setattr(wallcross, "_raw_tables", recording_tables)
     monkeypatch.setattr(wallcross, "_raw_cells", recording)
     rng = random.Random(518)
     for _ in range(2):
         vertex = random_vertex(rng, 4)
-        got.clear()
+        calls.clear()
         rep = verify_raw_equals_closed(2, 3, (-1, 2, 5), 8, vertex=vertex)
-        grid = dict(got)  # the standalone calls below record too
-        assert [cell.key for cell in rep.cells] == list(grid)
-        for cell in rep.cells:
-            series = grid[cell.key]
+        grid = list(calls)  # the standalone calls below record too
+        assert len(rep.cells) == len(grid) == 3 * 4 * 3
+        assert [(g0, c) for g0, c, _ in grid] == [(key[0], key[2]) for key, *_ in rep.cells]
+        for cell, (_, _, series) in zip(rep.cells, grid):
             assert series == correction_raw_sum(*cell.key, 9, vertex)
             assert series == raw_sum_oracle(*cell.key, 9, vertex)
             assert cell.passed == (series == sine_factor(cell.key[0], cell.key[2], 9))
@@ -661,7 +714,8 @@ def test_raw_route_uses_no_closed_form_kernel(monkeypatch):
         assert correction_raw_sum(g0, n, c, 13) == series
         assert correction_raw_sum(g0, n, c, 13, vertex) == series
         marked = wallcross._marked_sums(tables, n)
-        (nums,) = wallcross._raw_cells(tables, marked, g0, n, (c,))
+        inserted = wallcross._inserted_polys(tables, 2 * g0 - 2 + n)
+        (nums,) = wallcross._raw_cells(inserted, marked, g0, (c,))
         assert numerator_series(nums, tables[2], 13) == series
 
 
