@@ -24,7 +24,9 @@ MAX_ABS_G_C in absolute value, and a table's g_max by MAX_TABLE_G_MAX; a
 larger value is refused before any computation.  The numerator and the
 denominator of a table value, a genus key and a json integer are bounded
 by MAX_VALUE_DIGITS digits, checked on the string before any integer
-conversion.  An input file is read to at most MAX_INPUT_CHARS characters,
+conversion, and the digits of all values of a table together by
+MAX_TABLE_DIGITS, since a transform's cost grows with them as well as with
+g_max.  An input file is read to at most MAX_INPUT_CHARS characters,
 the canonical size of the largest table those limits admit; a longer one
 is refused before json parsing.  Once the arguments are parsed, `main`
 lifts CPython's cap on int <-> str conversion and restores it on return,
@@ -41,6 +43,13 @@ errors, abbreviated options, "--option=value" and repeated options.  With
 `python -S` (so site's own imports do not count) a fresh
 `mu --g-max 4 --format json` took 18.4 ms against 28.5 ms with argparse,
 typing and pathlib imported (medians of 20 pairs, 2-core VM, Python 3.11).
+Nor does a call generate code: the result records are `_record.Record`
+classes rather than `collections.namedtuple` ones, which `eval` a
+`__new__` each, and genus keys and values are matched with str methods, not
+with regular expressions, which are compiled on first use.  Together these
+took `import sinewall.cli` plus one `main` call from 9.0 to 7.9 ms (medians
+of 240 alternating fresh processes over transform, check-integrality, mu
+and expand-sine calls, same VM).
 
 An empty --input or --output path is refused before any computation.
 
@@ -90,17 +99,29 @@ MAX_ABS_G_C = 10**6
 # 4300-digit conversion cap, and int() of n digits takes time quadratic in n
 # (8 s at 10**6 digits).
 MAX_VALUE_DIGITS = 1000
+# Digits of all values of a table together, numerators and denominators.  It
+# admits every table the benchmark sends: `bench/run.py --baseline` feeds the
+# gw output of its g_max 80 table back to gw-to-ugw, 24 559 digits, and the
+# workloads' tables carry at most 9 000.  A transform's cost grows with the
+# digits as well as with g_max: with the digits on 81 unrelated denominators,
+# the costliest layout measured, the apply and output of a g_max 80 table took
+# 0.8 s at 20 000 digits, 1.6 s at 30 000 and 2.6-2.7 s at 40 000; a
+# fresh-process call at 30 000 digits took 4.9-5.6 s at g_max 80, of which
+# 3.2-3.9 s is its matrix (the same call with 1-digit values), and 1.2 s at
+# g_max 40, in both directions.
+MAX_TABLE_DIGITS = 30_000
 # g_max of a table: the largest that `bench/run.py --baseline` sends.  With
 # 13-digit values at c = 3 a transform took 0.45-0.56 s at g_max 40, 1.7-1.9 s
 # at 60, 3.0 s at 70 and 5.0 s at 80; longer values cost more.
 MAX_TABLE_G_MAX = 80
 # Characters of an input file, read before any json parsing.  The canonical
 # form of the largest table the limits above admit (g_max 80, c1_dot_beta
-# -10**6, primitive false, every value "-<1000 digits>/<1000 digits>") has
-# 118 header characters, 10 value lines of 2015 for genera 0..9 and 71 of 2016
-# for genera 10..80 less the last line's comma, and 6 closing ones:
-# 118 + 10 * 2015 + 71 * 2016 - 1 + 6 = 163 409.
-MAX_INPUT_CHARS = 163_409
+# -10**6, primitive false, every value "-<digits>/<digits>" and 30 000 digits
+# in all) has 118 header characters, 81 value lines of 12 characters plus the
+# genus key (10 of one digit, 71 of two) plus the value (its digits, "-" and
+# "/"), less the last line's comma, and 6 closing ones:
+# 118 + 81 * 12 + (10 + 142) + (30 000 + 162) - 1 + 6 = 31 409.
+MAX_INPUT_CHARS = 31_409
 _LIMITS = {
     ("verify-identities", "order"): MAX_VERIFY_ORDER,
     ("expand-sine", "order"): MAX_SINE_ORDER,
@@ -112,13 +133,22 @@ class ParseError(ValueError):
     """Input file violates the table schema."""
 
 
-# used with fullmatch and ASCII digits: "$" would also match before a trailing
-# newline and "\d" any Unicode digit, letting "1\n" or "1\u0662" alias "1" or "12".
-# The patterns are compiled on first use (re caches them), so a call that
-# parses no table compiles none.
-_VALUE_RE = r"-?[0-9]+(/[0-9]+)?"
-_GENUS_RE = r"0|[1-9][0-9]*"
 _KINDS = {k.value: k for k in Kind}
+
+
+# Genus keys and values are matched whole and on ASCII digits only: str.isdigit
+# alone also takes other scripts' digits, and a pattern ending in "$" a trailing
+# newline, either letting "1\u0662" or "1\n" alias genus 12 or 1.  Plain str
+# methods, so that parsing a table compiles no regular expression.
+def _is_genus_key(key: str) -> bool:
+    """Whether ``key`` is a nonnegative integer without a sign or leading zeros."""
+    return key.isascii() and key.isdigit() and (key == "0" or key[0] != "0")
+
+
+def _is_value(val: str) -> bool:
+    """Whether ``val`` reads "p" or "p/q": ASCII digits, one optional leading "-"."""
+    num, slash, den = val.removeprefix("-").partition("/")
+    return val.isascii() and num.isdigit() and (not slash or den.isdigit())
 
 
 def parse_table_doc(doc) -> GenusTable:
@@ -150,24 +180,27 @@ def parse_table_doc(doc) -> GenusTable:
     raw_values = doc["values"]
     if not isinstance(raw_values, dict):
         raise ParseError('"values" must be an object mapping genus to rational strings')
-    values = {}
+    values, digits = {}, 0
     for key, val in raw_values.items():
-        if not isinstance(key, str) or not re.fullmatch(_GENUS_RE, key):
+        if not isinstance(key, str) or not _is_genus_key(key):
             raise ParseError(f"genus key {key!r} is not a nonnegative integer string")
         if len(key) > MAX_VALUE_DIGITS:
             raise ParseError(f"genus key has more than {MAX_VALUE_DIGITS} digits")
         g = int(key)
         if g > g_max:
             raise ParseError(f"genus {g} exceeds g_max={g_max}")
-        if not isinstance(val, str) or not re.fullmatch(_VALUE_RE, val):
+        if not isinstance(val, str) or not _is_value(val):
             raise ParseError(f'value for genus {g} must be a "p/q" string, got {val!r}')
         if any(len(part) > MAX_VALUE_DIGITS for part in val.lstrip("-").split("/")):
             raise ParseError(f"value for genus {g} has a numerator or denominator of more "
                              f"than {MAX_VALUE_DIGITS} digits")
+        digits += len(val) - val.startswith("-") - ("/" in val)
         try:
             values[g] = Fraction(val)
         except ZeroDivisionError:
             raise ParseError(f"value for genus {g} has zero denominator") from None
+    if digits > MAX_TABLE_DIGITS:
+        raise ParseError(f"values must have at most {MAX_TABLE_DIGITS} digits in all, got {digits}")
     return GenusTable(_KINDS[kind], c, primitive, values, g_max)
 
 

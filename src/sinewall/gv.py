@@ -14,8 +14,7 @@ nonzero genus seen together with an explicit truncation caveat.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
+from ._record import Record
 from .wallcross import GenusTable, Kind, _int_arg, gw_from_ugw, ugw_from_gw
 
 __all__ = ["ClassNotCovered", "GVReport", "gate_check", "gv_from_gw", "gw_from_gv", "report_on_gv"]
@@ -25,8 +24,8 @@ class ClassNotCovered(ValueError):
     """The Fano / primitive-CY hypothesis fails; the identification is unproven."""
 
 
-class GVReport(namedtuple("GVReport", "table integral non_integral_genera "
-                                      "largest_nonzero_genus truncation_caveat")):
+class GVReport(Record, fields="table integral non_integral_genera largest_nonzero_genus "
+                              "truncation_caveat"):
     """A GV table plus its integrality and finiteness observations."""
 
     __slots__ = ()

@@ -31,11 +31,11 @@ each read one build; `mu_g0` and `mu_g1` read it for a single genus.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
 
+from ._record import Record
 from .series import convolve, log, numerators, sinc_half
 
 __all__ = [
@@ -215,7 +215,7 @@ class ZLaurent:
         return " + ".join(f"z^{p}*({q})" for p, q in self._items())
 
 
-class MuValue(namedtuple("MuValue", "a1 a_H a_c1 scalar", defaults=(Fraction(0),))):
+class MuValue(Record, fields="a1 a_H a_c1 scalar", defaults=(Fraction(0),)):
     """mu_{g,0}(z) = a1*z + a_H*H + a_c1*c1 + scalar."""
 
     __slots__ = ()
@@ -225,8 +225,7 @@ class MuValue(namedtuple("MuValue", "a1 a_H a_c1 scalar", defaults=(Fraction(0),
         return ZLaurent({1: GradedPoly.scalar(self.a1, cap), 0: const}, cap)
 
 
-class CheckReport(namedtuple("CheckReport", "passed checked first_failure detail",
-                             defaults=(None, ""))):
+class CheckReport(Record, fields="passed checked first_failure detail", defaults=(None, "")):
     """Outcome of a per-genus identity check."""
 
     __slots__ = ()

@@ -19,9 +19,11 @@ duplicate-free and set equality is decidable.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import Counter
 from collections.abc import Iterator
 from math import factorial
+
+from ._record import Record
 
 __all__ = [
     "PartsMismatch", "ThreefoldPartition", "descending_partitions",
@@ -69,7 +71,7 @@ def descending_partitions(total: int) -> Iterator[tuple[int, ...]]:
     return (parts for parts in descending_walk(total) if sum(parts) == total)
 
 
-class ThreefoldPartition(namedtuple("ThreefoldPartition", "g0 g1 g2")):
+class ThreefoldPartition(Record, fields="g0 g1 g2"):
     """One correction term index: root genus g0 plus genus lists g1, g2."""
 
     __slots__ = ()

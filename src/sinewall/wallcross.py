@@ -62,13 +62,13 @@ power of u, from the integers it compared.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from enum import Enum
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 
 from . import hodge
+from ._record import Record
 from .partitions import descending_walk
 from .series import USeries, convolve, log, numerators, pow_int, sinc_half
 
@@ -96,7 +96,7 @@ def _int_arg(name: str, value):
     return value
 
 
-class GenusTable(namedtuple("GenusTable", "kind c primitive values g_max")):
+class GenusTable(Record, fields="kind c primitive values g_max"):
     """Per-class invariants indexed by genus.
 
     Genera above g_max are unknown, not zero.  ``c`` is the pairing of the
@@ -309,7 +309,7 @@ def _from_numerators(nums: list[int], den: int, order: int) -> USeries:
     return USeries(0, coeffs)
 
 
-class VertexData(namedtuple("VertexData", "mu1 mu0_psi mu0_div")):
+class VertexData(Record, fields="mu1 mu0_psi mu0_div"):
     """Per-genus insertion coefficients feeding the raw wall-crossing sum.
 
     mu1[g] is the standalone marked-point multiplier mu_{g,1}; mu0_psi[g]
@@ -498,13 +498,13 @@ def correction_raw_sum(g0: int, n: int, c: int, order: int,
     return _from_numerators(nums, tables[2], order)
 
 
-class GridCell(namedtuple("GridCell", "key passed detail", defaults=("",))):
+class GridCell(Record, fields="key passed detail", defaults=("",)):
     """One verification cell: its parameter key and outcome."""
 
     __slots__ = ()
 
 
-class GridReport(namedtuple("GridReport", "name cells")):
+class GridReport(Record, fields="name cells"):
     """Deterministic, lexicographically ordered verification results."""
 
     __slots__ = ()

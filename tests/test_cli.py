@@ -5,8 +5,10 @@ import functools
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -139,6 +141,32 @@ def test_non_canonical_key_or_value_refused(tmp_path, capsys, monkeypatch, value
     assert named in captured.err
 
 
+# the patterns the parser matched keys and values with before it used str
+# methods: the reference that the two predicates must agree with exactly
+_GENUS_PATTERN = r"0|[1-9][0-9]*"
+_VALUE_PATTERN = r"-?[0-9]+(/[0-9]+)?"
+
+
+@settings(max_examples=2000)
+@given(st.one_of(st.text(alphabet="0129-/+ \n\u0662\u00b2x", max_size=7), st.text(max_size=5)))
+@example("01")
+@example("1\u0662")
+@example("+1")
+@example(" 1")
+@example("1\n")
+@example("-")
+@example("--1")
+@example("1/")
+@example("/1")
+@example("1/-2")
+@example("")
+@example("-0/00")
+@example("1/2/3")
+def test_key_and_value_predicates_accept_what_the_patterns_do(text):
+    assert cli._is_genus_key(text) == bool(re.fullmatch(_GENUS_PATTERN, text))
+    assert cli._is_value(text) == bool(re.fullmatch(_VALUE_PATTERN, text))
+
+
 def _forbid_computation(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("computation started before the argument check")
@@ -221,12 +249,18 @@ def _bench_table_g_maxes() -> set[int]:
             found.update(g_max for g_max, _ in ast.literal_eval(node.value))
         elif name == "DEEP_MIDDLE":
             found.add(ast.literal_eval(node.value))
-    baseline = [node for node in ast.walk(ast.parse((bench / "run.py").read_text()))
-                if isinstance(node, ast.For) and getattr(node.target, "id", None) == "g_max"]
-    assert len(baseline) == 1
-    found.update(ast.literal_eval(baseline[0].iter))
+    found.update(_baseline_g_maxes())
     assert 40 in found and 80 in found
     return found
+
+
+def _baseline_g_maxes() -> tuple[int, ...]:
+    """The g_max loop of `bench/run.py --baseline`."""
+    run = Path(__file__).resolve().parent.parent / "bench" / "run.py"
+    baseline = [node for node in ast.walk(ast.parse(run.read_text()))
+                if isinstance(node, ast.For) and getattr(node.target, "id", None) == "g_max"]
+    assert len(baseline) == 1
+    return ast.literal_eval(baseline[0].iter)
 
 
 @pytest.mark.parametrize("name, sign", [("g", 1), ("g", -1), ("c", 1), ("c", -1)])
@@ -308,6 +342,86 @@ def test_table_g_max_limit(tmp_path, capsys, monkeypatch, argv, kind, patched):
         assert capsys.readouterr().err == f"error: g_max must be at most {limit}, got {10**6}\n"
 
 
+@pytest.mark.parametrize("argv, kind, patched", [
+    (["transform", "--direction", "ugw-to-gw"], "ugw", "gw_from_ugw"),
+    (["transform", "--direction", "gw-to-ugw"], "gw", "ugw_from_gw"),
+    (["check-integrality"], "gw", "gv_from_gw"),
+])
+def test_table_digit_limit(tmp_path, capsys, monkeypatch, argv, kind, patched):
+    # a transform's cost grows with the digits of its values, which g_max alone does not bound
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    def boom(*args, **kwargs):
+        raise AssertionError("computation started before the digit check")
+
+    limit = cli.MAX_TABLE_DIGITS
+
+    def path(digits):
+        # every genus of g_max 20 holds about the same share, as "p/q" or "-p/q"
+        values = {}
+        for g in range(21):
+            share = digits // 21 + (g < digits % 21)
+            values[str(g)] = "-" * (g % 2) + "7" * (share - share // 2) + "/" + "9" * (share // 2)
+        return write_doc(tmp_path, "t.json", make_doc(kind=kind, c=3, g_max=20, values=values))
+
+    monkeypatch.setattr(cli, patched, reached)
+    for digits in (limit - 1, limit):
+        with pytest.raises(_Reached):
+            main(argv + ["--input", path(digits)])
+    for name in _TABLE_WORK:
+        monkeypatch.setattr(cli, name, boom)
+    assert main(argv + ["--input", path(limit + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: values must have at most {limit} digits in all, got {limit + 1}\n"
+
+
+def _bench_tables():
+    """(job, table document) for every table the first blocks of each benchmark workload
+    write, at the default seed and at 7, then (None, document) for the tables of
+    `bench/run.py --baseline`."""
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    sys.path.insert(0, str(bench))
+    try:
+        from jobs import WORKLOADS, Generator
+        from oracle import SinePowers
+    finally:
+        sys.path.remove(str(bench))
+    with tempfile.TemporaryDirectory() as work:
+        for workload in WORKLOADS:
+            for seed in (0, 7):
+                generator = Generator(workload, seed, Path(work))
+                for b in range(8):
+                    for job in generator.block(b):
+                        for text in job.files.values():
+                            yield job, json.loads(text)
+    # the baseline sends ugw values g + 1 at c = 3 and then their gw transform,
+    # the largest table the benchmark sends (24 559 digits at g_max 80)
+    oracle = SinePowers()
+    for g_max in _baseline_g_maxes():
+        ugw = {g: Fraction(g + 1) for g in range(g_max + 1)}
+        for kind, values in (("ugw", ugw), ("gw", oracle.forward(ugw, 3, g_max))):
+            yield None, make_doc(kind=kind, c=3, g_max=g_max,
+                                 values={str(g): str(v) for g, v in values.items()})
+
+
+def test_every_bench_table_is_admitted():
+    # every table the benchmark sends passes the digit bound; the two built
+    # past CPython's digit cap are still refused for their one over-long value
+    seen = 0
+    for job, doc in _bench_tables():
+        parts = [part for value in doc["values"].values() for part in value.lstrip("-").split("/")]
+        if max(map(len, parts)) > cli.MAX_VALUE_DIGITS:
+            assert job.expect_exit == 2
+            with pytest.raises(ParseError, match="numerator or denominator of more than"):
+                parse_table_doc(doc)
+        else:
+            parse_table_doc(doc)
+            seen += 1
+    assert seen > 200
+
+
 def test_expand_sine_at_the_g_c_corner_prints(capsys):
     # the largest accepted input at the largest order prints every coefficient
     limit = str(cli.MAX_ABS_G_C)
@@ -387,14 +501,17 @@ def test_long_integers_refused_before_conversion(tmp_path, capsys, field):
 
 
 def test_deeply_nested_json_refused(tmp_path, capsys, monkeypatch):
-    # json.loads recurses once per level and would raise RecursionError
+    # json.loads recurses once per level and would raise RecursionError; the
+    # file nests as deep as the character limit lets it, far past the recursion limit
     def boom(*args, **kwargs):
         raise AssertionError("computation started before the input check")
 
     monkeypatch.setattr(cli, "gw_from_gv", boom)
     path = tmp_path / "gv.json"
-    path.write_text('{"class": {"c1_dot_beta": 4, "primitive": true}, "kind": "gv", '
-                    '"g_max": 2, "values": ' + "[" * 100_000 + "}")
+    head = '{"class": {"c1_dot_beta": 4, "primitive": true}, "kind": "gv", "g_max": 2, "values": '
+    depth = cli.MAX_INPUT_CHARS - len(head) - 1
+    assert depth > 10 * sys.getrecursionlimit()
+    path.write_text(head + "[" * depth + "}")
     assert main(["transform", "--direction", "gv-to-gw", "--input", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -406,11 +523,16 @@ _TABLE_WORK = ("gw_from_ugw", "ugw_from_gw", "gv_from_gw", "gw_from_gv", "report
 
 
 def test_input_char_limit_is_the_largest_canonical_table(tmp_path):
-    # every limit at its extreme: the longest value, c1_dot_beta, kind and g_max
-    digits = cli.MAX_VALUE_DIGITS
-    value = -Fraction(10**digits - 1, 10 ** (digits - 1))
-    table = GenusTable(Kind.UGW, -cli.MAX_ABS_G_C, False,
-                       dict.fromkeys(range(cli.MAX_TABLE_G_MAX + 1), value), cli.MAX_TABLE_G_MAX)
+    # every limit at its extreme: c1_dot_beta, kind and g_max, and all the digits
+    # the values may have, spread over every genus, each value with a sign and a "/"
+    genera = cli.MAX_TABLE_G_MAX + 1
+    values = {}
+    for g in range(genera):
+        digits = cli.MAX_TABLE_DIGITS // genera + (g < cli.MAX_TABLE_DIGITS % genera)
+        den = digits // 2
+        assert 2 <= den <= digits - den <= cli.MAX_VALUE_DIGITS
+        values[g] = -Fraction(10 ** (digits - den) - 1, 10 ** (den - 1))
+    table = GenusTable(Kind.UGW, -cli.MAX_ABS_G_C, False, values, cli.MAX_TABLE_G_MAX)
     text = dumps_canonical(table_to_doc(table))
     assert len(text) == cli.MAX_INPUT_CHARS
     path = tmp_path / "largest.json"

@@ -1,8 +1,11 @@
 """Package surface: every exported name resolves, something uses it, and the CLI imports light."""
 
 import ast
+import copy
 import importlib
+import json
 import os
+import pickle
 import pkgutil
 import subprocess
 import sys
@@ -129,6 +132,36 @@ def test_cli_call_leaves_out_unused_modules(tmp_path):
     assert '"kind": "gw"' in out.read_text()
 
 
+def test_cli_call_builds_no_namedtuple_and_compiles_no_pattern(tmp_path):
+    # collections.namedtuple evals a __new__ for every record class, and a
+    # pattern is compiled on its first use: both are paid again by every CLI
+    # process.  The spies record the sinewall modules that make a namedtuple,
+    # and every pattern that re looks up while the call runs.
+    table = tmp_path / "u.json"
+    table.write_text('{"class": {"c1_dot_beta": 4, "primitive": true}, "kind": "ugw", '
+                     '"g_max": 2, "values": {"0": "1", "2": "-5/7"}}')
+    argv = ["transform", "--direction", "ugw-to-gw", "--input", str(table),
+            "--format", "json", "--output", str(tmp_path / "gw.json")]
+    probe = ("import collections, json, re, sys\n"
+             "makers, patterns = [], []\n"
+             "namedtuple, compile_ = collections.namedtuple, re._compile\n"
+             "def spy_namedtuple(*args, **kwargs):\n"
+             "    makers.append(sys._getframe(1).f_globals.get('__name__', ''))\n"
+             "    return namedtuple(*args, **kwargs)\n"
+             "def spy_compile(pattern, *args):\n"
+             "    patterns.append(str(pattern))\n"
+             "    return compile_(pattern, *args)\n"
+             "collections.namedtuple = spy_namedtuple\n"
+             "import sinewall.cli\n"
+             "re._compile = spy_compile\n"
+             f"status = sinewall.cli.main({argv!r})\n"
+             "print(json.dumps([[m for m in makers if m.startswith('sinewall')], patterns, status]))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          env=env, check=True)
+    assert json.loads(proc.stdout) == [[], [], 0]
+
+
 # each factory builds a fresh record from equal arguments on every call
 _RECORDS = {
     "GenusTable": lambda: GenusTable(Kind.GW, 3, True, {0: Fraction(1, 2)}, 2),
@@ -164,3 +197,37 @@ def test_record_hashing_and_validation():
         GenusTable(Kind.GW, 3, True, {}, g_max=-1)
     with pytest.raises(ValueError):
         ThreefoldPartition(0, (1, 2), ())
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+def test_records_copy_pickle_construct_and_replace(name):
+    # what a namedtuple subclass offers: copy and pickle rebuild the record
+    # through __getnewargs__, keywords and defaults bind as for a function,
+    # and _replace keeps the class
+    record = _RECORDS[name]()
+    cls = type(record)
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is cls and twin == record
+    assert cls(**dict(zip(cls._fields, record))) == record
+    required = len(cls._fields) - len(cls._field_defaults)
+    short = cls(*record[:required])
+    assert short[required:] == tuple(cls._field_defaults.values())
+    replaced = record._replace(**{cls._fields[0]: record[0]})
+    assert type(replaced) is cls and replaced == record
+    with pytest.raises(ValueError):
+        record._replace(no_such_field=0)
+    with pytest.raises(TypeError):
+        cls(*record, None)
+    with pytest.raises(TypeError):
+        cls(*record[:required - 1])
+    with pytest.raises(TypeError):
+        cls(*record[:required], **{cls._fields[0]: record[0]})
+
+
+def test_replace_validates_as_the_constructor_does():
+    with pytest.raises(ValueError):
+        _RECORDS["GenusTable"]()._replace(g_max=-1)
+    with pytest.raises(ValueError):
+        _RECORDS["ThreefoldPartition"]()._replace(g1=(1, 2))
+    gv = _RECORDS["GenusTable"]()._replace(kind=Kind.GV)
+    assert (gv.kind, gv.values, gv.g_max) == (Kind.GV, {0: Fraction(1, 2)}, 2)
