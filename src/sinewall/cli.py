@@ -45,11 +45,12 @@ errors, abbreviated options, "--option=value" and repeated options.  With
 typing and pathlib imported (medians of 20 pairs, 2-core VM, Python 3.11).
 Nor does a call generate code: the result records are `_record.Record`
 classes rather than `collections.namedtuple` ones, which `eval` a
-`__new__` each, and genus keys and values are matched with str methods, not
-with regular expressions, which are compiled on first use.  Together these
-took `import sinewall.cli` plus one `main` call from 9.0 to 7.9 ms (medians
-of 240 alternating fresh processes over transform, check-integrality, mu
-and expand-sine calls, same VM).
+`__new__` each, and genus keys, values and negative-number arguments are
+matched with str methods, not with regular expressions, which are compiled
+on first use.  The records and the key and value predicates took
+`import sinewall.cli` plus one `main` call from 9.0 to 7.9 ms (medians of
+240 alternating fresh processes over transform, check-integrality, mu and
+expand-sine calls, same VM).
 
 An empty --input or --output path is refused before any computation.
 
@@ -64,7 +65,6 @@ unwritable --output included, which is reported before a check failure.
 from __future__ import annotations
 
 import json
-import re
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -82,16 +82,15 @@ from .wallcross import (
     verify_raw_equals_closed,
 )
 
-# Largest accepted values.  On a 2-core VM with Python 3.11 each keeps one
-# call to about 2 s: verify-identities took 0.9-1.2 s at order 57 (0.5 s at
-# 50, 1.3 s at 58, 1.7 s at 60), expand-sine 1.1 s at order 500 (9 s at
-# 1000), mu 0.12 s at g_max 40.
+# Largest accepted values, each keeping one call to a few seconds.  The
+# "Limits" table in README.md gives each limit's slowest admitted call, as
+# exact argv, and its time.
 MAX_VERIFY_ORDER = 57
 MAX_SINE_ORDER = 500
 MAX_MU_G_MAX = 40
 # |g| and |c| of expand-sine and |c1_dot_beta| of a table.  At |g| = |c| = 10**6
-# and order 500 expand-sine takes about 2.5 s and its longest coefficient has
-# about 3000 digits, under CPython's 4300-digit string conversion limit.
+# and order 500 the longest coefficient of expand-sine has about 3000 digits,
+# under CPython's 4300-digit string conversion limit.
 MAX_ABS_G_C = 10**6
 # Digits of the numerator or of the denominator of a table value, of a genus
 # key and of a json integer; twice the longest value the benchmark uses.
@@ -103,16 +102,10 @@ MAX_VALUE_DIGITS = 1000
 # admits every table the benchmark sends: `bench/run.py --baseline` feeds the
 # gw output of its g_max 80 table back to gw-to-ugw, 24 559 digits, and the
 # workloads' tables carry at most 9 000.  A transform's cost grows with the
-# digits as well as with g_max: with the digits on 81 unrelated denominators,
-# the costliest layout measured, the apply and output of a g_max 80 table took
-# 0.8 s at 20 000 digits, 1.6 s at 30 000 and 2.6-2.7 s at 40 000; a
-# fresh-process call at 30 000 digits took 4.9-5.6 s at g_max 80, of which
-# 3.2-3.9 s is its matrix (the same call with 1-digit values), and 1.2 s at
-# g_max 40, in both directions.
+# digits as well as with g_max, most when they sit on unrelated denominators
+# (README "Limits").
 MAX_TABLE_DIGITS = 30_000
-# g_max of a table: the largest that `bench/run.py --baseline` sends.  With
-# 13-digit values at c = 3 a transform took 0.45-0.56 s at g_max 40, 1.7-1.9 s
-# at 60, 3.0 s at 70 and 5.0 s at 80; longer values cost more.
+# g_max of a table: the largest that `bench/run.py --baseline` sends.
 MAX_TABLE_G_MAX = 80
 # Characters of an input file, read before any json parsing.  The canonical
 # form of the largest table the limits above admit (g_max 80, c1_dot_beta
@@ -483,8 +476,18 @@ COMMANDS = {
         "--format": _FORMAT, "--output": _OUTPUT,
     }),
 }
-# argparse reads an argument matching this as a value, not as an option (compiled on first use)
-_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
+
+
+def _is_negative_number(value: str) -> bool:
+    r"""Whether ``value`` is "-" and ASCII digits, with at most one "." that digits follow.
+
+    argparse reads such an argument as a value, not as an option.  Its own
+    pattern, r"^-\d+$|^-\d*\.\d+$", also takes other scripts' digits and a
+    trailing newline; those argv are left to argparse.
+    """
+    whole, dot, frac = value[1:].partition(".")
+    return (value.startswith("-") and value.isascii() and (whole == "" or whole.isdigit())
+            and (frac if dot else whole).isdigit())
 
 
 def build_parser():
@@ -526,7 +529,7 @@ def _read_canonical(argv: list[str]) -> SimpleNamespace | None:
             ns[dest] = spec.get("default")
             continue
         value = given[flag]
-        if value.startswith("-") and not re.match(_NEGATIVE_NUMBER, value):
+        if value.startswith("-") and not _is_negative_number(value):
             return None
         if "type" in spec:
             try:

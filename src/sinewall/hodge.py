@@ -4,29 +4,28 @@ Everything here expands one master identity,
 
     z' * S(u)^((2 z' + 3 H + c1) / z') = z' * S^2 * exp((3H + c1) * log S / z'),
 
-a Laurent series in z' with coefficients that are polynomials in the two
-commuting degree-1 classes H and c1 (truncated above a total-degree cap).
-Substituting z' = z - H and keeping the z-nonnegative part of the u^{2g}
-coefficient yields the vertex value
+a Laurent series in z' whose coefficients are polynomials in the two
+commuting degree-1 classes H and c1 of the threefold, so every class of
+total degree above 3 vanishes.  Substituting z' = z - H and keeping the
+z-nonnegative part of the u^{2g} coefficient yields the vertex value
 
     mu_{g,0}(z) = a_g * (z - H) + b_g * (3H + c1),
     a_g = [u^{2g}] S^2,   b_g = [u^{2g}] (S^2 * log S),
 
 and the companion constant mu_{g,1} = [u^{2g}] (S^2 - 1) = a_g, read off
-`mu_g0`.  The closed forms are authoritative; `i_function_expansion`
-re-derives them from the exponential identity so the two routes can be
-checked against each other, and `verify_i_ratio` checks that dividing the
-expansion by z reproduces the mu_{g,1} constants.  Both checks accept one
-shared expansion.  The expansion substitutes z' = z - H once per
-z'-power: each layer's (z - H)^{1-j} times its class is expanded once, and
-every genus scales those pieces by its own u^{2g} coefficient.  The layers'
-series S^2 (log S)^j / j! are integer numerators in x = u^2, built by
-`convolve` from one S and one log S, and each genus sums its pieces on
-plain dicts over one denominator, with one `GradedPoly` per z-power.  The closed forms of every genus come from one build
-(`mu_values`): one S, S^2 and S^2 log S through the top genus, memoised per
+`mu_g0`.
+
+The closed forms are authoritative.  They come from one build
+(`mu_values`) of S, S^2 and S^2 log S through the top genus, memoised per
 top genus, so the raw grid's vertex table, the two checks and `mu --g-max`
 each read one build; `mu_g0` and `mu_g1` read it for a single genus.
-`GradedPoly` coefficients are exact: `int` or `Fraction`, never a float.
+
+`i_function_expansion` re-derives them from the exponential identity, so
+the two routes can be checked against each other: `verify_mu_consistency`
+compares its [z >= 0] part with mu_{g,0}, and `verify_i_ratio` checks that
+dividing it by z reproduces the mu_{g,1} constants.  Both checks accept one
+shared expansion.  `GradedPoly` coefficients are exact: `int` or
+`Fraction`, never a float.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
+from math import comb
 
 from ._record import Record
 from .series import convolve, log, numerators, sinc_half
@@ -42,6 +42,9 @@ __all__ = [
     "CheckReport", "GradedPoly", "MuValue", "ZLaurent", "i_function_expansion", "mu_g0", "mu_g1",
     "mu_values", "verify_i_ratio", "verify_mu_consistency",
 ]
+
+# Classes of degree above 3 vanish on a threefold: the expansion caps H^a c1^b at a + b <= 3.
+_DEGREE_CAP = 3
 
 
 class GradedPoly:
@@ -80,20 +83,6 @@ class GradedPoly:
     def scalar(cls, q, degree_cap: int) -> GradedPoly:
         return cls({(0, 0): q}, degree_cap)
 
-    @classmethod
-    def one(cls, degree_cap: int) -> GradedPoly:
-        return cls.scalar(1, degree_cap)
-
-    @classmethod
-    def hyperplane(cls, degree_cap: int) -> GradedPoly:
-        """The relative hyperplane class H."""
-        return cls({(1, 0): Fraction(1)}, degree_cap)
-
-    @classmethod
-    def first_chern(cls, degree_cap: int) -> GradedPoly:
-        """The class c1."""
-        return cls({(0, 1): Fraction(1)}, degree_cap)
-
     def coefficient(self, h_pow: int, c1_pow: int) -> Fraction:
         return self.terms.get((h_pow, c1_pow), Fraction(0))
 
@@ -107,39 +96,15 @@ class GradedPoly:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def _check_cap(self, other: GradedPoly) -> None:
-        if self.degree_cap != other.degree_cap:
-            raise ValueError("mixed degree caps")
-
     def __add__(self, other: GradedPoly) -> GradedPoly:
         if not isinstance(other, GradedPoly):
             return NotImplemented
-        self._check_cap(other)
+        if self.degree_cap != other.degree_cap:
+            raise ValueError("mixed degree caps")
         out = dict(self.terms)
         for key, q in other.terms.items():
             out[key] = out.get(key, Fraction(0)) + q
         return GradedPoly(out, self.degree_cap)
-
-    def __neg__(self) -> GradedPoly:
-        return GradedPoly({k: -q for k, q in self.terms.items()}, self.degree_cap)
-
-    def __mul__(self, other: object) -> GradedPoly:
-        if isinstance(other, GradedPoly):
-            self._check_cap(other)
-            out: dict[tuple[int, int], Fraction] = {}
-            for (i1, j1), q1 in self.terms.items():
-                for (i2, j2), q2 in other.terms.items():
-                    if i1 + i2 + j1 + j2 > self.degree_cap:
-                        continue
-                    key = (i1 + i2, j1 + j2)
-                    out[key] = out.get(key, Fraction(0)) + q1 * q2
-            return GradedPoly(out, self.degree_cap)
-        if isinstance(other, (int, Fraction)):
-            return GradedPoly({k: q * other for k, q in self.terms.items()}, self.degree_cap)
-        return NotImplemented
-
-    def __rmul__(self, other: object) -> GradedPoly:
-        return self.__mul__(other)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -269,29 +234,18 @@ def mu_g1(g: int) -> Fraction:
     return mu_g0(g).a1
 
 
-def i_function_expansion(order_u: int, z_depth: int = 3, degree_cap: int = 3,
-                         divisor_class: GradedPoly | None = None) -> dict[int, ZLaurent]:
+def i_function_expansion(order_u: int) -> dict[int, ZLaurent]:
     r"""Per-genus Laurent expansion of z' * S^2 * exp((3H + c1) log S / z') at z' = z - H.
 
     Returns {g: coefficient of u^{2g} as a ZLaurent in z} for every genus
-    the truncation order determines (2g < order_u).  ``z_depth`` is the
-    number of negative z'-powers retained.  Negative z'-powers only ever
-    produce negative z-powers under the substitution z' = z - H, because
-    (z - H)^(-m) = sum_i binom(m+i-1, i) H^i z^(-m-i); so the z-nonnegative
-    part is already complete at any z_depth >= 1, and deeper settings only
-    lengthen the recorded tail.
-
-    ``divisor_class`` replaces 3H + c1 in the exponent (testing hook).
+    the truncation order determines (2g < order_u), with classes capped at
+    degree 3.  Layer j, the z'^(1-j) term, carries (3H + c1)^j, so layers
+    j = 0..3 are all there are.  Under z' = z - H the negative z'-powers of
+    layers 2 and 3 give only negative z-powers, because
+    (z - H)^(-m) = sum_i binom(m+i-1, i) H^i z^(-m-i): the z-nonnegative
+    part comes from layers 0 and 1, and the rest is the recorded tail that
+    the checks' [z >= 0] truncation drops.
     """
-    if z_depth < 1:
-        raise ValueError("z_depth must be at least 1")
-    if degree_cap < 2:
-        raise ValueError("degree_cap must be at least 2")
-    cap = degree_cap
-    a2 = divisor_class if divisor_class is not None else (
-        GradedPoly.hyperplane(cap) * 3 + GradedPoly.first_chern(cap))
-    if divisor_class is not None and divisor_class.degree_cap != cap:
-        raise ValueError("divisor_class cap must equal degree_cap")
     if order_u <= 0:
         return {}
 
@@ -302,32 +256,25 @@ def i_function_expansion(order_u: int, z_depth: int = 3, degree_cap: int = 3,
     ls = log(s)
     l_nums, l_den = numerators([ls.coefficient(2 * i) for i in range(size)])
 
-    # z'^(1-j) carries S^2 (log S)^j a2^j / j!; at z' = z - H it is
-    # a2^j (z - H)^e = sum_i a2^j binom(e, i) (-H)^i z^(e-i) with e = 1 - j,
-    # expanded once per layer as (z-power, class) pairs: the terms of a2^j,
-    # i powers of H up and scaled, on plain dicts
+    # at z' = z - H layer j's class is (3H + c1)^j (z - H)^e with e = 1 - j,
+    # that is sum_{h,i} C(j, h) 3^h H^h c1^(j-h) binom(e, i) (-H)^i z^(e-i),
+    # kept to degree j + i <= 3 and expanded once per layer as
+    # (z-power, class) pairs on plain dicts
     layers = []
-    a2_pow = GradedPoly.one(cap)
     # S^2 (log S)^j / j! in x, from the layer before (no power kernel); each
     # layer's denominator divides the next one's
     scalar = convolve(s_nums, s_nums, size), s_den * s_den
-    for j in range(0, z_depth + 2):
-        if j > 0:
-            a2_pow = a2_pow * a2
-            if not a2_pow:
-                break
+    for j in range(_DEGREE_CAP + 1):
+        if j:
             scalar = convolve(scalar[0], l_nums, size), scalar[1] * l_den * j
-        # an integral class (3H + c1 is one) keeps the sums below in ints
-        terms = {key: x.numerator if x.denominator == 1 else x for key, x in a2_pow.terms.items()}
-        e, coef = 1 - j, 1
         pieces = []
-        for i in range(cap + 1):
-            piece = {(h + i, c): x * coef for (h, c), x in terms.items()
-                     if coef and h + i + c <= cap}
-            if not piece:
+        coef = 1  # binom(e, i) (-1)^i
+        for i in range(_DEGREE_CAP - j + 1):
+            if not coef:
                 break
-            pieces.append((e - i, piece))
-            coef = coef * (i - e) // (i + 1)  # binom(e, i+1) (-1)^(i+1)
+            pieces.append((1 - j - i, {(h + i, j - h): comb(j, h) * 3**h * coef
+                                       for h in range(j + 1)}))
+            coef = coef * (i + j - 1) // (i + 1)
         layers.append((scalar, pieces))
 
     # each genus sums its layers' pieces on plain dicts over the last layer's
@@ -345,12 +292,13 @@ def i_function_expansion(order_u: int, z_depth: int = 3, degree_cap: int = 3,
                 acc = zterms.setdefault(power, {})
                 for key, x in terms.items():
                     acc[key] = acc.get(key, 0) + x * n
-        out[g] = ZLaurent({p: GradedPoly({key: Fraction(x, den) for key, x in terms.items()}, cap)
-                           for p, terms in zterms.items()}, cap)
+        out[g] = ZLaurent({p: GradedPoly({key: Fraction(x, den) for key, x in terms.items()},
+                                         _DEGREE_CAP)
+                           for p, terms in zterms.items()}, _DEGREE_CAP)
     return out
 
 
-def verify_mu_consistency(order_u: int, z_depth: int = 3, degree_cap: int = 3,
+def verify_mu_consistency(order_u: int,
                           expansion: Mapping[int, ZLaurent] | None = None) -> CheckReport:
     """Check [z >= 0] of the expansion against the closed-form mu_{g,0}.
 
@@ -360,7 +308,7 @@ def verify_mu_consistency(order_u: int, z_depth: int = 3, degree_cap: int = 3,
     """
     if expansion is None:
         g_top = order_u // 2
-        expansion = i_function_expansion(2 * g_top + 2, z_depth, degree_cap)
+        expansion = i_function_expansion(2 * g_top + 2)
     genera = tuple(g for g in sorted(expansion) if g >= 1)
     mu = mu_values(max(genera, default=0))
     for g in genera:
@@ -371,8 +319,7 @@ def verify_mu_consistency(order_u: int, z_depth: int = 3, degree_cap: int = 3,
     return CheckReport(True, genera)
 
 
-def verify_i_ratio(order_u: int, z_depth: int = 3, degree_cap: int = 3,
-                   expansion: Mapping[int, ZLaurent] | None = None) -> CheckReport:
+def verify_i_ratio(order_u: int, expansion: Mapping[int, ZLaurent] | None = None) -> CheckReport:
     """Check that [z >= 0] of (expansion / z) equals the constants mu_{g,1}.
 
     Covers genera 1 <= g <= order_u / 2 (vacuous pass when that range is
@@ -380,7 +327,7 @@ def verify_i_ratio(order_u: int, z_depth: int = 3, degree_cap: int = 3,
     """
     if expansion is None:
         g_top = order_u // 2
-        expansion = i_function_expansion(2 * g_top + 2, z_depth, degree_cap)
+        expansion = i_function_expansion(2 * g_top + 2)
     genera = tuple(g for g in sorted(expansion) if g >= 1)
     mu = mu_values(max(genera, default=0))
     for g in genera:

@@ -66,10 +66,10 @@ def test_criterion_2_eq_sum_closed_form():
 
 def test_criterion_3_expansion_consistency():
     # z-nonnegative truncation of the local expansion equals the closed-form
-    # vertex values for g <= 5 at degree cap 3 and z-depth 3, under 5 seconds
+    # vertex values for g <= 5 at the threefold's degree cap 3, under 5 seconds
     t0 = time.perf_counter()
-    mu_rep = verify_mu_consistency(10, z_depth=3, degree_cap=3)
-    ratio_rep = verify_i_ratio(10, z_depth=3, degree_cap=3)
+    mu_rep = verify_mu_consistency(10)
+    ratio_rep = verify_i_ratio(10)
     elapsed = time.perf_counter() - t0
     assert mu_rep.passed, mu_rep.detail
     assert mu_rep.checked == (1, 2, 3, 4, 5)

@@ -1,8 +1,10 @@
 """Command-line surface: schema validation, directions, exit codes, formats."""
 
 import ast
+import contextlib
 import functools
 import hashlib
+import io
 import json
 import os
 import re
@@ -11,12 +13,13 @@ import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sinewall import cli, hodge, wallcross
+from sinewall import cli, hodge, series, wallcross
 from sinewall.cli import (
     COMMANDS,
     ParseError,
@@ -165,6 +168,36 @@ _VALUE_PATTERN = r"-?[0-9]+(/[0-9]+)?"
 def test_key_and_value_predicates_accept_what_the_patterns_do(text):
     assert cli._is_genus_key(text) == bool(re.fullmatch(_GENUS_PATTERN, text))
     assert cli._is_value(text) == bool(re.fullmatch(_VALUE_PATTERN, text))
+
+
+# the pattern argparse 3.11 reads a negative number with, which the table
+# reader matched before it used str methods: the predicate may reject more
+# (those argv fall through to argparse), never accept more
+_NEGATIVE_NUMBER_PATTERN = r"^-\d+$|^-\d*\.\d+$"
+_argparse_matcher = functools.cache(lambda: build_parser()._negative_number_matcher)
+
+
+@settings(max_examples=1000)
+@given(st.one_of(st.text(alphabet="-.019\n\u0663\u00b2x ", max_size=6), st.text(max_size=5)))
+@example("-1")
+@example("-0")
+@example("-.5")
+@example("-1.5")
+@example("-1.")
+@example("-")
+@example("--1")
+@example("-1.2.3")
+@example("-1\n")
+@example("-\u0663")
+@example("-\u00b2")
+@example("1")
+def test_negative_number_predicate_accepts_only_what_the_pattern_does(text):
+    if cli._is_negative_number(text):
+        assert re.match(_NEGATIVE_NUMBER_PATTERN, text)
+        assert _argparse_matcher().match(text)
+    if text.isascii() and "\n" not in text:
+        # on ASCII text without a newline the two agree exactly
+        assert cli._is_negative_number(text) == bool(re.match(_NEGATIVE_NUMBER_PATTERN, text))
 
 
 def _forbid_computation(monkeypatch):
@@ -1194,6 +1227,77 @@ def test_table_reader_leaves_the_rest_to_argparse():
                  ["transform", "--input", "-", "--direction", "gw-to-gv"], ["mu", "-h"],
                  ["mu", "--", "--g-max", "3"], ["frobnicate"]):
         assert cli._read_canonical(argv) is None, argv
+
+
+# the work that an exit-2 path must not reach: both transform matrices, both
+# grids, the vertex values and the power kernel, under every name a caller reads
+_WORK = ((wallcross, "_transform_matrix"), (wallcross, "_inverse_matrix"),
+         (cli, "verify_raw_equals_closed"), (cli, "verify_eq_sum"),
+         (hodge, "mu_values"), (cli, "mu_values"), (series, "pow_int"), (wallcross, "pow_int"))
+
+
+_T_JSON = json.dumps(NON_INTEGRAL_GW)
+
+
+class _Tee(io.StringIO):
+    """One output stream that also logs every write, in order, to a shared list."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def write(self, text):
+        self.log.append(text)
+        return super().write(text)
+
+
+def _run_recorded(argv):
+    """main(argv) in a fresh cwd holding t.json: (status, stdout, stderr, both, work, files)."""
+    log = []
+    out, err = _Tee(log), _Tee(log)
+    with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
+        Path(tmp, "t.json").write_text(_T_JSON)
+        stack.enter_context(contextlib.chdir(tmp))
+        spies = {f"{module.__name__}.{name}": stack.enter_context(
+                     mock.patch.object(module, name, wraps=getattr(module, name)))
+                 for module, name in _WORK}
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        try:
+            status = main(argv)
+        except SystemExit as e:  # argparse: usage errors and help
+            status = e.code
+        work = [name for name, spy in spies.items() if spy.called]
+        files = {p.name: p.read_text() for p in Path(tmp).iterdir()}
+    return status, out.getvalue(), err.getvalue(), "".join(log), work, files
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_argv())
+@example(argv=["transform", "--direction", "gw-to-gv", "--input", "t.json"])
+@example(argv=["check-integrality", "--input", "t.json", "--output", "json"])
+@example(argv=["transform", "--direction", "ugw-to-gw", "--input", "t.json"])
+@example(argv=["verify-identities", "--order", "-1"])
+@example(argv=["mu", "--g-max", "3", "--frob"])
+def test_cli_contract_on_generated_argv(argv):
+    # every argv ends in 0, 1 or 2 and raises nothing else; exit 2 prints an
+    # error or argparse's usage and no report, and is reached before any of
+    # the work above; exit 1 writes the report and then says what failed
+    status, out, err, both, work, files = _run_recorded(argv)
+    assert status in (0, 1, 2), (argv, status)
+    if status == 0:
+        assert err == ""
+    elif status == 1:
+        assert err.startswith("check failed: ") and err.count("\n") == 1, err
+        # the report went to stdout before the failure, or to an --output file
+        if out:
+            assert both == out + err
+        else:
+            assert any(text != _T_JSON for text in files.values()), (argv, files)
+    else:
+        assert out == ""
+        assert err.startswith("error: ") or (err.startswith("usage: ") and ": error: " in err), err
+        assert work == [], (argv, work)
 
 
 def test_parser_options_match_table():

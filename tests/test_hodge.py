@@ -1,5 +1,6 @@
 """Vertex-value layer: graded polynomials, Laurent tails, mu constants."""
 
+import inspect
 from fractions import Fraction as F
 from math import comb, factorial
 
@@ -20,57 +21,54 @@ from sinewall.series import log, pow_int, sinc_half
 
 
 CAP = 3
-H = GradedPoly.hyperplane(CAP)
-C1 = GradedPoly.first_chern(CAP)
-ONE = GradedPoly.one(CAP)
+H = GradedPoly({(1, 0): 1}, CAP)
+C1 = GradedPoly({(0, 1): 1}, CAP)
+ONE = GradedPoly({(0, 0): 1}, CAP)
+MINUS_H = GradedPoly({(1, 0): -1}, CAP)
 
 
 # ---------------------------------------------------------------- graded polys
 
 
 def test_graded_poly_basics():
-    p = H * 2 + C1
+    p = GradedPoly({(1, 0): 2, (0, 1): 1}, CAP)
+    assert p == H + H + C1
     assert p.coefficient(1, 0) == 2
     assert p.coefficient(0, 1) == 1
     assert p.coefficient(0, 0) == 0
     assert bool(p)
     assert not GradedPoly.zero(CAP)
-    assert p + (-p) == GradedPoly.zero(CAP)
+    assert p + GradedPoly({(1, 0): -2, (0, 1): -1}, CAP) == GradedPoly.zero(CAP)
 
 
 def test_graded_poly_cap_truncation():
-    assert (H * H) * (H * H) == GradedPoly.zero(CAP)
-    assert (H * H) * H == H * (H * H) == GradedPoly({(3, 0): 1}, CAP)
-    assert (H * H * H) * C1 == GradedPoly.zero(CAP)
     # the cap keeps total degree, mixing both variables
-    assert (H * C1).coefficient(1, 1) == 1
-    assert ((H * C1) * H).coefficient(2, 1) == 1
-    assert ((H * C1) * (H * C1)) == GradedPoly.zero(CAP)
+    assert GradedPoly({(4, 0): 1, (2, 2): 5, (0, 4): 1}, CAP) == GradedPoly.zero(CAP)
+    kept = GradedPoly({(3, 0): 1, (2, 1): 1, (1, 2): 1, (0, 3): 1}, CAP)
+    assert sorted(kept.terms) == [(0, 3), (1, 2), (2, 1), (3, 0)]
+    assert GradedPoly({(2, 2): 1, (1, 1): 7}, CAP) == GradedPoly({(1, 1): 7}, CAP)
 
 
-def test_graded_poly_ring_axioms_sampled():
-    xs = [ONE, H, C1, H + C1, H * 2 + C1 * -1, H * H + C1, GradedPoly.zero(CAP)]
+def test_graded_poly_addition_sampled():
+    xs = [ONE, H, C1, H + C1, GradedPoly({(1, 0): 2, (0, 1): -1}, CAP),
+          GradedPoly({(2, 0): 1, (0, 1): 1}, CAP), GradedPoly.zero(CAP)]
     for a in xs:
+        assert a + GradedPoly.zero(CAP) == a
         for b in xs:
             assert a + b == b + a
-            assert a * b == b * a
             for c in xs:
                 assert (a + b) + c == a + (b + c)
-                assert (a * b) * c == a * (b * c)
-                assert a * (b + c) == a * b + a * c
 
 
 def test_graded_poly_mixed_caps_rejected():
     with pytest.raises(ValueError):
-        H + GradedPoly.hyperplane(4)
-    with pytest.raises(ValueError):
-        H * GradedPoly.hyperplane(2)
+        H + GradedPoly({(1, 0): 1}, 4)
 
 
 def test_graded_poly_scalar():
     assert GradedPoly.scalar(F(5), CAP).coefficient(0, 0) == 5
+    assert GradedPoly.scalar(F(5), CAP) == GradedPoly({(0, 0): 5}, CAP)
     assert not GradedPoly.scalar(0, CAP)
-    assert GradedPoly.scalar(F(1, 2), CAP) * H == H * F(1, 2)
 
 
 def test_graded_poly_refuses_inexact_coefficients():
@@ -81,16 +79,14 @@ def test_graded_poly_refuses_inexact_coefficients():
             GradedPoly({(0, 0): bad}, CAP)
         with pytest.raises(TypeError):
             GradedPoly.scalar(bad, CAP)
-        with pytest.raises(TypeError):
-            H * bad
-    assert GradedPoly({(1, 0): 3, (0, 1): F(1, 2)}, CAP) == H * 3 + C1 * F(1, 2)
+    assert GradedPoly({(1, 0): 3, (0, 1): F(1, 2)}, CAP).terms == {(1, 0): 3, (0, 1): F(1, 2)}
 
 
 # ---------------------------------------------------------------- zlaurent
 
 
 def test_zlaurent_construction_and_access():
-    zl = ZLaurent({1: ONE, 0: -H, -2: C1}, CAP)
+    zl = ZLaurent({1: ONE, 0: MINUS_H, -2: C1}, CAP)
     assert zl.z_min == -2
     assert zl.z_max == 1
     assert zl.coefficient(1) == ONE
@@ -101,10 +97,10 @@ def test_zlaurent_construction_and_access():
 
 
 def test_zlaurent_shift_and_nonneg():
-    zl = ZLaurent({1: ONE, 0: -H, -2: C1}, CAP)
+    zl = ZLaurent({1: ONE, 0: MINUS_H, -2: C1}, CAP)
     assert zl.shift(2).z_min == 0
     assert zl.shift(-1).coefficient(0) == ONE
-    assert zl.nonneg() == ZLaurent({1: ONE, 0: -H}, CAP)
+    assert zl.nonneg() == ZLaurent({1: ONE, 0: MINUS_H}, CAP)
     assert zl.shift(3).nonneg() == zl.shift(3)
 
 
@@ -153,7 +149,7 @@ def test_mu_as_zlaurent_layout():
     assert zl.z_min == 0
     assert zl.z_max == 1
     assert zl.coefficient(1) == GradedPoly.scalar(F(1, 360), CAP)
-    assert zl.coefficient(0) == H * F(19, 2880) + C1 * F(1, 320)
+    assert zl.coefficient(0) == GradedPoly({(1, 0): F(19, 2880), (0, 1): F(1, 320)}, CAP)
 
 
 def test_mu_value_is_frozen():
@@ -166,7 +162,7 @@ def test_mu_value_is_frozen():
 
 def test_expansion_genus_zero_is_z_minus_h():
     expn = i_function_expansion(6)
-    assert expn[0] == ZLaurent({1: ONE, 0: -H}, CAP)
+    assert expn[0] == ZLaurent({1: ONE, 0: MINUS_H}, CAP)
 
 
 def test_expansion_genus_range():
@@ -187,58 +183,32 @@ def test_expansion_laurent_tail_location():
     expn = i_function_expansion(12)
     # genus 1 sees only the j <= 1 layers, so no negative z-powers yet
     assert expn[1].z_min >= 0
-    # genus 2 picks up the (z - H)^{-1} layer
-    assert expn[2].z_min < 0
+    # from genus 2 on, layers 2 and 3 give z^-1 and z^-2, which [z >= 0] drops
+    for g in range(2, 6):
+        assert expn[g].z_min == -2
+        assert expn[g].coefficient(-2) and expn[g].coefficient(-1)
 
 
-def test_expansion_divisor_class_zero_collapses():
-    # with the exponent shut off, only S^2 (z - H) survives
-    expn = i_function_expansion(8, divisor_class=GradedPoly.zero(CAP))
-    sq = pow_int(sinc_half(8), 2)
-    for g in range(0, 4):
-        a = sq.coefficient(2 * g)
-        assert expn[g] == ZLaurent({1: GradedPoly.scalar(a, CAP), 0: H * (-a)}, CAP)
+def test_expansion_signatures_take_no_shape():
+    # the degree cap is the threefold's, fixed; nothing else shapes the expansion
+    assert list(inspect.signature(i_function_expansion).parameters) == ["order_u"]
+    for check in (verify_mu_consistency, verify_i_ratio):
+        assert list(inspect.signature(check).parameters) == ["order_u", "expansion"]
+    assert all(zl.cap == CAP for zl in i_function_expansion(12).values())
 
 
-def test_expansion_divisor_class_default_is_3h_plus_c1():
-    explicit = i_function_expansion(10, divisor_class=H * 3 + C1)
-    assert explicit == i_function_expansion(10)
-
-
-def test_expansion_parameter_validation():
-    with pytest.raises(ValueError):
-        i_function_expansion(8, z_depth=0)
-    with pytest.raises(ValueError):
-        i_function_expansion(8, degree_cap=1)
-    with pytest.raises(ValueError):
-        i_function_expansion(8, divisor_class=GradedPoly.hyperplane(4))
-
-
-def test_expansion_depth_only_lengthens_tail():
-    # the coefficient of z^{-q} is complete once z_depth >= q, so a depth-1
-    # run already pins everything from z^{-1} upward; deeper runs only add
-    # lower powers
-    shallow = i_function_expansion(12, z_depth=1)
-    deep = i_function_expansion(12, z_depth=4)
-    assert sorted(shallow) == sorted(deep)
-    for g in shallow:
-        assert deep[g].z_min <= shallow[g].z_min
-        for p in range(-1, max(shallow[g].z_max, deep[g].z_max) + 1):
-            assert deep[g].coefficient(p) == shallow[g].coefficient(p)
-
-
-def _expansion_oracle(order_u, z_depth, cap):
+def _expansion_oracle(order_u):
     """{g: {z-power: {(H-power, c1-power): coefficient}}}, term by term.
 
-    z'^(1-j) carries S^2 (log S)^j (3H + c1)^j / j! for 0 <= j <= z_depth + 1,
-    and z' = z - H is expanded with math.comb: (z - H)^e is
+    z'^(1-j) carries S^2 (log S)^j (3H + c1)^j / j! for 0 <= j <= 3, the
+    degree cap, and z' = z - H is expanded with math.comb: (z - H)^e is
     sum_{i <= e} C(e, i) (-H)^i z^(e-i) for e >= 0 and
     sum_i C(-e + i - 1, i) H^i z^(e-i) for e < 0.
     """
     s = sinc_half(order_u)
     ls = log(s)
     layers = [s * s]  # S^2 (log S)^j by repeated products
-    for _ in range(min(z_depth + 1, cap)):
+    for _ in range(CAP):
         layers.append(layers[-1] * ls)
     out = {}
     for g in range((order_u - 1) // 2 + 1):
@@ -249,10 +219,10 @@ def _expansion_oracle(order_u, z_depth, cap):
             if e >= 0:
                 binom = [(i, comb(e, i) * (-1) ** i) for i in range(e + 1)]
             else:
-                binom = [(i, comb(-e + i - 1, i)) for i in range(cap - j + 1)]
+                binom = [(i, comb(-e + i - 1, i)) for i in range(CAP - j + 1)]
             for k in range(j + 1):  # (3H + c1)^j = sum_k C(j, k) 3^k H^k c1^(j-k)
                 for i, b in binom:
-                    if j + i > cap:
+                    if j + i > CAP:
                         continue
                     key = (k + i, j - k)
                     by_z = zterms.setdefault(e - i, {})
@@ -264,17 +234,14 @@ def _expansion_oracle(order_u, z_depth, cap):
 
 def test_expansion_matches_binomial_oracle_at_every_z_power():
     # pins the negative z-powers too, which no closed form reaches
-    for order in range(1, 13):
-        for z_depth in range(1, 5):
-            for cap in range(2, 5):
-                got = i_function_expansion(order, z_depth, cap)
-                want = _expansion_oracle(order, z_depth, cap)
-                assert sorted(got) == sorted(want)
-                for g, zl in got.items():
-                    powers = set(want[g]) | set(range(zl.z_min, zl.z_max + 1))
-                    for p in powers:
-                        assert zl.coefficient(p).terms == want[g].get(p, {}), \
-                            (order, z_depth, cap, g, p)
+    for order in range(1, 41):
+        got = i_function_expansion(order)
+        want = _expansion_oracle(order)
+        assert sorted(got) == sorted(want)
+        for g, zl in got.items():
+            powers = set(want[g]) | set(range(zl.z_min, zl.z_max + 1))
+            for p in powers:
+                assert zl.coefficient(p).terms == want[g].get(p, {}), (order, g, p)
 
 
 def test_expansion_runs_without_closed_form_vertex(monkeypatch):

@@ -140,8 +140,11 @@ def test_cli_call_builds_no_namedtuple_and_compiles_no_pattern(tmp_path):
     table = tmp_path / "u.json"
     table.write_text('{"class": {"c1_dot_beta": 4, "primitive": true}, "kind": "ugw", '
                      '"g_max": 2, "values": {"0": "1", "2": "-5/7"}}')
-    argv = ["transform", "--direction", "ugw-to-gw", "--input", str(table),
-            "--format", "json", "--output", str(tmp_path / "gw.json")]
+    argvs = [["transform", "--direction", "ugw-to-gw", "--input", str(table),
+              "--format", "json", "--output", str(tmp_path / "gw.json")],
+             # a negative value, which argparse would read as an option but for its pattern
+             ["expand-sine", "--g", "1", "--c", "-2", "--order", "6", "--output",
+              str(tmp_path / "sine.txt")]]
     probe = ("import collections, json, re, sys\n"
              "makers, patterns = [], []\n"
              "namedtuple, compile_ = collections.namedtuple, re._compile\n"
@@ -154,12 +157,12 @@ def test_cli_call_builds_no_namedtuple_and_compiles_no_pattern(tmp_path):
              "collections.namedtuple = spy_namedtuple\n"
              "import sinewall.cli\n"
              "re._compile = spy_compile\n"
-             f"status = sinewall.cli.main({argv!r})\n"
+             f"status = [sinewall.cli.main(argv) for argv in {argvs!r}]\n"
              "print(json.dumps([[m for m in makers if m.startswith('sinewall')], patterns, status]))\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                           env=env, check=True)
-    assert json.loads(proc.stdout) == [[], [], 0]
+    assert json.loads(proc.stdout) == [[], [], [0, 0]]
 
 
 # each factory builds a fresh record from equal arguments on every call
