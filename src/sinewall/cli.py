@@ -348,10 +348,8 @@ def _handle_verify_identities(ns: SimpleNamespace) -> tuple[str, str | None]:
     grids = (verify_raw_equals_closed(order=order, closed=closed),
              verify_eq_sum(order=order + 2, closed=closed))
     expansion = i_function_expansion(2 * (order // 2) + 2)
-    checks = (("vertex closed form vs local expansion",
-               verify_mu_consistency(order, expansion=expansion)),
-              ("expansion ratio vs marked-point constants",
-               verify_i_ratio(order, expansion=expansion)))
+    checks = (("vertex closed form vs local expansion", verify_mu_consistency(expansion)),
+              ("expansion ratio vs marked-point constants", verify_i_ratio(expansion)))
     rows = [(rep.name, rep.passed, len(rep.cells),
              None if rep.passed else f"{rep.first_failure.key}: {rep.first_failure.detail}")
             for rep in grids]

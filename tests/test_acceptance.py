@@ -12,8 +12,6 @@ from itertools import product
 
 from sinewall.gv import gv_from_gw, gw_from_gv
 from sinewall.hodge import (
-    GradedPoly,
-    ZLaurent,
     i_function_expansion,
     mu_g0,
     mu_g1,
@@ -68,8 +66,9 @@ def test_criterion_3_expansion_consistency():
     # z-nonnegative truncation of the local expansion equals the closed-form
     # vertex values for g <= 5 at the threefold's degree cap 3, under 5 seconds
     t0 = time.perf_counter()
-    mu_rep = verify_mu_consistency(10)
-    ratio_rep = verify_i_ratio(10)
+    expn = i_function_expansion(12)
+    mu_rep = verify_mu_consistency(expn)
+    ratio_rep = verify_i_ratio(expn)
     elapsed = time.perf_counter() - t0
     assert mu_rep.passed, mu_rep.detail
     assert mu_rep.checked == (1, 2, 3, 4, 5)
@@ -211,20 +210,14 @@ def test_criterion_7_negative_controls():
 
     # a local-expansion coefficient, bumped: both expansion checks locate it
     expn = i_function_expansion(12)
-    zl = expn[3]
-    terms = {p: zl.coefficient(p) for p in range(zl.z_min, zl.z_max + 1)}
-    terms[0] = terms[0] + GradedPoly.scalar(delta, zl.cap)
-    expn[3] = ZLaurent(terms, zl.cap)
-    mu_rep = verify_mu_consistency(12, expansion=expn)
+    expn[3] = {**expn[3], (0, 0, 0): expn[3].get((0, 0, 0), 0) + delta}
+    mu_rep = verify_mu_consistency(expn)
     assert not mu_rep.passed and mu_rep.first_failure == 3
     detected.append("expansion-z0@3")
 
     expn2 = i_function_expansion(12)
-    zl2 = expn2[4]
-    terms2 = {p: zl2.coefficient(p) for p in range(zl2.z_min, zl2.z_max + 1)}
-    terms2[1] = terms2.get(1, GradedPoly.zero(zl2.cap)) + GradedPoly.scalar(delta, zl2.cap)
-    expn2[4] = ZLaurent(terms2, zl2.cap)
-    ratio_rep = verify_i_ratio(12, expansion=expn2)
+    expn2[4] = {**expn2[4], (1, 0, 0): expn2[4].get((1, 0, 0), 0) + delta}
+    ratio_rep = verify_i_ratio(expn2)
     assert not ratio_rep.passed and ratio_rep.first_failure == 4
     detected.append("expansion-z1@4")
 

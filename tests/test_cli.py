@@ -30,7 +30,6 @@ from sinewall.cli import (
     parse_table_doc,
     table_to_doc,
 )
-from sinewall.hodge import GradedPoly, ZLaurent
 from sinewall.wallcross import GenusTable, Kind, VertexData, ugw_from_gw
 
 
@@ -1010,16 +1009,13 @@ def _bump_raw_vertex(monkeypatch):
 
 
 def _bump_expansion(monkeypatch, genus, power):
-    """Run the CLI's expansion checks on an expansion bumped at one (genus, z power)."""
+    """Run the CLI's expansion checks on an expansion bumped at one (genus, z^power H^0 c1^0)."""
     build = cli.i_function_expansion
 
     def bumped(order_u):
         expansion = build(order_u)
-        zl = expansion[genus]
-        terms = {p: zl.coefficient(p) for p in range(zl.z_min, zl.z_max + 1)}
-        terms[power] = (terms.get(power, GradedPoly.zero(zl.cap))
-                        + GradedPoly.scalar(Fraction(1, 1000), zl.cap))
-        expansion[genus] = ZLaurent(terms, zl.cap)
+        terms = expansion[genus] = dict(expansion[genus])
+        terms[(power, 0, 0)] = terms.get((power, 0, 0), 0) + Fraction(1, 1000)
         return expansion
 
     monkeypatch.setattr(cli, "i_function_expansion", bumped)
@@ -1048,16 +1044,22 @@ def test_verify_identities_expansion_failure_exits_1(capsys, monkeypatch, genus,
     # the acceptance negative control, through the CLI: a z^0 bump fails the
     # closed-form row, a z^1 bump both rows
     expansion = _bump_expansion(monkeypatch, genus, power)
-    reps = [hodge.verify_mu_consistency(10, expansion=expansion),
-            hodge.verify_i_ratio(10, expansion=expansion)]
+    reps = [hodge.verify_mu_consistency(expansion), hodge.verify_i_ratio(expansion)]
     assert [2 + i for i, rep in enumerate(reps) if not rep.passed] == rows
     assert all(rep.first_failure == genus for rep in reps if not rep.passed)
+    # each failing row names its first mismatching term, as a grid cell does;
+    # the ratio row's term is one of expansion / z
+    a = hodge.mu_g1(genus)
+    bumped = f"got {a + Fraction(1, 1000)}, want {a}"
+    details = {(3, 0): ["z^0 H^0 c1^0: got 1/1000, want 0"],
+               (4, 1): [f"z^1 H^0 c1^0: {bumped}", f"z^0 H^0 c1^0: {bumped}"]}[genus, power]
+    assert [rep.detail for rep in reps if not rep.passed] == details
     text, doc = _verify_report(10, {2 + i: f"genus {genus}: {rep.detail}"
                                     for i, rep in enumerate(reps) if not rep.passed})
     assert main(["verify-identities", "--order", "10", "--format", fmt]) == 1
     captured = capsys.readouterr()
     assert captured.out == (text if fmt == "text" else doc)
-    assert f"first failure genus {genus}: " in text
+    assert f"first failure genus {genus}: {details[0]}\n" in text
     assert captured.err == "check failed: identity verification failed\n"
 
 

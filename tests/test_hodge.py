@@ -1,4 +1,4 @@
-"""Vertex-value layer: graded polynomials, Laurent tails, mu constants."""
+"""Vertex-value layer: mu constants, the local z-expansion and its two checks."""
 
 import inspect
 from fractions import Fraction as F
@@ -8,9 +8,7 @@ import pytest
 
 from sinewall import hodge
 from sinewall.hodge import (
-    GradedPoly,
     MuValue,
-    ZLaurent,
     i_function_expansion,
     mu_g0,
     mu_g1,
@@ -21,93 +19,6 @@ from sinewall.series import log, pow_int, sinc_half
 
 
 CAP = 3
-H = GradedPoly({(1, 0): 1}, CAP)
-C1 = GradedPoly({(0, 1): 1}, CAP)
-ONE = GradedPoly({(0, 0): 1}, CAP)
-MINUS_H = GradedPoly({(1, 0): -1}, CAP)
-
-
-# ---------------------------------------------------------------- graded polys
-
-
-def test_graded_poly_basics():
-    p = GradedPoly({(1, 0): 2, (0, 1): 1}, CAP)
-    assert p == H + H + C1
-    assert p.coefficient(1, 0) == 2
-    assert p.coefficient(0, 1) == 1
-    assert p.coefficient(0, 0) == 0
-    assert bool(p)
-    assert not GradedPoly.zero(CAP)
-    assert p + GradedPoly({(1, 0): -2, (0, 1): -1}, CAP) == GradedPoly.zero(CAP)
-
-
-def test_graded_poly_cap_truncation():
-    # the cap keeps total degree, mixing both variables
-    assert GradedPoly({(4, 0): 1, (2, 2): 5, (0, 4): 1}, CAP) == GradedPoly.zero(CAP)
-    kept = GradedPoly({(3, 0): 1, (2, 1): 1, (1, 2): 1, (0, 3): 1}, CAP)
-    assert sorted(kept.terms) == [(0, 3), (1, 2), (2, 1), (3, 0)]
-    assert GradedPoly({(2, 2): 1, (1, 1): 7}, CAP) == GradedPoly({(1, 1): 7}, CAP)
-
-
-def test_graded_poly_addition_sampled():
-    xs = [ONE, H, C1, H + C1, GradedPoly({(1, 0): 2, (0, 1): -1}, CAP),
-          GradedPoly({(2, 0): 1, (0, 1): 1}, CAP), GradedPoly.zero(CAP)]
-    for a in xs:
-        assert a + GradedPoly.zero(CAP) == a
-        for b in xs:
-            assert a + b == b + a
-            for c in xs:
-                assert (a + b) + c == a + (b + c)
-
-
-def test_graded_poly_mixed_caps_rejected():
-    with pytest.raises(ValueError):
-        H + GradedPoly({(1, 0): 1}, 4)
-
-
-def test_graded_poly_scalar():
-    assert GradedPoly.scalar(F(5), CAP).coefficient(0, 0) == 5
-    assert GradedPoly.scalar(F(5), CAP) == GradedPoly({(0, 0): 5}, CAP)
-    assert not GradedPoly.scalar(0, CAP)
-
-
-def test_graded_poly_refuses_inexact_coefficients():
-    # a float would be stored as its binary expansion, 0.1 as
-    # 3602879701896397/36028797018963968
-    for bad in (0.1, 2.0, "1/2", None):
-        with pytest.raises(TypeError):
-            GradedPoly({(0, 0): bad}, CAP)
-        with pytest.raises(TypeError):
-            GradedPoly.scalar(bad, CAP)
-    assert GradedPoly({(1, 0): 3, (0, 1): F(1, 2)}, CAP).terms == {(1, 0): 3, (0, 1): F(1, 2)}
-
-
-# ---------------------------------------------------------------- zlaurent
-
-
-def test_zlaurent_construction_and_access():
-    zl = ZLaurent({1: ONE, 0: MINUS_H, -2: C1}, CAP)
-    assert zl.z_min == -2
-    assert zl.z_max == 1
-    assert zl.coefficient(1) == ONE
-    assert zl.coefficient(-1) == GradedPoly.zero(CAP)
-    assert zl.coefficient(5) == GradedPoly.zero(CAP)
-    assert not zl.is_zero()
-    assert ZLaurent({}, CAP).is_zero()
-
-
-def test_zlaurent_shift_and_nonneg():
-    zl = ZLaurent({1: ONE, 0: MINUS_H, -2: C1}, CAP)
-    assert zl.shift(2).z_min == 0
-    assert zl.shift(-1).coefficient(0) == ONE
-    assert zl.nonneg() == ZLaurent({1: ONE, 0: MINUS_H}, CAP)
-    assert zl.shift(3).nonneg() == zl.shift(3)
-
-
-def test_zlaurent_drops_zero_terms():
-    zl = ZLaurent({2: GradedPoly.zero(CAP), 0: ONE}, CAP)
-    assert zl.z_max == 0
-    assert zl == ZLaurent({0: ONE}, CAP)
 
 
 # ---------------------------------------------------------------- mu values
@@ -144,12 +55,10 @@ def test_mu_z_coefficient_matches_square_expansion():
         assert mu_g0(g).scalar == 0
 
 
-def test_mu_as_zlaurent_layout():
-    zl = mu_g0(2).as_zlaurent(CAP)
-    assert zl.z_min == 0
-    assert zl.z_max == 1
-    assert zl.coefficient(1) == GradedPoly.scalar(F(1, 360), CAP)
-    assert zl.coefficient(0) == GradedPoly({(1, 0): F(19, 2880), (0, 1): F(1, 320)}, CAP)
+def test_mu_terms_layout():
+    # the expansion's {(z, H, c1): coefficient} layout, the zero scalar left out
+    assert mu_g0(2).terms() == {(1, 0, 0): F(1, 360), (0, 1, 0): F(19, 2880), (0, 0, 1): F(1, 320)}
+    assert MuValue(F(1), F(0), F(2), F(3)).terms() == {(1, 0, 0): 1, (0, 0, 1): 2, (0, 0, 0): 3}
 
 
 def test_mu_value_is_frozen():
@@ -160,9 +69,12 @@ def test_mu_value_is_frozen():
 # ---------------------------------------------------------------- expansion
 
 
+def _nonneg(terms):
+    return {key: q for key, q in terms.items() if key[0] >= 0}
+
+
 def test_expansion_genus_zero_is_z_minus_h():
-    expn = i_function_expansion(6)
-    assert expn[0] == ZLaurent({1: ONE, 0: MINUS_H}, CAP)
+    assert i_function_expansion(6)[0] == {(1, 0, 0): 1, (0, 1, 0): -1}
 
 
 def test_expansion_genus_range():
@@ -173,32 +85,44 @@ def test_expansion_genus_range():
     assert i_function_expansion(-2) == {}
 
 
+def test_expansion_terms_are_exact_capped_and_in_mu_layout():
+    # every value a nonzero Fraction, every class of degree <= 3, and the
+    # z-nonnegative keys among the closed form's
+    for order in range(1, 41):
+        for g, terms in i_function_expansion(order).items():
+            assert all(type(q) is F and q for q in terms.values()), (order, g)
+            assert all(h >= 0 and c1 >= 0 and h + c1 <= CAP for _, h, c1 in terms), (order, g)
+            if g >= 1:
+                assert _nonneg(terms).keys() <= mu_g0(g).terms().keys(), (order, g)
+
+
 def test_expansion_nonneg_matches_mu():
     expn = i_function_expansion(12)
     for g in range(1, 6):
-        assert expn[g].nonneg() == mu_g0(g).as_zlaurent(CAP)
+        assert _nonneg(expn[g]) == mu_g0(g).terms()
 
 
 def test_expansion_laurent_tail_location():
     expn = i_function_expansion(12)
     # genus 1 sees only the j <= 1 layers, so no negative z-powers yet
-    assert expn[1].z_min >= 0
+    assert min(z for z, _, _ in expn[1]) >= 0
     # from genus 2 on, layers 2 and 3 give z^-1 and z^-2, which [z >= 0] drops
     for g in range(2, 6):
-        assert expn[g].z_min == -2
-        assert expn[g].coefficient(-2) and expn[g].coefficient(-1)
+        powers = {z for z, _, _ in expn[g]}
+        assert min(powers) == -2
+        assert {-2, -1} <= powers
 
 
 def test_expansion_signatures_take_no_shape():
-    # the degree cap is the threefold's, fixed; nothing else shapes the expansion
+    # the degree cap is the threefold's, fixed; nothing else shapes the
+    # expansion, and the checks read the expansion alone
     assert list(inspect.signature(i_function_expansion).parameters) == ["order_u"]
     for check in (verify_mu_consistency, verify_i_ratio):
-        assert list(inspect.signature(check).parameters) == ["order_u", "expansion"]
-    assert all(zl.cap == CAP for zl in i_function_expansion(12).values())
+        assert list(inspect.signature(check).parameters) == ["expansion"]
 
 
 def _expansion_oracle(order_u):
-    """{g: {z-power: {(H-power, c1-power): coefficient}}}, term by term.
+    """{g: {(z-power, H-power, c1-power): coefficient}}, term by term.
 
     z'^(1-j) carries S^2 (log S)^j (3H + c1)^j / j! for 0 <= j <= 3, the
     degree cap, and z' = z - H is expanded with math.comb: (z - H)^e is
@@ -212,7 +136,7 @@ def _expansion_oracle(order_u):
         layers.append(layers[-1] * ls)
     out = {}
     for g in range((order_u - 1) // 2 + 1):
-        zterms = {}
+        terms = {}
         for j, layer in enumerate(layers):
             q = layer.coefficient(2 * g) / factorial(j)
             e = 1 - j
@@ -224,24 +148,16 @@ def _expansion_oracle(order_u):
                 for i, b in binom:
                     if j + i > CAP:
                         continue
-                    key = (k + i, j - k)
-                    by_z = zterms.setdefault(e - i, {})
-                    by_z[key] = by_z.get(key, F(0)) + q * comb(j, k) * 3**k * b
-        out[g] = {p: live for p, terms in zterms.items()
-                  if (live := {key: x for key, x in terms.items() if x})}
+                    key = (e - i, k + i, j - k)
+                    terms[key] = terms.get(key, F(0)) + q * comb(j, k) * 3**k * b
+        out[g] = {key: x for key, x in terms.items() if x}
     return out
 
 
 def test_expansion_matches_binomial_oracle_at_every_z_power():
     # pins the negative z-powers too, which no closed form reaches
     for order in range(1, 41):
-        got = i_function_expansion(order)
-        want = _expansion_oracle(order)
-        assert sorted(got) == sorted(want)
-        for g, zl in got.items():
-            powers = set(want[g]) | set(range(zl.z_min, zl.z_max + 1))
-            for p in powers:
-                assert zl.coefficient(p).terms == want[g].get(p, {}), (order, g, p)
+        assert i_function_expansion(order) == _expansion_oracle(order), order
 
 
 def test_expansion_runs_without_closed_form_vertex(monkeypatch):
@@ -261,61 +177,67 @@ def test_expansion_runs_without_closed_form_vertex(monkeypatch):
 
 
 def test_verify_mu_consistency_passes():
-    rep = verify_mu_consistency(10)
+    rep = verify_mu_consistency(i_function_expansion(12))
     assert rep.passed
     assert rep.checked == (1, 2, 3, 4, 5)
     assert rep.first_failure is None
 
 
 def test_verify_i_ratio_passes():
-    rep = verify_i_ratio(10)
+    rep = verify_i_ratio(i_function_expansion(12))
     assert rep.passed
     assert rep.checked == (1, 2, 3, 4, 5)
 
 
 def test_verify_vacuous_at_order_zero():
-    assert verify_mu_consistency(0).passed
-    assert verify_mu_consistency(0).checked == ()
-    assert verify_i_ratio(1).checked == ()
+    # verify-identities --order 0 or 1 builds the expansion at order_u 2: genus 0 only
+    for expn in (i_function_expansion(2), {}):
+        assert verify_mu_consistency(expn).passed
+        assert verify_mu_consistency(expn).checked == ()
+        assert verify_i_ratio(expn).checked == ()
 
 
-def _corrupt(zl, power, delta):
-    terms = {p: zl.coefficient(p) for p in range(zl.z_min, zl.z_max + 1)}
-    terms[power] = terms.get(power, GradedPoly.zero(zl.cap)) + GradedPoly.scalar(
-        delta, zl.cap
-    )
-    return ZLaurent(terms, zl.cap)
+def _bump(terms, power, delta):
+    key = (power, 0, 0)
+    out = dict(terms)
+    out[key] = out.get(key, 0) + delta
+    return out
 
 
 def test_verify_mu_consistency_locates_corruption():
     expn = i_function_expansion(12)
-    expn[3] = _corrupt(expn[3], 0, F(1, 1000))
-    rep = verify_mu_consistency(12, expansion=expn)
+    expn[3] = _bump(expn[3], 0, F(1, 1000))
+    rep = verify_mu_consistency(expn)
     assert not rep.passed
     assert rep.first_failure == 3
-    assert "genus 3" in rep.detail
+    assert rep.detail == "z^0 H^0 c1^0: got 1/1000, want 0"
 
 
 def test_verify_i_ratio_locates_corruption():
     expn = i_function_expansion(12)
-    expn[4] = _corrupt(expn[4], 1, F(1, 1000))
-    rep = verify_i_ratio(12, expansion=expn)
+    expn[4] = _bump(expn[4], 1, F(1, 1000))
+    rep = verify_i_ratio(expn)
     assert not rep.passed
     assert rep.first_failure == 4
+    # named as a term of expansion / z
+    a4 = mu_g1(4)
+    assert rep.detail == f"z^0 H^0 c1^0: got {a4 + F(1, 1000)}, want {a4}"
 
 
 def test_corrupted_negative_tail_is_invisible_to_mu_check():
     # the mu comparison reads the z-nonnegative part only; the ratio check
-    # reads z^1 and up, so a z^{-2} dent escapes both by design
+    # reads z^1 and up, so a z^-1 or z^-2 dent escapes both by design
     expn = i_function_expansion(12)
-    expn[2] = _corrupt(expn[2], -2, F(1, 1000))
-    assert verify_mu_consistency(12, expansion=expn).passed
-    assert verify_i_ratio(12, expansion=expn).passed
+    expn[2] = _bump(expn[2], -2, F(1, 1000))
+    expn[3] = _bump(expn[3], -1, F(1, 1000))
+    assert verify_mu_consistency(expn).passed
+    assert verify_i_ratio(expn).passed
 
 
-def test_supplied_expansion_gives_the_same_report():
-    # verify-identities builds one expansion and hands it to both checks
+def test_checks_cover_genera_through_half_the_order():
+    # verify-identities builds the expansion at 2 (order // 2) + 2, so both
+    # checks cover genera 1..order // 2, the bound inclusive
     for order in range(15):
         expn = i_function_expansion(2 * (order // 2) + 2)
-        assert verify_mu_consistency(order, expansion=expn) == verify_mu_consistency(order)
-        assert verify_i_ratio(order, expansion=expn) == verify_i_ratio(order)
+        for check in (verify_mu_consistency, verify_i_ratio):
+            assert check(expn) == (True, tuple(range(1, order // 2 + 1)), None, "")
