@@ -85,15 +85,42 @@ def test_expansion_genus_range():
     assert i_function_expansion(-2) == {}
 
 
-def test_expansion_terms_are_exact_capped_and_in_mu_layout():
-    # every value a nonzero Fraction, every class of degree <= 3, and the
-    # z-nonnegative keys among the closed form's
-    for order in range(1, 41):
+def _all_terms(max_order=40):
+    for order in range(1, max_order + 1):
         for g, terms in i_function_expansion(order).items():
-            assert all(type(q) is F and q for q in terms.values()), (order, g)
-            assert all(h >= 0 and c1 >= 0 and h + c1 <= CAP for _, h, c1 in terms), (order, g)
-            if g >= 1:
-                assert _nonneg(terms).keys() <= mu_g0(g).terms().keys(), (order, g)
+            yield order, g, terms
+
+
+def test_graded_poly_cap_truncation():
+    # every class H^h c1^c has total degree h + c <= 3, the threefold's cap,
+    # and both powers are nonnegative
+    for order, g, terms in _all_terms():
+        assert all(h >= 0 and c1 >= 0 and h + c1 <= CAP for _, h, c1 in terms), (order, g)
+    # the cap is reached and kept on mixed classes: from genus 3 on every
+    # class of degree <= 3 occurs, H c1 and H^2 c1 among them
+    all_classes = {(h, c1) for h in range(CAP + 1) for c1 in range(CAP + 1 - h)}
+    expn = i_function_expansion(12)
+    for g in range(3, 6):
+        assert {(h, c1) for _, h, c1 in expn[g]} == all_classes, g
+
+
+def test_graded_poly_refuses_inexact_coefficients():
+    # every coefficient is an exact Fraction, never a float
+    for order, g, terms in _all_terms():
+        assert all(type(q) is F for q in terms.values()), (order, g)
+
+
+def test_zlaurent_drops_zero_terms():
+    # cancelled coefficients are dropped, so no key maps to zero
+    for order, g, terms in _all_terms():
+        assert all(q != 0 for q in terms.values()), (order, g)
+
+
+def test_expansion_nonneg_keys_are_in_mu_layout():
+    # the z-nonnegative keys lie among the closed form's
+    for order, g, terms in _all_terms():
+        if g >= 1:
+            assert _nonneg(terms).keys() <= mu_g0(g).terms().keys(), (order, g)
 
 
 def test_expansion_nonneg_matches_mu():
