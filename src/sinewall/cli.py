@@ -379,12 +379,8 @@ def _handle_verify_identities(ns: SimpleNamespace) -> tuple[str, str | None]:
 
 
 def _mu0_text(mv) -> str:
-    bits = []
-    for coeff, sym in ((mv.a1, "z"), (mv.a_H, "H"), (mv.a_c1, "c1"), (mv.scalar, "")):
-        if not coeff:
-            continue
-        term = str(coeff) if not sym else f"{coeff}*{sym}"
-        bits.append(term)
+    bits = [f"{coeff}*{sym}" for coeff, sym in ((mv.a1, "z"), (mv.a_H, "H"), (mv.a_c1, "c1"))
+            if coeff]
     if not bits:
         return "0"
     out = bits[0]
@@ -394,12 +390,13 @@ def _mu0_text(mv) -> str:
 
 
 def _handle_mu(ns: SimpleNamespace) -> tuple[str, None]:
-    # one build of every genus; mu_{g,1} is a_g, the z coefficient of mu_{g,0}
+    # one build of every genus; mu_{g,1} is a_g, the z coefficient of mu_{g,0},
+    # and mu_{g,0} has no constant term, whose key the document keeps at "0"
     mu = enumerate(mu_values(ns.g_max), 1)
     if ns.format == "json":
         doc = {"mu": {
             str(g): {"z": str(mv.a1), "H": str(mv.a_H), "c1": str(mv.a_c1),
-                     "scalar": str(mv.scalar), "mu1": str(mv.a1)}
+                     "scalar": "0", "mu1": str(mv.a1)}
             for g, mv in mu}}
         return dumps_canonical(doc), None
     lines = [f"g={g}: mu0 = {_mu0_text(mv)} ; mu1 = {mv.a1}" for g, mv in mu]

@@ -49,15 +49,14 @@ __all__ = [
 _DEGREE_CAP = 3
 
 
-class MuValue(Record, fields="a1 a_H a_c1 scalar", defaults=(Fraction(0),)):
-    """mu_{g,0}(z) = a1*z + a_H*H + a_c1*c1 + scalar."""
+class MuValue(Record, fields="a1 a_H a_c1"):
+    """mu_{g,0}(z) = a1*z + a_H*H + a_c1*c1; it has no constant term."""
 
     __slots__ = ()
 
     def terms(self) -> dict[tuple[int, int, int], Fraction]:
         """{(z-power, H-power, c1-power): coefficient}, the expansion's layout, zeros left out."""
-        pairs = (((1, 0, 0), self.a1), ((0, 1, 0), self.a_H), ((0, 0, 1), self.a_c1),
-                 ((0, 0, 0), self.scalar))
+        pairs = (((1, 0, 0), self.a1), ((0, 1, 0), self.a_H), ((0, 0, 1), self.a_c1))
         return {key: q for key, q in pairs if q}
 
 

@@ -5,12 +5,11 @@ positive integers up to a sum, each right after its prefixes.  The raw
 wall-crossing sum runs over that walk directly: g1 lists the genera
 attached to at most n marked points and g2 the genera of the extra
 bracket insertions, both partitions of the added genus, and each list
-extends the sums of its prefix by one part.  `descending_partitions`
-(the partitions of one sum, filtered from the walk) and
-`enumerate_threefold_partitions` (the whole index set, each term a
-ThreefoldPartition that splits a genus g as g0 + sum(g1) + sum(g2))
-name the same index set as explicit tuples, for the tests and the
-benchmark's tracer.
+extends the sums of its prefix by one part.
+`enumerate_threefold_partitions` names the same index set as explicit
+tuples, for the tests and the benchmark's tracer: each term is a
+ThreefoldPartition that splits a genus g as g0 + sum(g1) + sum(g2), with
+g2 filtered from the walk to the tuples that complete the sum.
 
 Orbit counts are restored by multiplicity weights (`multinomial` for the
 marked list, 1 / prod(m_j!) for the unmarked one), so enumerations stay
@@ -26,8 +25,8 @@ from math import factorial
 from ._record import Record
 
 __all__ = [
-    "PartsMismatch", "ThreefoldPartition", "descending_partitions",
-    "enumerate_threefold_partitions", "multinomial", "multiplicities",
+    "PartsMismatch", "ThreefoldPartition", "enumerate_threefold_partitions", "multinomial",
+    "multiplicities",
 ]
 
 
@@ -66,11 +65,6 @@ def descending_walk(top: int) -> Iterator[tuple[int, ...]]:
         stack.extend((parts + (p,), rest - p, min(p, rest - p)) for p in range(1, largest + 1))
 
 
-def descending_partitions(total: int) -> Iterator[tuple[int, ...]]:
-    """Weakly-decreasing tuples of positive integers with the given sum, largest parts first."""
-    return (parts for parts in descending_walk(total) if sum(parts) == total)
-
-
 class ThreefoldPartition(Record, fields="g0 g1 g2"):
     """One correction term index: root genus g0 plus genus lists g1, g2."""
 
@@ -87,21 +81,9 @@ class ThreefoldPartition(Record, fields="g0 g1 g2"):
                 raise ValueError(f"{name} must be weakly decreasing")
         return super().__new__(cls, g0, g1, g2)
 
-    @property
-    def genus(self) -> int:
-        return self.g0 + sum(self.g1) + sum(self.g2)
-
-    @property
-    def k1(self) -> int:
-        return len(self.g1)
-
-    @property
-    def k2(self) -> int:
-        return len(self.g2)
-
 
 def enumerate_threefold_partitions(g: int, n: int) -> list[ThreefoldPartition]:
-    """All ThreefoldPartition with total genus g and k1 <= n, in (g0, g1, g2) order.
+    """All ThreefoldPartition with total genus g and at most n parts in g1, in (g0, g1, g2) order.
 
     The trivial splitting (g0 = g with both lists empty) indexes the
     uncorrected term and is excluded.
@@ -111,5 +93,5 @@ def enumerate_threefold_partitions(g: int, n: int) -> list[ThreefoldPartition]:
     return sorted((ThreefoldPartition(g0, g1, g2)
                    for g0 in range(g + 1)
                    for g1 in descending_walk(g - g0) if len(g1) <= n
-                   for g2 in descending_partitions(g - g0 - sum(g1))
-                   if g1 or g2))
+                   for g2 in descending_walk(g - g0 - sum(g1))
+                   if sum(g1) + sum(g2) == g - g0 and (g1 or g2)))

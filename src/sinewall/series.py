@@ -128,16 +128,6 @@ class USeries:
             return Fraction(0)
         return self.coeffs[exponent - self.valuation]
 
-    def truncate(self, order: int) -> USeries:
-        """Forget all coefficients at or above ``order``."""
-        if order >= self.order:
-            if order > self.order:
-                raise ValueError(f"cannot extend order {self.order} to {order}")
-            return self
-        if order <= self.valuation:
-            return USeries.zero(order)
-        return USeries(self.valuation, self.coeffs[: order - self.valuation])
-
     def scale(self, value: int | Fraction) -> USeries:
         c = _rational(value)
         return USeries(self.valuation, [c * a for a in self.coeffs])
@@ -159,9 +149,6 @@ class USeries:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def __neg__(self) -> USeries:
-        return USeries(self.valuation, [-c for c in self.coeffs])
-
     def __add__(self, other: USeries) -> USeries:
         if not isinstance(other, USeries):
             return NotImplemented
@@ -171,9 +158,6 @@ class USeries:
             return USeries.zero(order)
         out = [self.coefficient(k) + other.coefficient(k) for k in range(lo, order)]
         return USeries(lo, out)
-
-    def __sub__(self, other: USeries) -> USeries:
-        return self + (-other)
 
     def __mul__(self, other: object) -> USeries:
         if isinstance(other, USeries):
@@ -189,9 +173,6 @@ class USeries:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
-
-    def __rmul__(self, other: object) -> USeries:
-        return self.__mul__(other)
 
     def __repr__(self) -> str:
         if self.is_zero():

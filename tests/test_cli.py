@@ -74,32 +74,34 @@ def test_parse_accepts_sparse_values():
     assert 0 not in t.values
 
 
-@pytest.mark.parametrize(
-    "mangle",
-    [
-        lambda d: d.pop("kind"),
-        lambda d: d.update(extra=1),
-        lambda d: d.update(kind="bps"),
-        lambda d: d.update(g_max=-1),
-        lambda d: d.update(g_max=True),
-        lambda d: d.update(g_max="2"),
-        lambda d: d.update(values={"x": "1"}),
-        lambda d: d.update(values={"-1": "1"}),
-        lambda d: d.update(values={"01": "1"}),
-        lambda d: d.update(values={"9": "1"}),
-        lambda d: d.update(values={"0": "0.5"}),
-        lambda d: d.update(values={"0": "1/0"}),
-        lambda d: d.update(values={"0": 1}),
-        lambda d: d.update(values=[["0", "1"]]),
-        lambda d: d["class"].pop("primitive"),
-        lambda d: d["class"].update(primitive="yes"),
-        lambda d: d["class"].update(c1_dot_beta=True),
-        lambda d: d["class"].update(c1_dot_beta="4"),
-        lambda d: d["class"].update(stray=0),
-        lambda d: d.update(kind=["gw"]),
-        lambda d: d.update(kind={"a": 1}),
-    ],
+# one-field mutations of a valid document, each refused by the parser
+_MANGLES = (
+    lambda d: d.pop("kind"),
+    lambda d: d.update(extra=1),
+    lambda d: d.update(kind="bps"),
+    lambda d: d.update(g_max=-1),
+    lambda d: d.update(g_max=True),
+    lambda d: d.update(g_max="2"),
+    lambda d: d.update(values={"x": "1"}),
+    lambda d: d.update(values={"-1": "1"}),
+    lambda d: d.update(values={"01": "1"}),
+    lambda d: d.update(values={"9": "1"}),
+    lambda d: d.update(values={"0": "0.5"}),
+    lambda d: d.update(values={"0": "1/0"}),
+    lambda d: d.update(values={"0": 1}),
+    lambda d: d.update(values=[["0", "1"]]),
+    lambda d: d["class"].pop("primitive"),
+    lambda d: d["class"].update(primitive="yes"),
+    lambda d: d["class"].update(c1_dot_beta=True),
+    lambda d: d["class"].update(c1_dot_beta="4"),
+    lambda d: d["class"].update(stray=0),
+    lambda d: d.update(kind=["gw"]),
+    lambda d: d.update(kind={"a": 1}),
+    lambda d: d.update(values={"0": "1/"}),
 )
+
+
+@pytest.mark.parametrize("mangle", _MANGLES)
 def test_parse_rejects_malformed_documents(mangle):
     doc = make_doc(values={"0": "1"})
     mangle(doc)
@@ -1100,6 +1102,22 @@ def test_mu_json(capsys):
     }
 
 
+# sha256 of the whole `mu --g-max 40` stdout at the CLI's limit, recorded
+# while `MuValue` still carried a scalar field that every genus left at 0
+MU_STDOUT_SHA256 = {
+    "json": "7173baa6ff3a1883ca2960b046171510c97bfa78c057a2b6321e2313d145bf11",
+    "text": "00b9cd56d71a88c2f09e5184ada520b469976e4a528dd9743c8eef3fecee46d7",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(MU_STDOUT_SHA256))
+def test_mu_stdout_pinned_at_its_limit(fmt, capsys):
+    assert cli.MAX_MU_G_MAX == 40
+    assert main(["mu", "--g-max", "40", "--format", fmt]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == MU_STDOUT_SHA256[fmt]
+
+
 def test_expand_sine_text(capsys):
     assert main(["expand-sine", "--g", "0", "--c", "4", "--order", "6"]) == 0
     assert capsys.readouterr().out == "u^0: 1\nu^2: -1/12\nu^4: 1/360\n"
@@ -1253,12 +1271,12 @@ class _Tee(io.StringIO):
         return super().write(text)
 
 
-def _run_recorded(argv):
+def _run_recorded(argv, table=_T_JSON):
     """main(argv) in a fresh cwd holding t.json: (status, stdout, stderr, both, work, files)."""
     log = []
     out, err = _Tee(log), _Tee(log)
     with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
-        Path(tmp, "t.json").write_text(_T_JSON)
+        Path(tmp, "t.json").write_text(table)
         stack.enter_context(contextlib.chdir(tmp))
         spies = {f"{module.__name__}.{name}": stack.enter_context(
                      mock.patch.object(module, name, wraps=getattr(module, name)))
@@ -1300,6 +1318,53 @@ def test_cli_contract_on_generated_argv(argv):
         assert out == ""
         assert err.startswith("error: ") or (err.startswith("usage: ") and ": error: " in err), err
         assert work == [], (argv, work)
+
+
+@st.composite
+def _table_doc(draw):
+    """A valid table document: g_max <= 6, some genera left out, values of at most 30 digits."""
+    g_max = draw(st.integers(0, 6))
+    value = st.builds(Fraction, st.integers(1 - 10**15, 10**15 - 1), st.integers(1, 10**15 - 1))
+    return make_doc(kind=draw(st.sampled_from(("gw", "ugw", "gv"))), c=draw(st.integers(-3, 6)),
+                    primitive=draw(st.booleans()), g_max=g_max,
+                    values={str(g): str(draw(value)) for g in draw(st.sets(st.integers(0, g_max)))})
+
+
+_TABLE_COMMANDS = (*(["transform", "--direction", d] for d in COMMANDS["transform"][1]
+                                                         ["--direction"]["choices"]),
+                   ["check-integrality"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(doc=_table_doc(), mangle=st.one_of(st.none(), st.sampled_from(_MANGLES)),
+       command=st.sampled_from(_TABLE_COMMANDS), fmt=st.sampled_from(("json", "text")))
+def test_cli_contract_on_generated_table_files(doc, mangle, command, fmt):
+    # a table file ends in 0, 1 or 2; exit 2 comes before any of the work
+    # above and is the only end of a mangled file; exit 0 in json prints json;
+    # and a valid table, read as ugw, comes back from ugw-to-gw then gw-to-ugw
+    # as its canonical form, byte for byte
+    text = json.dumps(doc)
+    if mangle is not None:
+        mangled = json.loads(text)
+        mangle(mangled)
+        text = json.dumps(mangled)
+    status, out, err, _, work, _ = _run_recorded(
+        [*command, "--input", "t.json", "--format", fmt], text)
+    assert status in ((2,) if mangle else (0, 1, 2)), (status, err)
+    if status == 0 and fmt == "json":
+        json.loads(out)
+    if status == 2:
+        assert out == "" and err.startswith("error: ") and work == [], (err, work)
+    if mangle is not None:
+        return
+    ugw = dict(doc, kind="ugw")
+    dense = {str(g): ugw["values"].get(str(g), "0") for g in range(ugw["g_max"] + 1)}
+    canonical = json.dumps(dict(ugw, values=dense), indent=2) + "\n"
+    forward = ["transform", "--direction", "ugw-to-gw", "--input", "t.json", "--format", "json"]
+    status, gw, err, *_ = _run_recorded(forward, json.dumps(ugw))
+    assert (status, err) == (0, "")
+    back = ["transform", "--direction", "gw-to-ugw", "--input", "t.json", "--format", "json"]
+    assert _run_recorded(back, gw)[:3] == (0, canonical, "")
 
 
 def test_parser_options_match_table():

@@ -26,7 +26,7 @@ CAP = 3
 
 def test_mu_g0_frozen_values():
     m1 = mu_g0(1)
-    assert (m1.a1, m1.a_H, m1.a_c1, m1.scalar) == (F(-1, 12), F(-1, 24), F(-1, 24), F(0))
+    assert (m1.a1, m1.a_H, m1.a_c1) == (F(-1, 12), F(-1, 24), F(-1, 24))
     m2 = mu_g0(2)
     assert (m2.a1, m2.a_H, m2.a_c1) == (F(1, 360), F(19, 2880), F(1, 320))
     m3 = mu_g0(3)
@@ -52,13 +52,12 @@ def test_mu_z_coefficient_matches_square_expansion():
     for g in range(1, 7):
         assert mu_g0(g).a1 == sq.coefficient(2 * g)
         assert mu_g1(g) == sq.coefficient(2 * g)
-        assert mu_g0(g).scalar == 0
 
 
 def test_mu_terms_layout():
-    # the expansion's {(z, H, c1): coefficient} layout, the zero scalar left out
+    # the expansion's {(z, H, c1): coefficient} layout, zero coefficients left out
     assert mu_g0(2).terms() == {(1, 0, 0): F(1, 360), (0, 1, 0): F(19, 2880), (0, 0, 1): F(1, 320)}
-    assert MuValue(F(1), F(0), F(2), F(3)).terms() == {(1, 0, 0): 1, (0, 0, 1): 2, (0, 0, 0): 3}
+    assert MuValue(F(1), F(0), F(2)).terms() == {(1, 0, 0): 1, (0, 0, 1): 2}
 
 
 def test_mu_value_is_frozen():

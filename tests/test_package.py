@@ -3,6 +3,7 @@
 import ast
 import copy
 import importlib
+import importlib.util
 import json
 import os
 import pickle
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import sinewall
-from sinewall import series
+from sinewall import cli, hodge, series
 from sinewall.gv import GVReport
 from sinewall.hodge import CheckReport, MuValue
 from sinewall.partitions import ThreefoldPartition
@@ -234,3 +235,151 @@ def test_replace_validates_as_the_constructor_does():
         _RECORDS["ThreefoldPartition"]()._replace(g1=(1, 2))
     gv = _RECORDS["GenusTable"]()._replace(kind=Kind.GV)
     assert (gv.kind, gv.values, gv.g_max) == (Kind.GV, {0: Fraction(1, 2)}, 2)
+
+
+# ---------------------------------------------------------------- reachability
+
+# What the guard below runs: these calls of the CLI, in a directory that
+# holds the tables of _REACH_TABLES, the checks of tests/test_acceptance.py
+# and the kernel rows of bench/tracer.py.  The argv cover every subcommand in
+# both formats, a report to --output, each kind of refusal and help.
+_REACH_TABLES = {
+    "ugw.json": '{"class": {"c1_dot_beta": 3, "primitive": true}, "kind": "ugw", "g_max": 3, '
+                '"values": {"0": "1", "1": "-1/12", "3": "5/7"}}',
+    "gw.json": '{"class": {"c1_dot_beta": 4, "primitive": true}, "kind": "gw", "g_max": 2, '
+               '"values": {"0": "1", "1": "-1/12", "2": "1/360"}}',
+    "gw_half.json": '{"class": {"c1_dot_beta": 1, "primitive": true}, "kind": "gw", '
+                    '"g_max": 1, "values": {"0": "1/2", "1": "0"}}',
+    "gv.json": '{"class": {"c1_dot_beta": 4, "primitive": true}, "kind": "gv", "g_max": 3, '
+               '"values": {"0": "1"}}',
+    "ugw_gated.json": '{"class": {"c1_dot_beta": -1, "primitive": true}, "kind": "ugw", '
+                      '"g_max": 1, "values": {"0": "1"}}',
+    "gw_gap.json": '{"class": {"c1_dot_beta": 4, "primitive": true}, "kind": "gw", "g_max": 2, '
+                   '"values": {"0": "1"}}',
+    "repeated.json": '{"class": {"c1_dot_beta": 4, "c1_dot_beta": 4, "primitive": true}}',
+    "long_int.json": '{"g_max": 1' + "0" * 1001 + '}',
+    "bad_key.json": '{"class": {"c1_dot_beta": 4, "primitive": true}, "kind": "gv", "g_max": 3, '
+                    '"values": {"01": "1"}}',
+    "not_json.json": "{",
+    "not_utf8.json": b"\xff\xfe{}",
+}
+_REACH_ARGV = (
+    *(["transform", "--direction", direction, "--input", table, "--format", fmt]
+      for direction, table in (("ugw-to-gw", "ugw.json"), ("gw-to-ugw", "gw.json"),
+                               ("gw-to-gv", "gw.json"), ("gv-to-gw", "gv.json"),
+                               ("gw-to-gv", "gw_half.json"))
+      for fmt in ("text", "json")),
+    *(["check-integrality", "--input", table, "--format", fmt]
+      for table in ("gw.json", "gw_half.json", "gv.json", "ugw.json")
+      for fmt in ("text", "json")),
+    *([command, option, value, "--format", fmt]
+      for command, option, value in (("verify-identities", "--order", "6"),
+                                     ("mu", "--g-max", "3"))
+      for fmt in ("text", "json")),
+    *(["expand-sine", "--g", "1", "--c", c, "--order", order, "--format", fmt]
+      for c, order in (("-2", "8"), ("3", "0"))
+      for fmt in ("text", "json")),
+    ["mu", "--g-max", "2", "--output", "mu.txt"],
+    # refusals: limits, empty and unreadable paths, table files, kinds, the gate, --output
+    ["verify-identities", "--order", "58"],
+    ["mu", "--g-max", "-1"],
+    ["expand-sine", "--g", "1000001", "--c", "0"],
+    ["check-integrality", "--input", ""],
+    *(["check-integrality", "--input", table]
+      for table in ("missing.json", "not_json.json", "not_utf8.json", "repeated.json",
+                    "long_int.json", "bad_key.json", "ugw_gated.json")),
+    ["transform", "--direction", "ugw-to-gw", "--input", "gw.json"],
+    ["transform", "--direction", "gw-to-ugw", "--input", "gw_gap.json"],
+    ["transform", "--direction", "gv-to-gw", "--input", "ugw_gated.json"],
+    ["mu", "--g-max", "1", "--output", "no/such/dir/mu.txt"],
+    # argv that only argparse reads: usage errors, a non-canonical form, help
+    ["transform", "--input", "gw.json"],
+    ["frobnicate"],
+    ["expand-sine", "--g=0", "--c", "4"],
+    ["--help"],
+)
+
+# defs no run above enters, each kept for its reason
+_UNREACHED_KEPT = {
+    ("_record", "Record.__init_subclass__"): "runs at import, once for each record class",
+    ("_record", "Record.__getnewargs__"): "protocol method: copy and pickle of a record",
+    ("_record", "Record.__repr__"): "protocol method: repr of a record",
+    ("series", "USeries.__setattr__"): "protocol method: refuses assignment to a series",
+    ("series", "USeries.__repr__"): "protocol method: repr of a series",
+    ("wallcross", "GridReport.first_failure"): "failure path: names a grid's first bad cell",
+    ("wallcross", "GridReport.summary"): "failure path: the acceptance gate's assertion message",
+}
+
+
+def _defs(path):
+    """(qualname, line of its code's first line) of every def in one source file."""
+    found = []
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                # a decorated function's code starts at its first decorator
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found.append((prefix + child.name, first))
+                walk(child, f"{prefix}{child.name}.<locals>.")
+            else:
+                walk(child, f"{prefix}{child.name}." if isinstance(child, ast.ClassDef) else prefix)
+
+    walk(ast.parse(path.read_text()), "")
+    return found
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_def_is_reached(tmp_path, monkeypatch, capsys):
+    # src keeps only what a CLI call, the acceptance gate or the benchmark's
+    # tracer reaches: every def is entered by the runs above, wrapped by
+    # name in the tracer's TARGETS, or kept in _UNREACHED_KEPT for its reason
+    tracer = _load("reach_tracer", ROOT / "bench" / "tracer.py")
+    acceptance = _load("reach_acceptance", ROOT / "tests" / "test_acceptance.py")
+    for name, text in _REACH_TABLES.items():
+        (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
+    monkeypatch.chdir(tmp_path)
+    entered = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    hodge.mu_values.cache_clear()  # a memo hit would enter no code
+    statuses = []
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        for argv in _REACH_ARGV:
+            try:
+                statuses.append(cli.main(argv))
+            except SystemExit as e:  # argparse: usage errors and help
+                statuses.append(e.code)
+        for name in sorted(vars(acceptance)):
+            if name.startswith("test_"):
+                getattr(acceptance, name)()
+        for name in tracer.KERNELS:
+            tracer._kernel(name)()
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+    # transforms and check-integrality (the non-integral tables fail their
+    # check), verify-identities, mu, expand-sine, the refusals, then argparse's
+    assert statuses == [0] * 8 + [1, 1] + [0, 0, 1, 1] * 2 + [0] * 9 + [2] * 17 + [0, 0], statuses
+
+    src = ROOT / "src" / "sinewall"
+    lines = {(Path(code.co_filename).resolve(), code.co_firstlineno) for code in entered}
+    defs = {(path.stem, qualname): (path.resolve(), first)
+            for path in sorted(src.glob("*.py")) for qualname, first in _defs(path)}
+    unreached = [key for key, line in defs.items() if line not in lines]
+    targets = {(module.rpartition(".")[2], attr) for module, attr, _ in tracer.TARGETS}
+    stray = [key for key in unreached if key not in targets | _UNREACHED_KEPT.keys()]
+    assert stray == [], stray
+    # each kept def exists and is still unreached
+    assert [key for key in _UNREACHED_KEPT if key not in unreached] == []

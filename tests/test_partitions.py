@@ -5,7 +5,6 @@ import pytest
 from sinewall.partitions import (
     PartsMismatch,
     ThreefoldPartition,
-    descending_partitions,
     descending_walk,
     enumerate_threefold_partitions,
     multinomial,
@@ -68,18 +67,8 @@ def test_multiplicities():
 # ---------------------------------------------------------------- descending
 
 
-def test_descending_partitions_counts():
-    # partition numbers p(0..8) = 1 1 2 3 5 7 11 15 22
-    want = [1, 1, 2, 3, 5, 7, 11, 15, 22]
-    for total, count in enumerate(want):
-        got = list(descending_partitions(total))
-        assert len(got) == count
-        assert len(set(got)) == count
-        assert set(got) == partition_oracle(total)
-
-
 def recursive_descending_partitions(total, max_part=None):
-    """`descending_partitions` as a recursion over the first part, the reference for the walk."""
+    """The partitions of total, larger parts first, by a recursion over the first part."""
     if total == 0:
         yield ()
         return
@@ -89,9 +78,15 @@ def recursive_descending_partitions(total, max_part=None):
             yield (first,) + rest
 
 
-def test_descending_partitions_equal_the_recursion_in_order():
+def test_descending_walk_at_one_sum_lists_its_partitions_larger_parts_first():
+    # partition numbers p(0..8) = 1 1 2 3 5 7 11 15 22
+    for total, count in enumerate([1, 1, 2, 3, 5, 7, 11, 15, 22]):
+        got = [parts for parts in descending_walk(total) if sum(parts) == total]
+        assert len(got) == len(set(got)) == count
+        assert set(got) == partition_oracle(total)
     for total in range(16):
-        assert list(descending_partitions(total)) == list(recursive_descending_partitions(total))
+        got = [parts for parts in descending_walk(total) if sum(parts) == total]
+        assert got == list(recursive_descending_partitions(total))
 
 
 def test_descending_walk_lists_each_tuple_once_after_its_prefixes():
@@ -114,9 +109,8 @@ def test_descending_walk_lists_each_tuple_once_after_its_prefixes():
 
 def test_threefold_partition_validation():
     p = ThreefoldPartition(1, (2, 1), (1,))
-    assert p.genus == 5
-    assert p.k1 == 2
-    assert p.k2 == 1
+    assert (p.g0, p.g1, p.g2) == (1, (2, 1), (1,))
+    assert ThreefoldPartition(0, [3, 3], []) == (0, (3, 3), ())  # lists become tuples
     with pytest.raises(ValueError):
         ThreefoldPartition(-1, (), ())
     with pytest.raises(ValueError):

@@ -82,7 +82,7 @@ def test_sinc_half_order_window():
     assert s6.order == 6
     with pytest.raises(ValueError):
         s6.coefficient(6)
-    assert sinc_half(8).truncate(6) == s6
+    assert sinc_half(8).coeffs[:6] == s6.coeffs
 
 
 def test_sinc_half_degenerate_orders():
@@ -122,7 +122,7 @@ def test_inverse_matches_triangular_solve():
 
 def test_inverse_fourth_power_frozen():
     got = pow_int(sinc_half(8), -4)
-    assert got.truncate(6) == USeries(0, [F(1), 0, F(1, 6), 0, F(11, 720), 0])
+    assert got.coeffs[:6] == (F(1), 0, F(1, 6), 0, F(11, 720), 0)
     assert got.coefficient(6) == F(31, 30240)
     # and it really is the reciprocal of S^4
     assert (got * pow_int(sinc_half(8), 4)).agrees(USeries.one(8))
@@ -173,7 +173,6 @@ def test_constant_and_monomial():
     m = USeries(3, [F(2), 0, 0])
     assert m.coefficient(3) == 2
     assert m.valuation == 3 and m.order == 6
-    assert m.truncate(3) == USeries.zero(3)
 
 
 def test_immutability():
@@ -200,16 +199,6 @@ def test_coefficient_window():
         f.coefficient(4)
 
 
-def test_truncate_semantics():
-    f = USeries(1, [F(1), F(2), F(3)])
-    assert f.truncate(4) is f
-    assert f.truncate(2) == USeries(1, [F(1)])
-    assert f.truncate(1) == USeries.zero(1)
-    assert f.truncate(0) == USeries.zero(0)
-    with pytest.raises(ValueError):
-        f.truncate(5)
-
-
 def test_scale():
     f = USeries(0, [F(1), F(2)])
     assert f.scale(F(1, 2)) == USeries(0, [F(1, 2), F(1)])
@@ -219,7 +208,7 @@ def test_scale():
 
 def test_scalar_multiplication():
     f = USeries(0, [F(1), F(2)])
-    assert 2 * f == f.scale(2)
+    assert f * 2 == f.scale(2)
     assert f * F(1, 3) == f.scale(F(1, 3))
 
 
@@ -251,7 +240,7 @@ def test_mul_order_window():
 
 def test_sub_cancellation_keeps_order():
     f = USeries(0, [F(1), F(2), F(3)])
-    d = f - f
+    d = f + f.scale(-1)
     assert d.is_zero()
     assert d.order == 3
 
@@ -364,8 +353,8 @@ def test_mul_distributes_on_joint_window(f, g, h):
 def test_additive_identity_and_inverse(f):
     zero = USeries.zero(f.order)
     assert f + zero == f
-    assert (f - f).is_zero()
-    assert -(-f) == f
+    assert (f + f.scale(-1)).is_zero()
+    assert f.scale(-1).scale(-1) == f
 
 
 @given(useries())
@@ -557,7 +546,7 @@ def taylor_exp(f):
 
 def taylor_log(f):
     """sum_j (-1)^(j+1) x^j / j with x = f - 1."""
-    x = f - USeries.one(f.order)
+    x = f + USeries.one(f.order).scale(-1)
     want = USeries.zero(f.order)
     term = USeries.one(f.order)
     j = 1
@@ -705,10 +694,3 @@ def test_integer_exp_and_log_match_fraction_recurrence():
         got = exp(USeries(0, in_u(a, d)))
         assert got == USeries(0, in_u(fraction_exp(a), d))
 
-
-@given(useries())
-def test_truncate_is_monotone(f):
-    for k in range(f.valuation, f.order + 1):
-        t = f.truncate(k)
-        assert t.order == k
-        assert t.agrees(f)

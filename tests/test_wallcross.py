@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from sinewall import series, wallcross
 from sinewall.partitions import (
-    descending_partitions,
+    descending_walk,
     enumerate_threefold_partitions,
     multinomial,
     multiplicities,
@@ -177,15 +177,19 @@ def test_eq_basis_across_orders_built_once_per_call(monkeypatch):
 def reference_eq_basis(size):
     """`_eq_basis` by truncated `USeries` products, converted to integers in x = u^2 afterwards."""
     order = 2 * size - 1
+
+    def cut(f):  # the coefficients below u^order
+        return USeries(0, [f.coefficient(k) for k in range(order)])
+
     s = sinc_half(order)
     s2 = s * s
-    t1, t2 = s2 - USeries.one(order), s2 * log(s)
+    t1, t2 = s2 + USeries.one(order).scale(-1), s2 * log(s)
     amax = (order - 1) // 2
     t1_pows, t2_pows = [USeries.one(order)], [USeries.one(order)]
     for _ in range(amax):
-        t1_pows.append((t1_pows[-1] * t1).truncate(order))
-        t2_pows.append((t2_pows[-1] * t2).truncate(order))
-    terms = [[(t1_pows[a1] * t2_pows[a2]).truncate(order) for a1 in range(amax + 1 - a2)]
+        t1_pows.append(cut(t1_pows[-1] * t1))
+        t2_pows.append(cut(t2_pows[-1] * t2))
+    terms = [[cut(t1_pows[a1] * t2_pows[a2]) for a1 in range(amax + 1 - a2)]
              for a2 in range(amax + 1)]
     assert all(k % 2 == 0 for row in terms for term in row
                for k, b in enumerate(term.coeffs, term.valuation) if b)
@@ -513,7 +517,7 @@ def reference_raw_tables(vertex, size):
     for s in range(dmax + 1):
         m_row = [0] * (s + 1)
         i_row = [[0] * (k + 1) for k in range(s + 1)]
-        for parts in descending_partitions(s):
+        for parts in (parts for parts in descending_walk(s) if sum(parts) == s):
             m_prod = prod(mu1[gi] for gi in parts)
             by_psi = [1]
             for gi in parts:
@@ -574,7 +578,8 @@ def raw_sum_oracle(g0, n, c, order, vertex):
         for p in enumerate_threefold_partitions(g0 + delta, n):
             if p.g0 != g0:
                 continue
-            weight = F(comb(n, p.k1) * multinomial(p.k1, multiplicities(p.g1)))
+            k1 = len(p.g1)
+            weight = F(comb(n, k1) * multinomial(k1, multiplicities(p.g1)))
             for gi in p.g1:
                 weight *= vertex.mu1[gi]
             symmetry = 1
