@@ -79,13 +79,12 @@ def recursive_descending_partitions(total, max_part=None):
 
 
 def test_descending_walk_at_one_sum_lists_its_partitions_larger_parts_first():
-    # partition numbers p(0..8) = 1 1 2 3 5 7 11 15 22
-    for total, count in enumerate([1, 1, 2, 3, 5, 7, 11, 15, 22]):
-        got = [parts for parts in descending_walk(total) if sum(parts) == total]
-        assert len(got) == len(set(got)) == count
-        assert set(got) == partition_oracle(total)
+    # partition numbers p(0..15)
+    p = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176]
     for total in range(16):
         got = [parts for parts in descending_walk(total) if sum(parts) == total]
+        assert len(got) == len(set(got)) == p[total]
+        assert set(got) == partition_oracle(total)
         assert got == list(recursive_descending_partitions(total))
 
 
