@@ -78,14 +78,23 @@ def recursive_descending_partitions(total, max_part=None):
             yield (first,) + rest
 
 
-def test_descending_walk_at_one_sum_lists_its_partitions_larger_parts_first():
+def walk_at_one_sum(total):
+    """The tuples of descending_walk(total) that sum to total, in walk order."""
+    return [parts for parts in descending_walk(total) if sum(parts) == total]
+
+
+def test_descending_partitions_counts():
     # partition numbers p(0..15)
     p = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176]
-    for total in range(16):
-        got = [parts for parts in descending_walk(total) if sum(parts) == total]
-        assert len(got) == len(set(got)) == p[total]
+    for total, count in enumerate(p):
+        got = walk_at_one_sum(total)
+        assert len(got) == len(set(got)) == count
         assert set(got) == partition_oracle(total)
-        assert got == list(recursive_descending_partitions(total))
+
+
+def test_descending_partitions_equal_the_recursion_in_order():
+    for total in range(16):
+        assert walk_at_one_sum(total) == list(recursive_descending_partitions(total))
 
 
 def test_descending_walk_lists_each_tuple_once_after_its_prefixes():
