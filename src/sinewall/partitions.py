@@ -1,15 +1,14 @@
 r"""Partition enumeration for the wall-crossing sums.
 
 One walk (`descending_walk`) lists every weakly-decreasing tuple of
-positive integers up to a sum, each right after its prefixes.  The raw
-wall-crossing sum runs over that walk directly: g1 lists the genera
-attached to at most n marked points and g2 the genera of the extra
-bracket insertions, both partitions of the added genus, and each list
-extends the sums of its prefix by one part.
-`enumerate_threefold_partitions` names the same index set as explicit
-tuples, for the tests and the benchmark's tracer: each term is a
-ThreefoldPartition that splits a genus g as g0 + sum(g1) + sum(g2), with
-g2 filtered from the walk to the tuples that complete the sum.
+positive integers up to a sum, each right after its prefixes; it serves
+only `enumerate_threefold_partitions`, which names the raw wall-crossing
+sum's index set as explicit tuples, for the tests and the benchmark's
+tracer: each term is a ThreefoldPartition that splits a genus g as
+g0 + sum(g1) + sum(g2), g1 the genera at (at most n) marked points and g2
+those of the extra bracket insertions, filtered from the walk to the
+tuples that complete the sum.  The raw sum itself lists none of them:
+`wallcross` reads its sums over the lists off powers of the vertex series.
 
 Orbit counts are restored by multiplicity weights (`multinomial` for the
 marked list, 1 / prod(m_j!) for the unmarked one), so enumerations stay

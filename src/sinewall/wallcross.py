@@ -27,29 +27,32 @@ insertions (dilaton: each removal contributes
 independently, so each coefficient is a convolution of a marked-list sum
 and an insertion-list sum.  Those sums split into vertex-only tables (by
 genus and list length, and for insertions by the number of psi parts),
-built once per vertex table by one integer walk over the partitions and
-reduced to one least common denominator per table, and a per-(g0, n)
-combination in integer arithmetic.  For fixed (g0, n) each coefficient is
-a polynomial in the divisor weight B = 3(2 g0 - 2) + c: the combination
-builds it once, from the marked sums with the binomials C(n, k1) (once per
-n) and the insertion polynomials (`_inserted_polys`, from the psi falling
-products of `_bracket_factors`, once per bracket 2 g0 - 2 + n, the only way
-they depend on g0 and n), and evaluates it at every c by Horner, for a grid
-and for a single `correction_raw_sum` alike.  `verify_raw_equals_closed`
-builds the tables once for its whole grid and asserts exact coefficientwise
-agreement of the two routes, compared in integers: each closed row is put
-over the grid's one denominator once, so a cell is one comparison of whole
-rows (`_grid_cells`), and `_cell` cross-multiplies any other cell and names
-a failing cell's first mismatch.  The inner coefficient identity it rests on, `eq_sum`, has the same design: its
-basis t1^a1 t2^a2 is built once per call by integer `convolve`s, and for
-fixed m1 each coefficient is a polynomial in m2, evaluated at every m2 by
-Horner (`_eq_cells`).  Both grids read their closed sides from a table of
-sine powers (`_sine_powers`): S^k for the exponents the grid reads, with no
-`log` or `exp`.  Called alone, a grid builds its own; given ``closed`` (a
-`sine_power_table`), it cuts each row to its own order, so one table per
-`verify-identities` call serves both grids.  The eq basis alone reads
-`log S`.  The raw route uses no series kernel, and its vertex table
-(`VertexData.standard`) reads one build of the vertex values.
+built once per vertex table as powers of the vertex series (a k-th power
+counts each list of k parts once per ordering, the orbit weight the sums
+need) and reduced to one least common denominator per table, and a
+per-(g0, n) combination in integer arithmetic.  For fixed (g0, n) each
+coefficient is a polynomial in the divisor weight B = 3(2 g0 - 2) + c: the
+combination builds it once, from the marked sums with the binomials
+C(n, k1) (once per n) and the insertion polynomials (`_inserted_polys`,
+from the psi falling products of `_bracket_factors`, once per bracket
+2 g0 - 2 + n, the only way they depend on g0 and n), and evaluates it at
+every c by Horner, for a grid and for a single `correction_raw_sum` alike.
+`verify_raw_equals_closed` builds the tables once for its whole grid and
+asserts exact coefficientwise agreement of the two routes, compared in
+integers: each closed row is put over the grid's one denominator once, so
+a cell is one comparison of whole rows (`_grid_cells`), and `_cell`
+cross-multiplies any other cell and names a failing cell's first mismatch.
+The inner coefficient identity it rests on, `eq_sum`, has the same design:
+its basis t1^a1 t2^a2 is built once per call by integer `convolve`s, and
+for fixed m1 each coefficient is a polynomial in m2, evaluated at every m2
+by Horner (`_eq_cells`).  Both grids read their closed sides from a table
+of sine powers (`_sine_powers`): S^k for the exponents the grid reads,
+with no `log` or `exp`.  Called alone, a grid builds its own; given
+``closed`` (a `sine_power_table`), it cuts each row to its own order, so
+one table per `verify-identities` call serves both grids.  The eq basis
+alone reads `log S`.  The raw route reads no S (its one kernel is the
+integer `convolve`), and its vertex table (`VertexData.standard`) reads
+one build of the vertex values.
 
 Every series the grids compare is even in u, so their helpers work in
 x = u^2 alone: a grid turns its order into the number of x-coefficients it
@@ -65,11 +68,11 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial, gcd, lcm
 
 from . import hodge
 from ._record import Record
-from .partitions import descending_walk
 from .series import USeries, convolve, log, numerators, pow_int, sinc_half
 
 __all__ = [
@@ -347,37 +350,34 @@ def _raw_tables(vertex: VertexData, size: int):
 
     (j counts the insertions read as -psi, all `_bracket_factors` needs of
     them) as integer numerators: marked over its least common denominator,
-    inserted over its own, and den the product of the two.  Marked and
-    insertion lists of genus s are the same partitions of s, so one walk
-    fills both, each list adding one part to its prefix's sums, in integers:
-    the vertex values are scaled over the lcm D of their denominators, so
-    the lists with k parts sum to an integer over D^k, and with the weight
-    k! / prod(repeats!) = multinomial(k, repeats) over D^k k! for the
-    insertion lists.  Only the finished rows are reduced, to the least
-    common denominators.
+    inserted over its own, and den the product of the two.  A k-th power
+    counts each list of k parts once per ordering, multinomial(k, repeats)
+    = k! / prod(repeats!) times, so with the vertex series
+    M = sum_g mu1[g] t^g, Psi and Delta (from mu0_psi and mu0_div),
+    marked[s][k] = [t^s] M^k and inserted[s][k][j] = C(k, j) [t^s]
+    Psi^j Delta^(k-j) / k!, the binomial from the x^j part of
+    (Delta + x Psi)^k.  The vertex values are scaled over the lcm D of their
+    denominators, so the powers are integer `convolve`s over D^k (D^k k! for
+    the insertions); only the finished rows are reduced.
     """
     genera = range(1, size)
     missing = [g for g in genera if any(g not in table for table in vertex)]
     if missing:
         raise ValueError(f"vertex data lacks genera {missing}, needed through genus {size - 1}")
     den_v = lcm(*(table[g].denominator for table in vertex for g in genera))
-    mu1, mu0_psi, mu0_div = ({g: table[g].numerator * (den_v // table[g].denominator)
-                              for g in genera} for table in vertex)
-    marked = [[0] * (s + 1) for s in range(size)]
-    inserted = [[[0] * (k + 1) for k in range(s + 1)] for s in range(size)]
-    states = [(0, 1, [1], 1)]  # per list length: genus, prod mu1, by_psi, weight
-    for parts in descending_walk(size - 1):
-        k = len(parts)
-        if k:  # extend the state of parts[:-1], the last list of length k - 1
-            gi = parts[-1]
-            s, m_prod, by_psi, weight = states[k - 1]
-            psi, div = mu0_psi[gi], mu0_div[gi]
-            by_psi = [b * div + a * psi for a, b in zip([0] + by_psi, by_psi + [0])]
-            # gi ends a run of k - parts.index(gi) equal parts
-            states[k:] = [(s + gi, m_prod * mu1[gi], by_psi, weight * k // (k - parts.index(gi)))]
-        s, m_prod, by_psi, weight = states[k]
-        marked[s][k] += weight * m_prod
-        inserted[s][k] = [x + weight * b for x, b in zip(inserted[s][k], by_psi)]
+    m_series, psi, delta = ([0] + [table[g].numerator * (den_v // table[g].denominator)
+                                   for g in genera] for table in vertex)
+
+    def powers(base, f, top):  # base f^i for i = 0..top, through t^(size-1)
+        return list(accumulate(range(top), lambda p, _: convolve(p, f, size), initial=base))
+
+    one = [1] + [0] * (size - 1)
+    m_pow = powers(one, m_series, size - 1)
+    # mixed[j][i] = Psi^j Delta^i for j + i < size
+    mixed = [powers(p, delta, size - 1 - j) for j, p in enumerate(powers(one, psi, size - 1))]
+    marked = [[m_pow[k][s] for k in range(s + 1)] for s in range(size)]
+    inserted = [[[comb(k, j) * mixed[j][k - j][s] for j in range(k + 1)] for k in range(s + 1)]
+                for s in range(size)]
     m_q = [den_v**k for k in range(size)]
     i_q = [q * factorial(k) for k, q in enumerate(m_q)]
     # x / q in lowest terms has denominator q // gcd(x, q)

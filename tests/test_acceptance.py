@@ -8,7 +8,6 @@ here uses tolerances; every comparison is Fraction equality.
 import random
 import time
 from fractions import Fraction as F
-from itertools import product
 
 from sinewall.gv import gv_from_gw, gw_from_gv
 from sinewall.hodge import (
@@ -24,9 +23,7 @@ from sinewall.wallcross import (
     GenusTable,
     Kind,
     VertexData,
-    correction_raw_sum,
     gw_from_ugw,
-    sine_factor,
     ugw_from_gw,
     verify_eq_sum,
     verify_raw_equals_closed,

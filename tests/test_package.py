@@ -34,7 +34,7 @@ def test_every_export_imports():
 
 
 def _used_names(path, with_strings=False):
-    """Names, attributes and imports in one file; docstrings do not count.
+    """Names and attributes one file loads; imports and docstrings do not count.
 
     With ``with_strings`` the dotted parts of other string constants count
     too, such as the "module", "Class.method" pairs the bench tracer wraps.
@@ -47,8 +47,6 @@ def _used_names(path, with_strings=False):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            used.update(alias.name.rpartition(".")[2] for alias in node.names)
         elif (with_strings and isinstance(node, ast.Constant) and isinstance(node.value, str)
               and id(node) not in docstrings):
             used.update(node.value.split("."))

@@ -15,7 +15,7 @@ from sinewall.partitions import (
     multinomial,
     multiplicities,
 )
-from sinewall.series import USeries, exp, inv, log, numerators, pow_int, sinc_half
+from sinewall.series import USeries, exp, log, numerators, pow_int, sinc_half
 from sinewall.wallcross import (
     GenusTable,
     Kind,
@@ -227,6 +227,7 @@ def _raise_if_called(name):
 def test_eq_sum_uses_no_closed_form_kernel(monkeypatch):
     want = {m: pow_int(sinc_half(13), int(2 * m[0] + m[1])) for m in ((-2, 3), (F(1, 2), 1))}
     assert not hasattr(wallcross, "exp")
+    assert not hasattr(wallcross, "descending_walk")  # the vertex tables are powers, not a walk
     for name in ("pow_int", "sine_factor", "_sine_powers"):
         monkeypatch.setattr(wallcross, name, _raise_if_called(name))
     basis = wallcross._eq_basis(7)  # x^0..x^6 lie below u^13
@@ -545,10 +546,19 @@ def reference_raw_tables(vertex, size):
 
 
 def test_raw_tables_equal_the_per_partition_sums():
-    standard = VertexData.standard(15)
+    # the powers of the vertex series against the per-partition sums, which share no algorithm
+    standard = VertexData.standard(28)
     shifted = standard.perturbed("mu0_psi", 2, F(3, 7)).perturbed("mu1", 1, F(-5, 11))
+    for size in range(0, 30):  # 29: verify-identities at its order limit, u^57
+        assert wallcross._raw_tables(standard, size) == reference_raw_tables(standard, size)
     for size in range(0, 17):
-        for vertex in (standard, shifted):
+        assert wallcross._raw_tables(shifted, size) == reference_raw_tables(shifted, size)
+    rng = random.Random(24)
+    for size in range(0, 13):
+        base = random_vertex(rng, 12)
+        for field in ("mu1", "mu0_psi", "mu0_div"):
+            delta = F(rng.randint(1, 9), rng.randint(1, 12))
+            vertex = base.perturbed(field, rng.randint(1, 12), delta)
             assert wallcross._raw_tables(vertex, size) == reference_raw_tables(vertex, size)
     assert wallcross._raw_tables(standard, 0) == ((), (), 1)
 
@@ -712,6 +722,7 @@ def test_raw_route_uses_no_closed_form_kernel(monkeypatch):
     vertex = VertexData.standard(6)
     want = {key: sine_factor(key[0], key[2], 13) for key in ((0, 0, 4), (2, 3, -1))}
     assert not hasattr(wallcross, "exp")
+    assert not hasattr(wallcross, "descending_walk")  # the vertex tables are powers, not a walk
     for name in ("pow_int", "log", "sinc_half", "sine_factor"):
         monkeypatch.setattr(wallcross, name, _raise_if_called(name))
     tables = wallcross._raw_tables(vertex, 7)  # x^0..x^6 lie below u^13
