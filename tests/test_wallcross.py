@@ -227,7 +227,6 @@ def _raise_if_called(name):
 def test_eq_sum_uses_no_closed_form_kernel(monkeypatch):
     want = {m: pow_int(sinc_half(13), int(2 * m[0] + m[1])) for m in ((-2, 3), (F(1, 2), 1))}
     assert not hasattr(wallcross, "exp")
-    assert not hasattr(wallcross, "descending_walk")  # the vertex tables are powers, not a walk
     for name in ("pow_int", "sine_factor", "_sine_powers"):
         monkeypatch.setattr(wallcross, name, _raise_if_called(name))
     basis = wallcross._eq_basis(7)  # x^0..x^6 lie below u^13
