@@ -343,10 +343,11 @@ def _handle_verify_identities(ns: SimpleNamespace) -> tuple[str, str | None]:
     order = ns.order
     # one table of sine powers for both grids' closed sides: the eq grid reads
     # 2 m1 + m2 = -18..12 through u^(order + 2), which holds the raw grid's
-    # 2 g0 - 2 + c = -4..10 through u^order
+    # 2 g0 - 2 + c = -4..10 through u^order.  It runs first, as it reads the
+    # vertex values one genus further, so their one build serves all four rows
     closed = sine_power_table(range(-18, 13), order + 2)
-    grids = (verify_raw_equals_closed(order=order, closed=closed),
-             verify_eq_sum(order=order + 2, closed=closed))
+    eq = verify_eq_sum(order=order + 2, closed=closed)
+    grids = (verify_raw_equals_closed(order=order, closed=closed), eq)
     expansion = i_function_expansion(2 * (order // 2) + 2)
     checks = (("vertex closed form vs local expansion", verify_mu_consistency(expansion)),
               ("expansion ratio vs marked-point constants", verify_i_ratio(expansion)))

@@ -16,9 +16,9 @@ and the companion constant mu_{g,1} = [u^{2g}] (S^2 - 1) = a_g, read off
 `mu_g0`.
 
 The closed forms are authoritative.  They come from one build
-(`mu_values`) of S, S^2 and S^2 log S through the top genus, memoised per
-top genus, so the raw grid's vertex table, the two checks and `mu --g-max`
-each read one build; `mu_g0` and `mu_g1` read it for a single genus.
+(`mu_values`) of S, S^2 and S^2 log S, kept at the largest top genus, so
+both identity grids (whose t1 = S^2 - 1 and t2 = S^2 log S are these
+values), the two checks and `mu --g-max` each read one build.
 
 `i_function_expansion` re-derives them from the exponential identity, so
 the two routes can be checked against each other.  Each genus of the
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import cache
 from math import comb
 
 from ._record import Record
@@ -66,23 +65,27 @@ class CheckReport(Record, fields="passed checked first_failure detail", defaults
     __slots__ = ()
 
 
-@cache
+_memo: tuple[MuValue, ...] = ()  # the largest build so far; a smaller top reads its prefix
+
+
 def mu_values(g_top: int) -> tuple[MuValue, ...]:
     r"""The vertex values mu_{g,0} for g = 1..g_top, entry g - 1, from one build.
 
     a_g = [u^{2g}] S^2 and b_g = [u^{2g}] (S^2 log S) for every genus are
-    read off one S, S^2 and S^2 log S through u^{2 g_top}.  Memoised per
-    g_top, so the raw grid's vertex table and the two expansion checks of
-    one `verify-identities` call share one build.  Empty below g_top = 1.
+    read off one S, S^2 and S^2 log S through u^{2 g_top}.  The largest
+    build is kept and a smaller g_top reads its prefix, so a
+    `verify-identities` call, which asks for its largest top first, builds
+    once.  Empty below g_top = 1.
     """
-    if g_top < 1:
-        return ()
-    s = sinc_half(2 * g_top + 2)
-    s2 = s * s
-    s2_log = s2 * log(s)
-    return tuple(MuValue(a1=a, a_H=-a + 3 * b, a_c1=b)
-                 for a, b in ((s2.coefficient(2 * g), s2_log.coefficient(2 * g))
-                              for g in range(1, g_top + 1)))
+    global _memo
+    if g_top > len(_memo):
+        s = sinc_half(2 * g_top + 2)
+        s2 = s * s
+        s2_log = s2 * log(s)
+        _memo = tuple(MuValue(a1=a, a_H=-a + 3 * b, a_c1=b)
+                      for a, b in ((s2.coefficient(2 * g), s2_log.coefficient(2 * g))
+                                   for g in range(1, g_top + 1)))
+    return _memo[:max(g_top, 0)]
 
 
 def mu_g0(g: int) -> MuValue:

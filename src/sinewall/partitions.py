@@ -1,10 +1,10 @@
 r"""Partition enumeration for the wall-crossing sums.
 
 One walk (`descending_walk`) lists every weakly-decreasing tuple of
-positive integers up to a sum, each right after its prefixes; it serves
-only `enumerate_threefold_partitions`, which names the raw wall-crossing
-sum's index set as explicit tuples, for the tests and the benchmark's
-tracer: each term is a ThreefoldPartition that splits a genus g as
+positive integers up to a sum, each once; it serves only
+`enumerate_threefold_partitions`, which names the raw wall-crossing sum's
+index set as explicit tuples, for the tests and the benchmark's tracer:
+each term is a ThreefoldPartition that splits a genus g as
 g0 + sum(g1) + sum(g2), g1 the genera at (at most n) marked points and g2
 those of the extra bracket insertions, filtered from the walk to the
 tuples that complete the sum.  The raw sum itself lists none of them:
@@ -51,9 +51,8 @@ def multiplicities(values) -> tuple[int, ...]:
 
 
 def descending_walk(top: int) -> Iterator[tuple[int, ...]]:
-    """Every weakly-decreasing positive tuple with sum <= top, in preorder of the prefix tree.
+    """Every weakly-decreasing positive tuple with sum <= top, each once, larger parts first.
 
-    Larger parts come first, and a tuple's prefixes are the last tuples walked at shorter lengths.
     Below top = 0 not even the empty tuple qualifies.
     """
     # (tuple, top minus its sum, its largest next part)

@@ -27,7 +27,7 @@ insertions (dilaton: each removal contributes
 independently, so each coefficient is a convolution of a marked-list sum
 and an insertion-list sum.  Those sums split into vertex-only tables (by
 genus and list length, and for insertions by the number of psi parts),
-built once per vertex table as powers of the vertex series (a k-th power
+read off powers of the vertex series (`_vertex_powers`; a k-th power
 counts each list of k parts once per ordering, the orbit weight the sums
 need) and reduced to one least common denominator per table, and a
 per-(g0, n) combination in integer arithmetic.  For fixed (g0, n) each
@@ -43,24 +43,23 @@ integers: each closed row is put over the grid's one denominator once, so
 a cell is one comparison of whole rows (`_grid_cells`), and `_cell`
 cross-multiplies any other cell and names a failing cell's first mismatch.
 The inner coefficient identity it rests on, `eq_sum`, has the same design:
-its basis t1^a1 t2^a2 is built once per call by integer `convolve`s, and
-for fixed m1 each coefficient is a polynomial in m2, evaluated at every m2
-by Horner (`_eq_cells`).  Both grids read their closed sides from a table
-of sine powers (`_sine_powers`): S^k for the exponents the grid reads,
-with no `log` or `exp`.  Called alone, a grid builds its own; given
-``closed`` (a `sine_power_table`), it cuts each row to its own order, so
-one table per `verify-identities` call serves both grids.  The eq basis
-alone reads `log S`.  The raw route reads no S (its one kernel is the
-integer `convolve`), and its vertex table (`VertexData.standard`) reads
-one build of the vertex values.
+t1 = S^2 - 1 and t2 = S^2 log S are the standard vertex's Psi and Delta,
+so its basis t1^a1 t2^a2 is the `_vertex_powers` table the raw grid reads,
+and for fixed m1 each coefficient is a polynomial in m2, evaluated at every
+m2 by Horner (`_eq_cells`).  Both grids read their closed sides from a
+table of sine powers (`_sine_powers`): S^k for the exponents the grid
+reads, with no `log`, `exp` or vertex value.  Called alone, a grid builds
+its own; given ``closed`` (a `sine_power_table`), it cuts each row to its
+own order, so one table per `verify-identities` call serves both grids.
+Neither computed side builds S: both read one build of the vertex values.
 
 Every series the grids compare is even in u, so their helpers work in
 x = u^2 alone: a grid turns its order into the number of x-coefficients it
 compares once, every helper takes and returns integer numerators of
 x^0..x^(size-1), and only `eq_sum` and `correction_raw_sum` spread a result
-back to u.  The powers of S, S^-1, t1 and t2 are each a `_ladder`, one
-integer `convolve` per power.  A failing cell names its first mismatch as a
-power of u, from the integers it compared.
+back to u.  The powers of S, S^-1, M, Psi and Delta are each a `_ladder`,
+one integer `convolve` per power.  A failing cell names its first mismatch
+as a power of u, from the integers it compared.
 """
 
 from __future__ import annotations
@@ -68,7 +67,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate
 from math import comb, factorial, gcd, lcm
 
 from . import hodge
@@ -107,7 +105,8 @@ class GenusTable(Record, fields="kind c primitive values g_max"):
     primitive; both travel with the table unchanged.  ``c`` must be an int
     and ``primitive`` a bool: anything else is refused with TypeError, since
     a float c would reach the series kernels and a truthy non-bool would
-    pass the GV gate.
+    pass the GV gate.  So are a bool genus and a value that is neither an
+    int nor a Fraction; a float value is refused with ValueError, as inexact.
     """
 
     __slots__ = ()
@@ -121,6 +120,8 @@ class GenusTable(Record, fields="kind c primitive values g_max"):
             raise TypeError(f"primitive must be a bool, got {primitive!r}")
         clean = {}
         for g, v in values.items():
+            if isinstance(g, bool):
+                raise TypeError(f"genus must not be a bool, got {g!r}")
             gi = int(g)
             if gi != g:
                 raise ValueError(f"genus {g!r} is not an integer")
@@ -128,6 +129,8 @@ class GenusTable(Record, fields="kind c primitive values g_max"):
                 raise ValueError(f"genus {gi} outside 0..{g_max}")
             if isinstance(v, float):
                 raise ValueError("float values are not exact; pass Fraction or int")
+            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+                raise TypeError(f"value at genus {gi} must be an int or a Fraction, got {v!r}")
             clean[gi] = Fraction(v)
         return super().__new__(cls, kind, c, primitive, clean, g_max)
 
@@ -167,8 +170,8 @@ def _sine_powers(ks: Iterable[int], size: int) -> dict[int, tuple[list[int], int
 
     The closed side of both identity grids.  S and S^-1 are the only series
     built, by `sinc_half` and one `pow_int` (only when some k < 0); each
-    power is a rung of a `_ladder` on S or S^-1.  No `log` or `exp`, which
-    the eq basis reads, enters here.
+    power is a rung of a `_ladder` on S or S^-1.  No `log`, `exp` or vertex
+    value, which both computed sides read, enters here.
     """
     ks = set(ks)
     s = sinc_half(2 * size + 1)  # through x^size, so that S^-1 exists at size 0
@@ -214,27 +217,18 @@ def _eq_basis(size: int):
     """The products t1^a1 t2^a2 of x^0..x^(size-1), x = u^2, that `eq_sum` combines.
 
     Returns (rows, den): row a2, entry a1 is a tuple of (exponent in x,
-    numerator over den) pairs with the zeros left out.  Every factor has
-    valuation >= 0, so the coefficients of a product below x^size depend
-    only on those of its factors below x^size: t1 = S^2 - 1 and
-    t2 = S^2 log S have valuation 1, their powers are `_ladder`s and each
-    product is one `convolve`.
+    numerator over den) pairs with the zeros left out.  t1 = S^2 - 1 =
+    sum_g mu_{g,1} x^g and t2 = S^2 log S = sum_g b_g x^g are the standard
+    vertex's series Psi and Delta, so the basis is its table of
+    Psi^a1 Delta^a2 (`_vertex_powers`), the one the raw grid reads, put over
+    one denominator.
     """
-    s = sinc_half(2 * size + 1)  # through x^size, so that log S exists at size 0
-    s_nums, s_den = numerators(s.coeffs[::2])
-    log_nums, log_den = numerators([0, *log(s).coeffs[::2]])  # log S starts at x^1
-    s2 = convolve(s_nums, s_nums, size)
-    t1 = [0, *s2[1:]]  # S^2 has constant term 1
-    t2 = convolve(s2, log_nums, size)
-    t1_pows = _ladder(t1, s_den**2, size - 1, size)
-    t2_pows = _ladder(t2, s_den**2 * log_den, size - 1, size)
-    terms = [[(convolve(a, b, size), da * db) for a, da in t1_pows[:size - a2]]
-             for a2, (b, db) in enumerate(t2_pows)]
+    _, mixed = _vertex_powers(VertexData.standard(size - 1), size)
     # x / d in lowest terms has denominator d // gcd(x, d)
-    den = lcm(*(d // gcd(x, d) for row in terms for nums, d in row for x in nums))
+    den = lcm(*(d // gcd(x, d) for row in mixed for nums, d in row for x in nums))
     rows = tuple(tuple(tuple((i, x * den // d) for i, x in enumerate(nums) if x)
                        for nums, d in row)
-                 for row in terms)
+                 for row in mixed)
     return rows, den
 
 
@@ -243,13 +237,14 @@ def eq_sum(m1, m2, order: int) -> USeries:
 
         sum_{a1, a2 >= 0} (m2^{a2} / a2!) (ff(m1 - a2, a1) / a1!) t1^{a1} t2^{a2}
 
-    with t1 = S^2 - 1 and t2 = S^2 log S, truncated at ``order``.  It
-    collapses to (1 + t1)^{m1} exp(m2 log S) = S^{2 m1 + m2}; the closed
-    form is what `verify_eq_sum` tests against.  This call builds the
-    basis t1^{a1} t2^{a2} for itself and forms its one cell with `_eq_cells`,
-    as the grid does for all of its cells.  m1 and m2 may be rational: each
-    must be an int or a Fraction (not a float, whose binary expansion is
-    not the number meant), or TypeError names it.
+    with t1 = S^2 - 1 and t2 = S^2 log S, the standard vertex's series Psi
+    and Delta, truncated at ``order``.  It collapses to
+    (1 + t1)^{m1} exp(m2 log S) = S^{2 m1 + m2}; the closed form is what
+    `verify_eq_sum` tests against.  This call builds the basis
+    t1^{a1} t2^{a2} (`_eq_basis`) for itself and forms its one cell with
+    `_eq_cells`, as the grid does for all of its cells.  m1 and m2 may be
+    rational: each must be an int or a Fraction (not a float, whose binary
+    expansion is not the number meant), or TypeError names it.
     """
     for name, m in (("m1", m1), ("m2", m2)):
         if isinstance(m, bool) or not isinstance(m, (int, Fraction)):
@@ -337,6 +332,25 @@ class VertexData(Record, fields="mu1 mu0_psi mu0_div"):
         return self._replace(**{field: table})
 
 
+def _vertex_powers(vertex: VertexData, size: int):
+    """The powers of the vertex series that both identity grids read, through t^(size-1).
+
+    With M, Psi and Delta the series sum_g table[g] t^g of mu1, mu0_psi and
+    mu0_div, returns (m_pows, mixed): the `_ladder` rungs m_pows[k] = M^k,
+    and mixed[i][j] = Psi^j Delta^i for i + j < size, one `convolve` of a
+    Psi rung and a Delta rung.  Each is (numerators of t^0..t^(size-1), den).
+    """
+    genera = range(1, size)
+    missing = [g for g in genera if any(g not in table for table in vertex)]
+    if missing:
+        raise ValueError(f"vertex data lacks genera {missing}, needed through genus {size - 1}")
+    m_pows, psi_pows, delta_pows = (_ladder(*numerators([0, *(table[g] for g in genera)]),
+                                            size - 1, size) for table in vertex)
+    mixed = [[(convolve(p, d, size), p_den * d_den) for p, p_den in psi_pows[:size - i]]
+             for i, (d, d_den) in enumerate(delta_pows)]
+    return m_pows, mixed
+
+
 def _raw_tables(vertex: VertexData, size: int):
     """The vertex-only sums of the raw route for added genus s < ``size``, built once per grid.
 
@@ -352,40 +366,20 @@ def _raw_tables(vertex: VertexData, size: int):
     them) as integer numerators: marked over its least common denominator,
     inserted over its own, and den the product of the two.  A k-th power
     counts each list of k parts once per ordering, multinomial(k, repeats)
-    = k! / prod(repeats!) times, so with the vertex series
-    M = sum_g mu1[g] t^g, Psi and Delta (from mu0_psi and mu0_div),
+    = k! / prod(repeats!) times, so with the series of `_vertex_powers`,
     marked[s][k] = [t^s] M^k and inserted[s][k][j] = C(k, j) [t^s]
     Psi^j Delta^(k-j) / k!, the binomial from the x^j part of
-    (Delta + x Psi)^k.  The vertex values are scaled over the lcm D of their
-    denominators, so the powers are integer `convolve`s over D^k (D^k k! for
-    the insertions); only the finished rows are reduced.
+    (Delta + x Psi)^k.
     """
-    genera = range(1, size)
-    missing = [g for g in genera if any(g not in table for table in vertex)]
-    if missing:
-        raise ValueError(f"vertex data lacks genera {missing}, needed through genus {size - 1}")
-    den_v = lcm(*(table[g].denominator for table in vertex for g in genera))
-    m_series, psi, delta = ([0] + [table[g].numerator * (den_v // table[g].denominator)
-                                   for g in genera] for table in vertex)
-
-    def powers(base, f, top):  # base f^i for i = 0..top, through t^(size-1)
-        return list(accumulate(range(top), lambda p, _: convolve(p, f, size), initial=base))
-
-    one = [1] + [0] * (size - 1)
-    m_pow = powers(one, m_series, size - 1)
-    # mixed[j][i] = Psi^j Delta^i for j + i < size
-    mixed = [powers(p, delta, size - 1 - j) for j, p in enumerate(powers(one, psi, size - 1))]
-    marked = [[m_pow[k][s] for k in range(s + 1)] for s in range(size)]
-    inserted = [[[comb(k, j) * mixed[j][k - j][s] for j in range(k + 1)] for k in range(s + 1)]
-                for s in range(size)]
-    m_q = [den_v**k for k in range(size)]
-    i_q = [q * factorial(k) for k, q in enumerate(m_q)]
+    m_pows, mixed = _vertex_powers(vertex, size)
+    marked = [[(m_pows[k][0][s], m_pows[k][1]) for k in range(s + 1)] for s in range(size)]
+    inserted = [[[(comb(k, j) * mixed[k - j][j][0][s], mixed[k - j][j][1] * factorial(k))
+                  for j in range(k + 1)] for k in range(s + 1)] for s in range(size)]
     # x / q in lowest terms has denominator q // gcd(x, q)
-    m_den = lcm(*(m_q[k] // gcd(x, m_q[k]) for row in marked for k, x in enumerate(row)))
-    i_den = lcm(*(i_q[k] // gcd(x, i_q[k])
-                  for row in inserted for k, by_k in enumerate(row) for x in by_k))
-    return (tuple(tuple(x * m_den // m_q[k] for k, x in enumerate(row)) for row in marked),
-            tuple(tuple(tuple(x * i_den // i_q[k] for x in by_k) for k, by_k in enumerate(row))
+    m_den = lcm(*(q // gcd(x, q) for row in marked for x, q in row))
+    i_den = lcm(*(q // gcd(x, q) for row in inserted for by_k in row for x, q in by_k))
+    return (tuple(tuple(x * m_den // q for x, q in row) for row in marked),
+            tuple(tuple(tuple(x * i_den // q for x, q in by_k) for by_k in row)
                   for row in inserted),
             m_den * i_den)
 

@@ -904,10 +904,11 @@ def test_verify_identities_builds_one_expansion(capsys, monkeypatch):
 
 
 def test_verify_identities_computes_each_vertex_constant_once(capsys, monkeypatch):
-    # the raw grid's vertex table and the two expansion checks share one build
-    # of the vertex values at the top genus, which builds S once; mu_{g,1} reads
-    # it.  The memo is per top genus, so it is cleared to see this call's build
-    hodge.mu_values.cache_clear()
+    # both grids' vertex series and the two expansion checks share one build
+    # of the vertex values, at the eq grid's top genus, which builds S once;
+    # mu_{g,1} reads it.  The memo keeps the largest build, so it is emptied
+    # to see this call's build
+    monkeypatch.setattr(hodge, "_memo", ())
     orders = []
     build = hodge.sinc_half
 
@@ -918,33 +919,41 @@ def test_verify_identities_computes_each_vertex_constant_once(capsys, monkeypatc
     monkeypatch.setattr(hodge, "sinc_half", counting)
     assert main(["verify-identities", "--order", "10"]) == 0
     assert "overall: pass" in capsys.readouterr().out
-    # genera 1..5 from one build at order 2 * 5 + 2, the expansion at 12
-    assert sorted(orders) == [12, 12]
-    info = hodge.mu_values.cache_info()
-    assert (info.misses, info.currsize) == (1, 1)
+    # genera 1..6 from one build at order 2 * 6 + 2, the expansion at 12
+    assert sorted(orders) == [12, 14]
+    assert len(hodge._memo) == 6
+    # every smaller top, and each single genus, reads a prefix of that build
+    assert hodge.mu_values(5) == hodge._memo[:5]
+    assert [hodge.mu_g1(g) for g in range(1, 7)] == [mv.a1 for mv in hodge._memo]
+    assert sorted(orders) == [12, 14]
 
 
 @pytest.mark.parametrize("order", (0, 1, 8, 11))
 def test_verify_identities_builds_one_table_and_one_vertex_build(order, capsys, monkeypatch):
     # one table of sine powers serves both grids' closed sides, and one build
-    # of the vertex values serves the raw grid and both expansion checks
-    tables, vertex_builds = [], []
-    table, vertex = wallcross._sine_powers, hodge.mu_values.__wrapped__
+    # of the vertex values, at genus order // 2 + 1, serves both grids and
+    # both expansion checks: S is built for it through u^(2 top + 2) and for
+    # the expansion through u^(2 top), and nowhere else in hodge
+    monkeypatch.setattr(hodge, "_memo", ())
+    tables, sinc_orders = [], []
+    table, sinc = wallcross._sine_powers, hodge.sinc_half
 
     def counting_table(ks, size):
         tables.append((sorted(set(ks)), size))
         return table(ks, size)
 
-    def counting_vertex(g_top):
-        vertex_builds.append(g_top)
-        return vertex(g_top)
+    def counting_sinc(order):
+        sinc_orders.append(order)
+        return sinc(order)
 
     monkeypatch.setattr(wallcross, "_sine_powers", counting_table)
-    monkeypatch.setattr(hodge, "mu_values", functools.cache(counting_vertex))
+    monkeypatch.setattr(hodge, "sinc_half", counting_sinc)
     assert main(["verify-identities", "--order", str(order), "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
     assert tables == [(list(range(-18, 13)), order // 2 + 2)]
-    assert vertex_builds == [order // 2]
+    top = order // 2 + 1
+    assert sorted(sinc_orders) == [2 * top, 2 * top + 2]
+    assert len(hodge._memo) == top
 
 
 # ---------------------------------------------------------------- exit 1
@@ -1063,6 +1072,36 @@ def test_verify_identities_expansion_failure_exits_1(capsys, monkeypatch, genus,
     assert captured.out == (text if fmt == "text" else doc)
     assert f"first failure genus {genus}: {details[0]}\n" in text
     assert captured.err == "check failed: identity verification failed\n"
+
+
+def test_verify_identities_shared_vertex_build_hides_no_fault(capsys, monkeypatch):
+    # one build of the vertex values serves both grids and the closed-form
+    # check, so a fault in it shows in all three: b_3 (the coefficient of
+    # 3H + c1 in mu_{3,0}) bumped by 1/1000 is Delta's x^3 term in the raw
+    # grid's insertions and t2's in the eq basis, and the expansion disagrees
+    # with it; mu_{3,1} = a_3 is untouched, so the ratio check alone passes
+    build, bump = hodge.mu_values, Fraction(1, 1000)
+
+    def bumped(g_top):
+        values = list(build(g_top))
+        if g_top >= 3:
+            mv = values[2]
+            values[2] = mv._replace(a_H=mv.a_H + 3 * bump, a_c1=mv.a_c1 + bump)
+        return tuple(values)
+
+    monkeypatch.setattr(hodge, "mu_values", bumped)
+    assert main(["verify-identities", "--order", "10", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "check failed: identity verification failed\n"
+    checks = json.loads(captured.out)["checks"]
+    assert [(check["name"], check["passed"]) for check in checks] == [
+        ("raw-sum vs closed-form multiplier", False),
+        ("bracket-reduction sum vs closed form", False),
+        ("vertex closed form vs local expansion", False),
+        ("expansion ratio vs marked-point constants", True)]
+    # each grid first differs at u^6 = x^3, the expansion check at genus 3
+    assert [check["first_failure"].split(": ")[1] for check in checks[:2]] == ["u^6"] * 2
+    assert checks[2]["first_failure"].startswith("genus 3: ")
 
 
 @pytest.mark.parametrize("argv", [

@@ -349,7 +349,7 @@ def test_every_def_is_reached(tmp_path, monkeypatch, capsys):
         if event == "call":
             entered.add(frame.f_code)
 
-    hodge.mu_values.cache_clear()  # a memo hit would enter no code
+    monkeypatch.setattr(hodge, "_memo", ())  # a memo hit would enter no code
     statuses = []
     previous = sys.getprofile()
     sys.setprofile(record)

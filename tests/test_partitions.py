@@ -97,17 +97,13 @@ def test_descending_partitions_equal_the_recursion_in_order():
         assert walk_at_one_sum(total) == list(recursive_descending_partitions(total))
 
 
-def test_descending_walk_lists_each_tuple_once_after_its_prefixes():
-    # p(0..14); the walk up to top lists every partition of every s <= top
+def test_descending_walk_lists_each_tuple_once_and_every_tuple():
+    # p(0..14); the walk up to top lists every partition of every s <= top, each once
     p = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135]
     for top in range(15):
         walked = list(descending_walk(top))
         assert len(walked) == len(set(walked)) == sum(p[:top + 1])
         assert set(walked) == {parts for s in range(top + 1) for parts in partition_oracle(s)}
-        last = []  # last[k]: the last tuple walked of length k
-        for parts in walked:
-            assert last[:len(parts)] == [parts[:k] for k in range(len(parts))]
-            last[len(parts):] = [parts]
     for top in range(-3, 0):  # no tuple, not even (), has a negative sum
         assert list(descending_walk(top)) == []
 

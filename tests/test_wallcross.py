@@ -1,6 +1,7 @@
 """Transform layer: sine multipliers, the raw combinatorial sum, genus tables."""
 
 import random
+import re
 from fractions import Fraction as F
 from itertools import product
 from math import comb, factorial, gcd, lcm, prod
@@ -8,7 +9,7 @@ from math import comb, factorial, gcd, lcm, prod
 import pytest
 from hypothesis import given, strategies as st
 
-from sinewall import series, wallcross
+from sinewall import hodge, series, wallcross
 from sinewall.partitions import (
     descending_walk,
     enumerate_threefold_partitions,
@@ -207,6 +208,47 @@ def test_eq_basis_equals_the_series_products():
     assert wallcross._eq_basis(0) == (((),), 1)  # below u^0: no product has a coefficient
 
 
+def vertex_eq_basis(size):
+    """`_eq_basis` as Psi^a1 Delta^a2 of the standard vertex, by plain `Fraction` products.
+
+    Psi = sum_g mu0_psi[g] x^g and Delta = sum_g mu0_div[g] x^g are read off
+    `VertexData.standard(size - 1)`; every power and product is a schoolbook
+    product truncated below x^size, with no `convolve` and no `_ladder`.
+    """
+    vertex = VertexData.standard(size - 1)
+    psi, delta = ([F(0)] + [table[g] for g in range(1, size)] for table in vertex[1:])
+
+    def times(a, b):  # both start at x^0 and run to x^(size - 1)
+        out = [F(0)] * size
+        for i, x in enumerate(a):
+            for j, y in enumerate(b[:size - i]):
+                if x and y:
+                    out[i + j] += x * y
+        return out
+
+    one = [F(int(i == 0)) for i in range(size)]
+    psi_pows, delta_pows = [one], [one]
+    for _ in range(size - 1):
+        psi_pows.append(times(psi_pows[-1], psi))
+        delta_pows.append(times(delta_pows[-1], delta))
+    # one row of a1 per a2 < size; at size 0 the single empty row of a2 = 0
+    terms = [[times(psi_pows[a1], delta_pows[a2]) for a1 in range(size - a2)]
+             for a2 in range(max(size, 1))]
+    den = lcm(*(b.denominator for row in terms for term in row for b in term))
+    return (tuple(tuple(tuple((i, b.numerator * (den // b.denominator))
+                              for i, b in enumerate(term) if b)
+                        for term in row)
+                  for row in terms),
+            den)
+
+
+def test_eq_basis_is_the_standard_vertex_table():
+    # t1 = S^2 - 1 = Psi and t2 = S^2 log S = Delta: the eq basis is the
+    # standard vertex's Psi^a1 Delta^a2, the table the raw grid reads
+    for size in range(31):
+        assert wallcross._eq_basis(size) == vertex_eq_basis(size), size
+
+
 def test_eq_sum_rational_arguments():
     # the integer-numerator combination must clear the denominators of m1, m2
     order = 11
@@ -225,18 +267,24 @@ def _raise_if_called(name):
 
 
 def test_eq_sum_uses_no_closed_form_kernel(monkeypatch):
+    # the eq route reads the vertex values and multiplies in integers: it
+    # calls no power kernel of the closed side (pow_int, sine_factor,
+    # _sine_powers) and builds no S or log S of its own
     want = {m: pow_int(sinc_half(13), int(2 * m[0] + m[1])) for m in ((-2, 3), (F(1, 2), 1))}
     assert not hasattr(wallcross, "exp")
-    for name in ("pow_int", "sine_factor", "_sine_powers"):
-        monkeypatch.setattr(wallcross, name, _raise_if_called(name))
+    for module, name in ((wallcross, "pow_int"), (series, "pow_int"), (wallcross, "sine_factor"),
+                         (wallcross, "_sine_powers"), (wallcross, "sinc_half"),
+                         (wallcross, "log")):
+        monkeypatch.setattr(module, name, _raise_if_called(name))
+    monkeypatch.setattr(hodge, "_memo", ())  # so that the vertex values are built here too
     basis = wallcross._eq_basis(7)  # x^0..x^6 lie below u^13
-    for m, series in want.items():  # each call builds its basis from S and log S
-        assert eq_sum(*m, 13) == series
+    for m, closed in want.items():  # each call builds its basis from the vertex values
+        assert eq_sum(*m, 13) == closed
     for name in ("sinc_half", "log"):
-        monkeypatch.setattr(wallcross, name, _raise_if_called(name))
-    for (m1, m2), series in want.items():  # on a prebuilt basis: no series kernel at all
+        monkeypatch.setattr(hodge, name, _raise_if_called(name))
+    for (m1, m2), closed in want.items():  # on a prebuilt basis: no series kernel at all
         ((nums, den),) = wallcross._eq_cells(basis, m1, (m2,), 7)
-        assert wallcross._from_numerators(nums, den, 13) == series
+        assert wallcross._from_numerators(nums, den, 13) == closed
 
 
 def test_eq_sum_refuses_a_float_argument():
@@ -425,12 +473,16 @@ def test_sine_powers_equal_sine_factor():
 
 
 def test_sine_powers_use_no_log_exp_or_sine_factor(monkeypatch):
-    # the closed side shares no kernel with the eq basis (log S) or with the
-    # transform (sine_factor): S, one inverse and integer products only
+    # the closed side shares no kernel with the vertex values both grids
+    # check (log S) or with the transform (sine_factor): S, one inverse and
+    # integer products only
     want = wallcross._sine_powers(range(-7, 8), 8)
     assert not hasattr(wallcross, "exp")
-    for name in ("log", "sine_factor"):
+    for name in ("log", "sine_factor", "_vertex_powers"):
         monkeypatch.setattr(wallcross, name, _raise_if_called(name))
+    # nor any vertex value, which both routes it checks are built from
+    monkeypatch.setattr(VertexData, "standard", _raise_if_called("VertexData.standard"))
+    monkeypatch.setattr(hodge, "mu_values", _raise_if_called("mu_values"))
     for name in ("exp", "log"):
         monkeypatch.setattr(series, name, _raise_if_called(name))
     assert wallcross._sine_powers(range(-7, 8), 8) == want
@@ -790,6 +842,22 @@ def test_genus_table_refuses_a_primitive_that_is_not_a_bool():
     for primitive in ("yes", 1, None):
         with pytest.raises(TypeError, match="primitive must be a bool"):
             GenusTable(Kind.GW, 0, primitive, {0: 1}, 2)
+
+
+def test_genus_table_refuses_a_bool_genus_or_a_value_that_is_not_a_number():
+    # {True: True, 0: "1/3"} used to be read as {1: 1, 0: 1/3}
+    with pytest.raises(TypeError, match="genus must not be a bool, got True"):
+        GenusTable(Kind.UGW, 3, True, {True: 1}, 2)
+    with pytest.raises(TypeError, match="genus must not be a bool, got False"):
+        GenusTable(Kind.UGW, 3, True, {False: F(1, 2)}, 2)
+    for value in (True, False, "1/3", "1", None, [1]):
+        with pytest.raises(TypeError, match=r"value at genus 0 must be an int or a Fraction, "
+                                            rf"got {re.escape(repr(value))}"):
+            GenusTable(Kind.UGW, 3, True, {1: 1, 0: value}, 2)
+    with pytest.raises(ValueError, match="float values are not exact"):
+        GenusTable(Kind.UGW, 3, True, {0: 1.0}, 2)
+    # ints, Fractions and an integral genus of another type stay accepted
+    assert GenusTable(Kind.UGW, 3, True, {0: 2, F(1): F(1, 3)}, 2).values == {0: 2, 1: F(1, 3)}
 
 
 def test_transform_line_class_values():
