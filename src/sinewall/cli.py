@@ -76,10 +76,8 @@ from .wallcross import (
     Kind,
     gw_from_ugw,
     sine_factor,
-    sine_power_table,
     ugw_from_gw,
-    verify_eq_sum,
-    verify_raw_equals_closed,
+    verify_grids,
 )
 
 # Largest accepted values, each keeping one call to a few seconds.  The
@@ -341,13 +339,7 @@ def _handle_check_integrality(ns: SimpleNamespace) -> tuple[str, str | None]:
 
 def _handle_verify_identities(ns: SimpleNamespace) -> tuple[str, str | None]:
     order = ns.order
-    # one table of sine powers for both grids' closed sides: the eq grid reads
-    # 2 m1 + m2 = -18..12 through u^(order + 2), which holds the raw grid's
-    # 2 g0 - 2 + c = -4..10 through u^order.  It runs first, as it reads the
-    # vertex values one genus further, so their one build serves all four rows
-    closed = sine_power_table(range(-18, 13), order + 2)
-    eq = verify_eq_sum(order=order + 2, closed=closed)
-    grids = (verify_raw_equals_closed(order=order, closed=closed), eq)
+    grids = verify_grids(order)
     expansion = i_function_expansion(2 * (order // 2) + 2)
     checks = (("vertex closed form vs local expansion", verify_mu_consistency(expansion)),
               ("expansion ratio vs marked-point constants", verify_i_ratio(expansion)))

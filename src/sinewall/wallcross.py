@@ -49,8 +49,9 @@ and for fixed m1 each coefficient is a polynomial in m2, evaluated at every
 m2 by Horner (`_eq_cells`).  Both grids read their closed sides from a
 table of sine powers (`_sine_powers`): S^k for the exponents the grid
 reads, with no `log`, `exp` or vertex value.  Called alone, a grid builds
-its own; given ``closed`` (a `sine_power_table`), it cuts each row to its
-own order, so one table per `verify-identities` call serves both grids.
+its own tables.  `verify_grids`, the two grids of `verify-identities`,
+builds the table of sine powers and the table of Psi^j Delta^i once, at
+the eq grid's size, and the raw grid reads both cut to its own (`_cut`).
 Neither computed side builds S: both read one build of the vertex values.
 
 Every series the grids compare is even in u, so their helpers work in
@@ -75,8 +76,8 @@ from .series import USeries, convolve, log, numerators, pow_int, sinc_half
 
 __all__ = [
     "GenusTable", "GridCell", "GridReport", "Kind", "MissingGenus", "VertexData",
-    "correction_raw_sum", "eq_sum", "gw_from_ugw", "sine_factor", "sine_power_table",
-    "ugw_from_gw", "verify_eq_sum", "verify_raw_equals_closed",
+    "correction_raw_sum", "eq_sum", "gw_from_ugw", "sine_factor", "ugw_from_gw",
+    "verify_eq_sum", "verify_grids", "verify_raw_equals_closed",
 ]
 
 
@@ -105,8 +106,9 @@ class GenusTable(Record, fields="kind c primitive values g_max"):
     primitive; both travel with the table unchanged.  ``c`` must be an int
     and ``primitive`` a bool: anything else is refused with TypeError, since
     a float c would reach the series kernels and a truthy non-bool would
-    pass the GV gate.  So are a bool genus and a value that is neither an
-    int nor a Fraction; a float value is refused with ValueError, as inexact.
+    pass the GV gate.  So are a genus that is not an int, even one equal to
+    an int, and a value that is neither an int nor a Fraction; a float value
+    is refused with ValueError, as inexact.
     """
 
     __slots__ = ()
@@ -120,18 +122,14 @@ class GenusTable(Record, fields="kind c primitive values g_max"):
             raise TypeError(f"primitive must be a bool, got {primitive!r}")
         clean = {}
         for g, v in values.items():
-            if isinstance(g, bool):
-                raise TypeError(f"genus must not be a bool, got {g!r}")
-            gi = int(g)
-            if gi != g:
-                raise ValueError(f"genus {g!r} is not an integer")
-            if gi < 0 or gi > g_max:
-                raise ValueError(f"genus {gi} outside 0..{g_max}")
+            _int_arg("genus", g)
+            if g < 0 or g > g_max:
+                raise ValueError(f"genus {g} outside 0..{g_max}")
             if isinstance(v, float):
                 raise ValueError("float values are not exact; pass Fraction or int")
             if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-                raise TypeError(f"value at genus {gi} must be an int or a Fraction, got {v!r}")
-            clean[gi] = Fraction(v)
+                raise TypeError(f"value at genus {g} must be an int or a Fraction, got {v!r}")
+            clean[g] = Fraction(v)
         return super().__new__(cls, kind, c, primitive, clean, g_max)
 
     def value(self, g: int) -> Fraction:
@@ -181,39 +179,17 @@ def _sine_powers(ks: Iterable[int], size: int) -> dict[int, tuple[list[int], int
     return {k: (up if k >= 0 else down)[abs(k)] for k in ks}
 
 
-def sine_power_table(ks: Iterable[int], order: int) -> dict[int, tuple[list[int], int]]:
-    """S^k for every k in ks through u^order inclusive, as `_sine_powers` builds it.
-
-    The ``closed`` argument of both identity grids: one table built for the
-    larger of two grids serves both, each grid reading its exponents cut to
-    its own order.
-    """
-    return _sine_powers(ks, max(order // 2 + 1, 0))
-
-
-def _closed_sides(closed: Mapping[int, tuple[list[int], int]] | None, ks: set[int],
-                  size: int) -> dict[int, tuple[list[int], int]]:
-    """A grid's closed sides, S^k for k in ks through x^(size-1): its own table, or ``closed`` cut.
-
-    Each row of ``closed`` is cut to x^0..x^(size-1) and put back in lowest
-    terms, so the result equals `_sine_powers(ks, size)`.  A supplied table
-    that lacks an exponent or is too short is refused with ValueError
-    rather than compared short.
-    """
-    if closed is None:
-        return _sine_powers(ks, size)
-    short = sorted(k for k in ks if k not in closed or len(closed[k][0]) < size)
-    if short:
-        raise ValueError(f"closed table lacks exponents {short} through x^{size - 1}")
+def _cut(table, size: int) -> dict[int, tuple[list[int], int]]:
+    """A `_sine_powers` table cut to x^0..x^(size-1), each row put back in lowest terms."""
     cut = {}
-    for k in ks:
-        nums, den = closed[k][0][:size], closed[k][1]
+    for k, (nums, den) in table.items():
+        nums = nums[:size]
         g = gcd(den, *nums)
         cut[k] = [x // g for x in nums], den // g
     return cut
 
 
-def _eq_basis(size: int):
+def _eq_basis(size: int, mixed=None):
     """The products t1^a1 t2^a2 of x^0..x^(size-1), x = u^2, that `eq_sum` combines.
 
     Returns (rows, den): row a2, entry a1 is a tuple of (exponent in x,
@@ -221,9 +197,11 @@ def _eq_basis(size: int):
     sum_g mu_{g,1} x^g and t2 = S^2 log S = sum_g b_g x^g are the standard
     vertex's series Psi and Delta, so the basis is its table of
     Psi^a1 Delta^a2 (`_vertex_powers`), the one the raw grid reads, put over
-    one denominator.
+    one denominator.  ``mixed`` is that table when the caller has built it
+    at this size; without it the basis builds its own.
     """
-    _, mixed = _vertex_powers(VertexData.standard(size - 1), size)
+    if mixed is None:
+        mixed = _vertex_powers(VertexData.standard(size - 1), size)
     # x / d in lowest terms has denominator d // gcd(x, d)
     den = lcm(*(d // gcd(x, d) for row in mixed for nums, d in row for x in nums))
     rows = tuple(tuple(tuple((i, x * den // d) for i, x in enumerate(nums) if x)
@@ -332,26 +310,29 @@ class VertexData(Record, fields="mu1 mu0_psi mu0_div"):
         return self._replace(**{field: table})
 
 
-def _vertex_powers(vertex: VertexData, size: int):
-    """The powers of the vertex series that both identity grids read, through t^(size-1).
+def _series_powers(table: Mapping[int, Fraction], size: int) -> list[tuple[list[int], int]]:
+    """The `_ladder` rungs F^k, k < size, of F = sum_g table[g] t^g, g = 1..size-1."""
+    return _ladder(*numerators([0, *(table[g] for g in range(1, size))]), size - 1, size)
 
-    With M, Psi and Delta the series sum_g table[g] t^g of mu1, mu0_psi and
-    mu0_div, returns (m_pows, mixed): the `_ladder` rungs m_pows[k] = M^k,
-    and mixed[i][j] = Psi^j Delta^i for i + j < size, one `convolve` of a
-    Psi rung and a Delta rung.  Each is (numerators of t^0..t^(size-1), den).
+
+def _vertex_powers(vertex: VertexData, size: int):
+    """The table of vertex-series powers that both identity grids read, through t^(size-1).
+
+    With Psi and Delta the series sum_g table[g] t^g of mu0_psi and
+    mu0_div, returns mixed[i][j] = Psi^j Delta^i for i + j < size, one
+    `convolve` of a Psi rung and a Delta rung, each as (numerators of
+    t^0..t^(size-1), den).  Every table of ``vertex``, mu1 included, must
+    hold genera 1..size-1, or ValueError names the missing ones.
     """
-    genera = range(1, size)
-    missing = [g for g in genera if any(g not in table for table in vertex)]
+    missing = [g for g in range(1, size) if any(g not in table for table in vertex)]
     if missing:
         raise ValueError(f"vertex data lacks genera {missing}, needed through genus {size - 1}")
-    m_pows, psi_pows, delta_pows = (_ladder(*numerators([0, *(table[g] for g in genera)]),
-                                            size - 1, size) for table in vertex)
-    mixed = [[(convolve(p, d, size), p_den * d_den) for p, p_den in psi_pows[:size - i]]
-             for i, (d, d_den) in enumerate(delta_pows)]
-    return m_pows, mixed
+    psi_pows, delta_pows = (_series_powers(table, size) for table in vertex[1:])
+    return [[(convolve(p, d, size), p_den * d_den) for p, p_den in psi_pows[:size - i]]
+            for i, (d, d_den) in enumerate(delta_pows)]
 
 
-def _raw_tables(vertex: VertexData, size: int):
+def _raw_tables(vertex: VertexData, size: int, mixed=None):
     """The vertex-only sums of the raw route for added genus s < ``size``, built once per grid.
 
     Returns (marked, inserted, den) with, for added genus s < size,
@@ -366,12 +347,15 @@ def _raw_tables(vertex: VertexData, size: int):
     them) as integer numerators: marked over its least common denominator,
     inserted over its own, and den the product of the two.  A k-th power
     counts each list of k parts once per ordering, multinomial(k, repeats)
-    = k! / prod(repeats!) times, so with the series of `_vertex_powers`,
+    = k! / prod(repeats!) times, so with M = sum_g mu1[g] t^g,
     marked[s][k] = [t^s] M^k and inserted[s][k][j] = C(k, j) [t^s]
     Psi^j Delta^(k-j) / k!, the binomial from the x^j part of
-    (Delta + x Psi)^k.
+    (Delta + x Psi)^k.  The Psi^j Delta^i are ``mixed``, the `_vertex_powers`
+    table of ``vertex`` at this size or larger, or a table built here.
     """
-    m_pows, mixed = _vertex_powers(vertex, size)
+    if mixed is None:
+        mixed = _vertex_powers(vertex, size)
+    m_pows = _series_powers(vertex.mu1, size)
     marked = [[(m_pows[k][0][s], m_pows[k][1]) for k in range(s + 1)] for s in range(size)]
     inserted = [[[(comb(k, j) * mixed[k - j][j][0][s], mixed[k - j][j][1] * factorial(k))
                   for j in range(k + 1)] for k in range(s + 1)] for s in range(size)]
@@ -557,9 +541,7 @@ def _grid_cells(computed: Iterable, closed: Mapping[int, tuple[list[int], int]]
 def verify_raw_equals_closed(g0_max: int = 3, n_max: int = 4,
                              c_range: Iterable[int] = range(-2, 7),
                              order: int = 10,
-                             vertex: VertexData | None = None,
-                             closed: Mapping[int, tuple[list[int], int]] | None = None
-                             ) -> GridReport:
+                             vertex: VertexData | None = None) -> GridReport:
     """Check correction_raw_sum == S^(2 g0 - 2 + c) on a (g0, n, c) grid.
 
     Coefficients are compared for every exponent up to ``order``
@@ -567,18 +549,21 @@ def verify_raw_equals_closed(g0_max: int = 3, n_max: int = 4,
     side's by cross-multiplication.  Failures become report cells, never
     exceptions; an entry of ``c_range`` that is not an int is refused with
     TypeError.  Without ``vertex`` the standard table is built once for
-    the whole grid.  The closed sides come from one table of sine powers,
-    one entry per exponent k = 2 g0 - 2 + c: ``closed`` (a
-    `sine_power_table` through u^order or further) or, without it, one
-    built for this grid.  The insertion polynomials are built once per
-    bracket 2 g0 - 2 + n and the marked sums once per n.
+    the whole grid.  The closed sides come from one table of sine powers
+    built for this grid, one entry per exponent k = 2 g0 - 2 + c.  The
+    insertion polynomials are built once per bracket 2 g0 - 2 + n and the
+    marked sums once per n.
     """
     size = max(order // 2 + 1, 0)  # x^0..x^(size-1), x = u^2, reach u^order
     cs = sorted({_int_arg("c_range entry", c) for c in c_range})
-    closed = _closed_sides(closed, {2 * g0 - 2 + c for g0 in range(g0_max + 1) for c in cs}, size)
+    closed = _sine_powers({2 * g0 - 2 + c for g0 in range(g0_max + 1) for c in cs}, size)
     if vertex is None:
         vertex = VertexData.standard(size - 1)
-    tables = _raw_tables(vertex, size)
+    return _raw_report(g0_max, n_max, cs, _raw_tables(vertex, size), closed)
+
+
+def _raw_report(g0_max: int, n_max: int, cs, tables, closed) -> GridReport:
+    """The raw grid's report from its `_raw_tables` and its closed sides, both at its size."""
     den = tables[2]
     marked = [_marked_sums(tables, n) for n in range(n_max + 1)]
     inserted = {b: _inserted_polys(tables, b)
@@ -591,26 +576,45 @@ def verify_raw_equals_closed(g0_max: int = 3, n_max: int = 4,
 
 def verify_eq_sum(m1_range: Iterable[int] = range(-6, 1),
                   m2_range: Iterable[int] = range(-6, 13),
-                  order: int = 12,
-                  closed: Mapping[int, tuple[list[int], int]] | None = None) -> GridReport:
+                  order: int = 12) -> GridReport:
     """Check eq_sum(m1, m2) == (1 + t1)^{m1} exp(m2 log S) = S^{2 m1 + m2} on a grid.
 
     Coefficients are compared through exponent ``order`` inclusive, in
-    integers.  The closed cells come from one table of sine powers, one
-    entry per exponent 2 m1 + m2: ``closed`` (a `sine_power_table` through
-    u^order or further) or, without it, one built for this grid.  The basis
-    of `eq_sum` is built once for the grid, and `_eq_cells` forms one row of
-    m2 per m1.  An entry of either range that is not an int is refused with
-    TypeError.
+    integers.  The closed cells come from one table of sine powers built
+    for this grid, one entry per exponent 2 m1 + m2.  The basis of `eq_sum`
+    is built once for the grid, and `_eq_cells` forms one row of m2 per m1.
+    An entry of either range that is not an int is refused with TypeError.
     """
     size = max(order // 2 + 1, 0)  # x^0..x^(size-1), x = u^2, reach u^order
     m1s = sorted({_int_arg("m1_range entry", m) for m in m1_range})
     m2s = sorted({_int_arg("m2_range entry", m) for m in m2_range})
-    closed = _closed_sides(closed, {2 * m1 + m2 for m1 in m1s for m2 in m2s}, size)
-    basis = _eq_basis(size)
+    closed = _sine_powers({2 * m1 + m2 for m1 in m1s for m2 in m2s}, size)
+    return _eq_report(m1s, m2s, _eq_basis(size), size, closed)
+
+
+def _eq_report(m1s, m2s, basis, size: int, closed) -> GridReport:
+    """The eq grid's report from its `_eq_basis` and its closed sides, both at ``size``."""
     computed = (((m1, m2), 2 * m1 + m2, got, den)
                 for m1 in m1s for m2, (got, den) in zip(m2s, _eq_cells(basis, m1, m2s, size)))
     return GridReport("bracket-reduction sum vs closed form", _grid_cells(computed, closed))
+
+
+def verify_grids(order: int) -> tuple[GridReport, GridReport]:
+    """(`verify_raw_equals_closed(order=order)`, `verify_eq_sum(order=order + 2)`), built together.
+
+    The eq grid reads 2 m1 + m2 = -18..12 through u^(order + 2), which holds
+    the raw grid's 2 g0 - 2 + c = -4..10 through u^order.  So one table of
+    sine powers and one of Psi^j Delta^i (`_vertex_powers`), both at the eq
+    grid's size, serve both grids; the raw grid reads them cut to its own.
+    """
+    raw_size, eq_size = max(order // 2 + 1, 0), max(order // 2 + 2, 0)
+    m1s, m2s = range(-6, 1), range(-6, 13)  # the default grids of both verifiers
+    closed = _sine_powers({2 * m1 + m2 for m1 in m1s for m2 in m2s}, eq_size)
+    vertex = VertexData.standard(eq_size - 1)
+    mixed = _vertex_powers(vertex, eq_size)
+    return (_raw_report(3, 4, range(-2, 7), _raw_tables(vertex, raw_size, mixed),
+                        _cut(closed, raw_size)),
+            _eq_report(m1s, m2s, _eq_basis(eq_size, mixed), eq_size, closed))
 
 
 def _transform_matrix(c: int, g_max: int) -> list[list[Fraction]]:

@@ -30,7 +30,14 @@ from sinewall.cli import (
     parse_table_doc,
     table_to_doc,
 )
-from sinewall.wallcross import GenusTable, Kind, VertexData, ugw_from_gw
+from sinewall.wallcross import (
+    GenusTable,
+    Kind,
+    VertexData,
+    ugw_from_gw,
+    verify_eq_sum,
+    verify_raw_equals_closed,
+)
 
 
 def make_doc(kind="gw", c=4, primitive=True, g_max=2, values=None):
@@ -205,7 +212,7 @@ def _forbid_computation(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("computation started before the argument check")
 
-    for name in ("sine_power_table", "verify_raw_equals_closed", "sine_factor", "mu_values"):
+    for name in ("verify_grids", "sine_factor", "mu_values"):
         monkeypatch.setattr(cli, name, boom)
 
 
@@ -237,8 +244,7 @@ class _Reached(Exception):
 @pytest.mark.parametrize(
     "argv, name, limit, patched",
     [
-        (["verify-identities", "--order"], "order", cli.MAX_VERIFY_ORDER,
-         ("sine_power_table", "verify_raw_equals_closed")),
+        (["verify-identities", "--order"], "order", cli.MAX_VERIFY_ORDER, ("verify_grids",)),
         (["expand-sine", "--g", "1", "--c", "3", "--order"], "order", cli.MAX_SINE_ORDER,
          ("sine_factor",)),
         (["mu", "--format", "json", "--g-max"], "g_max", cli.MAX_MU_G_MAX, ("mu_values",)),
@@ -928,29 +934,46 @@ def test_verify_identities_computes_each_vertex_constant_once(capsys, monkeypatc
     assert sorted(orders) == [12, 14]
 
 
-@pytest.mark.parametrize("order", (0, 1, 8, 11))
+@pytest.mark.parametrize("order", (0, 1, 8, 11, 57))
 def test_verify_identities_builds_one_table_and_one_vertex_build(order, capsys, monkeypatch):
-    # one table of sine powers serves both grids' closed sides, and one build
-    # of the vertex values, at genus order // 2 + 1, serves both grids and
-    # both expansion checks: S is built for it through u^(2 top + 2) and for
-    # the expansion through u^(2 top), and nowhere else in hodge
+    # one table of sine powers serves both grids' closed sides, one table of
+    # Psi^j Delta^i serves both grids' computed sides, and one build of the
+    # vertex values, at genus order // 2 + 1, serves both grids and both
+    # expansion checks: S is built for it through u^(2 top + 2) and for the
+    # expansion through u^(2 top), and nowhere else in hodge.  The M ladder,
+    # of mu1, is built once, for the raw grid at its own size
     monkeypatch.setattr(hodge, "_memo", ())
-    tables, sinc_orders = [], []
-    table, sinc = wallcross._sine_powers, hodge.sinc_half
+    tables, powers, ladders, sinc_orders = [], [], [], []
+    table, power, ladder, sinc = (wallcross._sine_powers, wallcross._vertex_powers,
+                                  wallcross._series_powers, hodge.sinc_half)
 
     def counting_table(ks, size):
         tables.append((sorted(set(ks)), size))
         return table(ks, size)
+
+    def counting_powers(vertex, size):
+        powers.append((vertex, size))
+        return power(vertex, size)
+
+    def counting_ladder(values, size):
+        ladders.append((values, size))
+        return ladder(values, size)
 
     def counting_sinc(order):
         sinc_orders.append(order)
         return sinc(order)
 
     monkeypatch.setattr(wallcross, "_sine_powers", counting_table)
+    monkeypatch.setattr(wallcross, "_vertex_powers", counting_powers)
+    monkeypatch.setattr(wallcross, "_series_powers", counting_ladder)
     monkeypatch.setattr(hodge, "sinc_half", counting_sinc)
     assert main(["verify-identities", "--order", str(order), "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
     assert tables == [(list(range(-18, 13)), order // 2 + 2)]
+    ((vertex, size),) = powers
+    assert size == order // 2 + 2
+    assert [(values is vertex.mu1, n) for values, n in ladders] == [
+        (False, size), (False, size), (True, order // 2 + 1)]
     top = order // 2 + 1
     assert sorted(sinc_orders) == [2 * top, 2 * top + 2]
     assert len(hodge._memo) == top
@@ -1009,14 +1032,13 @@ def _verify_report(order, failures):
 
 def _bump_raw_vertex(monkeypatch):
     """Run the CLI's raw grid on a vertex table with mu_{1,1} bumped; return its report at 10."""
-    verify = cli.verify_raw_equals_closed
 
-    def bumped(**kwargs):
-        vertex = VertexData.standard(kwargs["order"] // 2).perturbed("mu1", 1, Fraction(1, 1000))
-        return verify(vertex=vertex, **kwargs)
+    def bumped(order):
+        vertex = VertexData.standard(order // 2).perturbed("mu1", 1, Fraction(1, 1000))
+        return verify_raw_equals_closed(order=order, vertex=vertex), verify_eq_sum(order=order + 2)
 
-    monkeypatch.setattr(cli, "verify_raw_equals_closed", bumped)
-    return bumped(order=10)
+    monkeypatch.setattr(cli, "verify_grids", bumped)
+    return bumped(10)[0]
 
 
 def _bump_expansion(monkeypatch, genus, power):
@@ -1102,6 +1124,25 @@ def test_verify_identities_shared_vertex_build_hides_no_fault(capsys, monkeypatc
     # each grid first differs at u^6 = x^3, the expansion check at genus 3
     assert [check["first_failure"].split(": ")[1] for check in checks[:2]] == ["u^6"] * 2
     assert checks[2]["first_failure"].startswith("genus 3: ")
+
+    # both grids read one table of Psi^j Delta^i, so a fault in it shows in
+    # both: Psi Delta's x^3 term bumped by 1/1000 is an insertion list of
+    # genus 3 in the raw grid and the t1 t2 term in the eq basis; the vertex
+    # values are untouched, so both expansion checks pass
+    monkeypatch.undo()
+    powers = wallcross._vertex_powers
+
+    def bumped_table(vertex, size):
+        mixed = powers(vertex, size)
+        nums, den = mixed[1][1]  # Psi^1 Delta^1
+        mixed[1][1] = [x * 1000 + den * (i == 3) for i, x in enumerate(nums)], den * 1000
+        return mixed
+
+    monkeypatch.setattr(wallcross, "_vertex_powers", bumped_table)
+    assert main(["verify-identities", "--order", "10", "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [check["passed"] for check in checks] == [False, False, True, True]
+    assert [check["first_failure"].split(": ")[1] for check in checks[:2]] == ["u^6"] * 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -1290,8 +1331,7 @@ def test_table_reader_leaves_the_rest_to_argparse():
 
 # the work that an exit-2 path must not reach: both transform matrices, both
 # grids, the vertex values and the power kernel, under every name a caller reads
-_WORK = ((wallcross, "_transform_matrix"), (wallcross, "_inverse_matrix"),
-         (cli, "verify_raw_equals_closed"), (cli, "verify_eq_sum"),
+_WORK = ((wallcross, "_transform_matrix"), (wallcross, "_inverse_matrix"), (cli, "verify_grids"),
          (hodge, "mu_values"), (cli, "mu_values"), (series, "pow_int"), (wallcross, "pow_int"))
 
 

@@ -28,6 +28,7 @@ from sinewall.wallcross import (
     sine_factor,
     ugw_from_gw,
     verify_eq_sum,
+    verify_grids,
     verify_raw_equals_closed,
 )
 
@@ -385,27 +386,59 @@ def test_grid_cells_compare_whole_rows_or_cross_multiply():
 
 
 def test_grids_read_a_shared_table_cut_to_their_order():
-    # one table through the larger order serves both grids: each cuts its rows
-    # to its own order and back to lowest terms, and reports as if it had
-    # built its own table, failures included
-    bad = VertexData.standard(5).perturbed("mu0_div", 2, F(1, 1000))
+    # one table of sine powers and one of Psi^j Delta^i, through the larger
+    # order, serve both grids: the raw grid reads each cut to its own order
+    # (the sine rows back in lowest terms) and reports as if it had built its
+    # own tables, failures included
+    bad = VertexData.standard(6).perturbed("mu0_div", 2, F(1, 1000))
     for order in (0, 1, 6, 9, 10):
-        closed = wallcross.sine_power_table(range(-18, 13), order + 2)
-        assert closed == wallcross._sine_powers(range(-18, 13), order // 2 + 2)
-        for size in range(order // 2 + 3):
+        size = order // 2 + 1
+        closed = wallcross._sine_powers(range(-18, 13), size + 1)
+        for n in range(size + 2):
+            cut = wallcross._cut(closed, n)
             for ks in ({0}, set(range(-4, 11)), set(range(-18, 13))):
-                assert wallcross._closed_sides(closed, ks, size) == wallcross._sine_powers(ks, size)
-        assert (verify_raw_equals_closed(order=order, closed=closed)
-                == verify_raw_equals_closed(order=order))
-        assert (verify_raw_equals_closed(1, 2, range(0, 3), order, bad, closed)
+                assert {k: cut[k] for k in ks} == wallcross._sine_powers(ks, n)
+        for vertex in (bad, VertexData.standard(size)):
+            tables = wallcross._raw_tables(vertex, size)
+            for n in (size, size + 1):
+                mixed = wallcross._vertex_powers(vertex, n)
+                assert wallcross._raw_tables(vertex, size, mixed) == tables
+        shared = wallcross._raw_tables(bad, size, wallcross._vertex_powers(bad, size + 1))
+        assert (wallcross._raw_report(1, 2, [0, 1, 2], shared, wallcross._cut(closed, size))
                 == verify_raw_equals_closed(1, 2, range(0, 3), order, bad))
-        assert verify_eq_sum(order=order + 2, closed=closed) == verify_eq_sum(order=order + 2)
-    # a table that lacks an exponent or an x-power is refused, not compared short
-    short = wallcross.sine_power_table(range(-4, 11), 8)
-    with pytest.raises(ValueError, match=r"lacks exponents \[-6, -5\] through x\^4"):
-        verify_raw_equals_closed(c_range=range(-4, 7), order=8, closed=short)
-    with pytest.raises(ValueError, match=r"lacks exponents \[-4, .*, 10\] through x\^5"):
-        verify_raw_equals_closed(order=10, closed=short)
+
+
+def test_verify_grids_equal_the_two_default_grids():
+    # the shared tables change no cell: the pair of reports equals the two
+    # grids called alone, at every order from -3 to 12
+    for order in range(-3, 13):
+        assert verify_grids(order) == (verify_raw_equals_closed(order=order),
+                                       verify_eq_sum(order=order + 2)), order
+
+
+def test_eq_paths_build_no_m_ladder(monkeypatch):
+    # M is the marked-point series of mu1, which only the raw route reads: the
+    # eq grid and eq_sum build the ladders of Psi and Delta alone
+    vertices, roles = [], []
+    standard, ladder = VertexData.standard, wallcross._series_powers
+
+    def recording_standard(cls, g_top):
+        vertices.append(standard(g_top))
+        return vertices[-1]
+
+    def recording(table, size):
+        roles.extend(name for vertex in vertices for name in ("mu1", "mu0_psi", "mu0_div")
+                     if getattr(vertex, name) is table)
+        return ladder(table, size)
+
+    monkeypatch.setattr(VertexData, "standard", classmethod(recording_standard))
+    monkeypatch.setattr(wallcross, "_series_powers", recording)
+    assert verify_eq_sum().passed
+    assert eq_sum(-2, 3, 9) == pow_int(sinc_half(9), -1)
+    assert roles == ["mu0_psi", "mu0_div"] * 2
+    roles.clear()
+    assert verify_raw_equals_closed(1, 1, [0], 4).passed
+    assert roles == ["mu0_psi", "mu0_div", "mu1"]
 
 
 def test_default_grids_build_each_closed_side_once(monkeypatch):
@@ -824,7 +857,7 @@ def test_genus_table_validation():
         GenusTable(Kind.GW, 0, True, {-1: 1}, 2)
     with pytest.raises(ValueError):
         GenusTable(Kind.GW, 0, True, {3: 1}, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         GenusTable(Kind.GW, 0, True, {F(1, 2): 1}, 2)
     with pytest.raises(ValueError):
         GenusTable(Kind.GW, 0, True, {0: 0.5}, 2)
@@ -845,19 +878,20 @@ def test_genus_table_refuses_a_primitive_that_is_not_a_bool():
 
 
 def test_genus_table_refuses_a_bool_genus_or_a_value_that_is_not_a_number():
-    # {True: True, 0: "1/3"} used to be read as {1: 1, 0: 1/3}
-    with pytest.raises(TypeError, match="genus must not be a bool, got True"):
-        GenusTable(Kind.UGW, 3, True, {True: 1}, 2)
-    with pytest.raises(TypeError, match="genus must not be a bool, got False"):
-        GenusTable(Kind.UGW, 3, True, {False: F(1, 2)}, 2)
+    # {True: True, 0: "1/3"} used to be read as {1: 1, 0: 1/3}, and
+    # {2.0: 1, Fraction(1): 2} as {2: 1, 1: 2}: a genus that is not an int is
+    # refused even when it equals one
+    for genus in (True, False, 2.0, F(1), F(1, 2), "1"):
+        with pytest.raises(TypeError, match=rf"genus must be an int, got {re.escape(repr(genus))}"):
+            GenusTable(Kind.UGW, 3, True, {genus: 1}, 2)
     for value in (True, False, "1/3", "1", None, [1]):
         with pytest.raises(TypeError, match=r"value at genus 0 must be an int or a Fraction, "
                                             rf"got {re.escape(repr(value))}"):
             GenusTable(Kind.UGW, 3, True, {1: 1, 0: value}, 2)
     with pytest.raises(ValueError, match="float values are not exact"):
         GenusTable(Kind.UGW, 3, True, {0: 1.0}, 2)
-    # ints, Fractions and an integral genus of another type stay accepted
-    assert GenusTable(Kind.UGW, 3, True, {0: 2, F(1): F(1, 3)}, 2).values == {0: 2, 1: F(1, 3)}
+    # int genera with int and Fraction values stay accepted
+    assert GenusTable(Kind.UGW, 3, True, {0: 2, 1: F(1, 3)}, 2).values == {0: 2, 1: F(1, 3)}
 
 
 def test_transform_line_class_values():
