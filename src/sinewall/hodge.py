@@ -74,8 +74,9 @@ def mu_values(g_top: int) -> tuple[MuValue, ...]:
     a_g = [u^{2g}] S^2 and b_g = [u^{2g}] (S^2 log S) for every genus are
     read off one S, S^2 and S^2 log S through u^{2 g_top}.  The largest
     build is kept and a smaller g_top reads its prefix: a `verify-identities`
-    call builds once, for both grids (`wallcross.verify_grids`), and its
-    expansion checks read a prefix.  Empty below g_top = 1.
+    call builds once, for the standard vertex table that both grids of
+    `wallcross.verify_grids` read, and its expansion checks read a prefix.
+    Empty below g_top = 1.
     """
     global _memo
     if g_top > len(_memo):

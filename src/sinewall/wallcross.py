@@ -37,21 +37,21 @@ C(n, k1) (once per n) and the insertion polynomials (`_inserted_polys`,
 from the psi falling products of `_bracket_factors`, once per bracket
 2 g0 - 2 + n, the only way they depend on g0 and n), and evaluates it at
 every c by Horner, for a grid and for a single `correction_raw_sum` alike.
-`verify_raw_equals_closed` builds the tables once for its whole grid and
-asserts exact coefficientwise agreement of the two routes, compared in
-integers: each closed row is put over the grid's one denominator once, so
-a cell is one comparison of whole rows (`_grid_cells`), and `_cell`
-cross-multiplies any other cell and names a failing cell's first mismatch.
-The inner coefficient identity it rests on, `eq_sum`, has the same design:
-t1 = S^2 - 1 and t2 = S^2 log S are the standard vertex's Psi and Delta,
-so its basis t1^a1 t2^a2 is the `_vertex_powers` table the raw grid reads,
-and for fixed m1 each coefficient is a polynomial in m2, evaluated at every
-m2 by Horner (`_eq_cells`).  Both grids read their closed sides from a
-table of sine powers (`_sine_powers`): S^k for the exponents the grid
-reads, with no `log`, `exp` or vertex value.  Called alone, a grid builds
-its own tables.  `verify_grids`, the two grids of `verify-identities`,
-builds the table of sine powers and the table of Psi^j Delta^i once, at
+`verify_grids`, the two identity grids of `verify-identities`, builds the
+tables once for its raw grid and asserts exact coefficientwise agreement of
+the two routes, compared in integers: each closed row is put over the grid's
+one denominator once, so a cell is one comparison of whole rows
+(`_grid_cells`), and `_cell` cross-multiplies any other cell and names a
+failing cell's first mismatch.  The inner coefficient identity of its other
+grid, `eq_sum`, has the same design: t1 = S^2 - 1 and t2 = S^2 log S are the
+standard vertex's Psi and Delta, so its basis t1^a1 t2^a2 is the
+`_vertex_powers` table the raw grid reads, and for fixed m1 each coefficient
+is a polynomial in m2, evaluated at every m2 by Horner (`_eq_cells`).  Both
+grids read their closed sides from one table of sine powers
+(`_sine_powers`): S^k for every exponent the grids read, with no `log`,
+`exp` or vertex value.  It and the table of Psi^j Delta^i are built once, at
 the eq grid's size, and the raw grid reads both cut to its own (`_cut`).
+`eq_sum` and `correction_raw_sum` build the same tables for their one cell.
 Neither computed side builds S: both read one build of the vertex values.
 
 Every series the grids compare is even in u, so their helpers work in
@@ -76,8 +76,7 @@ from .series import USeries, convolve, log, numerators, pow_int, sinc_half
 
 __all__ = [
     "GenusTable", "GridCell", "GridReport", "Kind", "MissingGenus", "VertexData",
-    "correction_raw_sum", "eq_sum", "gw_from_ugw", "sine_factor", "ugw_from_gw",
-    "verify_eq_sum", "verify_grids", "verify_raw_equals_closed",
+    "correction_raw_sum", "eq_sum", "gw_from_ugw", "sine_factor", "ugw_from_gw", "verify_grids",
 ]
 
 
@@ -103,19 +102,22 @@ class GenusTable(Record, fields="kind c primitive values g_max"):
 
     Genera above g_max are unknown, not zero.  ``c`` is the pairing of the
     curve class with c1(X) and ``primitive`` records whether the class is
-    primitive; both travel with the table unchanged.  ``c`` must be an int
-    and ``primitive`` a bool: anything else is refused with TypeError, since
-    a float c would reach the series kernels and a truthy non-bool would
-    pass the GV gate.  So are a genus that is not an int, even one equal to
-    an int, and a value that is neither an int nor a Fraction; a float value
-    is refused with ValueError, as inexact.
+    primitive; both travel with the table unchanged.  ``kind`` must be a
+    `Kind`, ``c`` and ``g_max`` ints and ``primitive`` a bool: anything else
+    is refused with TypeError, since a float c or g_max would reach the
+    series kernels, a string kind the transforms, and a truthy non-bool
+    would pass the GV gate.  So are a genus that is not an int, even one
+    equal to an int, and a value that is neither an int nor a Fraction; a
+    float value is refused with ValueError, as inexact.
     """
 
     __slots__ = ()
 
     def __new__(cls, kind: Kind, c: int, primitive: bool, values: Mapping[int, Fraction],
                 g_max: int):
-        if g_max < 0:
+        if not isinstance(kind, Kind):
+            raise TypeError(f"kind must be a Kind, got {kind!r}")
+        if _int_arg("g_max", g_max) < 0:
             raise ValueError("g_max must be nonnegative")
         _int_arg("c", c)
         if not isinstance(primitive, bool):
@@ -142,7 +144,9 @@ class GenusTable(Record, fields="kind c primitive values g_max"):
 
 
 def sine_factor(g: int, c: int, order: int) -> USeries:
-    """The multiplier S^(2g - 2 + c) with S = sin(u/2)/(u/2), truncated."""
+    """The multiplier S^(2g - 2 + c) with S = sin(u/2)/(u/2), truncated; g and c are ints."""
+    _int_arg("g", g)
+    _int_arg("c", c)
     if order <= 0:
         return USeries.zero(order)
     return pow_int(sinc_half(order), 2 * g - 2 + c)
@@ -189,19 +193,16 @@ def _cut(table, size: int) -> dict[int, tuple[list[int], int]]:
     return cut
 
 
-def _eq_basis(size: int, mixed=None):
-    """The products t1^a1 t2^a2 of x^0..x^(size-1), x = u^2, that `eq_sum` combines.
+def _eq_basis(mixed):
+    """The products t1^a1 t2^a2 that `eq_sum` combines, from the `_vertex_powers` table ``mixed``.
 
     Returns (rows, den): row a2, entry a1 is a tuple of (exponent in x,
-    numerator over den) pairs with the zeros left out.  t1 = S^2 - 1 =
-    sum_g mu_{g,1} x^g and t2 = S^2 log S = sum_g b_g x^g are the standard
-    vertex's series Psi and Delta, so the basis is its table of
-    Psi^a1 Delta^a2 (`_vertex_powers`), the one the raw grid reads, put over
-    one denominator.  ``mixed`` is that table when the caller has built it
-    at this size; without it the basis builds its own.
+    numerator over den) pairs with the zeros left out, x = u^2, through the
+    size of ``mixed``.  t1 = S^2 - 1 = sum_g mu_{g,1} x^g and
+    t2 = S^2 log S = sum_g b_g x^g are the standard vertex's series Psi and
+    Delta, so the basis is its table of Psi^a1 Delta^a2, the one the raw
+    grid reads, put over one denominator.
     """
-    if mixed is None:
-        mixed = _vertex_powers(VertexData.standard(size - 1), size)
     # x / d in lowest terms has denominator d // gcd(x, d)
     den = lcm(*(d // gcd(x, d) for row in mixed for nums, d in row for x in nums))
     rows = tuple(tuple(tuple((i, x * den // d) for i, x in enumerate(nums) if x)
@@ -210,7 +211,7 @@ def _eq_basis(size: int, mixed=None):
     return rows, den
 
 
-def eq_sum(m1, m2, order: int) -> USeries:
+def eq_sum(m1: int, m2: int, order: int) -> USeries:
     r"""The bracket-reduction double sum
 
         sum_{a1, a2 >= 0} (m2^{a2} / a2!) (ff(m1 - a2, a1) / a1!) t1^{a1} t2^{a2}
@@ -218,39 +219,35 @@ def eq_sum(m1, m2, order: int) -> USeries:
     with t1 = S^2 - 1 and t2 = S^2 log S, the standard vertex's series Psi
     and Delta, truncated at ``order``.  It collapses to
     (1 + t1)^{m1} exp(m2 log S) = S^{2 m1 + m2}; the closed form is what
-    `verify_eq_sum` tests against.  This call builds the basis
+    the eq grid of `verify_grids` tests against.  This call builds the basis
     t1^{a1} t2^{a2} (`_eq_basis`) for itself and forms its one cell with
-    `_eq_cells`, as the grid does for all of its cells.  m1 and m2 may be
-    rational: each must be an int or a Fraction (not a float, whose binary
-    expansion is not the number meant), or TypeError names it.
+    `_eq_cells`, as the grid does for all of its cells.  m1 and m2 must be
+    ints, or TypeError names them.
     """
-    for name, m in (("m1", m1), ("m2", m2)):
-        if isinstance(m, bool) or not isinstance(m, (int, Fraction)):
-            raise TypeError(f"{name} must be an int or a Fraction, got {m!r}")
+    _int_arg("m1", m1)
+    _int_arg("m2", m2)
     if order <= 0:
         return USeries.zero(order)
     size = (order + 1) // 2
-    ((nums, den),) = _eq_cells(_eq_basis(size), m1, (m2,), size)
+    basis = _eq_basis(_vertex_powers(VertexData.standard(size - 1), size))
+    ((nums, den),) = _eq_cells(basis, m1, (m2,), size)
     return _from_numerators(nums, den, order)
 
 
-def _eq_cells(basis, m1, m2s: Iterable, size: int) -> list[tuple[list[int], int]]:
-    """Per m2 in m2s, `eq_sum(m1, m2)` from `_eq_basis(size)` as (x-numerators, den).
+def _eq_cells(basis, m1: int, m2s: Iterable[int], size: int) -> list[tuple[list[int], int]]:
+    """Per m2 in m2s, `eq_sum(m1, m2)` from an `_eq_basis` of ``size`` as (x-numerators, den).
 
-    With m1 = p1/q1, m2 = p2/q2 and amax = size - 1, the term a1, a2
-    times (amax! q1^amax)(amax! q2^amax) has the integer coefficient
-    p2^a2 q2^(amax - a2) (amax! / a2!) q1^(amax - a1) (amax! / a1!)
-    prod_{i < a1} (p1 - (a2 + i) q1).  So for fixed m1 each x-coefficient is
-    a homogeneous polynomial in (p2, q2), summed over the basis once and
-    evaluated at each m2 by Horner.  t1 and t2 both start at x^1, so the
-    coefficient of x^i has degree at most i in p2.
+    With amax = size - 1, the term a1, a2 times (amax!)^2 has the integer
+    coefficient m2^a2 (amax! / a2!) (amax! / a1!) prod_{i < a1} (m1 - a2 - i).
+    So for fixed m1 each x-coefficient is a polynomial in m2, summed over the
+    basis once and evaluated at each m2 by Horner.  t1 and t2 both start at
+    x^1, so the coefficient of x^i has degree at most i in m2.
     """
     rows, den = basis
     amax = len(rows) - 1
-    p1, q1 = m1.as_integer_ratio()
     top = factorial(amax)
-    w1 = [q1 ** (amax - a) * (top // factorial(a)) for a in range(amax + 1)]
-    by_x = [[0] * (amax + 1) for _ in range(size)]  # by_x[i][a2]: of p2^a2 q2^(amax - a2) in x^i
+    w1 = [top // factorial(a) for a in range(amax + 1)]
+    by_x = [[0] * (amax + 1) for _ in range(size)]  # by_x[i][a2]: of m2^a2 in x^i
     for a2, row in enumerate(rows):
         ff = top // factorial(a2)
         for a1, term in enumerate(row):
@@ -259,22 +256,19 @@ def _eq_cells(basis, m1, m2s: Iterable, size: int) -> list[tuple[list[int], int]
             coef = ff * w1[a1]
             for i, b in term:
                 by_x[i][a2] += coef * b
-            ff *= p1 - (a2 + a1) * q1
-    for poly in by_x:
+            ff *= m1 - a2 - a1
+    for poly in by_x:  # so that Horner skips the top zero coefficients
         while poly and not poly[-1]:
             poly.pop()
     cells = []
     for m2 in m2s:
-        p2, q2 = m2.as_integer_ratio()
-        polys = by_x if q2 == 1 else [[x * q2 ** (amax - a) for a, x in enumerate(poly)]
-                                      for poly in by_x]
         nums = []
-        for poly in polys:
+        for poly in by_x:
             acc = 0
             for x in reversed(poly):
-                acc = acc * p2 + x
+                acc = acc * m2 + x
             nums.append(acc)
-        cells.append((nums, den * w1[0] * top * q2**amax))
+        cells.append((nums, den * top * top))
     return cells
 
 
@@ -332,7 +326,7 @@ def _vertex_powers(vertex: VertexData, size: int):
             for i, (d, d_den) in enumerate(delta_pows)]
 
 
-def _raw_tables(vertex: VertexData, size: int, mixed=None):
+def _raw_tables(vertex: VertexData, size: int, mixed):
     """The vertex-only sums of the raw route for added genus s < ``size``, built once per grid.
 
     Returns (marked, inserted, den) with, for added genus s < size,
@@ -351,10 +345,8 @@ def _raw_tables(vertex: VertexData, size: int, mixed=None):
     marked[s][k] = [t^s] M^k and inserted[s][k][j] = C(k, j) [t^s]
     Psi^j Delta^(k-j) / k!, the binomial from the x^j part of
     (Delta + x Psi)^k.  The Psi^j Delta^i are ``mixed``, the `_vertex_powers`
-    table of ``vertex`` at this size or larger, or a table built here.
+    table of ``vertex`` at this size or larger.
     """
-    if mixed is None:
-        mixed = _vertex_powers(vertex, size)
     m_pows = _series_powers(vertex.mu1, size)
     marked = [[(m_pows[k][0][s], m_pows[k][1]) for k in range(s + 1)] for s in range(size)]
     inserted = [[[(comb(k, j) * mixed[k - j][j][0][s], mixed[k - j][j][1] * factorial(k))
@@ -457,12 +449,13 @@ def correction_raw_sum(g0: int, n: int, c: int, order: int,
     bracket stripped by `_bracket_factors` and the divisor weight, weighted
     1 / prod(repeats!)).  The u^{2 delta} coefficient is
     sum_s marked[s] inserted[delta - s], which is 1 at delta = 0.  Equals
-    S^{2 g0 - 2 + c}; `verify_raw_equals_closed` is the arbiter.  Without
-    ``vertex`` the standard table is built for this call.  A grid builds
-    the vertex table and its vertex-only sums once and evaluates them per
-    (g0, n) at all its c; this call builds both for itself, for one c.
+    S^{2 g0 - 2 + c}; the raw grid of `verify_grids` is the arbiter.
+    Without ``vertex`` the standard table is built for this call.  A grid
+    builds the vertex table and its vertex-only sums once and evaluates them
+    per (g0, n) at all its c; this call builds both for itself, for one c.
+    g0, n and c must be ints, or TypeError names them.
     """
-    if g0 < 0 or n < 0:
+    if _int_arg("g0", g0) < 0 or _int_arg("n", n) < 0:
         raise ValueError("g0 and n must be nonnegative")
     _int_arg("c", c)
     if order <= 0:
@@ -470,7 +463,7 @@ def correction_raw_sum(g0: int, n: int, c: int, order: int,
     size = (order + 1) // 2
     if vertex is None:
         vertex = VertexData.standard(size - 1)
-    tables = _raw_tables(vertex, size)
+    tables = _raw_tables(vertex, size, _vertex_powers(vertex, size))
     (nums,) = _raw_cells(_inserted_polys(tables, 2 * g0 - 2 + n), _marked_sums(tables, n), g0,
                          (c,))
     return _from_numerators(nums, tables[2], order)
@@ -538,83 +531,44 @@ def _grid_cells(computed: Iterable, closed: Mapping[int, tuple[list[int], int]]
     return tuple(cells)
 
 
-def verify_raw_equals_closed(g0_max: int = 3, n_max: int = 4,
-                             c_range: Iterable[int] = range(-2, 7),
-                             order: int = 10,
-                             vertex: VertexData | None = None) -> GridReport:
-    """Check correction_raw_sum == S^(2 g0 - 2 + c) on a (g0, n, c) grid.
+def verify_grids(order: int, vertex: VertexData | None = None) -> tuple[GridReport, GridReport]:
+    """The two identity grids of `verify-identities`: (raw grid, eq grid).
 
-    Coefficients are compared for every exponent up to ``order``
-    inclusive, in integers: each cell's numerators against the closed
-    side's by cross-multiplication.  Failures become report cells, never
-    exceptions; an entry of ``c_range`` that is not an int is refused with
-    TypeError.  Without ``vertex`` the standard table is built once for
-    the whole grid.  The closed sides come from one table of sine powers
-    built for this grid, one entry per exponent k = 2 g0 - 2 + c.  The
-    insertion polynomials are built once per bracket 2 g0 - 2 + n and the
-    marked sums once per n.
+    The raw grid checks correction_raw_sum == S^(2 g0 - 2 + c) for g0 in
+    0..3, n in 0..4 and c in -2..6, through u^order.  The eq grid checks
+    eq_sum(m1, m2) == (1 + t1)^{m1} exp(m2 log S) = S^{2 m1 + m2} for m1 in
+    -6..0 and m2 in -6..12, through u^(order + 2).  Coefficients are
+    compared in integers, and failures become report cells, never
+    exceptions.  The eq grid's exponents 2 m1 + m2 = -18..12 hold the raw
+    grid's 2 g0 - 2 + c = -4..10, so one table of sine powers and one of
+    Psi^j Delta^i (`_vertex_powers`), both at the eq grid's size, serve both
+    grids; the raw grid reads them cut to its own.  ``vertex`` feeds both
+    computed sides (the eq grid reads its Psi and Delta, not mu1); without
+    it the standard table is built once.  The insertion polynomials are
+    built once per bracket 2 g0 - 2 + n, the marked sums once per n and the
+    eq cells one row of m2 per m1.
     """
-    size = max(order // 2 + 1, 0)  # x^0..x^(size-1), x = u^2, reach u^order
-    cs = sorted({_int_arg("c_range entry", c) for c in c_range})
-    closed = _sine_powers({2 * g0 - 2 + c for g0 in range(g0_max + 1) for c in cs}, size)
-    if vertex is None:
-        vertex = VertexData.standard(size - 1)
-    return _raw_report(g0_max, n_max, cs, _raw_tables(vertex, size), closed)
-
-
-def _raw_report(g0_max: int, n_max: int, cs, tables, closed) -> GridReport:
-    """The raw grid's report from its `_raw_tables` and its closed sides, both at its size."""
-    den = tables[2]
-    marked = [_marked_sums(tables, n) for n in range(n_max + 1)]
-    inserted = {b: _inserted_polys(tables, b)
-                for b in {2 * g0 - 2 + n for g0 in range(g0_max + 1) for n in range(n_max + 1)}}
-    computed = (((g0, n, c), 2 * g0 - 2 + c, got, den)
-                for g0 in range(g0_max + 1) for n in range(n_max + 1)
-                for c, got in zip(cs, _raw_cells(inserted[2 * g0 - 2 + n], marked[n], g0, cs)))
-    return GridReport("raw-sum vs closed-form multiplier", _grid_cells(computed, closed))
-
-
-def verify_eq_sum(m1_range: Iterable[int] = range(-6, 1),
-                  m2_range: Iterable[int] = range(-6, 13),
-                  order: int = 12) -> GridReport:
-    """Check eq_sum(m1, m2) == (1 + t1)^{m1} exp(m2 log S) = S^{2 m1 + m2} on a grid.
-
-    Coefficients are compared through exponent ``order`` inclusive, in
-    integers.  The closed cells come from one table of sine powers built
-    for this grid, one entry per exponent 2 m1 + m2.  The basis of `eq_sum`
-    is built once for the grid, and `_eq_cells` forms one row of m2 per m1.
-    An entry of either range that is not an int is refused with TypeError.
-    """
-    size = max(order // 2 + 1, 0)  # x^0..x^(size-1), x = u^2, reach u^order
-    m1s = sorted({_int_arg("m1_range entry", m) for m in m1_range})
-    m2s = sorted({_int_arg("m2_range entry", m) for m in m2_range})
-    closed = _sine_powers({2 * m1 + m2 for m1 in m1s for m2 in m2s}, size)
-    return _eq_report(m1s, m2s, _eq_basis(size), size, closed)
-
-
-def _eq_report(m1s, m2s, basis, size: int, closed) -> GridReport:
-    """The eq grid's report from its `_eq_basis` and its closed sides, both at ``size``."""
-    computed = (((m1, m2), 2 * m1 + m2, got, den)
-                for m1 in m1s for m2, (got, den) in zip(m2s, _eq_cells(basis, m1, m2s, size)))
-    return GridReport("bracket-reduction sum vs closed form", _grid_cells(computed, closed))
-
-
-def verify_grids(order: int) -> tuple[GridReport, GridReport]:
-    """(`verify_raw_equals_closed(order=order)`, `verify_eq_sum(order=order + 2)`), built together.
-
-    The eq grid reads 2 m1 + m2 = -18..12 through u^(order + 2), which holds
-    the raw grid's 2 g0 - 2 + c = -4..10 through u^order.  So one table of
-    sine powers and one of Psi^j Delta^i (`_vertex_powers`), both at the eq
-    grid's size, serve both grids; the raw grid reads them cut to its own.
-    """
-    raw_size, eq_size = max(order // 2 + 1, 0), max(order // 2 + 2, 0)
-    m1s, m2s = range(-6, 1), range(-6, 13)  # the default grids of both verifiers
+    raw_size, eq_size = max(order // 2 + 1, 0), max(order // 2 + 2, 0)  # x-lengths, x = u^2
+    g0s, ns, cs = range(4), range(5), range(-2, 7)
+    m1s, m2s = range(-6, 1), range(-6, 13)
     closed = _sine_powers({2 * m1 + m2 for m1 in m1s for m2 in m2s}, eq_size)
-    vertex = VertexData.standard(eq_size - 1)
+    if vertex is None:
+        vertex = VertexData.standard(eq_size - 1)
     mixed = _vertex_powers(vertex, eq_size)
-    return (_raw_report(3, 4, range(-2, 7), _raw_tables(vertex, raw_size, mixed),
-                        _cut(closed, raw_size)),
-            _eq_report(m1s, m2s, _eq_basis(eq_size, mixed), eq_size, closed))
+
+    tables = _raw_tables(vertex, raw_size, mixed)
+    marked = [_marked_sums(tables, n) for n in ns]
+    inserted = {b: _inserted_polys(tables, b) for b in {2 * g0 - 2 + n for g0 in g0s for n in ns}}
+    computed = (((g0, n, c), 2 * g0 - 2 + c, got, tables[2])
+                for g0 in g0s for n in ns
+                for c, got in zip(cs, _raw_cells(inserted[2 * g0 - 2 + n], marked[n], g0, cs)))
+    raw = GridReport("raw-sum vs closed-form multiplier",
+                     _grid_cells(computed, _cut(closed, raw_size)))
+
+    basis = _eq_basis(mixed)
+    computed = (((m1, m2), 2 * m1 + m2, got, den)
+                for m1 in m1s for m2, (got, den) in zip(m2s, _eq_cells(basis, m1, m2s, eq_size)))
+    return raw, GridReport("bracket-reduction sum vs closed form", _grid_cells(computed, closed))
 
 
 def _transform_matrix(c: int, g_max: int) -> list[list[Fraction]]:

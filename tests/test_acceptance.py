@@ -25,8 +25,7 @@ from sinewall.wallcross import (
     VertexData,
     gw_from_ugw,
     ugw_from_gw,
-    verify_eq_sum,
-    verify_raw_equals_closed,
+    verify_grids,
 )
 
 
@@ -38,7 +37,7 @@ def test_criterion_1_raw_sum_equals_sine_power():
     # g0 in 0..3, n in 0..4, c in -2..6, coefficientwise through u^10,
     # exact equality, under 10 seconds
     t0 = time.perf_counter()
-    rep = verify_raw_equals_closed(g0_max=3, n_max=4, c_range=range(-2, 7), order=10)
+    rep, _ = verify_grids(10)
     elapsed = time.perf_counter() - t0
     assert rep.passed, rep.summary()
     assert len(rep.cells) == 4 * 5 * 9
@@ -50,7 +49,7 @@ def test_criterion_1_raw_sum_equals_sine_power():
 def test_criterion_2_eq_sum_closed_form():
     # m1 in -6..0, m2 in -6..12, through u^12, exact, under 5 seconds
     t0 = time.perf_counter()
-    rep = verify_eq_sum(m1_range=range(-6, 1), m2_range=range(-6, 13), order=12)
+    _, rep = verify_grids(10)  # the eq grid reaches two orders past the raw grid
     elapsed = time.perf_counter() - t0
     assert rep.passed, rep.summary()
     assert len(rep.cells) == 7 * 19
@@ -189,12 +188,15 @@ def test_criterion_7_negative_controls():
     delta = F(1, 1000)
     detected = []
 
-    # each vertex coefficient family, bumped at one genus
-    base = VertexData.standard(4)
-    for field, genus in (("mu1", 1), ("mu0_psi", 1), ("mu0_div", 2)):
+    # each vertex coefficient family, bumped at one genus: the raw grid reads
+    # all three, the eq grid only Psi and Delta (mu0_psi, mu0_div)
+    base = VertexData.standard(5)
+    for field, genus, eq_fails in (("mu1", 1, False), ("mu0_psi", 1, True),
+                                   ("mu0_div", 2, True)):
         bad = base.perturbed(field, genus, delta)
-        rep = verify_raw_equals_closed(1, 2, range(0, 3), 8, vertex=bad)
-        assert not rep.passed, f"{field} perturbation went unnoticed"
+        raw, eq = verify_grids(8, vertex=bad)
+        assert not raw.passed, f"{field} perturbation went unnoticed"
+        assert eq.passed is not eq_fails, f"{field} perturbation: eq grid passed={eq.passed}"
         detected.append(f"{field}@{genus}")
 
     # a GW value, bumped: integrality check flags the exact genus

@@ -27,9 +27,7 @@ from sinewall.wallcross import (
     gw_from_ugw,
     sine_factor,
     ugw_from_gw,
-    verify_eq_sum,
     verify_grids,
-    verify_raw_equals_closed,
 )
 
 
@@ -165,15 +163,20 @@ def test_eq_basis_across_orders_built_once_per_call(monkeypatch):
     calls = []
     build = wallcross._eq_basis
 
-    def counting(size):
-        calls.append(size)
-        return build(size)
+    def counting(mixed):
+        calls.append(len(mixed))
+        return build(mixed)
 
     monkeypatch.setattr(wallcross, "_eq_basis", counting)
-    assert verify_eq_sum(range(-3, 1), range(-2, 5), 8).passed
+    assert verify_grids(6)[1].passed  # the eq grid reaches u^8
     assert calls == [5]
     assert eq_sum(-2, 3, 9) == pow_int(sinc_half(9), -1)
     assert calls == [5, 5]
+
+
+def eq_basis(size):
+    """`_eq_basis` of the standard vertex's table of x^0..x^(size-1), as `eq_sum` builds it."""
+    return wallcross._eq_basis(wallcross._vertex_powers(VertexData.standard(size - 1), size))
 
 
 def reference_eq_basis(size):
@@ -205,8 +208,8 @@ def reference_eq_basis(size):
 
 def test_eq_basis_equals_the_series_products():
     for size in range(1, 12):
-        assert wallcross._eq_basis(size) == reference_eq_basis(size)
-    assert wallcross._eq_basis(0) == (((),), 1)  # below u^0: no product has a coefficient
+        assert eq_basis(size) == reference_eq_basis(size)
+    assert eq_basis(0) == (((),), 1)  # below u^0: no product has a coefficient
 
 
 def vertex_eq_basis(size):
@@ -247,18 +250,7 @@ def test_eq_basis_is_the_standard_vertex_table():
     # t1 = S^2 - 1 = Psi and t2 = S^2 log S = Delta: the eq basis is the
     # standard vertex's Psi^a1 Delta^a2, the table the raw grid reads
     for size in range(31):
-        assert wallcross._eq_basis(size) == vertex_eq_basis(size), size
-
-
-def test_eq_sum_rational_arguments():
-    # the integer-numerator combination must clear the denominators of m1, m2
-    order = 11
-    s = sinc_half(order)
-    s2, ls = s * s, log(s)
-    for m1, m2 in ((F(1, 2), F(-7, 3)), (-3, F(5, 4)), (F(-7, 3), 2), (F(2, 9), F(-1, 6))):
-        want = exp(ls.scale(m2)) * (pow_int(s2, m1) if isinstance(m1, int)
-                                    else exp(log(s2).scale(m1)))
-        assert eq_sum(m1, m2, order) == want
+        assert eq_basis(size) == vertex_eq_basis(size), size
 
 
 def _raise_if_called(name):
@@ -271,14 +263,14 @@ def test_eq_sum_uses_no_closed_form_kernel(monkeypatch):
     # the eq route reads the vertex values and multiplies in integers: it
     # calls no power kernel of the closed side (pow_int, sine_factor,
     # _sine_powers) and builds no S or log S of its own
-    want = {m: pow_int(sinc_half(13), int(2 * m[0] + m[1])) for m in ((-2, 3), (F(1, 2), 1))}
+    want = {m: pow_int(sinc_half(13), 2 * m[0] + m[1]) for m in ((-2, 3), (3, -1))}
     assert not hasattr(wallcross, "exp")
     for module, name in ((wallcross, "pow_int"), (series, "pow_int"), (wallcross, "sine_factor"),
                          (wallcross, "_sine_powers"), (wallcross, "sinc_half"),
                          (wallcross, "log")):
         monkeypatch.setattr(module, name, _raise_if_called(name))
     monkeypatch.setattr(hodge, "_memo", ())  # so that the vertex values are built here too
-    basis = wallcross._eq_basis(7)  # x^0..x^6 lie below u^13
+    basis = eq_basis(7)  # x^0..x^6 lie below u^13
     for m, closed in want.items():  # each call builds its basis from the vertex values
         assert eq_sum(*m, 13) == closed
     for name in ("sinc_half", "log"):
@@ -289,27 +281,21 @@ def test_eq_sum_uses_no_closed_form_kernel(monkeypatch):
 
 
 def test_eq_sum_refuses_a_float_argument():
-    # eq_sum(0.1, 2, 6) used to compute with the binary expansion of 0.1
-    with pytest.raises(TypeError, match="m1 must be an int or a Fraction"):
-        eq_sum(0.1, 2, 6)
-    with pytest.raises(TypeError, match="m2 must be an int or a Fraction"):
-        eq_sum(F(1, 2), 2.0, 6)
-    with pytest.raises(TypeError, match="m1"):
-        eq_sum(True, 2, 6)
-
-
-def test_verify_eq_sum_refuses_ranges_that_are_not_ints():
-    # both ranges used to be truncated by int(): m1 = -0.5 was checked as m1 = 0
-    with pytest.raises(TypeError, match="m1_range entry must be an int"):
-        verify_eq_sum(m1_range=[-0.5], m2_range=[1], order=4)
-    with pytest.raises(TypeError, match="m2_range entry must be an int"):
-        verify_eq_sum(m1_range=[-1], m2_range=[F(3, 2)], order=4)
+    # eq_sum(0.1, 2, 6) used to compute with the binary expansion of 0.1; m1
+    # and m2 are ints, so a Fraction and a bool are refused too
+    for bad in (0.1, F(1, 2), True):
+        with pytest.raises(TypeError, match=rf"m1 must be an int, got {re.escape(repr(bad))}"):
+            eq_sum(bad, 2, 6)
+    for bad in (2.0, F(3, 2), False):
+        with pytest.raises(TypeError, match=rf"m2 must be an int, got {re.escape(repr(bad))}"):
+            eq_sum(-1, bad, 6)
 
 
 def test_verify_eq_sum_grid():
-    rep = verify_eq_sum(range(-2, 1), range(-2, 3), 8)
+    rep = verify_grids(6)[1]  # the eq grid, through u^8
     assert rep.passed
-    assert len(rep.cells) == 3 * 5
+    assert len(rep.cells) == 7 * 19
+    assert [cell.key for cell in rep.cells] == list(product(range(-6, 1), range(-6, 13)))
     assert rep.first_failure is None
     assert "pass" in rep.summary()
 
@@ -318,18 +304,18 @@ def test_eq_grid_failure_report_matches_series_comparison(monkeypatch):
     # a negative control for the integer comparison: one numerator of the
     # basis's t2^1 shifted; the grid's failing cells, their order and their
     # details equal those of comparing eq_sum with the closed series
-    order, internal, size = 8, 9, 5  # x^0..x^4 reach u^8 and lie below u^9
-    rows, den = wallcross._eq_basis(size)
+    internal, size = 9, 5  # x^0..x^4 reach u^8 and lie below u^9
+    rows, den = eq_basis(size)
     (k, b), *rest = rows[1][0]  # a2 = 1, a1 = 0
     bumped = rows[:1] + ((((k, b + 1), *rest),) + rows[1][1:],) + rows[2:]
 
-    def bumped_basis(n):
-        assert n == size
+    def bumped_basis(mixed):
+        assert len(mixed) == size
         return bumped, den
 
     monkeypatch.setattr(wallcross, "_eq_basis", bumped_basis)
-    m1s, m2s = range(-3, 1), range(-2, 4)
-    rep = verify_eq_sum(m1s, m2s, order)
+    m1s, m2s = range(-6, 1), range(-6, 13)
+    rep = verify_grids(6)[1]  # the eq grid, through u^8
     s = sinc_half(internal)
     s2, ls = s * s, log(s)
     want = []
@@ -388,8 +374,8 @@ def test_grid_cells_compare_whole_rows_or_cross_multiply():
 def test_grids_read_a_shared_table_cut_to_their_order():
     # one table of sine powers and one of Psi^j Delta^i, through the larger
     # order, serve both grids: the raw grid reads each cut to its own order
-    # (the sine rows back in lowest terms) and reports as if it had built its
-    # own tables, failures included
+    # (the sine rows back in lowest terms) and builds the same tables from
+    # them as from tables of its own size
     bad = VertexData.standard(6).perturbed("mu0_div", 2, F(1, 1000))
     for order in (0, 1, 6, 9, 10):
         size = order // 2 + 1
@@ -399,26 +385,15 @@ def test_grids_read_a_shared_table_cut_to_their_order():
             for ks in ({0}, set(range(-4, 11)), set(range(-18, 13))):
                 assert {k: cut[k] for k in ks} == wallcross._sine_powers(ks, n)
         for vertex in (bad, VertexData.standard(size)):
-            tables = wallcross._raw_tables(vertex, size)
-            for n in (size, size + 1):
-                mixed = wallcross._vertex_powers(vertex, n)
-                assert wallcross._raw_tables(vertex, size, mixed) == tables
-        shared = wallcross._raw_tables(bad, size, wallcross._vertex_powers(bad, size + 1))
-        assert (wallcross._raw_report(1, 2, [0, 1, 2], shared, wallcross._cut(closed, size))
-                == verify_raw_equals_closed(1, 2, range(0, 3), order, bad))
-
-
-def test_verify_grids_equal_the_two_default_grids():
-    # the shared tables change no cell: the pair of reports equals the two
-    # grids called alone, at every order from -3 to 12
-    for order in range(-3, 13):
-        assert verify_grids(order) == (verify_raw_equals_closed(order=order),
-                                       verify_eq_sum(order=order + 2)), order
+            tables = raw_tables(vertex, size)
+            mixed = wallcross._vertex_powers(vertex, size + 1)
+            assert wallcross._raw_tables(vertex, size, mixed) == tables
 
 
 def test_eq_paths_build_no_m_ladder(monkeypatch):
-    # M is the marked-point series of mu1, which only the raw route reads: the
-    # eq grid and eq_sum build the ladders of Psi and Delta alone
+    # M is the marked-point series of mu1, which only the raw route reads:
+    # eq_sum builds the ladders of Psi and Delta alone, and verify_grids
+    # builds those once, for both grids, and the M ladder once, for the raw grid
     vertices, roles = [], []
     standard, ladder = VertexData.standard, wallcross._series_powers
 
@@ -433,19 +408,19 @@ def test_eq_paths_build_no_m_ladder(monkeypatch):
 
     monkeypatch.setattr(VertexData, "standard", classmethod(recording_standard))
     monkeypatch.setattr(wallcross, "_series_powers", recording)
-    assert verify_eq_sum().passed
     assert eq_sum(-2, 3, 9) == pow_int(sinc_half(9), -1)
-    assert roles == ["mu0_psi", "mu0_div"] * 2
+    assert roles == ["mu0_psi", "mu0_div"]
     roles.clear()
-    assert verify_raw_equals_closed(1, 1, [0], 4).passed
+    assert all(rep.passed for rep in verify_grids(4))
     assert roles == ["mu0_psi", "mu0_div", "mu1"]
 
 
 def test_default_grids_build_each_closed_side_once(monkeypatch):
-    # each grid makes one table of sine powers holding exactly the exponents
-    # it reads: k = 2 g0 - 2 + c, -4..10, for the raw grid and 2 m1 + m2,
-    # -18..12, for the eq grid, through x^5 and x^6 (u^10 and u^12).  The
-    # table builds S (one term further, through x^6 and x^7) once and inverts it once;
+    # both grids read one table of sine powers holding exactly the exponents
+    # the eq grid reads, 2 m1 + m2 = -18..12, which hold the raw grid's
+    # k = 2 g0 - 2 + c = -4..10, through x^6 (u^12), the raw grid reading it
+    # cut to x^5 (u^10).  The table builds S (one term further, through x^7)
+    # once and inverts it once;
     # no closed side goes through sine_factor or exp (which wallcross no
     # longer imports), and cells are compared in integers, so neither eq_sum
     # nor any series round trip runs
@@ -463,7 +438,7 @@ def test_default_grids_build_each_closed_side_once(monkeypatch):
             inside.pop()
 
     def counting_sinc(order):
-        if inside:  # _eq_basis builds its own S, outside the table
+        if inside:  # the vertex values build their own S, outside the table
             calls.append(("sinc_half", order))
         return sinc(order)
 
@@ -476,11 +451,7 @@ def test_default_grids_build_each_closed_side_once(monkeypatch):
     monkeypatch.setattr(wallcross, "pow_int", counting_power)
     for name in ("sine_factor", "eq_sum", "_from_numerators"):
         monkeypatch.setattr(wallcross, name, _raise_if_called(name))
-    assert verify_raw_equals_closed().passed
-    assert calls == [("_sine_powers", list(range(-4, 11)), 6), ("sinc_half", 13),
-                     ("pow_int", -1, True)]
-    calls.clear()
-    assert verify_eq_sum().passed
+    assert all(rep.passed for rep in verify_grids(10))
     assert calls == [("_sine_powers", list(range(-18, 13)), 7), ("sinc_half", 15),
                      ("pow_int", -1, True)]
 
@@ -550,9 +521,10 @@ def test_raw_sum_validation():
 
 
 def test_verify_raw_equals_closed_small_grid():
-    rep = verify_raw_equals_closed(1, 2, range(-1, 3), 8)
+    rep = verify_grids(8)[0]  # the raw grid, through u^8
     assert rep.passed
-    assert len(rep.cells) == 2 * 3 * 4
+    assert len(rep.cells) == 4 * 5 * 9
+    assert [cell.key for cell in rep.cells] == list(product(range(4), range(5), range(-2, 7)))
     assert all(cell.passed for cell in rep.cells)
 
 
@@ -561,21 +533,20 @@ def test_grids_pass_vacuously_at_negative_orders():
     # u^0: every cell of the full grid passes, as the other identity rows
     # do, and nothing raises
     for order in range(-3, 1):
-        for grid in (verify_raw_equals_closed, verify_eq_sum):
-            rep, want = grid(order=order), grid(order=0)
+        for rep, want in zip(verify_grids(order), verify_grids(0)):
             assert rep.passed
             assert [cell.key for cell in rep.cells] == [cell.key for cell in want.cells]
-    # and a vertex table needs no genus there
-    assert verify_raw_equals_closed(order=-1, vertex=VertexData({}, {}, {})).passed
+    # and a vertex table needs no genus there, the eq grid's u^1 included
+    assert all(rep.passed for rep in verify_grids(-1, vertex=VertexData({}, {}, {})))
 
 
 def test_raw_sum_detects_mu1_perturbation():
-    vertex = VertexData.standard(4).perturbed("mu1", 1, F(1, 1000))
-    # marked-point multipliers never enter unmarked sums
+    vertex = VertexData.standard(5).perturbed("mu1", 1, F(1, 1000))
+    # marked-point multipliers never enter unmarked sums, nor the eq grid
     assert correction_raw_sum(0, 0, 3, 9, vertex) == sine_factor(0, 3, 9)
     assert correction_raw_sum(0, 1, 3, 9, vertex) != sine_factor(0, 3, 9)
-    rep = verify_raw_equals_closed(1, 2, range(0, 3), 8, vertex=vertex)
-    assert not rep.passed
+    rep, eq = verify_grids(8, vertex=vertex)
+    assert not rep.passed and eq.passed
     assert rep.first_failure.key[1] >= 1
     assert "u^" in rep.first_failure.detail
 
@@ -586,9 +557,14 @@ def test_raw_sum_detects_mu0_psi_perturbation():
 
 
 def test_raw_sum_detects_mu0_div_perturbation():
-    vertex = VertexData.standard(5).perturbed("mu0_div", 2, F(1, 1000))
-    rep = verify_raw_equals_closed(1, 1, range(0, 2), 10, vertex=vertex)
+    vertex = VertexData.standard(6).perturbed("mu0_div", 2, F(1, 1000))
+    rep, _ = verify_grids(10, vertex=vertex)
     assert not rep.passed
+
+
+def raw_tables(vertex, size):
+    """`_raw_tables` on the `_vertex_powers` table of its own size, as the raw sum builds it."""
+    return wallcross._raw_tables(vertex, size, wallcross._vertex_powers(vertex, size))
 
 
 def reference_raw_tables(vertex, size):
@@ -634,17 +610,17 @@ def test_raw_tables_equal_the_per_partition_sums():
     standard = VertexData.standard(28)
     shifted = standard.perturbed("mu0_psi", 2, F(3, 7)).perturbed("mu1", 1, F(-5, 11))
     for size in range(0, 30):  # 29: verify-identities at its order limit, u^57
-        assert wallcross._raw_tables(standard, size) == reference_raw_tables(standard, size)
+        assert raw_tables(standard, size) == reference_raw_tables(standard, size)
     for size in range(0, 17):
-        assert wallcross._raw_tables(shifted, size) == reference_raw_tables(shifted, size)
+        assert raw_tables(shifted, size) == reference_raw_tables(shifted, size)
     rng = random.Random(24)
     for size in range(0, 13):
         base = random_vertex(rng, 12)
         for field in ("mu1", "mu0_psi", "mu0_div"):
             delta = F(rng.randint(1, 9), rng.randint(1, 12))
             vertex = base.perturbed(field, rng.randint(1, 12), delta)
-            assert wallcross._raw_tables(vertex, size) == reference_raw_tables(vertex, size)
-    assert wallcross._raw_tables(standard, 0) == ((), (), 1)
+            assert raw_tables(vertex, size) == reference_raw_tables(vertex, size)
+    assert raw_tables(standard, 0) == ((), (), 1)
 
 
 def test_raw_sum_rejects_short_vertex_table():
@@ -705,15 +681,16 @@ def test_raw_sum_matches_oracle_on_random_vertex():
 def _count_table_builds(monkeypatch, calls):
     build = wallcross._raw_tables
 
-    def counting(vertex, order):
-        calls.append((vertex, order))
-        return build(vertex, order)
+    def counting(vertex, size, mixed):
+        calls.append((vertex, size))
+        return build(vertex, size, mixed)
 
     monkeypatch.setattr(wallcross, "_raw_tables", counting)
 
 
 def test_grid_builds_standard_vertex_once(monkeypatch):
-    # and the vertex-only tables of the raw sum once, at the grid's order
+    # for both grids, at the eq grid's genus, and the vertex-only tables of
+    # the raw sum once, at the raw grid's order
     vertex_calls, table_calls = [], []
     build = VertexData.standard
     _count_table_builds(monkeypatch, table_calls)
@@ -723,25 +700,31 @@ def test_grid_builds_standard_vertex_once(monkeypatch):
         return build(g_top)
 
     monkeypatch.setattr(VertexData, "standard", classmethod(counting))
-    rep = verify_raw_equals_closed(1, 2, range(-1, 3), 8)
-    assert rep.passed
-    assert vertex_calls == [4]
+    assert all(rep.passed for rep in verify_grids(8))
+    assert vertex_calls == [5]
     assert len(table_calls) == 1 and table_calls[0][1] == 5  # x^0..x^4 reach u^8
 
 
 def test_grid_uses_supplied_vertex_as_given(monkeypatch):
-    vertex = VertexData.standard(4)
-    seen = []
+    vertex = VertexData.standard(5)
+    seen, powers = [], []
+    build = wallcross._vertex_powers
 
     def no_build(cls, g_top):
         raise AssertionError("standard vertex data rebuilt despite a supplied table")
 
+    def recording(vertex, size):
+        powers.append(vertex)
+        return build(vertex, size)
+
     _count_table_builds(monkeypatch, seen)
     monkeypatch.setattr(VertexData, "standard", classmethod(no_build))
-    rep = verify_raw_equals_closed(1, 1, range(0, 2), 8, vertex=vertex)
-    assert rep.passed
-    assert len(rep.cells) == 2 * 2 * 2
+    monkeypatch.setattr(wallcross, "_vertex_powers", recording)
+    rep, eq = verify_grids(8, vertex=vertex)
+    assert rep.passed and eq.passed
+    assert len(rep.cells) == 4 * 5 * 9
     assert len(seen) == 1 and seen[0][0] is vertex
+    assert len(powers) == 1 and powers[0] is vertex  # the one table both computed sides read
 
 
 def numerator_series(nums, den, order):
@@ -758,8 +741,8 @@ def test_grid_cells_match_standalone_raw_sum_on_random_vertex(monkeypatch):
     calls, dens = [], []
     combine, build = wallcross._raw_cells, wallcross._raw_tables
 
-    def recording_tables(vertex, size):
-        tables = build(vertex, size)
+    def recording_tables(vertex, size, mixed):
+        tables = build(vertex, size, mixed)
         dens.append(tables[2])
         return tables
 
@@ -772,11 +755,11 @@ def test_grid_cells_match_standalone_raw_sum_on_random_vertex(monkeypatch):
     monkeypatch.setattr(wallcross, "_raw_cells", recording)
     rng = random.Random(518)
     for _ in range(2):
-        vertex = random_vertex(rng, 4)
+        vertex = random_vertex(rng, 5)
         calls.clear()
-        rep = verify_raw_equals_closed(2, 3, (-1, 2, 5), 8, vertex=vertex)
+        rep, _ = verify_grids(8, vertex=vertex)
         grid = list(calls)  # the standalone calls below record too
-        assert len(rep.cells) == len(grid) == 3 * 4 * 3
+        assert len(rep.cells) == len(grid) == 4 * 5 * 9
         assert [(g0, c) for g0, c, _ in grid] == [(key[0], key[2]) for key, *_ in rep.cells]
         for cell, (_, _, series) in zip(rep.cells, grid):
             assert series == correction_raw_sum(*cell.key, 9, vertex)
@@ -786,20 +769,26 @@ def test_grid_cells_match_standalone_raw_sum_on_random_vertex(monkeypatch):
 
 def test_grid_failure_reports_unchanged_under_perturbation():
     # criterion 7's perturbations: first failing key, its detail and the
-    # number of failing cells, through u^8 at orders 8 and 9 (u^9 is odd, so
-    # both compare x^0..x^4; the odd order catches an off-by-one x-length)
-    base = VertexData.standard(4)
+    # number of failing cells on the raw grid's corner g0 <= 1, n <= 2,
+    # c = 0..2, and the failing cells of both whole grids, through u^8 at
+    # orders 8 and 9 (u^9 is odd, so both compare x^0..x^4 in the raw grid
+    # and x^0..x^5 in the eq grid; the odd order catches an off-by-one x-length)
+    base = VertexData.standard(5)
     expected = {
-        ("mu1", 1): ((0, 1, 0), "u^2: got 253/3000, want 1/12", 12),
-        ("mu0_psi", 1): ((0, 0, 0), "u^2: got 32/375, want 1/12", 17),
-        ("mu0_div", 2): ((0, 0, 0), "u^4: got -11/6000, want 1/240", 15),
+        ("mu1", 1): ((0, 1, 0), "u^2: got 253/3000, want 1/12", 12, 144, 0),
+        ("mu0_psi", 1): ((0, 0, 0), "u^2: got 32/375, want 1/12", 17, 178, 132),
+        ("mu0_div", 2): ((0, 0, 0), "u^4: got -11/6000, want 1/240", 15, 170, 126),
     }
-    for (field, genus), (key, detail, failing) in expected.items():
+    for (field, genus), (key, detail, failing, raw_failing, eq_failing) in expected.items():
         for order in (8, 9):
-            rep = verify_raw_equals_closed(1, 2, range(0, 3), order,
-                                           vertex=base.perturbed(field, genus, F(1, 1000)))
-            assert (rep.first_failure.key, rep.first_failure.detail) == (key, detail)
-            assert sum(not cell.passed for cell in rep.cells) == failing
+            raw, eq = verify_grids(order, vertex=base.perturbed(field, genus, F(1, 1000)))
+            corner = [cell for cell in raw.cells if cell.key[0] <= 1 and cell.key[1] <= 2
+                      and 0 <= cell.key[2] <= 2]
+            first = next(cell for cell in corner if not cell.passed)
+            assert (first.key, first.detail) == (key, detail)
+            assert sum(not cell.passed for cell in corner) == failing
+            assert sum(not cell.passed for cell in raw.cells) == raw_failing
+            assert sum(not cell.passed for cell in eq.cells) == eq_failing
 
 
 def test_raw_route_uses_no_closed_form_kernel(monkeypatch):
@@ -809,7 +798,7 @@ def test_raw_route_uses_no_closed_form_kernel(monkeypatch):
     assert not hasattr(wallcross, "descending_walk")  # the vertex tables are powers, not a walk
     for name in ("pow_int", "log", "sinc_half", "sine_factor"):
         monkeypatch.setattr(wallcross, name, _raise_if_called(name))
-    tables = wallcross._raw_tables(vertex, 7)  # x^0..x^6 lie below u^13
+    tables = wallcross._raw_tables(vertex, 7, wallcross._vertex_powers(vertex, 7))  # below u^13
     for (g0, n, c), series in want.items():
         assert correction_raw_sum(g0, n, c, 13) == series
         assert correction_raw_sum(g0, n, c, 13, vertex) == series
@@ -820,13 +809,22 @@ def test_raw_route_uses_no_closed_form_kernel(monkeypatch):
 
 
 def test_raw_routes_refuse_a_c_that_is_not_an_int():
-    # c_range=[2.9] used to check c = 2 and key its cells (g0, n, 2)
-    with pytest.raises(TypeError, match="c_range entry must be an int"):
-        verify_raw_equals_closed(1, 1, [2.9], 4)
-    with pytest.raises(TypeError, match="c_range entry must be an int"):
-        verify_raw_equals_closed(1, 1, [False, 1], 4)
     with pytest.raises(TypeError, match="c must be an int"):
         correction_raw_sum(1, 1, 2.5, 6)
+
+
+def test_raw_sum_and_sine_factor_refuse_arguments_that_are_not_ints():
+    # correction_raw_sum(1.5, 0, 0, 5) used to fail inside Fraction, and with
+    # g0 = True to compute as g0 = 1; sine_factor(1.5, 0, 4) failed as a
+    # series coefficient
+    for args, name in (((1.5, 0, 0, 5), "g0"), ((True, 0, 0, 5), "g0"), ((0, 2.0, 0, 5), "n"),
+                       ((0, F(1), 0, 5), "n"), ((0, 0, True, 5), "c")):
+        with pytest.raises(TypeError, match=f"{name} must be an int"):
+            correction_raw_sum(*args)
+    for args, name in (((1.5, 0, 4), "g"), ((False, 0, 4), "g"), ((1, F(3), 4), "c"),
+                       ((1, 2.0, 0), "c")):
+        with pytest.raises(TypeError, match=f"{name} must be an int"):
+            sine_factor(*args)
 
 
 def test_vertex_perturbation_is_local():
@@ -861,6 +859,15 @@ def test_genus_table_validation():
         GenusTable(Kind.GW, 0, True, {F(1, 2): 1}, 2)
     with pytest.raises(ValueError):
         GenusTable(Kind.GW, 0, True, {0: 0.5}, 2)
+    # a float g_max used to build and fail in gw_from_ugw, g_max=True was read
+    # as 1, and a kind "ugw" failed in the transforms with an AttributeError
+    for g_max in (2.0, True):
+        with pytest.raises(TypeError, match=rf"g_max must be an int, got {g_max!r}"):
+            GenusTable(Kind.UGW, 3, True, {0: 1}, g_max)
+    with pytest.raises(TypeError, match="g_max must be an int"):  # before the sign check
+        GenusTable(Kind.UGW, 3, True, {}, -1.0)
+    with pytest.raises(TypeError, match="kind must be a Kind, got 'ugw'"):
+        GenusTable("ugw", 3, True, {0: 1}, 1)
 
 
 def test_genus_table_refuses_a_c_that_is_not_an_int():
