@@ -10,11 +10,13 @@ Tables travel as json documents:
     }
 
 Rationals are exact strings in lowest terms; genera absent from "values"
-are an error below g_max for inverse transforms (gw-to-ugw, gw-to-gv) and
-read as zero for forward ones.  Serialization is canonical (fixed key
-order, genus keys 0..g_max in numeric order, two-space indent, trailing
-newline), so parse followed by serialize is byte-identical on canonical
-input.
+read as zero in a ugw or gv table, and a gw table, which every path inverts,
+must hold every genus 0..g_max.  That rule, the kind each call reads and the
+GV gate belong to the library calls, which refuse a table before any matrix
+is built; this module owns the schema, the limits and the two output
+formats.  Serialization is canonical (fixed key order, genus keys 0..g_max
+in numeric order, two-space indent, trailing newline), so parse followed by
+serialize is byte-identical on canonical input.
 
 A repeated key in any json object is refused rather than letting the last
 one win.  `verify-identities --order`, `expand-sine --order` and
@@ -69,7 +71,7 @@ import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .gv import GVReport, gate_check, gv_from_gw, gw_from_gv, report_on_gv
+from .gv import GVReport, gv_from_gw, gw_from_gv, report_on_gv
 from .hodge import i_function_expansion, mu_values, verify_i_ratio, verify_mu_consistency
 from .wallcross import (
     GenusTable,
@@ -97,11 +99,10 @@ MAX_ABS_G_C = 10**6
 # (8 s at 10**6 digits).
 MAX_VALUE_DIGITS = 1000
 # Digits of all values of a table together, numerators and denominators.  It
-# admits every table the benchmark sends: `bench/run.py --baseline` feeds the
-# gw output of its g_max 80 table back to gw-to-ugw, 24 559 digits, and the
-# workloads' tables carry at most 9 000.  A transform's cost grows with the
-# digits as well as with g_max, most when they sit on unrelated denominators
-# (README "Limits").
+# admits every table the benchmark sends: `bench/run.py --baseline` inverts the
+# gw output of its g_max 80 table, 24 559 digits, and the workloads' tables
+# carry at most 9 000.  A transform's cost grows with the digits as well as
+# with g_max, most when they sit on unrelated denominators (README "Limits").
 MAX_TABLE_DIGITS = 30_000
 # g_max of a table: the largest that `bench/run.py --baseline` sends.
 MAX_TABLE_G_MAX = 80
@@ -245,14 +246,6 @@ def load_table(path: str) -> GenusTable:
     return parse_table_doc(doc)
 
 
-def _require_complete(t: GenusTable) -> None:
-    missing = [g for g in range(t.g_max + 1) if g not in t.values]
-    if missing:
-        raise ParseError(
-            f"inverse transform needs every genus 0..{t.g_max}; missing {missing}"
-        )
-
-
 def _table_text(t: GenusTable) -> str:
     lines = [
         f"kind: {t.kind.value}  c1.beta: {t.c}  primitive: "
@@ -293,45 +286,27 @@ def _gv_report_text(rep: GVReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-# the kind of table each direction reads; a gw table is always inverted
-_SOURCE_KINDS = {"gw-to-ugw": Kind.GW, "ugw-to-gw": Kind.UGW, "gw-to-gv": Kind.GW,
-                 "gv-to-gw": Kind.GV}
+# --direction -> the library call it makes, which refuses a table of the wrong
+# kind; `COMMANDS` reads its choices from here.  The call is looked up by name
+# when it runs, so a wrapper bound to this module's name (bench/tracer.py
+# rebinds every copy it finds) is the one called.
+_DIRECTIONS = {"gw-to-ugw": "ugw_from_gw", "ugw-to-gw": "gw_from_ugw", "gw-to-gv": "gv_from_gw",
+               "gv-to-gw": "gw_from_gv"}
 
 
 def _handle_transform(ns: SimpleNamespace) -> tuple[str, str | None]:
-    table = load_table(ns.input)
-    need = _SOURCE_KINDS[ns.direction]
-    if table.kind is not need:
-        raise ParseError(
-            f"direction {ns.direction} expects a {need.value} table, got {table.kind.value}"
-        )
-    if need is Kind.GW:
-        _require_complete(table)
-    if ns.direction == "gw-to-gv":
-        rep = gv_from_gw(table)
-        text = (dumps_canonical(table_to_doc(rep.table)) if ns.format == "json"
-                else _gv_report_text(rep))
-        return text, None if rep.integral else (
-            f"GV values non-integral at genera {list(rep.non_integral_genera)}")
-    if ns.direction == "gw-to-ugw":
-        out = ugw_from_gw(table)
-    elif ns.direction == "ugw-to-gw":
-        out = gw_from_ugw(table)
-    else:
-        out = gw_from_gv(table)
+    out = globals()[_DIRECTIONS[ns.direction]](load_table(ns.input))
+    if isinstance(out, GVReport):
+        text = (dumps_canonical(table_to_doc(out.table)) if ns.format == "json"
+                else _gv_report_text(out))
+        return text, None if out.integral else (
+            f"GV values non-integral at genera {list(out.non_integral_genera)}")
     return (dumps_canonical(table_to_doc(out)) if ns.format == "json" else _table_text(out)), None
 
 
 def _handle_check_integrality(ns: SimpleNamespace) -> tuple[str, str | None]:
     table = load_table(ns.input)
-    if table.kind is Kind.GW:
-        _require_complete(table)
-        rep = gv_from_gw(table)
-    elif table.kind is Kind.UGW:
-        gate_check(table.c, table.primitive)
-        rep = report_on_gv(table._replace(kind=Kind.GV))
-    else:
-        rep = report_on_gv(table)
+    rep = gv_from_gw(table) if table.kind is Kind.GW else report_on_gv(table)
     text = dumps_canonical(_gv_report_doc(rep)) if ns.format == "json" else _gv_report_text(rep)
     return text, None if rep.integral else (
         f"non-integral at genera {list(rep.non_integral_genera)}")
@@ -437,8 +412,7 @@ _OUTPUT = {"metavar": "PATH", "default": None, "help": "write the report here in
 _INPUT = {"required": True, "metavar": "PATH", "help": "table json file"}
 COMMANDS = {
     "transform": ("convert a table between gw, ugw and gv", {
-        "--direction": {"required": True,
-                        "choices": ("gw-to-ugw", "ugw-to-gw", "gw-to-gv", "gv-to-gw")},
+        "--direction": {"required": True, "choices": tuple(_DIRECTIONS)},
         "--input": _INPUT, "--format": _FORMAT, "--output": _OUTPUT,
     }),
     "check-integrality": ("integrality report for a table", {

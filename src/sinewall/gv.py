@@ -15,7 +15,8 @@ nonzero genus seen together with an explicit truncation caveat.
 from __future__ import annotations
 
 from ._record import Record
-from .wallcross import GenusTable, Kind, _int_arg, gw_from_ugw, ugw_from_gw
+from .series import _int_arg
+from .wallcross import GenusTable, Kind, gw_from_ugw, ugw_from_gw
 
 __all__ = ["ClassNotCovered", "GVReport", "gate_check", "gv_from_gw", "gw_from_gv", "report_on_gv"]
 
@@ -69,26 +70,36 @@ def _report(table: GenusTable) -> GVReport:
 def gv_from_gw(t: GenusTable) -> GVReport:
     """Invert the transform and report the candidate GV table.
 
-    Requires kind GW and the coverage gate (c > 0, or c = 0 and
-    primitive); raises ClassNotCovered otherwise.
+    Requires kind gw, the coverage gate (c > 0, or c = 0 and primitive;
+    ClassNotCovered otherwise) and every genus 0..g_max, which
+    `ugw_from_gw` checks (MissingGenus otherwise), in that order and before
+    any matrix is built.
     """
     if t.kind is not Kind.GW:
-        raise ValueError(f"gv_from_gw expects a GW table, got {t.kind.value}")
+        raise ValueError(f"gv_from_gw expects a gw table, got {t.kind.value}")
     gate_check(t.c, t.primitive)
     ugw = ugw_from_gw(t)
     return _report(GenusTable(Kind.GV, ugw.c, ugw.primitive, ugw.values, ugw.g_max))
 
 
 def report_on_gv(t: GenusTable) -> GVReport:
-    """Integrality / finiteness report for a table already declared GV."""
-    if t.kind is not Kind.GV:
-        raise ValueError(f"report_on_gv expects a GV table, got {t.kind.value}")
+    """Integrality / finiteness report for a gv table, or for a ugw table read as one.
+
+    A gv table is reported as it stands: its values are already BPS
+    numbers, so no gate applies.  A ugw table is the GV table only under the
+    coverage gate, so it must pass `gate_check` (ClassNotCovered otherwise)
+    and is reported relabelled as gv.  Absent genera read as zero.
+    """
+    if t.kind is Kind.UGW:
+        gate_check(t.c, t.primitive)
+    elif t.kind is not Kind.GV:
+        raise ValueError(f"report_on_gv expects a gv or ugw table, got {t.kind.value}")
     return _report(GenusTable(Kind.GV, t.c, t.primitive, t.dense(), t.g_max))
 
 
 def gw_from_gv(t: GenusTable) -> GenusTable:
     """Forward transform from a GV table, under the same coverage gate."""
     if t.kind is not Kind.GV:
-        raise ValueError(f"gw_from_gv expects a GV table, got {t.kind.value}")
+        raise ValueError(f"gw_from_gv expects a gv table, got {t.kind.value}")
     gate_check(t.c, t.primitive)
     return gw_from_ugw(GenusTable(Kind.UGW, t.c, t.primitive, t.values, t.g_max))

@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import comb
 
 from ._record import Record
-from .series import convolve, log, numerators, sinc_half
+from .series import _int_arg, convolve, log, numerators, sinc_half
 
 __all__ = [
     "CheckReport", "MuValue", "i_function_expansion", "mu_g0", "mu_g1", "mu_values",
@@ -76,10 +76,10 @@ def mu_values(g_top: int) -> tuple[MuValue, ...]:
     build is kept and a smaller g_top reads its prefix: a `verify-identities`
     call builds once, for the standard vertex table that both grids of
     `wallcross.verify_grids` read, and its expansion checks read a prefix.
-    Empty below g_top = 1.
+    Empty below g_top = 1.  g_top must be an int, or TypeError names it.
     """
     global _memo
-    if g_top > len(_memo):
+    if _int_arg("g_top", g_top) > len(_memo):
         s = sinc_half(2 * g_top + 2)
         s2 = s * s
         s2_log = s2 * log(s)
@@ -94,16 +94,19 @@ def mu_g0(g: int) -> MuValue:
 
     Here a_g = [u^{2g}] S^2 and b_g = [u^{2g}] (S^2 log S) with
     S = sin(u/2)/(u/2); mu_{0,0} = 0 is excluded (g >= 1).  Read off
-    `mu_values(g)`.
+    `mu_values(g)`.  g must be an int, or TypeError names it.
     """
-    if g < 1:
+    if _int_arg("g", g) < 1:
         raise ValueError("mu_g0 is defined for g >= 1 (the genus-0 value is 0)")
     return mu_values(g)[g - 1]
 
 
 def mu_g1(g: int) -> Fraction:
-    r"""mu_{g,1} = [u^{2g}] (S^2 - 1) = a_g, read off `mu_g0`; mu_{0,1} = 0 excluded."""
-    if g < 1:
+    r"""mu_{g,1} = [u^{2g}] (S^2 - 1) = a_g, read off `mu_g0`; mu_{0,1} = 0 excluded.
+
+    g must be an int, or TypeError names it.
+    """
+    if _int_arg("g", g) < 1:
         raise ValueError("mu_g1 is defined for g >= 1 (the genus-0 value is 0)")
     return mu_g0(g).a1
 
@@ -119,9 +122,10 @@ def i_function_expansion(order_u: int) -> dict[int, dict[tuple[int, int, int], F
     give only negative z-powers, because
     (z - H)^(-m) = sum_i binom(m+i-1, i) H^i z^(-m-i): the z-nonnegative
     part comes from layers 0 and 1, and the rest is the recorded tail that
-    the checks' [z >= 0] truncation drops.
+    the checks' [z >= 0] truncation drops.  order_u must be an int, or
+    TypeError names it.
     """
-    if order_u <= 0:
+    if _int_arg("order_u", order_u) <= 0:
         return {}
 
     # S and log S as numerators of x^0..x^(size-1), x = u^2, over one denominator each

@@ -68,6 +68,13 @@ def _rational(value: object) -> Fraction:
     raise TypeError(f"series coefficients must be int or Fraction, got {value!r}")
 
 
+def _int_arg(name: str, value):
+    """``value`` itself if it is an int and not a bool; a TypeError that names it otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    return value
+
+
 def numerators(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
     """Integer numerators over the least common denominator: coeffs[i] == ints[i] / den."""
     den = lcm(*(c.denominator for c in coeffs))  # 1 for no coefficients

@@ -72,7 +72,7 @@ from math import comb, factorial, gcd, lcm
 
 from . import hodge
 from ._record import Record
-from .series import USeries, convolve, log, numerators, pow_int, sinc_half
+from .series import USeries, _int_arg, convolve, log, numerators, pow_int, sinc_half
 
 __all__ = [
     "GenusTable", "GridCell", "GridReport", "Kind", "MissingGenus", "VertexData",
@@ -81,20 +81,13 @@ __all__ = [
 
 
 class MissingGenus(ValueError):
-    """Raised when an inverse transform meets a gap below g_max."""
+    """Raised when an inverse transform meets a gw table without every genus 0..g_max."""
 
 
 class Kind(Enum):
     GW = "gw"
     UGW = "ugw"
     GV = "gv"
-
-
-def _int_arg(name: str, value):
-    """``value`` itself if it is an int and not a bool; a TypeError that names it otherwise."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an int, got {value!r}")
-    return value
 
 
 class GenusTable(Record, fields="kind c primitive values g_max"):
@@ -152,18 +145,28 @@ def sine_factor(g: int, c: int, order: int) -> USeries:
     return pow_int(sinc_half(order), 2 * g - 2 + c)
 
 
+def _lowest(nums: list[int], den: int) -> tuple[list[int], int]:
+    """nums / den with the gcd of the numerators and the denominator divided out."""
+    g = gcd(den, *nums)
+    return [x // g for x in nums], den // g
+
+
+def _common_den(pairs: Iterable[tuple[int, int]]) -> int:
+    """The least common denominator of the fractions x / d, (x, d) in pairs."""
+    # x / d in lowest terms has denominator d // gcd(x, d)
+    return lcm(*(d // gcd(x, d) for x, d in pairs))
+
+
 def _ladder(step: list[int], step_den: int, top: int, size: int) -> list[tuple[list[int], int]]:
     """(step / step_den)^j for j = 0..top, each as numerators of x^0..x^(size-1) over one den.
 
-    Every power is one integer `convolve` from the power before, reduced by
-    the gcd of its numerators and its denominator.  Entry 0 is 1.
+    Every power is one integer `convolve` from the power before, put in
+    lowest terms (`_lowest`).  Entry 0 is 1.
     """
     powers = [([int(i == 0) for i in range(size)], 1)]
     for _ in range(top):
         nums, den = powers[-1]
-        nums, den = convolve(nums, step, size), den * step_den
-        g = gcd(den, *nums)
-        powers.append(([x // g for x in nums], den // g))
+        powers.append(_lowest(convolve(nums, step, size), den * step_den))
     return powers
 
 
@@ -185,12 +188,7 @@ def _sine_powers(ks: Iterable[int], size: int) -> dict[int, tuple[list[int], int
 
 def _cut(table, size: int) -> dict[int, tuple[list[int], int]]:
     """A `_sine_powers` table cut to x^0..x^(size-1), each row put back in lowest terms."""
-    cut = {}
-    for k, (nums, den) in table.items():
-        nums = nums[:size]
-        g = gcd(den, *nums)
-        cut[k] = [x // g for x in nums], den // g
-    return cut
+    return {k: _lowest(nums[:size], den) for k, (nums, den) in table.items()}
 
 
 def _eq_basis(mixed):
@@ -203,8 +201,7 @@ def _eq_basis(mixed):
     Delta, so the basis is its table of Psi^a1 Delta^a2, the one the raw
     grid reads, put over one denominator.
     """
-    # x / d in lowest terms has denominator d // gcd(x, d)
-    den = lcm(*(d // gcd(x, d) for row in mixed for nums, d in row for x in nums))
+    den = _common_den((x, d) for row in mixed for nums, d in row for x in nums)
     rows = tuple(tuple(tuple((i, x * den // d) for i, x in enumerate(nums) if x)
                        for nums, d in row)
                  for row in mixed)
@@ -351,9 +348,8 @@ def _raw_tables(vertex: VertexData, size: int, mixed):
     marked = [[(m_pows[k][0][s], m_pows[k][1]) for k in range(s + 1)] for s in range(size)]
     inserted = [[[(comb(k, j) * mixed[k - j][j][0][s], mixed[k - j][j][1] * factorial(k))
                   for j in range(k + 1)] for k in range(s + 1)] for s in range(size)]
-    # x / q in lowest terms has denominator q // gcd(x, q)
-    m_den = lcm(*(q // gcd(x, q) for row in marked for x, q in row))
-    i_den = lcm(*(q // gcd(x, q) for row in inserted for by_k in row for x, q in by_k))
+    m_den = _common_den(pair for row in marked for pair in row)
+    i_den = _common_den(pair for row in inserted for by_k in row for pair in by_k)
     return (tuple(tuple(x * m_den // q for x, q in row) for row in marked),
             tuple(tuple(tuple(x * i_den // q for x, q in by_k) for by_k in row)
                   for row in inserted),
@@ -613,7 +609,7 @@ def gw_from_ugw(t: GenusTable) -> GenusTable:
     Absent genera are read as zero.  The result is dense on 0..g_max.
     """
     if t.kind is not Kind.UGW:
-        raise ValueError(f"gw_from_ugw expects a uGW table, got {t.kind.value}")
+        raise ValueError(f"gw_from_ugw expects a ugw table, got {t.kind.value}")
     return _apply(_transform_matrix(t.c, t.g_max), t, Kind.GW)
 
 
@@ -622,13 +618,14 @@ def ugw_from_gw(t: GenusTable) -> GenusTable:
 
     The transform is triangular with unit diagonal, so its inverse is too:
     `_inverse_matrix` builds it outright, and the table goes through the
-    same apply as the forward transform, with no solve.  Genera below the
-    minimal present genus are taken as exact zeros; a gap between that
-    genus and g_max raises MissingGenus.
+    same apply as the forward transform, with no solve.  Each uGW_h reads
+    GW_0..GW_h, so a table without every genus 0..g_max raises MissingGenus,
+    naming the absent genera, before any matrix is built; `gv_from_gw` and
+    every CLI path that inverts a gw table share this one rule.
     """
     if t.kind is not Kind.GW:
-        raise ValueError(f"ugw_from_gw expects a GW table, got {t.kind.value}")
-    gaps = [g for g in range(min(t.values, default=t.g_max + 1), t.g_max + 1) if g not in t.values]
-    if gaps:
-        raise MissingGenus(f"genera {gaps} absent below g_max={t.g_max}")
+        raise ValueError(f"ugw_from_gw expects a gw table, got {t.kind.value}")
+    missing = [g for g in range(t.g_max + 1) if g not in t.values]
+    if missing:
+        raise MissingGenus(f"inverse transform needs every genus 0..{t.g_max}; missing {missing}")
     return _apply(_inverse_matrix(t.c, t.g_max), t, Kind.UGW)

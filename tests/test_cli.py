@@ -719,15 +719,83 @@ def test_unwritable_output_exits_2(tmp_path, capsys, dest):
 
 
 def test_transform_wrong_kind_exits_2(tmp_path, capsys):
+    # the library call of the direction refuses the kind, naming both by their Kind.value
     path = write_doc(tmp_path, "g.json", make_doc(kind="gw", values={"0": "1"}))
     assert main(["transform", "--direction", "ugw-to-gw", "--input", path]) == 2
-    assert "error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: gw_from_ugw expects a ugw table, got gw\n"
 
 
 def test_inverse_transform_gap_exits_2(tmp_path, capsys):
     path = write_doc(tmp_path, "g.json", make_doc(kind="gw", g_max=2, values={"0": "1"}))
     assert main(["transform", "--direction", "gw-to-ugw", "--input", path]) == 2
     assert "missing [1, 2]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values, missing", [
+    ({"1": "-1/12", "2": "1/360", "3": "-1/20160"}, [0]),
+    ({"0": "1", "1": "-1/12", "3": "-1/20160"}, [2]),
+    ({"0": "1", "1": "-1/12", "2": "1/360"}, [3]),
+])
+@pytest.mark.parametrize("argv", [
+    ["transform", "--direction", "gw-to-ugw"],
+    ["transform", "--direction", "gw-to-gv"],
+    ["check-integrality"],
+])
+def test_every_gw_path_refuses_a_table_without_every_genus(tmp_path, capsys, monkeypatch,
+                                                           argv, values, missing):
+    # the library's one rule, with its message, on every path that inverts a gw table
+    def boom(*args, **kwargs):
+        raise AssertionError("matrix built for an incomplete table")
+
+    monkeypatch.setattr(wallcross, "_inverse_matrix", boom)
+    path = write_doc(tmp_path, "g.json", make_doc(kind="gw", g_max=3, values=values))
+    target = tmp_path / "out.json"
+    assert main([*argv, "--input", path, "--output", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: inverse transform needs every genus 0..3; missing {missing}\n"
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("direction, name", [
+    ("gw-to-ugw", "ugw_from_gw"), ("ugw-to-gw", "gw_from_ugw"), ("gw-to-gv", "gv_from_gw"),
+    ("gv-to-gw", "gw_from_gv"),
+])
+def test_each_direction_calls_its_library_function_by_name(tmp_path, monkeypatch, direction,
+                                                           name):
+    # looked up when the call runs, so a function bound in its place on the
+    # module is the one called
+    def reached(table):
+        raise _Reached(table.kind.value)
+
+    monkeypatch.setattr(cli, name, reached)
+    kind = direction.partition("-to-")[0]
+    path = write_doc(tmp_path, "t.json", make_doc(kind=kind, g_max=0, values={"0": "1"}))
+    with pytest.raises(_Reached, match=f"^{kind}$"):
+        main(["transform", "--direction", direction, "--input", path])
+
+
+def test_direction_choices_are_the_dispatch_table():
+    choices = COMMANDS["transform"][1]["--direction"]["choices"]
+    assert choices == tuple(cli._DIRECTIONS) == ("gw-to-ugw", "ugw-to-gw", "gw-to-gv", "gv-to-gw")
+
+
+# sha256 of `transform --help` at COLUMNS=80, recorded while the direction
+# choices were spelt out in COMMANDS; Python 3.13 changed argparse's layout
+TRANSFORM_HELP_SHA256 = {
+    False: "490c83345ef17f6221b1cc05f7cb6183ce6b60fc8aeab8149ee889613014af10",
+    True: "ecb32f46b96ba9dc073917b553efbb82a9b2b1f3207b0fb1aa2cd207739b6564",
+}
+
+
+def test_transform_help_is_unchanged():
+    proc = subprocess.run([sys.executable, "-m", "sinewall.cli", "transform", "--help"],
+                          capture_output=True, env=dict(CHILD_ENV, COLUMNS="80"))
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    digest = hashlib.sha256(proc.stdout).hexdigest()
+    assert digest == TRANSFORM_HELP_SHA256[sys.version_info >= (3, 13)]
 
 
 def test_forward_transform_fills_gaps_with_zero(tmp_path, capsys):

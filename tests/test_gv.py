@@ -105,14 +105,26 @@ def test_report_on_gv_does_not_gate():
     assert rep.largest_nonzero_genus == 1
 
 
+def test_report_on_gv_gates_a_ugw_table_and_relabels_it():
+    # a ugw table is the GV table only under the gate
+    with pytest.raises(ClassNotCovered):
+        report_on_gv(GenusTable(Kind.UGW, -3, False, {0: 1}, 2))
+    ugw = GenusTable(Kind.UGW, 2, False, {0: 4, 1: F(-1, 2)}, 2)
+    rep = report_on_gv(ugw)
+    assert rep == report_on_gv(GenusTable(Kind.GV, 2, False, {0: 4, 1: F(-1, 2)}, 2))
+    assert rep.table == GenusTable(Kind.GV, 2, False, {0: 4, 1: F(-1, 2), 2: 0}, 2)
+    assert rep.non_integral_genera == (1,)
+
+
 def test_kind_mismatches_rejected():
+    # both kinds are named by their Kind.value
     gw = GenusTable(Kind.GW, 1, True, {0: 1}, 0)
     gv = GenusTable(Kind.GV, 1, True, {0: 1}, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^gw_from_gv expects a gv table, got gw$"):
         gw_from_gv(gw)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^gv_from_gw expects a gw table, got gv$"):
         gv_from_gw(gv)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^report_on_gv expects a gv or ugw table, got gw$"):
         report_on_gv(gw)
 
 

@@ -1,6 +1,7 @@
 """Vertex-value layer: mu constants, the local z-expansion and its two checks."""
 
 import inspect
+import re
 from fractions import Fraction as F
 from math import comb, factorial
 
@@ -44,6 +45,16 @@ def test_mu_requires_positive_genus():
         mu_g0(0)
     with pytest.raises(ValueError):
         mu_g1(0)
+
+
+@pytest.mark.parametrize("call, name", [
+    (hodge.mu_values, "g_top"), (mu_g0, "g"), (mu_g1, "g"), (i_function_expansion, "order_u"),
+])
+@pytest.mark.parametrize("bad", [True, 2.5, F(2), "2"])
+def test_vertex_functions_refuse_arguments_that_are_not_ints(call, name, bad):
+    # a bool would compute as 0 or 1 and a float fail deep in the series kernel
+    with pytest.raises(TypeError, match=rf"^{name} must be an int, got {re.escape(repr(bad))}$"):
+        call(bad)
 
 
 def test_mu_z_coefficient_matches_square_expansion():

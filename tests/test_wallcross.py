@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sinewall import hodge, series, wallcross
+from sinewall.gv import gv_from_gw
 from sinewall.partitions import (
     descending_walk,
     enumerate_threefold_partitions,
@@ -917,15 +918,14 @@ def test_transform_exponent_zero_class():
 def test_transform_empty_table():
     ugw = GenusTable(Kind.UGW, 2, False, {}, 2)
     assert gw_from_ugw(ugw).dense() == {0: F(0), 1: F(0), 2: F(0)}
-    gw = GenusTable(Kind.GW, 2, False, {}, 2)
-    assert ugw_from_gw(gw).dense() == {0: F(0), 1: F(0), 2: F(0)}
 
 
 def test_transform_kind_checks():
+    # both kinds are named by their Kind.value
     gw = GenusTable(Kind.GW, 1, True, {0: 1}, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^gw_from_ugw expects a ugw table, got gw$"):
         gw_from_ugw(gw)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^ugw_from_gw expects a gw table, got ugw$"):
         ugw_from_gw(GenusTable(Kind.UGW, 1, True, {0: 1}, 0))
 
 
@@ -935,13 +935,26 @@ def test_inverse_transform_requires_contiguous_tail():
         ugw_from_gw(gw)
 
 
-def test_inverse_transform_from_min_occupied_genus():
-    # genera below the least occupied one are taken as zero
-    gw = GenusTable(Kind.GW, 1, True, {2: 5, 3: 7}, 3)
-    u = ugw_from_gw(gw)
-    assert u.value(0) == 0 and u.value(1) == 0
-    assert u.value(2) == 5
-    assert u.value(3) == F(61, 8)
+# line-class gw tables without genus 0, a middle genus, genus g_max, or any genus
+@pytest.mark.parametrize("values, g_max, missing", [
+    ({1: F(-1, 12), 2: F(1, 360)}, 2, [0]),
+    ({0: 1, 1: F(-1, 12), 3: F(-1, 20160)}, 3, [2]),
+    ({0: 1, 1: F(-1, 12), 2: F(1, 360)}, 3, [3]),
+    ({}, 2, [0, 1, 2]),
+])
+@pytest.mark.parametrize("invert", [ugw_from_gw, gv_from_gw])
+def test_inverse_transform_refuses_a_table_without_every_genus(monkeypatch, invert, values,
+                                                               g_max, missing):
+    # an absent genus is not read as zero, which would have gv_from_gw report
+    # on an invented table; both refuse before any matrix is built
+    def boom(*args, **kwargs):
+        raise AssertionError("matrix built for an incomplete table")
+
+    monkeypatch.setattr(wallcross, "_inverse_matrix", boom)
+    table = GenusTable(Kind.GW, 4, True, values, g_max)
+    named = f"inverse transform needs every genus 0..{g_max}; missing {missing}"
+    with pytest.raises(MissingGenus, match=f"^{re.escape(named)}$"):
+        invert(table)
 
 
 def _matrix_product(a, b):
