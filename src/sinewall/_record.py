@@ -1,18 +1,23 @@
-"""Immutable records of named fields: tuple subclasses made without generated code.
+"""Immutable records of named fields, and the report records of the identity checks.
 
 `collections.namedtuple` compiles a ``__new__`` with ``eval`` for every
 class it makes, about 0.1 ms each; a CLI call is usually a fresh process
-that creates all eight result records on import.  `Record` reads a
-subclass's field names and defaults from its class keywords instead:
+that creates all seven result records on import.  `Record` reads a
+subclass's field names from a class keyword instead:
 
-    class GridCell(Record, fields="key passed detail", defaults=("",)):
+    class GridCell(Record, fields="key passed detail"):
         __slots__ = ()
 
 The fields are read-only properties, equality and hashing are the tuple's,
-and construction (positional, keyword, defaults), `repr`, `copy` and
-`pickle` behave as for a namedtuple subclass.  `_replace` builds its record
-through the class's own constructor, so a class that validates in
-``__new__`` validates a replaced field too.
+and construction (positional or keyword, every field given), `repr`,
+`copy` and `pickle` behave as for a namedtuple subclass.  `_replace`
+builds its record through the class's own constructor, so a class that
+validates in ``__new__`` validates a replaced field too.
+
+`GridCell` and `GridReport` are the one report type of the four checks of
+`verify-identities`: the two grids of `wallcross.verify_grids` and the two
+expansion checks of `hodge`, one cell per genus.  They live here, which
+both modules import, and `wallcross` exports them.
 """
 
 from __future__ import annotations
@@ -27,21 +32,14 @@ class Record(tuple):
 
     __slots__ = ()
 
-    def __init_subclass__(cls, fields: str, defaults=()):
-        names = tuple(fields.split())
-        tail = tuple(defaults)
-        required = len(names) - len(tail)
-        cls._fields = names
-        cls._field_defaults = dict(zip(names[required:], tail))
-        # positional argument count -> the defaults that complete it
-        cls._pads = {required + i: tail[i:] for i in range(len(tail) + 1)}
-        for index, name in enumerate(names):
+    def __init_subclass__(cls, fields: str):
+        cls._fields = tuple(fields.split())
+        for index, name in enumerate(cls._fields):
             setattr(cls, name, property(itemgetter(index)))
 
     def __new__(cls, *args, **kwargs):
-        pad = cls._pads.get(len(args))
-        if pad is not None and not kwargs:
-            return _new(cls, args + pad)
+        if len(args) == len(cls._fields) and not kwargs:
+            return _new(cls, args)
         return _new(cls, cls._bind(args, kwargs))
 
     @classmethod
@@ -52,12 +50,9 @@ class Record(tuple):
             raise TypeError(f"{name}() takes {len(fields)} arguments, got {len(args)}")
         values = list(args)
         for field in fields[len(args):]:
-            if field in kwargs:
-                values.append(kwargs.pop(field))
-            elif field in cls._field_defaults:
-                values.append(cls._field_defaults[field])
-            else:
+            if field not in kwargs:
                 raise TypeError(f"{name}() missing argument {field!r}")
+            values.append(kwargs.pop(field))
         if kwargs:
             raise TypeError(f"{name}() got an unexpected or repeated argument "
                             f"{next(iter(kwargs))!r}")
@@ -77,3 +72,31 @@ class Record(tuple):
         if changes:
             raise ValueError(f"unexpected field names: {sorted(changes)}")
         return type(self)(*values)
+
+
+class GridCell(Record, fields="key passed detail"):
+    """One verification cell: its parameter key, its outcome and, failing, its first mismatch."""
+
+    __slots__ = ()
+
+
+class GridReport(Record, fields="name cells"):
+    """Deterministic, lexicographically ordered verification results."""
+
+    __slots__ = ()
+
+    @property
+    def passed(self) -> bool:
+        return all(cell.passed for cell in self.cells)
+
+    @property
+    def first_failure(self) -> GridCell | None:
+        return next((cell for cell in self.cells if not cell.passed), None)
+
+    def summary(self) -> str:
+        status = "pass" if self.passed else "FAIL"
+        line = f"{self.name}: {status} ({len(self.cells)} cells)"
+        if not self.passed:
+            bad = self.first_failure
+            line += f"; first failure at {bad.key}: {bad.detail}"
+        return line

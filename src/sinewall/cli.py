@@ -85,7 +85,7 @@ from .wallcross import (
 # Largest accepted values, each keeping one call to a few seconds.  The
 # "Limits" table in README.md gives each limit's slowest admitted call, as
 # exact argv, and its time.
-MAX_VERIFY_ORDER = 57
+MAX_VERIFY_ORDER = 110
 MAX_SINE_ORDER = 500
 MAX_MU_G_MAX = 40
 # |g| and |c| of expand-sine and |c1_dot_beta| of a table.  At |g| = |c| = 10**6
@@ -314,16 +314,11 @@ def _handle_check_integrality(ns: SimpleNamespace) -> tuple[str, str | None]:
 
 def _handle_verify_identities(ns: SimpleNamespace) -> tuple[str, str | None]:
     order = ns.order
-    grids = verify_grids(order)
     expansion = i_function_expansion(2 * (order // 2) + 2)
-    checks = (("vertex closed form vs local expansion", verify_mu_consistency(expansion)),
-              ("expansion ratio vs marked-point constants", verify_i_ratio(expansion)))
+    reports = (*verify_grids(order), verify_mu_consistency(expansion), verify_i_ratio(expansion))
     rows = [(rep.name, rep.passed, len(rep.cells),
              None if rep.passed else f"{rep.first_failure.key}: {rep.first_failure.detail}")
-            for rep in grids]
-    rows += [(name, rep.passed, len(rep.checked),
-              None if rep.passed else f"genus {rep.first_failure}: {rep.detail}")
-             for name, rep in checks]
+            for rep in reports]
 
     all_passed = all(passed for _, passed, _, _ in rows)
     if ns.format == "json":

@@ -27,7 +27,8 @@ coefficients left out, the layout `MuValue.terms` gives too:
 `verify_mu_consistency` compares its z-nonnegative terms with mu_{g,0}, and
 `verify_i_ratio` checks that dividing it by z leaves the constant mu_{g,1}
 as its only z-nonnegative term.  Both checks take the expansion alone, so
-one expansion serves both.
+one expansion serves both, and each reports as the identity grids do: a
+`GridReport` with one `GridCell` per genus g >= 1, keyed "genus g".
 """
 
 from __future__ import annotations
@@ -36,12 +37,12 @@ from collections.abc import Mapping
 from fractions import Fraction
 from math import comb
 
-from ._record import Record
+from ._record import GridCell, GridReport, Record
 from .series import _int_arg, convolve, log, numerators, sinc_half
 
 __all__ = [
-    "CheckReport", "MuValue", "i_function_expansion", "mu_g0", "mu_g1", "mu_values",
-    "verify_i_ratio", "verify_mu_consistency",
+    "MuValue", "i_function_expansion", "mu_g0", "mu_g1", "mu_values", "verify_i_ratio",
+    "verify_mu_consistency",
 ]
 
 # Classes of degree above 3 vanish on a threefold: the expansion caps H^a c1^b at a + b <= 3.
@@ -57,12 +58,6 @@ class MuValue(Record, fields="a1 a_H a_c1"):
         """{(z-power, H-power, c1-power): coefficient}, the expansion's layout, zeros left out."""
         pairs = (((1, 0, 0), self.a1), ((0, 1, 0), self.a_H), ((0, 0, 1), self.a_c1))
         return {key: q for key, q in pairs if q}
-
-
-class CheckReport(Record, fields="passed checked first_failure detail", defaults=(None, "")):
-    """Outcome of a per-genus identity check."""
-
-    __slots__ = ()
 
 
 _memo: tuple[MuValue, ...] = ()  # the largest build so far; a smaller top reads its prefix
@@ -169,37 +164,44 @@ def i_function_expansion(order_u: int) -> dict[int, dict[tuple[int, int, int], F
     return out
 
 
-def _check(expansion: Mapping[int, Mapping[tuple[int, int, int], Fraction]],
-           got_and_want) -> CheckReport:
+def _genus_cells(expansion: Mapping[int, Mapping[tuple[int, int, int], Fraction]],
+                 got_and_want) -> tuple[GridCell, ...]:
     """Compare got_and_want(terms, mu) for every genus g >= 1 of the expansion.
 
-    A failing genus names its first mismatching (z, H, c1) term, in key
-    order, as `wallcross._cell` names a coefficient.
+    One cell per genus, keyed "genus g"; a failing cell names its first
+    mismatching (z, H, c1) term, in key order, as `wallcross._cell` names a
+    coefficient.
     """
-    genera = tuple(g for g in sorted(expansion) if g >= 1)
+    genera = [g for g in sorted(expansion) if g >= 1]
     mu = mu_values(max(genera, default=0))
+    cells = []
     for g in genera:
         got, want = got_and_want(expansion[g], mu[g - 1])
+        detail = ""
         for key in sorted(got.keys() | want.keys()):
             x, y = got.get(key, 0), want.get(key, 0)
             if x != y:
                 z, h, c1 = key
-                return CheckReport(False, genera, g, f"z^{z} H^{h} c1^{c1}: got {x}, want {y}")
-    return CheckReport(True, genera)
+                detail = f"z^{z} H^{h} c1^{c1}: got {x}, want {y}"
+                break
+        cells.append(GridCell(f"genus {g}", not detail, detail))
+    return tuple(cells)
 
 
 def verify_mu_consistency(
-        expansion: Mapping[int, Mapping[tuple[int, int, int], Fraction]]) -> CheckReport:
+        expansion: Mapping[int, Mapping[tuple[int, int, int], Fraction]]) -> GridReport:
     """Check [z >= 0] of the expansion against the closed-form mu_{g,0}, genera g >= 1."""
-    return _check(expansion, lambda terms, mu: (
+    cells = _genus_cells(expansion, lambda terms, mu: (
         {key: q for key, q in terms.items() if key[0] >= 0}, mu.terms()))
+    return GridReport("vertex closed form vs local expansion", cells)
 
 
 def verify_i_ratio(
-        expansion: Mapping[int, Mapping[tuple[int, int, int], Fraction]]) -> CheckReport:
+        expansion: Mapping[int, Mapping[tuple[int, int, int], Fraction]]) -> GridReport:
     """Check that [z >= 0] of (expansion / z) is the constant mu_{g,1}, genera g >= 1.
 
     A mismatch is named as a term of expansion / z.
     """
-    return _check(expansion, lambda terms, mu: (
+    cells = _genus_cells(expansion, lambda terms, mu: (
         {(z - 1, h, c1): q for (z, h, c1), q in terms.items() if z >= 1}, {(0, 0, 0): mu.a1}))
+    return GridReport("expansion ratio vs marked-point constants", cells)

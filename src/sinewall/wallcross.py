@@ -60,7 +60,9 @@ compares once, every helper takes and returns integer numerators of
 x^0..x^(size-1), and only `eq_sum` and `correction_raw_sum` spread a result
 back to u.  The powers of S, S^-1, M, Psi and Delta are each a `_ladder`,
 one integer `convolve` per power.  A failing cell names its first mismatch
-as a power of u, from the integers it compared.
+as a power of u, from the integers it compared.  Each grid reports as a
+`GridReport` of `GridCell`s (`_record`), the report type the expansion
+checks of `hodge` share.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 
 from . import hodge
-from ._record import Record
+from ._record import GridCell, GridReport, Record
 from .series import USeries, _int_arg, convolve, log, numerators, pow_int, sinc_half
 
 __all__ = [
@@ -465,34 +467,6 @@ def correction_raw_sum(g0: int, n: int, c: int, order: int,
     return _from_numerators(nums, tables[2], order)
 
 
-class GridCell(Record, fields="key passed detail", defaults=("",)):
-    """One verification cell: its parameter key and outcome."""
-
-    __slots__ = ()
-
-
-class GridReport(Record, fields="name cells"):
-    """Deterministic, lexicographically ordered verification results."""
-
-    __slots__ = ()
-
-    @property
-    def passed(self) -> bool:
-        return all(cell.passed for cell in self.cells)
-
-    @property
-    def first_failure(self) -> GridCell | None:
-        return next((cell for cell in self.cells if not cell.passed), None)
-
-    def summary(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        line = f"{self.name}: {status} ({len(self.cells)} cells)"
-        if not self.passed:
-            bad = self.first_failure
-            line += f"; first failure at {bad.key}: {bad.detail}"
-        return line
-
-
 def _cell(key, got: list[int], den: int, want: list[int], want_den: int) -> GridCell:
     """Compare got / den with want / want_den, both dense in x = u^2, by cross-multiplication.
 
@@ -502,7 +476,7 @@ def _cell(key, got: list[int], den: int, want: list[int], want_den: int) -> Grid
         if x * want_den != y * den:
             return GridCell(key, False,
                             f"u^{2 * k}: got {Fraction(x, den)}, want {Fraction(y, want_den)}")
-    return GridCell(key, True)
+    return GridCell(key, True, "")
 
 
 def _grid_cells(computed: Iterable, closed: Mapping[int, tuple[list[int], int]]
@@ -522,7 +496,7 @@ def _grid_cells(computed: Iterable, closed: Mapping[int, tuple[list[int], int]]
             want, want_den = closed[k]
             q, r = divmod(den, want_den)
             scaled[k, den] = None if r else [y * q for y in want]
-        cells.append(GridCell(key, True) if got == scaled[k, den]
+        cells.append(GridCell(key, True, "") if got == scaled[k, den]
                      else _cell(key, got, den, *closed[k]))
     return tuple(cells)
 

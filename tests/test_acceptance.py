@@ -66,10 +66,11 @@ def test_criterion_3_expansion_consistency():
     mu_rep = verify_mu_consistency(expn)
     ratio_rep = verify_i_ratio(expn)
     elapsed = time.perf_counter() - t0
-    assert mu_rep.passed, mu_rep.detail
-    assert mu_rep.checked == (1, 2, 3, 4, 5)
-    assert ratio_rep.passed, ratio_rep.detail
-    assert ratio_rep.checked == (1, 2, 3, 4, 5)
+    genera = [f"genus {g}" for g in (1, 2, 3, 4, 5)]
+    assert mu_rep.passed, mu_rep.summary()
+    assert [cell.key for cell in mu_rep.cells] == genera
+    assert ratio_rep.passed, ratio_rep.summary()
+    assert [cell.key for cell in ratio_rep.cells] == genera
     assert elapsed < 5.0
     report(f"PASS criterion 3: local expansion matches vertex closed forms and "
            f"marked-point constants for g <= 5, exact ({elapsed:.2f}s)")
@@ -211,13 +212,13 @@ def test_criterion_7_negative_controls():
     expn = i_function_expansion(12)
     expn[3] = {**expn[3], (0, 0, 0): expn[3].get((0, 0, 0), 0) + delta}
     mu_rep = verify_mu_consistency(expn)
-    assert not mu_rep.passed and mu_rep.first_failure == 3
+    assert not mu_rep.passed and mu_rep.first_failure.key == "genus 3"
     detected.append("expansion-z0@3")
 
     expn2 = i_function_expansion(12)
     expn2[4] = {**expn2[4], (1, 0, 0): expn2[4].get((1, 0, 0), 0) + delta}
     ratio_rep = verify_i_ratio(expn2)
-    assert not ratio_rep.passed and ratio_rep.first_failure == 4
+    assert not ratio_rep.passed and ratio_rep.first_failure.key == "genus 4"
     detected.append("expansion-z1@4")
 
     report(f"PASS criterion 7: every 1/1000 perturbation detected "

@@ -267,8 +267,9 @@ def test_cli_limits(capsys, monkeypatch, argv, name, limit, patched):
 
 def test_cli_limits_cover_documented_workloads():
     # the benchmark runs verify-identities through order 10, expand-sine
-    # through order 18 and mu through g_max 8; ROADMAP times order 14
-    assert cli.MAX_VERIFY_ORDER >= 14
+    # through order 18 and mu through g_max 8; ROADMAP times order 14, and
+    # README's "Limits" table times verify-identities at its limit, 110
+    assert cli.MAX_VERIFY_ORDER == 110
     assert cli.MAX_SINE_ORDER >= 18
     assert cli.MAX_MU_G_MAX >= 8
     # expand-sine jobs use g 0..8 and c -2..8, tables c -3..8
@@ -921,7 +922,8 @@ def test_verify_identities_stdout_is_the_assembled_report(order, capsys):
 # powers; order 57 from the handler itself, before the raw tables were built
 # by a prefix walk and when the CLI still refused orders above 50; orders 6, 8
 # and 10, the benchmark's, before both grids shared one table of sine powers
-# and the vertex values came from one build
+# and the vertex values came from one build; order 110 with the limit lifted,
+# while the CLI still refused orders above 57
 VERIFY_STDOUT_SHA256 = {
     (6, "text"): "f63d9c3f91850969504b84622521f62b44b14a689d8f1661bc754b9430e4336e",
     (6, "json"): "46ab2917c22bf352e0c855658ad3c0ccdd0be89c30b164e7c2395730e1a52f31",
@@ -939,10 +941,12 @@ VERIFY_STDOUT_SHA256 = {
     (50, "json"): "31cf94e60a01df328782d9de7bd9632b6c2abe0b81983b0d60639e730432d1f2",
     (57, "text"): "9bb8667d880d2c773b72ce98f567d1e9c702d1e4264b3d609b1987290cc4a8fb",
     (57, "json"): "6f0eb1b789b43bdb653118c67b4c196a768e42883356c5bc5b3fa9532490c4e6",
+    (110, "text"): "8b51f7df2c168c1b4be7bc58c1236e9f1daccfd572dadd265835ee9f43a959d7",
+    (110, "json"): "3e9ceb0495464f1fdd1fee0268167109226598a2bc89db48ba754d5ccda27b8e",
 }
 
 
-@pytest.mark.parametrize("order", (6, 8, 10, 20, 30, 40, 50, 57))
+@pytest.mark.parametrize("order", (6, 8, 10, 20, 30, 40, 50, 57, 110))
 def test_verify_identities_stdout_pinned_at_high_order(order, capsys):
     for fmt in ("text", "json"):
         assert main(["verify-identities", "--order", str(order), "--format", fmt]) == 0
@@ -1149,21 +1153,57 @@ def test_verify_identities_expansion_failure_exits_1(capsys, monkeypatch, genus,
     expansion = _bump_expansion(monkeypatch, genus, power)
     reps = [hodge.verify_mu_consistency(expansion), hodge.verify_i_ratio(expansion)]
     assert [2 + i for i, rep in enumerate(reps) if not rep.passed] == rows
-    assert all(rep.first_failure == genus for rep in reps if not rep.passed)
+    assert all(rep.first_failure.key == f"genus {genus}" for rep in reps if not rep.passed)
     # each failing row names its first mismatching term, as a grid cell does;
     # the ratio row's term is one of expansion / z
     a = hodge.mu_g1(genus)
     bumped = f"got {a + Fraction(1, 1000)}, want {a}"
     details = {(3, 0): ["z^0 H^0 c1^0: got 1/1000, want 0"],
                (4, 1): [f"z^1 H^0 c1^0: {bumped}", f"z^0 H^0 c1^0: {bumped}"]}[genus, power]
-    assert [rep.detail for rep in reps if not rep.passed] == details
-    text, doc = _verify_report(10, {2 + i: f"genus {genus}: {rep.detail}"
+    assert [rep.first_failure.detail for rep in reps if not rep.passed] == details
+    text, doc = _verify_report(10, {2 + i: f"genus {genus}: {rep.first_failure.detail}"
                                     for i, rep in enumerate(reps) if not rep.passed})
     assert main(["verify-identities", "--order", "10", "--format", fmt]) == 1
     captured = capsys.readouterr()
     assert captured.out == (text if fmt == "text" else doc)
     assert f"first failure genus {genus}: {details[0]}\n" in text
     assert captured.err == "check failed: identity verification failed\n"
+
+
+# sha256 of (stdout, stderr) of a failing `verify-identities --order 10`,
+# recorded before the expansion checks reported through grid cells
+VERIFY_FAILURE_SHA256 = {
+    ("vertex", "json"): ("3db17de83992a6f848c4274811a17ac4ed13c28bc6c510dabdcac0dc7bedbbcf",
+                        "145455a4f0eb81fba4838160c23f67f3d833c6afb04a285d76f94b7720f0c60c"),
+    ("vertex", "text"): ("aaba98876dff7d134ec7ed64fbcc7d5ec8a4400f6d62f751e8fe8397e2b2e3bb",
+                        "145455a4f0eb81fba4838160c23f67f3d833c6afb04a285d76f94b7720f0c60c"),
+    ("expansion", "json"): ("ee9e10e3ac650838f5b581382bb858fa110eee047f21182140688233b6745749",
+                           "145455a4f0eb81fba4838160c23f67f3d833c6afb04a285d76f94b7720f0c60c"),
+    ("expansion", "text"): ("0531928c0a8a109248a1764564773a63b2a85d8b8a86a720467663e27ee0c2df",
+                           "145455a4f0eb81fba4838160c23f67f3d833c6afb04a285d76f94b7720f0c60c"),
+}
+
+
+@pytest.mark.parametrize("case", ["vertex", "expansion"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_verify_identities_failing_report_is_pinned(capsys, monkeypatch, case, fmt):
+    # vertex: b_2 (of 3H + c1 in mu_{2,0}) bumped feeds Delta, so both grids
+    # fail; expansion: z^1 bumped at genus 3 and 4, so both expansion checks
+    # fail at both genera and name genus 3
+    if case == "vertex":
+        standard = VertexData.standard
+        monkeypatch.setattr(VertexData, "standard", classmethod(
+            lambda cls, g_top: standard(g_top).perturbed("mu0_div", 2, Fraction(1, 1000))))
+    else:
+        _bump_expansion(monkeypatch, 3, 1)
+        _bump_expansion(monkeypatch, 4, 1)
+    assert main(["verify-identities", "--order", "10", "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    passed = {"vertex": [False, False, True, True], "expansion": [True, True, False, False]}[case]
+    if fmt == "json":
+        assert [check["passed"] for check in json.loads(captured.out)["checks"]] == passed
+    digests = tuple(hashlib.sha256(s.encode()).hexdigest() for s in (captured.out, captured.err))
+    assert digests == VERIFY_FAILURE_SHA256[case, fmt], (captured.out, digests)
 
 
 def test_verify_identities_shared_vertex_build_hides_no_fault(capsys, monkeypatch):

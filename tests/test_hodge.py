@@ -216,22 +216,22 @@ def test_expansion_runs_without_closed_form_vertex(monkeypatch):
 def test_verify_mu_consistency_passes():
     rep = verify_mu_consistency(i_function_expansion(12))
     assert rep.passed
-    assert rep.checked == (1, 2, 3, 4, 5)
+    assert [cell.key for cell in rep.cells] == [f"genus {g}" for g in (1, 2, 3, 4, 5)]
     assert rep.first_failure is None
 
 
 def test_verify_i_ratio_passes():
     rep = verify_i_ratio(i_function_expansion(12))
     assert rep.passed
-    assert rep.checked == (1, 2, 3, 4, 5)
+    assert [cell.key for cell in rep.cells] == [f"genus {g}" for g in (1, 2, 3, 4, 5)]
 
 
 def test_verify_vacuous_at_order_zero():
     # verify-identities --order 0 or 1 builds the expansion at order_u 2: genus 0 only
     for expn in (i_function_expansion(2), {}):
         assert verify_mu_consistency(expn).passed
-        assert verify_mu_consistency(expn).checked == ()
-        assert verify_i_ratio(expn).checked == ()
+        assert verify_mu_consistency(expn).cells == ()
+        assert verify_i_ratio(expn).cells == ()
 
 
 def _bump(terms, power, delta):
@@ -246,8 +246,8 @@ def test_verify_mu_consistency_locates_corruption():
     expn[3] = _bump(expn[3], 0, F(1, 1000))
     rep = verify_mu_consistency(expn)
     assert not rep.passed
-    assert rep.first_failure == 3
-    assert rep.detail == "z^0 H^0 c1^0: got 1/1000, want 0"
+    assert rep.first_failure.key == "genus 3"
+    assert rep.first_failure.detail == "z^0 H^0 c1^0: got 1/1000, want 0"
 
 
 def test_verify_i_ratio_locates_corruption():
@@ -255,10 +255,10 @@ def test_verify_i_ratio_locates_corruption():
     expn[4] = _bump(expn[4], 1, F(1, 1000))
     rep = verify_i_ratio(expn)
     assert not rep.passed
-    assert rep.first_failure == 4
+    assert rep.first_failure.key == "genus 4"
     # named as a term of expansion / z
     a4 = mu_g1(4)
-    assert rep.detail == f"z^0 H^0 c1^0: got {a4 + F(1, 1000)}, want {a4}"
+    assert rep.first_failure.detail == f"z^0 H^0 c1^0: got {a4 + F(1, 1000)}, want {a4}"
 
 
 def test_corrupted_negative_tail_is_invisible_to_mu_check():
@@ -277,4 +277,5 @@ def test_checks_cover_genera_through_half_the_order():
     for order in range(15):
         expn = i_function_expansion(2 * (order // 2) + 2)
         for check in (verify_mu_consistency, verify_i_ratio):
-            assert check(expn) == (True, tuple(range(1, order // 2 + 1)), None, "")
+            assert check(expn).cells == tuple((f"genus {g}", True, "")
+                                              for g in range(1, order // 2 + 1))
