@@ -309,8 +309,9 @@ def sinc_half(order: int) -> USeries:
 
     Only even exponents appear; the constant term is 1.  With order <= 0
     the result is the zero-knowledge series (no coefficient determined).
+    order must be an int, or TypeError names it.
     """
-    if order <= 0:
+    if _int_arg("order", order) <= 0:
         return USeries.zero(order)
     out = [Fraction(0)] * order
     for k in range(0, (order - 1) // 2 + 1):

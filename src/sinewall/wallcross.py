@@ -23,42 +23,42 @@ at a marked point, and an insertion list, whose parts each contribute a
 bracket insertion mu_{g,0}(-psi + H), evaluated by stripping psi
 insertions (dilaton: each removal contributes
 -(2 g0 - 2 + #remaining markings)) and then divisor insertions (each
-3H + c1 contributes 3(2 g0 - 2) + c).  The two lists are chosen
-independently, so each coefficient is a convolution of a marked-list sum
-and an insertion-list sum.  Those sums split into vertex-only tables (by
-genus and list length, and for insertions by the number of psi parts),
-read off powers of the vertex series (`_vertex_powers`; a k-th power
-counts each list of k parts once per ordering, the orbit weight the sums
-need) and reduced to one least common denominator per table, and a
-per-(g0, n) combination in integer arithmetic.  For fixed (g0, n) each
-coefficient is a polynomial in the divisor weight B = 3(2 g0 - 2) + c: the
-combination builds it once, from the marked sums with the binomials
-C(n, k1) (once per n) and the insertion polynomials (`_inserted_polys`,
-from the psi falling products of `_bracket_factors`, once per bracket
-2 g0 - 2 + n, the only way they depend on g0 and n), and evaluates it at
-every c by Horner, for a grid and for a single `correction_raw_sum` alike.
-`verify_grids`, the two identity grids of `verify-identities`, builds the
-tables once for its raw grid and asserts exact coefficientwise agreement of
-the two routes, compared in integers: each closed row is put over the grid's
-one denominator once, so a cell is one comparison of whole rows
-(`_grid_cells`), and `_cell` cross-multiplies any other cell and names a
-failing cell's first mismatch.  The inner coefficient identity of its other
-grid, `eq_sum`, has the same design: t1 = S^2 - 1 and t2 = S^2 log S are the
-standard vertex's Psi and Delta, so its basis t1^a1 t2^a2 is the
-`_vertex_powers` table the raw grid reads, and for fixed m1 each coefficient
-is a polynomial in m2, evaluated at every m2 by Horner (`_eq_cells`).  Both
-grids read their closed sides from one table of sine powers
+3H + c1 contributes B = 3(2 g0 - 2) + c).  The two lists are chosen
+independently, so the series is the product of a marked-list sum and an
+insertion-list sum, each counting a list of k parts once per ordering.
+With M = sum_g mu1[g] x^g, the marked lists with at most n parts sum to
+(1 + M)^n by the binomial theorem: rung n of a `_ladder` on 1 + M.
+Stripping j psi and i divisor insertions from the bracket b = 2 g0 - 2 + n
+contributes ff(-b - i, j) B^i, with ff(x, j) = x (x - 1) ... (x - j + 1),
+and the insertion lists with j psi parts and i divisor parts sum to
+Psi^j Delta^i / (j! i!), the vertex series of mu0_psi and mu0_div.  So
+the insertion sum is the bracket-reduction double sum of `eq_sum` at
+m1 = -b and m2 = B, for any vertex values: the raw route reads the eq
+route's polynomials in m2 at m1 = -b (`_eq_polys`), evaluates them at B
+(`_horner`) and convolves the result with the 1 + M rung.
+`verify_grids`, the two identity grids of `verify-identities`, asserts
+exact coefficientwise agreement with the closed form, compared in
+integers: each closed row is put over a cell's denominator once, so a cell
+is one comparison of whole rows (`_grid_cells`), and `_cell`
+cross-multiplies any other cell and names a failing cell's first mismatch.
+Its eq grid checks the inner identity, `eq_sum`: t1 = S^2 - 1 and
+t2 = S^2 log S are the standard vertex's Psi and Delta, so its basis
+t1^a1 t2^a2 is the `_vertex_powers` table, and for fixed m1 each
+coefficient is a polynomial in m2 (`_eq_polys`), evaluated at every m2.
+Each distinct m1 of the two grids gets one polynomial build per call.
+Both grids read their closed sides from one table of sine powers
 (`_sine_powers`): S^k for every exponent the grids read, with no `log`,
-`exp` or vertex value.  It and the table of Psi^j Delta^i are built once, at
-the eq grid's size, and the raw grid reads both cut to its own (`_cut`).
-`eq_sum` and `correction_raw_sum` build the same tables for their one cell.
-Neither computed side builds S: both read one build of the vertex values.
+`exp` or vertex value.  It and the eq basis are built once, at the eq
+grid's size, and the raw grid reads both cut to its own (`_cut`).
+`eq_sum` and `correction_raw_sum` take the same steps for their one cell.
+Neither computed side builds S: both read one build of the vertex values,
+and only the raw route reads mu1.
 
 Every series the grids compare is even in u, so their helpers work in
 x = u^2 alone: a grid turns its order into the number of x-coefficients it
 compares once, every helper takes and returns integer numerators of
 x^0..x^(size-1), and only `eq_sum` and `correction_raw_sum` spread a result
-back to u.  The powers of S, S^-1, M, Psi and Delta are each a `_ladder`,
+back to u.  The powers of S, S^-1, 1 + M, Psi and Delta are each a `_ladder`,
 one integer `convolve` per power.  A failing cell names its first mismatch
 as a power of u, from the integers it compared.  Each grid reports as a
 `GridReport` of `GridCell`s (`_record`), the report type the expansion
@@ -70,7 +70,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from enum import Enum
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import factorial, gcd, lcm
 
 from . import hodge
 from ._record import GridCell, GridReport, Record
@@ -139,10 +139,10 @@ class GenusTable(Record, fields="kind c primitive values g_max"):
 
 
 def sine_factor(g: int, c: int, order: int) -> USeries:
-    """The multiplier S^(2g - 2 + c) with S = sin(u/2)/(u/2), truncated; g and c are ints."""
+    """The multiplier S^(2g - 2 + c) with S = sin(u/2)/(u/2), truncated; g, c and order are ints."""
     _int_arg("g", g)
     _int_arg("c", c)
-    if order <= 0:
+    if _int_arg("order", order) <= 0:
         return USeries.zero(order)
     return pow_int(sinc_half(order), 2 * g - 2 + c)
 
@@ -200,8 +200,8 @@ def _eq_basis(mixed):
     numerator over den) pairs with the zeros left out, x = u^2, through the
     size of ``mixed``.  t1 = S^2 - 1 = sum_g mu_{g,1} x^g and
     t2 = S^2 log S = sum_g b_g x^g are the standard vertex's series Psi and
-    Delta, so the basis is its table of Psi^a1 Delta^a2, the one the raw
-    grid reads, put over one denominator.
+    Delta, so the basis is its table of Psi^a1 Delta^a2, put over one
+    denominator; the raw route reads the same basis through `_eq_polys`.
     """
     den = _common_den((x, d) for row in mixed for nums, d in row for x in nums)
     rows = tuple(tuple(tuple((i, x * den // d) for i, x in enumerate(nums) if x)
@@ -219,34 +219,35 @@ def eq_sum(m1: int, m2: int, order: int) -> USeries:
     and Delta, truncated at ``order``.  It collapses to
     (1 + t1)^{m1} exp(m2 log S) = S^{2 m1 + m2}; the closed form is what
     the eq grid of `verify_grids` tests against.  This call builds the basis
-    t1^{a1} t2^{a2} (`_eq_basis`) for itself and forms its one cell with
-    `_eq_cells`, as the grid does for all of its cells.  m1 and m2 must be
-    ints, or TypeError names them.
+    t1^{a1} t2^{a2} (`_eq_basis`) for itself, its polynomials in m2 at m1
+    (`_eq_polys`) and evaluates them at m2 (`_horner`), as the grid does for
+    all of its cells.  m1, m2 and order must be ints, or TypeError names them.
     """
     _int_arg("m1", m1)
     _int_arg("m2", m2)
-    if order <= 0:
+    if _int_arg("order", order) <= 0:
         return USeries.zero(order)
     size = (order + 1) // 2
-    basis = _eq_basis(_vertex_powers(VertexData.standard(size - 1), size))
-    ((nums, den),) = _eq_cells(basis, m1, (m2,), size)
-    return _from_numerators(nums, den, order)
+    polys, den = _eq_polys(_eq_basis(_vertex_powers(VertexData.standard(size - 1), size)), m1, size)
+    return _from_numerators(_horner(polys, m2), den, order)
 
 
-def _eq_cells(basis, m1: int, m2s: Iterable[int], size: int) -> list[tuple[list[int], int]]:
-    """Per m2 in m2s, `eq_sum(m1, m2)` from an `_eq_basis` of ``size`` as (x-numerators, den).
+def _eq_polys(basis, m1: int, size: int) -> tuple[list[list[int]], int]:
+    """The x-coefficients of `eq_sum(m1, m2)` as polynomials in m2: (polys, den), x = u^2.
 
-    With amax = size - 1, the term a1, a2 times (amax!)^2 has the integer
-    coefficient m2^a2 (amax! / a2!) (amax! / a1!) prod_{i < a1} (m1 - a2 - i).
-    So for fixed m1 each x-coefficient is a polynomial in m2, summed over the
-    basis once and evaluated at each m2 by Horner.  t1 and t2 both start at
-    x^1, so the coefficient of x^i has degree at most i in m2.
+    polys[i] holds the integer coefficients of m2^0, m2^1, ... in x^i, for
+    i < size, over den, from an `_eq_basis`.  With amax the basis's top
+    exponent, the term a1, a2 times (amax!)^2 has the integer coefficient
+    m2^a2 (amax! / a2!) (amax! / a1!) prod_{i < a1} (m1 - a2 - i), so each
+    polynomial is summed over the basis once.  t1 and t2 both start at x^1,
+    so the coefficient of x^i has degree at most i in m2; its top zero
+    coefficients are dropped.
     """
     rows, den = basis
     amax = len(rows) - 1
     top = factorial(amax)
     w1 = [top // factorial(a) for a in range(amax + 1)]
-    by_x = [[0] * (amax + 1) for _ in range(size)]  # by_x[i][a2]: of m2^a2 in x^i
+    polys = [[0] * (amax + 1) for _ in range(size)]  # polys[i][a2]: of m2^a2 in x^i
     for a2, row in enumerate(rows):
         ff = top // factorial(a2)
         for a1, term in enumerate(row):
@@ -254,21 +255,23 @@ def _eq_cells(basis, m1: int, m2s: Iterable[int], size: int) -> list[tuple[list[
                 break  # ff(m1 - a2, a1) has reached 0 and stays there
             coef = ff * w1[a1]
             for i, b in term:
-                by_x[i][a2] += coef * b
+                polys[i][a2] += coef * b
             ff *= m1 - a2 - a1
-    for poly in by_x:  # so that Horner skips the top zero coefficients
+    for poly in polys:  # so that Horner skips the top zero coefficients
         while poly and not poly[-1]:
             poly.pop()
-    cells = []
-    for m2 in m2s:
-        nums = []
-        for poly in by_x:
-            acc = 0
-            for x in reversed(poly):
-                acc = acc * m2 + x
-            nums.append(acc)
-        cells.append((nums, den * top * top))
-    return cells
+    return polys, den * top * top
+
+
+def _horner(polys: list[list[int]], x: int) -> list[int]:
+    """Each polynomial of ``polys``, coefficients from degree 0 up, evaluated at x by Horner."""
+    values = []
+    for poly in polys:
+        acc = 0
+        for y in reversed(poly):
+            acc = acc * x + y
+        values.append(acc)
+    return values
 
 
 def _from_numerators(nums: list[int], den: int, order: int) -> USeries:
@@ -284,10 +287,26 @@ class VertexData(Record, fields="mu1 mu0_psi mu0_div"):
     mu1[g] is the standalone marked-point multiplier mu_{g,1}; mu0_psi[g]
     and mu0_div[g] are the coefficients of -psi and of 3H + c1 in the
     bracket insertion mu_{g,0}(-psi + H).  `standard` fills them from the
-    closed forms; tests inject perturbed copies.
+    closed forms; tests inject perturbed copies.  As in `GenusTable`, a
+    genus that is not an int (a bool, or a float equal to an int) and a
+    value that is neither an int nor a Fraction are refused with TypeError,
+    and a float value with ValueError, as inexact.
     """
 
     __slots__ = ()
+
+    def __new__(cls, mu1: Mapping[int, Fraction], mu0_psi: Mapping[int, Fraction],
+                mu0_div: Mapping[int, Fraction]):
+        for name, table in zip(cls._fields, (mu1, mu0_psi, mu0_div)):
+            for g, v in table.items():
+                _int_arg("genus", g)
+                if isinstance(v, float):
+                    raise ValueError(f"{name} at genus {g}: float values are not exact; "
+                                     "pass Fraction or int")
+                if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+                    raise TypeError(f"{name} at genus {g} must be an int or a Fraction, "
+                                    f"got {v!r}")
+        return super().__new__(cls, mu1, mu0_psi, mu0_div)
 
     @classmethod
     def standard(cls, g_top: int) -> VertexData:
@@ -325,146 +344,34 @@ def _vertex_powers(vertex: VertexData, size: int):
             for i, (d, d_den) in enumerate(delta_pows)]
 
 
-def _raw_tables(vertex: VertexData, size: int, mixed):
-    """The vertex-only sums of the raw route for added genus s < ``size``, built once per grid.
-
-    Returns (marked, inserted, den) with, for added genus s < size,
-
-        marked[s][k1]       = sum over lists g1 of genus s with k1 parts of
-                              multinomial(k1, repeats) * prod mu1[g_i]
-        inserted[s][k2][j]  = sum over lists g2 of genus s with k2 parts of
-                              by_psi[j] / prod(repeats!),
-        by_psi[j]           = [x^j] prod_i (mu0_psi[g_i] x + mu0_div[g_i])
-
-    (j counts the insertions read as -psi, all `_bracket_factors` needs of
-    them) as integer numerators: marked over its least common denominator,
-    inserted over its own, and den the product of the two.  A k-th power
-    counts each list of k parts once per ordering, multinomial(k, repeats)
-    = k! / prod(repeats!) times, so with M = sum_g mu1[g] t^g,
-    marked[s][k] = [t^s] M^k and inserted[s][k][j] = C(k, j) [t^s]
-    Psi^j Delta^(k-j) / k!, the binomial from the x^j part of
-    (Delta + x Psi)^k.  The Psi^j Delta^i are ``mixed``, the `_vertex_powers`
-    table of ``vertex`` at this size or larger.
-    """
-    m_pows = _series_powers(vertex.mu1, size)
-    marked = [[(m_pows[k][0][s], m_pows[k][1]) for k in range(s + 1)] for s in range(size)]
-    inserted = [[[(comb(k, j) * mixed[k - j][j][0][s], mixed[k - j][j][1] * factorial(k))
-                  for j in range(k + 1)] for k in range(s + 1)] for s in range(size)]
-    m_den = _common_den(pair for row in marked for pair in row)
-    i_den = _common_den(pair for row in inserted for by_k in row for pair in by_k)
-    return (tuple(tuple(x * m_den // q for x, q in row) for row in marked),
-            tuple(tuple(tuple(x * i_den // q for x, q in by_k) for by_k in row)
-                  for row in inserted),
-            m_den * i_den)
-
-
-def _marked_sums(tables, n: int) -> list[int]:
-    """marked[s] = sum_{k1} C(n, k1) marked[s][k1]: the marked lists with at most n parts."""
-    return [sum(comb(n, k) * x for k, x in enumerate(row)) for row in tables[0]]
-
-
-def _bracket_factors(bracket: int, kmax: int) -> list[list[int]]:
-    """Row k, entry j: the multiplier of stripping j (-psi) insertions from a bracket.
-
-    The bracket has genus g0 and holds n ordinary markings and k insertion
-    markings, and ``bracket`` is 2 g0 - 2 + n.  Each psi removal contributes
-    -(2 g0 - 2 + m), where m counts the markings remaining after it, so
-    entry j is the falling product prod_{i < j} -(bracket + k - 1 - i), each
-    entry from the one before.  The k - j divisor removals that follow
-    contribute the divisor weight 3 (2 g0 - 2) + c each; `_raw_cells` keeps
-    that weight as the variable of a polynomial.  The base bracket is
-    normalized to 1.
-    """
-    rows = []
-    for k in range(kmax + 1):
-        row = [1]
-        for i in range(k):
-            row.append(row[-1] * -(bracket + k - 1 - i))
-        rows.append(row)
-    return rows
-
-
-def _inserted_polys(tables, bracket: int) -> list[list[int]]:
-    """inserted[t][e]: the insertion lists of genus t as a polynomial in the divisor weight B.
-
-    inserted[t] = sum_{k2, j} inserted[t][k2][j] factors[k2][j] B^(k2 - j)
-    from `_raw_tables` and `_bracket_factors(bracket)`, so it depends on
-    (g0, n) only through bracket = 2 g0 - 2 + n; a grid builds it once per
-    bracket.
-    """
-    factors = _bracket_factors(bracket, len(tables[1]) - 1)
-    inserted = []
-    for row in tables[1]:
-        poly = [0] * len(row)
-        for k, (by_k, f_k) in enumerate(zip(row, factors)):
-            for j, (x, f) in enumerate(zip(by_k, f_k)):
-                poly[k - j] += x * f
-        inserted.append(poly)
-    return inserted
-
-
-def _raw_cells(inserted: list[list[int]], marked: list[int], g0: int,
-               cs: Iterable[int]) -> list[list[int]]:
-    """The cells (g0, n, c) of the raw route for every c in cs.
-
-    ``inserted`` is `_inserted_polys(tables, 2 g0 - 2 + n)` and ``marked``
-    is `_marked_sums(tables, n)`.  With the divisor weight
-    B = 3 (2 g0 - 2) + c, the u^{2 delta} coefficient
-    sum_s marked[s] inserted[delta - s] is a polynomial in B, built once per
-    (g0, n) and evaluated at each c by Horner.  Returns, per c, the
-    numerators of x^delta = u^(2 delta) for every added genus delta of the
-    tables, over the tables' denominator.
-    """
-    polys = []
-    for delta in range(len(marked)):
-        poly = [0] * (delta + 1)
-        for s in range(delta + 1):
-            m = marked[s]
-            if m:
-                for e, x in enumerate(inserted[delta - s]):
-                    poly[e] += m * x
-        polys.append(poly)
-    cells = []
-    for c in cs:
-        b = 3 * (2 * g0 - 2) + c
-        coeffs = []
-        for poly in polys:
-            acc = 0
-            for x in reversed(poly):
-                acc = acc * b + x
-            coeffs.append(acc)
-        cells.append(coeffs)
-    return cells
-
-
 def correction_raw_sum(g0: int, n: int, c: int, order: int,
                        vertex: VertexData | None = None) -> USeries:
     """The wall-crossing multiplier series over the genus-g0 bracket, raw route.
 
-    marked[s] sums the marked lists g1 of genus s (at most n entries,
-    multiplier mu_{g,1} each, orbit count C(n, k1) * multinomial over
-    repeats); inserted[t] sums the insertion lists g2 of genus t (each
-    bracket stripped by `_bracket_factors` and the divisor weight, weighted
-    1 / prod(repeats!)).  The u^{2 delta} coefficient is
-    sum_s marked[s] inserted[delta - s], which is 1 at delta = 0.  Equals
-    S^{2 g0 - 2 + c}; the raw grid of `verify_grids` is the arbiter.
+    The marked lists with at most n parts sum to (1 + M)^n, M the series of
+    mu1, and the insertion lists, each bracket stripped of its psi and then
+    its divisor insertions, to the polynomials `_eq_polys` at
+    m1 = -(2 g0 - 2 + n), evaluated at the divisor weight B = 3(2 g0 - 2) + c
+    (module docstring).  The series is their product, which is 1 at u^0.
+    Equals S^{2 g0 - 2 + c}; the raw grid of `verify_grids` is the arbiter.
     Without ``vertex`` the standard table is built for this call.  A grid
-    builds the vertex table and its vertex-only sums once and evaluates them
-    per (g0, n) at all its c; this call builds both for itself, for one c.
-    g0, n and c must be ints, or TypeError names them.
+    takes the same three steps, with one polynomial build per bracket and
+    one ladder on 1 + M for all of its cells; the ladder takes one integer
+    `convolve` per marking, so this call's cost grows linearly with n.
+    g0, n, c and order must be ints, or TypeError names them.
     """
     if _int_arg("g0", g0) < 0 or _int_arg("n", n) < 0:
         raise ValueError("g0 and n must be nonnegative")
     _int_arg("c", c)
-    if order <= 0:
+    if _int_arg("order", order) <= 0:
         return USeries.zero(order)
     size = (order + 1) // 2
     if vertex is None:
         vertex = VertexData.standard(size - 1)
-    tables = _raw_tables(vertex, size, _vertex_powers(vertex, size))
-    (nums,) = _raw_cells(_inserted_polys(tables, 2 * g0 - 2 + n), _marked_sums(tables, n), g0,
-                         (c,))
-    return _from_numerators(nums, tables[2], order)
+    polys, den = _eq_polys(_eq_basis(_vertex_powers(vertex, size)), -(2 * g0 - 2 + n), size)
+    marked, m_den = _ladder(*numerators([1, *(vertex.mu1[g] for g in range(1, size))]), n, size)[n]
+    return _from_numerators(convolve(marked, _horner(polys, 3 * (2 * g0 - 2) + c), size),
+                            den * m_den, order)
 
 
 def _cell(key, got: list[int], den: int, want: list[int], want_den: int) -> GridCell:
@@ -483,11 +390,11 @@ def _grid_cells(computed: Iterable, closed: Mapping[int, tuple[list[int], int]]
                 ) -> tuple[GridCell, ...]:
     """One GridCell per (key, k, got, den) in ``computed``: got / den against closed[k].
 
-    A grid's cells share their denominator, and a closed row in lowest terms
-    divides the denominator of every cell equal to it, so each row is put
-    over that denominator once and a cell is one comparison of whole rows.
-    Every other cell goes through `_cell`, which cross-multiplies and names
-    the first mismatch.
+    A grid's cells share a few denominators, and a closed row in lowest
+    terms divides the denominator of every cell equal to it, so each row is
+    put over each such denominator once and a cell is one comparison of
+    whole rows.  Every other cell goes through `_cell`, which
+    cross-multiplies and names the first mismatch.
     """
     scaled = {}  # (k, den): closed[k] over den, or None when den is not a multiple of its den
     cells = []
@@ -510,34 +417,39 @@ def verify_grids(order: int, vertex: VertexData | None = None) -> tuple[GridRepo
     -6..0 and m2 in -6..12, through u^(order + 2).  Coefficients are
     compared in integers, and failures become report cells, never
     exceptions.  The eq grid's exponents 2 m1 + m2 = -18..12 hold the raw
-    grid's 2 g0 - 2 + c = -4..10, so one table of sine powers and one of
-    Psi^j Delta^i (`_vertex_powers`), both at the eq grid's size, serve both
-    grids; the raw grid reads them cut to its own.  ``vertex`` feeds both
-    computed sides (the eq grid reads its Psi and Delta, not mu1); without
-    it the standard table is built once.  The insertion polynomials are
-    built once per bracket 2 g0 - 2 + n, the marked sums once per n and the
-    eq cells one row of m2 per m1.
+    grid's 2 g0 - 2 + c = -4..10, so one table of sine powers and one eq
+    basis, both at the eq grid's size, serve both grids; the raw grid reads
+    them cut to its own.  The polynomials in m2 are built once per m1 the
+    grids read, the eq grid's m1 and the raw grid's -(2 g0 - 2 + n), and the
+    1 + M ladder once, for the raw grid.  ``vertex`` feeds both computed
+    sides (the eq grid reads its Psi and Delta, not mu1); without it the
+    standard table is built once.  order must be an int.
     """
-    raw_size, eq_size = max(order // 2 + 1, 0), max(order // 2 + 2, 0)  # x-lengths, x = u^2
+    raw_size, eq_size = max(_int_arg("order", order) // 2 + 1, 0), max(order // 2 + 2, 0)
     g0s, ns, cs = range(4), range(5), range(-2, 7)
     m1s, m2s = range(-6, 1), range(-6, 13)
     closed = _sine_powers({2 * m1 + m2 for m1 in m1s for m2 in m2s}, eq_size)
     if vertex is None:
         vertex = VertexData.standard(eq_size - 1)
-    mixed = _vertex_powers(vertex, eq_size)
+    basis = _eq_basis(_vertex_powers(vertex, eq_size))
+    polys = {m1: _eq_polys(basis, m1, eq_size)
+             for m1 in {*m1s, *(-(2 * g0 - 2 + n) for g0 in g0s for n in ns)}}
 
-    tables = _raw_tables(vertex, raw_size, mixed)
-    marked = [_marked_sums(tables, n) for n in ns]
-    inserted = {b: _inserted_polys(tables, b) for b in {2 * g0 - 2 + n for g0 in g0s for n in ns}}
-    computed = (((g0, n, c), 2 * g0 - 2 + c, got, tables[2])
-                for g0 in g0s for n in ns
-                for c, got in zip(cs, _raw_cells(inserted[2 * g0 - 2 + n], marked[n], g0, cs)))
+    marked = _ladder(*numerators([1, *(vertex.mu1[g] for g in range(1, raw_size))]), max(ns),
+                     raw_size)
+    computed = []
+    for g0 in g0s:
+        for n in ns:
+            (m_nums, m_den), (inserted, den) = marked[n], polys[-(2 * g0 - 2 + n)]
+            inserted = inserted[:raw_size]
+            computed.extend(((g0, n, c), 2 * g0 - 2 + c,
+                             convolve(m_nums, _horner(inserted, 3 * (2 * g0 - 2) + c), raw_size),
+                             den * m_den) for c in cs)
     raw = GridReport("raw-sum vs closed-form multiplier",
                      _grid_cells(computed, _cut(closed, raw_size)))
 
-    basis = _eq_basis(mixed)
-    computed = (((m1, m2), 2 * m1 + m2, got, den)
-                for m1 in m1s for m2, (got, den) in zip(m2s, _eq_cells(basis, m1, m2s, eq_size)))
+    computed = (((m1, m2), 2 * m1 + m2, _horner(polys[m1][0], m2), polys[m1][1])
+                for m1 in m1s for m2 in m2s)
     return raw, GridReport("bracket-reduction sum vs closed form", _grid_cells(computed, closed))
 
 

@@ -1010,12 +1010,14 @@ def test_verify_identities_builds_one_table_and_one_vertex_build(order, capsys, 
     # Psi^j Delta^i serves both grids' computed sides, and one build of the
     # vertex values, at genus order // 2 + 1, serves both grids and both
     # expansion checks: S is built for it through u^(2 top + 2) and for the
-    # expansion through u^(2 top), and nowhere else in hodge.  The M ladder,
-    # of mu1, is built once, for the raw grid at its own size
+    # expansion through u^(2 top), and nowhere else in hodge.  The polynomials
+    # in m2 are built once per m1 the grids read, -8..2, and the ladder on
+    # 1 + M, of mu1, once, for the raw grid at its own size
     monkeypatch.setattr(hodge, "_memo", ())
-    tables, powers, ladders, sinc_orders = [], [], [], []
-    table, power, ladder, sinc = (wallcross._sine_powers, wallcross._vertex_powers,
-                                  wallcross._series_powers, hodge.sinc_half)
+    tables, powers, ladders, polys, steps, sinc_orders = [], [], [], [], [], []
+    table, power, ladder, build, rungs, sinc = (
+        wallcross._sine_powers, wallcross._vertex_powers, wallcross._series_powers,
+        wallcross._eq_polys, wallcross._ladder, hodge.sinc_half)
 
     def counting_table(ks, size):
         tables.append((sorted(set(ks)), size))
@@ -1029,6 +1031,14 @@ def test_verify_identities_builds_one_table_and_one_vertex_build(order, capsys, 
         ladders.append((values, size))
         return ladder(values, size)
 
+    def counting_polys(basis, m1, size):
+        polys.append((m1, size))
+        return build(basis, m1, size)
+
+    def counting_rungs(step, step_den, top, size):
+        steps.append(([Fraction(x, step_den) for x in step], top, size))
+        return rungs(step, step_den, top, size)
+
     def counting_sinc(order):
         sinc_orders.append(order)
         return sinc(order)
@@ -1036,15 +1046,21 @@ def test_verify_identities_builds_one_table_and_one_vertex_build(order, capsys, 
     monkeypatch.setattr(wallcross, "_sine_powers", counting_table)
     monkeypatch.setattr(wallcross, "_vertex_powers", counting_powers)
     monkeypatch.setattr(wallcross, "_series_powers", counting_ladder)
+    monkeypatch.setattr(wallcross, "_eq_polys", counting_polys)
+    monkeypatch.setattr(wallcross, "_ladder", counting_rungs)
     monkeypatch.setattr(hodge, "sinc_half", counting_sinc)
     assert main(["verify-identities", "--order", str(order), "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
     assert tables == [(list(range(-18, 13)), order // 2 + 2)]
     ((vertex, size),) = powers
     assert size == order // 2 + 2
-    assert [(values is vertex.mu1, n) for values, n in ladders] == [
-        (False, size), (False, size), (True, order // 2 + 1)]
+    # by identity: the standard mu1 equals mu0_psi
+    assert [(values is vertex.mu0_psi, values is vertex.mu0_div, n) for values, n in ladders] == [
+        (True, False, size), (False, True, size)]
+    assert sorted(polys) == [(m1, size) for m1 in range(-8, 3)]
     top = order // 2 + 1
+    one_plus_m = [Fraction(1), *(vertex.mu1[g] for g in range(1, top))]
+    assert [(n, at) for step, n, at in steps if step == one_plus_m] == [(4, top)]
     assert sorted(sinc_orders) == [2 * top, 2 * top + 2]
     assert len(hodge._memo) == top
 
@@ -1253,6 +1269,55 @@ def test_verify_identities_shared_vertex_build_hides_no_fault(capsys, monkeypatc
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert [check["passed"] for check in checks] == [False, False, True, True]
     assert [check["first_failure"].split(": ")[1] for check in checks[:2]] == ["u^6"] * 2
+
+
+def _mutate_eq_polys(monkeypatch):
+    """One entry of the shared `_eq_polys` shifted: of m2^0 in x^1, at every m1."""
+    build = wallcross._eq_polys
+
+    def mutant(basis, m1, size):
+        polys, den = build(basis, m1, size)
+        polys[1][0] += 1
+        return polys, den
+
+    monkeypatch.setattr(wallcross, "_eq_polys", mutant)
+
+
+def _mutate_marked_ladder(monkeypatch):
+    """One entry of the ladder on 1 + M shifted: x^1 of rung 1, the marked lists of n = 1."""
+    ladder = wallcross._ladder
+    vertex = VertexData.standard(5)
+    one_plus_m = [Fraction(1), *(vertex.mu1[g] for g in range(1, 6))]  # x^0..x^5 reach u^10
+
+    def mutant(step, step_den, top, size):
+        rungs = ladder(step, step_den, top, size)
+        if [Fraction(x, step_den) for x in step] == one_plus_m:
+            nums, den = rungs[1]
+            rungs[1] = [x + (i == 1) for i, x in enumerate(nums)], den
+        return rungs
+
+    monkeypatch.setattr(wallcross, "_ladder", mutant)
+
+
+@pytest.mark.parametrize("mutate, passed, failing_ns", [
+    (_mutate_eq_polys, [False, False, True, True], set(range(5))),
+    (_mutate_marked_ladder, [False, True, True, True], {1}),
+])
+def test_verify_identities_fails_on_a_mutant_of_a_shared_kernel(capsys, monkeypatch, mutate,
+                                                                passed, failing_ns):
+    # negative controls for the one bracket-reduction sum of both grids: the
+    # polynomials in m2 feed both grids, so a mutant of `_eq_polys` fails
+    # both; the ladder on 1 + M, of mu1, feeds the raw grid alone
+    mutate(monkeypatch)
+    assert main(["verify-identities", "--order", "10", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "check failed: identity verification failed\n"
+    checks = json.loads(captured.out)["checks"]
+    assert [check["passed"] for check in checks] == passed
+    assert {check["first_failure"].split(": ")[1] for check in checks
+            if not check["passed"]} == {"u^2"}
+    raw, _ = wallcross.verify_grids(10)
+    assert {cell.key[1] for cell in raw.cells if not cell.passed} == failing_ns
 
 
 @pytest.mark.parametrize("argv", [

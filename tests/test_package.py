@@ -227,6 +227,8 @@ def test_replace_validates_as_the_constructor_does():
         _RECORDS["GenusTable"]()._replace(g_max=-1)
     with pytest.raises(ValueError):
         _RECORDS["ThreefoldPartition"]()._replace(g1=(1, 2))
+    with pytest.raises(ValueError, match="float values are not exact"):
+        _RECORDS["VertexData"]()._replace(mu1={1: 0.5})
     gv = _RECORDS["GenusTable"]()._replace(kind=Kind.GV)
     assert (gv.kind, gv.values, gv.g_max) == (Kind.GV, {0: Fraction(1, 2)}, 2)
 

@@ -4,7 +4,7 @@ import random
 import re
 from fractions import Fraction as F
 from itertools import product
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, lcm, prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,7 +17,7 @@ from sinewall.partitions import (
     multinomial,
     multiplicities,
 )
-from sinewall.series import USeries, exp, log, numerators, pow_int, sinc_half
+from sinewall.series import USeries, convolve, exp, log, numerators, pow_int, sinc_half
 from sinewall.wallcross import (
     GenusTable,
     Kind,
@@ -95,28 +95,29 @@ def stripped_bracket(g0, n, n_psi, n_div, c):
 def test_reduce_bracket_closed_form():
     # stripping n_psi psi-insertions then n_div divisor insertions equals
     # ff(m1 - n_div, n_psi) * m2^{n_div} with m1 = -(2g0 - 2 + n) and
-    # m2 = 3(2g0 - 2) + c, for the factor table the raw cells use (times the
-    # divisor weight they evaluate at) and for the oracle's stepwise stripping
+    # m2 = 3(2g0 - 2) + c: the term a1 = n_psi, a2 = n_div of eq_sum(m1, m2),
+    # which is why the raw route reads the eq route's polynomials at m1
     for g0 in range(4):
         for n in range(4):
-            factors = wallcross._bracket_factors(2 * g0 - 2 + n, 6)
             for n_psi in range(4):
                 for n_div in range(3):
                     for c in (-2, 0, 1, 4):
                         m1 = -(2 * g0 - 2 + n)
                         m2 = 3 * (2 * g0 - 2) + c
                         want = _falling_factorial(m1 - n_div, n_psi) * m2**n_div
-                        assert factors[n_psi + n_div][n_psi] * m2**n_div == want
                         assert stripped_bracket(g0, n, n_psi, n_div, c) == want
 
 
 def test_reduce_bracket_base_case():
-    # no psi insertion stripped leaves the base bracket, normalized to 1
-    assert wallcross._bracket_factors(-2, 0) == [[1]]
-    assert all(row[0] == 1 for row in wallcross._bracket_factors(6, 5))
-    assert [len(row) for row in wallcross._bracket_factors(1, 3)] == [1, 2, 3, 4]
+    # no insertion stripped leaves the base bracket, normalized to 1: so the
+    # x^0 coefficient of the eq polynomials is the constant 1 at every m1
     assert stripped_bracket(0, 0, 0, 0, 5) == 1
     assert stripped_bracket(3, 2, 0, 0, -1) == 1
+    basis = eq_basis(4)
+    for m1 in range(-10, 3):
+        polys, den = wallcross._eq_polys(basis, m1, 4)
+        assert len(polys) == 4 and polys[0] == [den]
+        assert all(len(poly) <= i + 1 for i, poly in enumerate(polys))  # degree <= i in m2
 
 
 # ---------------------------------------------------------------- eq_sum
@@ -277,8 +278,8 @@ def test_eq_sum_uses_no_closed_form_kernel(monkeypatch):
     for name in ("sinc_half", "log"):
         monkeypatch.setattr(hodge, name, _raise_if_called(name))
     for (m1, m2), closed in want.items():  # on a prebuilt basis: no series kernel at all
-        ((nums, den),) = wallcross._eq_cells(basis, m1, (m2,), 7)
-        assert wallcross._from_numerators(nums, den, 13) == closed
+        polys, den = wallcross._eq_polys(basis, m1, 7)
+        assert wallcross._from_numerators(wallcross._horner(polys, m2), den, 13) == closed
 
 
 def test_eq_sum_refuses_a_float_argument():
@@ -372,11 +373,16 @@ def test_grid_cells_compare_whole_rows_or_cross_multiply():
         wallcross._grid_cells(iter([("short", 0, want[:-1], 12)]), closed)
 
 
+def as_fractions(polys, den):
+    """`_eq_polys` output as lists of `Fraction` coefficients, comparable across denominators."""
+    return [[F(y, den) for y in poly] for poly in polys]
+
+
 def test_grids_read_a_shared_table_cut_to_their_order():
-    # one table of sine powers and one of Psi^j Delta^i, through the larger
-    # order, serve both grids: the raw grid reads each cut to its own order
-    # (the sine rows back in lowest terms) and builds the same tables from
-    # them as from tables of its own size
+    # one table of sine powers and one eq basis, through the larger order,
+    # serve both grids: the raw grid reads each cut to its own order (the
+    # sine rows back in lowest terms), and the polynomials it reads from the
+    # larger basis, cut, are those of a basis of its own size
     bad = VertexData.standard(6).perturbed("mu0_div", 2, F(1, 1000))
     for order in (0, 1, 6, 9, 10):
         size = order // 2 + 1
@@ -386,17 +392,26 @@ def test_grids_read_a_shared_table_cut_to_their_order():
             for ks in ({0}, set(range(-4, 11)), set(range(-18, 13))):
                 assert {k: cut[k] for k in ks} == wallcross._sine_powers(ks, n)
         for vertex in (bad, VertexData.standard(size)):
-            tables = raw_tables(vertex, size)
-            mixed = wallcross._vertex_powers(vertex, size + 1)
-            assert wallcross._raw_tables(vertex, size, mixed) == tables
+            large = wallcross._eq_basis(wallcross._vertex_powers(vertex, size + 1))
+            own = wallcross._eq_basis(wallcross._vertex_powers(vertex, size))
+            for m1 in range(-10, 3):
+                polys, den = wallcross._eq_polys(large, m1, size + 1)
+                assert as_fractions(polys[:size], den) == as_fractions(
+                    *wallcross._eq_polys(own, m1, size))
+
+
+def marked_step(vertex, size):
+    """The series 1 + M, M = sum_g mu1[g] x^g, through x^(size-1), as `Fraction`s."""
+    return [F(1), *(vertex.mu1[g] for g in range(1, size))]
 
 
 def test_eq_paths_build_no_m_ladder(monkeypatch):
     # M is the marked-point series of mu1, which only the raw route reads:
     # eq_sum builds the ladders of Psi and Delta alone, and verify_grids
-    # builds those once, for both grids, and the M ladder once, for the raw grid
-    vertices, roles = [], []
-    standard, ladder = VertexData.standard, wallcross._series_powers
+    # builds those once, for both grids, and the ladder on 1 + M once, to
+    # its rung 4 (n = 0..4), for the raw grid at its own size
+    vertices, roles, steps = [], [], []
+    standard, powers, ladder = VertexData.standard, wallcross._series_powers, wallcross._ladder
 
     def recording_standard(cls, g_top):
         vertices.append(standard(g_top))
@@ -405,15 +420,24 @@ def test_eq_paths_build_no_m_ladder(monkeypatch):
     def recording(table, size):
         roles.extend(name for vertex in vertices for name in ("mu1", "mu0_psi", "mu0_div")
                      if getattr(vertex, name) is table)
-        return ladder(table, size)
+        return powers(table, size)
+
+    def recording_ladder(step, step_den, top, size):
+        steps.append(([F(x, step_den) for x in step], top, size))
+        return ladder(step, step_den, top, size)
 
     monkeypatch.setattr(VertexData, "standard", classmethod(recording_standard))
     monkeypatch.setattr(wallcross, "_series_powers", recording)
+    monkeypatch.setattr(wallcross, "_ladder", recording_ladder)
     assert eq_sum(-2, 3, 9) == pow_int(sinc_half(9), -1)
     assert roles == ["mu0_psi", "mu0_div"]
+    assert [step[0] for step, _, _ in steps] == [0, 0]  # Psi and Delta only
     roles.clear()
+    steps.clear()
     assert all(rep.passed for rep in verify_grids(4))
-    assert roles == ["mu0_psi", "mu0_div", "mu1"]
+    assert roles == ["mu0_psi", "mu0_div"]
+    one_plus_m = marked_step(vertices[-1], 3)  # x^0..x^2 reach u^4
+    assert [(top, size) for step, top, size in steps if step == one_plus_m] == [(4, 3)]
 
 
 def test_default_grids_build_each_closed_side_once(monkeypatch):
@@ -563,24 +587,29 @@ def test_raw_sum_detects_mu0_div_perturbation():
     assert not rep.passed
 
 
-def raw_tables(vertex, size):
-    """`_raw_tables` on the `_vertex_powers` table of its own size, as the raw sum builds it."""
-    return wallcross._raw_tables(vertex, size, wallcross._vertex_powers(vertex, size))
+def per_partition_sums(vertex, size):
+    """The vertex-only sums of the raw route for added genus s < ``size``, walked per partition.
 
+    Returns (marked, inserted) as `Fraction`s, with
 
-def reference_raw_tables(vertex, size):
-    """`_raw_tables` rebuilt per partition, with multinomial(k, multiplicities(parts))."""
-    dmax = size - 1
-    genera = range(1, dmax + 1)
+        marked[s][k]       = sum over lists g1 of genus s with k parts of
+                             multinomial(k, repeats) * prod mu1[g_i]
+        inserted[s][k][j]  = sum over lists g2 of genus s with k parts of
+                             by_psi[j] / prod(repeats!),
+        by_psi[j]          = [x^j] prod_i (mu0_psi[g_i] x + mu0_div[g_i]),
+
+    j counting the insertions read as -psi.  Each part's entries are integers
+    over one denominator, so a list of k parts is summed over its k-th power.
+    """
+    genera = range(1, size)
     den_v = lcm(*(table[g].denominator for table in vertex for g in genera))
     mu1, mu0_psi, mu0_div = ({g: table[g].numerator * (den_v // table[g].denominator)
                               for g in genera} for table in vertex)
     marked, inserted = [], []
-    for s in range(dmax + 1):
+    for s in range(size):
         m_row = [0] * (s + 1)
         i_row = [[0] * (k + 1) for k in range(s + 1)]
         for parts in (parts for parts in descending_walk(s) if sum(parts) == s):
-            m_prod = prod(mu1[gi] for gi in parts)
             by_psi = [1]
             for gi in parts:
                 psi, div = mu0_psi[gi], mu0_div[gi]
@@ -590,38 +619,57 @@ def reference_raw_tables(vertex, size):
                 by_psi = nxt
             k = len(parts)
             weight = multinomial(k, multiplicities(parts))
-            m_row[k] += weight * m_prod
+            m_row[k] += weight * prod(mu1[gi] for gi in parts)
             for j, b in enumerate(by_psi):
                 i_row[k][j] += weight * b
-        marked.append(m_row)
-        inserted.append(i_row)
-    m_q = [den_v**k for k in range(dmax + 1)]
-    i_q = [q * factorial(k) for k, q in enumerate(m_q)]
-    m_den = lcm(*(m_q[k] // gcd(x, m_q[k]) for row in marked for k, x in enumerate(row)))
-    i_den = lcm(*(i_q[k] // gcd(x, i_q[k])
-                  for row in inserted for k, by_k in enumerate(row) for x in by_k))
-    return (tuple(tuple(x * m_den // m_q[k] for k, x in enumerate(row)) for row in marked),
-            tuple(tuple(tuple(x * i_den // i_q[k] for x in by_k) for k, by_k in enumerate(row))
-                  for row in inserted),
-            m_den * i_den)
+        marked.append([F(x, den_v**k) for k, x in enumerate(m_row)])
+        # multinomial(k, repeats) / k! = 1 / prod(repeats!)
+        inserted.append([[F(x, den_v**k * factorial(k)) for x in by_k]
+                         for k, by_k in enumerate(i_row)])
+    return marked, inserted
 
 
-def test_raw_tables_equal_the_per_partition_sums():
-    # the powers of the vertex series against the per-partition sums, which share no algorithm
+def test_raw_route_equals_the_per_partition_sums():
+    # the raw route's two factors against the per-partition sums, which share
+    # no algorithm with them: rung n of the ladder on 1 + M against the marked
+    # lists with at most n parts, C(n, k) orderings of the marked points each,
+    # and the eq polynomials at m1 = -b against the insertion lists, each
+    # bracket b = 2 g0 - 2 + n stripped one marking at a time
+    # the sums of genus s < size do not depend on size, so one walk serves every size
+    def check(vertex, sizes):
+        marked, inserted = per_partition_sums(vertex, sizes[-1])
+        want_marked = [[sum(comb(n, k) * x for k, x in enumerate(row)) for row in marked]
+                       for n in range(5)]
+        want_inserted = {}
+        for b in range(-2, 11):
+            want_inserted[b] = []
+            for row in inserted:
+                poly = [F(0)] * len(row)  # in the divisor weight B
+                for k, by_k in enumerate(row):
+                    for j, x in enumerate(by_k):
+                        # g0 = 0 and n = b + 2 give the bracket b; c = 7 gives B = 1
+                        poly[k - j] += x * stripped_bracket(0, b + 2, j, k - j, 7)
+                while poly and not poly[-1]:
+                    poly.pop()
+                want_inserted[b].append(poly)
+        for size in sizes:
+            rungs = wallcross._ladder(*numerators(marked_step(vertex, size)), 4, size)
+            assert [[F(x, den) for x in nums] for nums, den in rungs] == [
+                want[:size] for want in want_marked]
+            basis = wallcross._eq_basis(wallcross._vertex_powers(vertex, size))
+            for b, want in want_inserted.items():
+                assert as_fractions(*wallcross._eq_polys(basis, -b, size)) == want[:size], (size, b)
+
     standard = VertexData.standard(28)
     shifted = standard.perturbed("mu0_psi", 2, F(3, 7)).perturbed("mu1", 1, F(-5, 11))
-    for size in range(0, 30):  # 29: verify-identities at its order limit, u^57
-        assert raw_tables(standard, size) == reference_raw_tables(standard, size)
-    for size in range(0, 17):
-        assert raw_tables(shifted, size) == reference_raw_tables(shifted, size)
+    check(standard, range(0, 30))  # 29: verify-identities at order 57
+    check(shifted, range(0, 17))
     rng = random.Random(24)
     for size in range(0, 13):
         base = random_vertex(rng, 12)
         for field in ("mu1", "mu0_psi", "mu0_div"):
             delta = F(rng.randint(1, 9), rng.randint(1, 12))
-            vertex = base.perturbed(field, rng.randint(1, 12), delta)
-            assert raw_tables(vertex, size) == reference_raw_tables(vertex, size)
-    assert raw_tables(standard, 0) == ((), (), 1)
+            check(base.perturbed(field, rng.randint(1, 12), delta), range(size, size + 1))
 
 
 def test_raw_sum_rejects_short_vertex_table():
@@ -679,22 +727,23 @@ def test_raw_sum_matches_oracle_on_random_vertex():
             assert got == raw_sum_oracle(g0, n, c, order, vertex)
 
 
-def _count_table_builds(monkeypatch, calls):
-    build = wallcross._raw_tables
+def _count_poly_builds(monkeypatch, calls):
+    build = wallcross._eq_polys
 
-    def counting(vertex, size, mixed):
-        calls.append((vertex, size))
-        return build(vertex, size, mixed)
+    def counting(basis, m1, size):
+        calls.append((m1, size))
+        return build(basis, m1, size)
 
-    monkeypatch.setattr(wallcross, "_raw_tables", counting)
+    monkeypatch.setattr(wallcross, "_eq_polys", counting)
 
 
 def test_grid_builds_standard_vertex_once(monkeypatch):
-    # for both grids, at the eq grid's genus, and the vertex-only tables of
-    # the raw sum once, at the raw grid's order
-    vertex_calls, table_calls = [], []
+    # for both grids, at the eq grid's genus, and the polynomials in m2 once
+    # per m1 the two grids read, at the eq grid's size: the eq grid's -6..0
+    # and the raw grid's -(2 g0 - 2 + n) = -8..2
+    vertex_calls, poly_calls = [], []
     build = VertexData.standard
-    _count_table_builds(monkeypatch, table_calls)
+    _count_poly_builds(monkeypatch, poly_calls)
 
     def counting(cls, g_top):
         vertex_calls.append(g_top)
@@ -703,12 +752,12 @@ def test_grid_builds_standard_vertex_once(monkeypatch):
     monkeypatch.setattr(VertexData, "standard", classmethod(counting))
     assert all(rep.passed for rep in verify_grids(8))
     assert vertex_calls == [5]
-    assert len(table_calls) == 1 and table_calls[0][1] == 5  # x^0..x^4 reach u^8
+    assert sorted(poly_calls) == [(m1, 6) for m1 in range(-8, 3)]  # x^0..x^5 reach u^10
 
 
 def test_grid_uses_supplied_vertex_as_given(monkeypatch):
     vertex = VertexData.standard(5)
-    seen, powers = [], []
+    poly_calls, powers = [], []
     build = wallcross._vertex_powers
 
     def no_build(cls, g_top):
@@ -718,13 +767,13 @@ def test_grid_uses_supplied_vertex_as_given(monkeypatch):
         powers.append(vertex)
         return build(vertex, size)
 
-    _count_table_builds(monkeypatch, seen)
+    _count_poly_builds(monkeypatch, poly_calls)
     monkeypatch.setattr(VertexData, "standard", classmethod(no_build))
     monkeypatch.setattr(wallcross, "_vertex_powers", recording)
     rep, eq = verify_grids(8, vertex=vertex)
     assert rep.passed and eq.passed
     assert len(rep.cells) == 4 * 5 * 9
-    assert len(seen) == 1 and seen[0][0] is vertex
+    assert len(poly_calls) == 11
     assert len(powers) == 1 and powers[0] is vertex  # the one table both computed sides read
 
 
@@ -736,36 +785,31 @@ def numerator_series(nums, den, order):
 
 
 def test_grid_cells_match_standalone_raw_sum_on_random_vertex(monkeypatch):
-    # each cell the grid evaluates from its per-(g0, n) polynomial equals
-    # the standalone call and the full-listing oracle, and its verdict follows;
-    # the grid evaluates its cells in key order, one (g0, n) per call
-    calls, dens = [], []
-    combine, build = wallcross._raw_cells, wallcross._raw_tables
+    # each cell the grid computes from its shared polynomials and ladder
+    # equals the standalone call and the full-listing oracle, and its
+    # verdict follows; the grid hands its cells over in key order
+    grids = []
+    compare = wallcross._grid_cells
 
-    def recording_tables(vertex, size, mixed):
-        tables = build(vertex, size, mixed)
-        dens.append(tables[2])
-        return tables
+    def recording(computed, closed):
+        grids.append(list(computed))
+        return compare(grids[-1], closed)
 
-    def recording(inserted, marked, g0, cs):
-        cells = combine(inserted, marked, g0, cs)
-        calls.extend((g0, c, numerator_series(nums, dens[-1], 9)) for c, nums in zip(cs, cells))
-        return cells
-
-    monkeypatch.setattr(wallcross, "_raw_tables", recording_tables)
-    monkeypatch.setattr(wallcross, "_raw_cells", recording)
+    monkeypatch.setattr(wallcross, "_grid_cells", recording)
     rng = random.Random(518)
     for _ in range(2):
         vertex = random_vertex(rng, 5)
-        calls.clear()
+        grids.clear()
         rep, _ = verify_grids(8, vertex=vertex)
-        grid = list(calls)  # the standalone calls below record too
-        assert len(rep.cells) == len(grid) == 4 * 5 * 9
-        assert [(g0, c) for g0, c, _ in grid] == [(key[0], key[2]) for key, *_ in rep.cells]
-        for cell, (_, _, series) in zip(rep.cells, grid):
-            assert series == correction_raw_sum(*cell.key, 9, vertex)
-            assert series == raw_sum_oracle(*cell.key, 9, vertex)
-            assert cell.passed == (series == sine_factor(cell.key[0], cell.key[2], 9))
+        raw = grids[0]
+        assert len(rep.cells) == len(raw) == 4 * 5 * 9
+        assert [key for key, *_ in raw] == [cell.key for cell in rep.cells]
+        for cell, (key, k, got, den) in zip(rep.cells, raw):
+            series = numerator_series(got, den, 9)
+            assert k == 2 * key[0] - 2 + key[2]
+            assert series == correction_raw_sum(*key, 9, vertex)
+            assert series == raw_sum_oracle(*key, 9, vertex)
+            assert cell.passed == (series == sine_factor(key[0], key[2], 9))
 
 
 def test_grid_failure_reports_unchanged_under_perturbation():
@@ -799,14 +843,17 @@ def test_raw_route_uses_no_closed_form_kernel(monkeypatch):
     assert not hasattr(wallcross, "descending_walk")  # the vertex tables are powers, not a walk
     for name in ("pow_int", "log", "sinc_half", "sine_factor"):
         monkeypatch.setattr(wallcross, name, _raise_if_called(name))
-    tables = wallcross._raw_tables(vertex, 7, wallcross._vertex_powers(vertex, 7))  # below u^13
+    basis = wallcross._eq_basis(wallcross._vertex_powers(vertex, 7))  # below u^13
+    rungs = wallcross._ladder(*numerators(marked_step(vertex, 7)), 4, 7)
     for (g0, n, c), series in want.items():
         assert correction_raw_sum(g0, n, c, 13) == series
         assert correction_raw_sum(g0, n, c, 13, vertex) == series
-        marked = wallcross._marked_sums(tables, n)
-        inserted = wallcross._inserted_polys(tables, 2 * g0 - 2 + n)
-        (nums,) = wallcross._raw_cells(inserted, marked, g0, (c,))
-        assert numerator_series(nums, tables[2], 13) == series
+        # on a prebuilt basis and ladder: the polynomials at m1 = -(2 g0 - 2 + n),
+        # evaluated at B = 3(2 g0 - 2) + c, times the rung (1 + M)^n
+        polys, den = wallcross._eq_polys(basis, -(2 * g0 - 2 + n), 7)
+        marked, m_den = rungs[n]
+        nums = convolve(marked, wallcross._horner(polys, 3 * (2 * g0 - 2) + c), 7)
+        assert numerator_series(nums, den * m_den, 13) == series
 
 
 def test_raw_routes_refuse_a_c_that_is_not_an_int():
@@ -826,6 +873,45 @@ def test_raw_sum_and_sine_factor_refuse_arguments_that_are_not_ints():
                        ((1, 2.0, 0), "c")):
         with pytest.raises(TypeError, match=f"{name} must be an int"):
             sine_factor(*args)
+
+
+@pytest.mark.parametrize("order", [True, False, 4.0, F(4), "4"])
+def test_kernels_refuse_an_order_that_is_not_an_int(order):
+    # order = True used to run as order 1, and 4.0 failed deep inside with
+    # "can't multiply sequence by non-int" or as "g_top must be an int"
+    calls = (lambda: sinc_half(order), lambda: sine_factor(1, 2, order),
+             lambda: eq_sum(-1, 2, order), lambda: correction_raw_sum(1, 2, 3, order),
+             lambda: verify_grids(order))
+    refusal = rf"^order must be an int, got {re.escape(repr(order))}$"
+    for call in calls:
+        with pytest.raises(TypeError, match=refusal):
+            call()
+
+
+def test_vertex_data_refuses_a_genus_or_a_value_that_is_not_exact():
+    # a bool value used to compute as 1, a float one to fail deep inside with
+    # AttributeError, and a genus 2.0 to serve as genus 2; each table is
+    # checked, as GenusTable checks its values
+    good = {1: F(-1, 12), 2: 3}
+    for index, name in enumerate(VertexData._fields):
+        def build(table):
+            return VertexData(*(table if i == index else dict(good) for i in range(3)))
+
+        for genus in (True, 2.0, F(2), "2"):
+            refusal = rf"^genus must be an int, got {re.escape(repr(genus))}$"
+            with pytest.raises(TypeError, match=refusal):
+                build({genus: F(1)})
+        for value in (True, False, "1/3", None, [1]):
+            refusal = (rf"^{name} at genus 2 must be an int or a Fraction, "
+                       rf"got {re.escape(repr(value))}$")
+            with pytest.raises(TypeError, match=refusal):
+                build({1: F(1), 2: value})
+        with pytest.raises(ValueError, match=rf"^{name} at genus 1: float values are not exact"):
+            build({1: 0.5})
+        assert build({1: 1, 2: F(1, 3)})[index] == {1: 1, 2: F(1, 3)}
+    # perturbed builds through the constructor, so a new genus is checked too
+    with pytest.raises(TypeError, match="genus must be an int, got 7.0"):
+        VertexData.standard(3).perturbed("mu1", 7.0, F(1, 1000))
 
 
 def test_vertex_perturbation_is_local():
