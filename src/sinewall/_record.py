@@ -17,7 +17,9 @@ validates in ``__new__`` validates a replaced field too.
 `GridCell` and `GridReport` are the one report type of the four checks of
 `verify-identities`: the two grids of `wallcross.verify_grids` and the two
 expansion checks of `hodge`, one cell per genus.  They live here, which
-both modules import, and `wallcross` exports them.
+both modules import, and `wallcross` exports them.  A report renders its
+own row of the `verify-identities` output: `GridReport.summary` is its
+text line and `GridReport.failure` its json ``first_failure``.
 """
 
 from __future__ import annotations
@@ -93,10 +95,13 @@ class GridReport(Record, fields="name cells"):
     def first_failure(self) -> GridCell | None:
         return next((cell for cell in self.cells if not cell.passed), None)
 
+    @property
+    def failure(self) -> str | None:
+        """The first failing cell as ``key: detail``, or None when every cell passed."""
+        bad = self.first_failure
+        return None if bad is None else f"{bad.key}: {bad.detail}"
+
     def summary(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        line = f"{self.name}: {status} ({len(self.cells)} cells)"
-        if not self.passed:
-            bad = self.first_failure
-            line += f"; first failure at {bad.key}: {bad.detail}"
-        return line
+        """The report's line of `verify-identities --format text`."""
+        line = f"{self.name}: {'pass' if self.passed else 'FAIL'} ({len(self.cells)} cells)"
+        return line if self.passed else f"{line} first failure {self.failure}"

@@ -316,28 +316,14 @@ def _handle_verify_identities(ns: SimpleNamespace) -> tuple[str, str | None]:
     order = ns.order
     expansion = i_function_expansion(2 * (order // 2) + 2)
     reports = (*verify_grids(order), verify_mu_consistency(expansion), verify_i_ratio(expansion))
-    rows = [(rep.name, rep.passed, len(rep.cells),
-             None if rep.passed else f"{rep.first_failure.key}: {rep.first_failure.detail}")
-            for rep in reports]
-
-    all_passed = all(passed for _, passed, _, _ in rows)
+    all_passed = all(rep.passed for rep in reports)
     if ns.format == "json":
-        text = dumps_canonical({
-            "order": order,
-            "passed": all_passed,
-            "checks": [
-                {"name": name, "passed": passed, "cells": cells, "first_failure": fail}
-                for name, passed, cells, fail in rows
-            ],
-        })
+        checks = [{"name": rep.name, "passed": rep.passed, "cells": len(rep.cells),
+                   "first_failure": rep.failure} for rep in reports]
+        text = dumps_canonical({"order": order, "passed": all_passed, "checks": checks})
     else:
-        lines = [
-            f"{name}: {'pass' if passed else 'FAIL'} ({cells} cells)"
-            + (f" first failure {fail}" if fail else "")
-            for name, passed, cells, fail in rows
-        ]
-        lines.append(f"overall: {'pass' if all_passed else 'FAIL'}")
-        text = "\n".join(lines) + "\n"
+        text = "".join(f"{rep.summary()}\n" for rep in reports)
+        text += f"overall: {'pass' if all_passed else 'FAIL'}\n"
     return text, None if all_passed else "identity verification failed"
 
 

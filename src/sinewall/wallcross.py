@@ -58,11 +58,11 @@ Every series the grids compare is even in u, so their helpers work in
 x = u^2 alone: a grid turns its order into the number of x-coefficients it
 compares once, every helper takes and returns integer numerators of
 x^0..x^(size-1), and only `eq_sum` and `correction_raw_sum` spread a result
-back to u.  The powers of S, S^-1, 1 + M, Psi and Delta are each a `_ladder`,
-one integer `convolve` per power.  A failing cell names its first mismatch
-as a power of u, from the integers it compared.  Each grid reports as a
-`GridReport` of `GridCell`s (`_record`), the report type the expansion
-checks of `hodge` share.
+back to u (`series._spread`).  The powers of S, S^-1, 1 + M, Psi and Delta
+are each a `_ladder`, one integer `convolve` per power.  A failing cell
+names its first mismatch as a power of u, from the integers it compared.
+Each grid reports as a `GridReport` of `GridCell`s (`_record`), the report
+type the expansion checks of `hodge` share.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ from math import factorial, gcd, lcm
 
 from . import hodge
 from ._record import GridCell, GridReport, Record
-from .series import USeries, _int_arg, convolve, log, numerators, pow_int, sinc_half
+from .series import USeries, _int_arg, _spread, convolve, log, numerators, pow_int, sinc_half
 
 __all__ = [
     "GenusTable", "GridCell", "GridReport", "Kind", "MissingGenus", "VertexData",
@@ -153,12 +153,6 @@ def _lowest(nums: list[int], den: int) -> tuple[list[int], int]:
     return [x // g for x in nums], den // g
 
 
-def _common_den(pairs: Iterable[tuple[int, int]]) -> int:
-    """The least common denominator of the fractions x / d, (x, d) in pairs."""
-    # x / d in lowest terms has denominator d // gcd(x, d)
-    return lcm(*(d // gcd(x, d) for x, d in pairs))
-
-
 def _ladder(step: list[int], step_den: int, top: int, size: int) -> list[tuple[list[int], int]]:
     """(step / step_den)^j for j = 0..top, each as numerators of x^0..x^(size-1) over one den.
 
@@ -203,7 +197,7 @@ def _eq_basis(mixed):
     Delta, so the basis is its table of Psi^a1 Delta^a2, put over one
     denominator; the raw route reads the same basis through `_eq_polys`.
     """
-    den = _common_den((x, d) for row in mixed for nums, d in row for x in nums)
+    den = lcm(*(d // gcd(d, *nums) for row in mixed for nums, d in row))  # as in `_lowest`
     rows = tuple(tuple(tuple((i, x * den // d) for i, x in enumerate(nums) if x)
                        for nums, d in row)
                  for row in mixed)
@@ -229,7 +223,7 @@ def eq_sum(m1: int, m2: int, order: int) -> USeries:
         return USeries.zero(order)
     size = (order + 1) // 2
     polys, den = _eq_polys(_eq_basis(_vertex_powers(VertexData.standard(size - 1), size)), m1, size)
-    return _from_numerators(_horner(polys, m2), den, order)
+    return USeries(0, _spread([Fraction(x, den) for x in _horner(polys, m2)], 2, order))
 
 
 def _eq_polys(basis, m1: int, size: int) -> tuple[list[list[int]], int]:
@@ -272,13 +266,6 @@ def _horner(polys: list[list[int]], x: int) -> list[int]:
             acc = acc * x + y
         values.append(acc)
     return values
-
-
-def _from_numerators(nums: list[int], den: int, order: int) -> USeries:
-    """The series sum_i (nums[i] / den) u^(2i), truncated at ``order`` > 0."""
-    coeffs = [0] * order
-    coeffs[::2] = [Fraction(x, den) for x in nums]
-    return USeries(0, coeffs)
 
 
 class VertexData(Record, fields="mu1 mu0_psi mu0_div"):
@@ -370,8 +357,8 @@ def correction_raw_sum(g0: int, n: int, c: int, order: int,
         vertex = VertexData.standard(size - 1)
     polys, den = _eq_polys(_eq_basis(_vertex_powers(vertex, size)), -(2 * g0 - 2 + n), size)
     marked, m_den = _ladder(*numerators([1, *(vertex.mu1[g] for g in range(1, size))]), n, size)[n]
-    return _from_numerators(convolve(marked, _horner(polys, 3 * (2 * g0 - 2) + c), size),
-                            den * m_den, order)
+    nums = convolve(marked, _horner(polys, 3 * (2 * g0 - 2) + c), size)
+    return USeries(0, _spread([Fraction(x, den * m_den) for x in nums], 2, order))
 
 
 def _cell(key, got: list[int], den: int, want: list[int], want_den: int) -> GridCell:

@@ -1200,12 +1200,13 @@ VERIFY_FAILURE_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("case", ["vertex", "expansion"])
-@pytest.mark.parametrize("fmt", ["json", "text"])
-def test_verify_identities_failing_report_is_pinned(capsys, monkeypatch, case, fmt):
-    # vertex: b_2 (of 3H + c1 in mu_{2,0}) bumped feeds Delta, so both grids
-    # fail; expansion: z^1 bumped at genus 3 and 4, so both expansion checks
-    # fail at both genera and name genus 3
+def _pinned_failure(monkeypatch, case):
+    """Patch in one failing case of `VERIFY_FAILURE_SHA256`.
+
+    vertex: b_2 (of 3H + c1 in mu_{2,0}) bumped feeds Delta, so both grids
+    fail; expansion: z^1 bumped at genus 3 and 4, so both expansion checks
+    fail at both genera and name genus 3.
+    """
     if case == "vertex":
         standard = VertexData.standard
         monkeypatch.setattr(VertexData, "standard", classmethod(
@@ -1213,6 +1214,12 @@ def test_verify_identities_failing_report_is_pinned(capsys, monkeypatch, case, f
     else:
         _bump_expansion(monkeypatch, 3, 1)
         _bump_expansion(monkeypatch, 4, 1)
+
+
+@pytest.mark.parametrize("case", ["vertex", "expansion"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_verify_identities_failing_report_is_pinned(capsys, monkeypatch, case, fmt):
+    _pinned_failure(monkeypatch, case)
     assert main(["verify-identities", "--order", "10", "--format", fmt]) == 1
     captured = capsys.readouterr()
     passed = {"vertex": [False, False, True, True], "expansion": [True, True, False, False]}[case]
@@ -1220,6 +1227,26 @@ def test_verify_identities_failing_report_is_pinned(capsys, monkeypatch, case, f
         assert [check["passed"] for check in json.loads(captured.out)["checks"]] == passed
     digests = tuple(hashlib.sha256(s.encode()).hexdigest() for s in (captured.out, captured.err))
     assert digests == VERIFY_FAILURE_SHA256[case, fmt], (captured.out, digests)
+
+
+@pytest.mark.parametrize("case", ["vertex", "expansion"])
+def test_verify_identities_prints_each_reports_own_line(capsys, monkeypatch, case):
+    # a report's summary() is its line of the text report and its failure the
+    # json first_failure, for the four failing reports of the pinned cases
+    _pinned_failure(monkeypatch, case)
+    expansion = cli.i_function_expansion(12)
+    reports = (*cli.verify_grids(10), hodge.verify_mu_consistency(expansion),
+               hodge.verify_i_ratio(expansion))
+    failing = {"vertex": [0, 1], "expansion": [2, 3]}[case]
+    assert [i for i, rep in enumerate(reports) if not rep.passed] == failing
+    assert all(reports[i].failure.startswith(f"{reports[i].first_failure.key}: ")
+               for i in failing)
+    assert main(["verify-identities", "--order", "10", "--format", "text"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [rep.summary() for rep in reports] + ["overall: FAIL"]
+    assert main(["verify-identities", "--order", "10", "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [check["first_failure"] for check in checks] == [rep.failure for rep in reports]
 
 
 def test_verify_identities_shared_vertex_build_hides_no_fault(capsys, monkeypatch):

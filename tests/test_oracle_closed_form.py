@@ -13,7 +13,9 @@ log(sin x / x) at x = u/2, the second that of (x / sin x)^2.  The vertex
 constants follow: a_g = [u^{2g}] S^2 = 2 (-1)^g / (2g + 2)! and
 b_g = [u^{2g}] (S^2 log S), the convolution of the a_j with the log S
 coefficients.  The Bernoulli numbers come from the Akiyama-Tanigawa
-algorithm on Fractions.
+algorithm on Fractions; it and the log S oracle live in
+`test_oracle_power_polynomial`, which needs no pytest and checks every
+entry of both transform matrices, as polynomials in the exponent.
 
 Two uses reach the transform itself.  Column g of its matrix is
 [u^{2(h-g)}] S^{2g-2+c}, the binomial sum wherever 2g - 2 + c >= 0.  And a
@@ -34,32 +36,24 @@ from sinewall import exp, log, mu_g0, mu_g1, pow_int, sinc_half, sine_factor
 from sinewall.cli import main
 from sinewall.wallcross import _transform_matrix
 
+from test_oracle_power_polynomial import (
+    bernoulli,
+    inverse_oracle,
+    log_s_oracle,
+    power_polynomials,
+    transform_oracle,
+)
+
 LOG_N = 29  # log S through u^58
 POWER_J = 19  # S^m and S^{-2} through u^38
 MU_G = 20
 MATRIX_G_MAX = 40  # the largest g_max the benchmark transforms
 MATRIX_CS = (0, 2, 3, 5)
 FP_G = 20
-
-
-def bernoulli(n_max):
-    """B_0..B_{n_max} by the Akiyama-Tanigawa algorithm (with B_1 = +1/2)."""
-    out, row = [], []
-    for m in range(n_max + 1):
-        row.append(F(1, m + 1))
-        for j in range(m, 0, -1):
-            row[j - 1] = j * (row[j - 1] - row[j])
-        out.append(row[0])
-    return out
-
+POLY_G_MAX = 12  # the power-polynomial oracle, at both |c| = 10^6 and a k = 0 row (c = 0)
+POLY_CS = (-10**6, 0, 10**6)
 
 B = bernoulli(2 * LOG_N)
-
-
-def log_s_oracle(n_max):
-    """[u^{2n}] log S for n = 0..n_max."""
-    return [F(0)] + [F((-1) ** n * 2 ** (2 * n - 1)) * B[2 * n] / (n * factorial(2 * n) * 4**n)
-                     for n in range(1, n_max + 1)]
 
 
 def inverse_square_oracle(n_max):
@@ -97,9 +91,12 @@ def vertex_oracle(g_max):
 
 
 def all_oracles():
+    polys = power_polynomials(POLY_G_MAX)
     return (log_s_oracle(LOG_N), inverse_square_oracle(POWER_J),
             [sine_power_oracle(m, POWER_J) for m in range(13)], vertex_oracle(MU_G),
-            [matrix_oracle(c, MATRIX_G_MAX) for c in MATRIX_CS], faber_pandharipande_doc(FP_G))
+            [matrix_oracle(c, MATRIX_G_MAX) for c in MATRIX_CS], faber_pandharipande_doc(FP_G),
+            [(transform_oracle(polys, c, POLY_G_MAX), inverse_oracle(polys, c, POLY_G_MAX))
+             for c in POLY_CS])
 
 
 def even_coefficients(series, n_max):

@@ -302,7 +302,6 @@ _UNREACHED_KEPT = {
     ("_record", "Record.__repr__"): "protocol method: repr of a record",
     ("series", "USeries.__setattr__"): "protocol method: refuses assignment to a series",
     ("series", "USeries.__repr__"): "protocol method: repr of a series",
-    ("_record", "GridReport.summary"): "failure path: the acceptance gate's assertion message",
 }
 
 

@@ -279,7 +279,8 @@ def test_eq_sum_uses_no_closed_form_kernel(monkeypatch):
         monkeypatch.setattr(hodge, name, _raise_if_called(name))
     for (m1, m2), closed in want.items():  # on a prebuilt basis: no series kernel at all
         polys, den = wallcross._eq_polys(basis, m1, 7)
-        assert wallcross._from_numerators(wallcross._horner(polys, m2), den, 13) == closed
+        nums = wallcross._horner(polys, m2)
+        assert USeries(0, series._spread([F(x, den) for x in nums], 2, 13)) == closed
 
 
 def test_eq_sum_refuses_a_float_argument():
@@ -474,7 +475,7 @@ def test_default_grids_build_each_closed_side_once(monkeypatch):
     monkeypatch.setattr(wallcross, "_sine_powers", counting_table)
     monkeypatch.setattr(wallcross, "sinc_half", counting_sinc)
     monkeypatch.setattr(wallcross, "pow_int", counting_power)
-    for name in ("sine_factor", "eq_sum", "_from_numerators"):
+    for name in ("sine_factor", "eq_sum", "_spread"):
         monkeypatch.setattr(wallcross, name, _raise_if_called(name))
     assert all(rep.passed for rep in verify_grids(10))
     assert calls == [("_sine_powers", list(range(-18, 13)), 7), ("sinc_half", 15),
