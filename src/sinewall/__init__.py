@@ -1,12 +1,9 @@
-"""Exact engine for sine-power wall-crossing of genus-indexed curve counts."""
+"""Exact engine for sine-power wall-crossing of genus-indexed curve counts.
 
-from . import gv, hodge, partitions, series, wallcross
-from .series import *
-from .partitions import *
-from .hodge import *
-from .wallcross import *
-from .gv import *
-
-__all__ = [*series.__all__, *partitions.__all__, *hodge.__all__, *wallcross.__all__, *gv.__all__]
+The package namespace holds no names of its own: each is imported from
+its defining module (`sinewall.series`, `sinewall.partitions`,
+`sinewall.hodge`, `sinewall.wallcross`, `sinewall.gv`, `sinewall.cli`),
+so a CLI call loads only the modules `sinewall.cli` imports.
+"""
 
 __version__ = "0.1.0"

@@ -35,11 +35,13 @@ lifts CPython's cap on int <-> str conversion and restores it on return,
 so the output of every accepted input prints.
 
 Each call is usually a fresh process, so import time is paid per call.
-The package imports all its modules eagerly (bench/tracer.py wraps only
-the modules loaded when it installs), and a call imports nothing it does
-not run: no dataclasses (which pulls in inspect, ast and dis), typing or
-pathlib, and no argparse (with gettext and locale) for canonical argv,
-which `main` reads straight from the COMMANDS table.  argparse, built from
+The package `__init__` imports no module, so a call loads only the
+sinewall modules this one imports, not `partitions`, which no call runs
+(bench/tracer.py imports this module before it wraps, so it still wraps
+every module a call runs).  Nor does a call import anything else it
+does not run: no dataclasses (which pulls in inspect, ast and dis),
+typing or pathlib, and no argparse (with gettext and locale) for
+canonical argv, which `main` reads straight from the COMMANDS table.  argparse, built from
 the same table by `build_parser`, reads every other argv: help, usage
 errors, abbreviated options, "--option=value" and repeated options.  With
 `python -S` (so site's own imports do not count) a fresh

@@ -27,7 +27,8 @@ insertions (dilaton: each removal contributes
 independently, so the series is the product of a marked-list sum and an
 insertion-list sum, each counting a list of k parts once per ordering.
 With M = sum_g mu1[g] x^g, the marked lists with at most n parts sum to
-(1 + M)^n by the binomial theorem: rung n of a `_ladder` on 1 + M.
+(1 + M)^n by the binomial theorem: rung n of a `_ladder` on 1 + M, which
+one cell reads by repeated squaring (`_rung`).
 Stripping j psi and i divisor insertions from the bracket b = 2 g0 - 2 + n
 contributes ff(-b - i, j) B^i, with ff(x, j) = x (x - 1) ... (x - j + 1),
 and the insertion lists with j psi parts and i divisor parts sum to
@@ -164,6 +165,22 @@ def _ladder(step: list[int], step_den: int, top: int, size: int) -> list[tuple[l
         nums, den = powers[-1]
         powers.append(_lowest(convolve(nums, step, size), den * step_den))
     return powers
+
+
+def _rung(step: list[int], step_den: int, n: int, size: int) -> tuple[list[int], int]:
+    """Rung n of a `_ladder` on ``step``, (step / step_den)^n, by repeated squaring.
+
+    One integer `convolve` per squaring and per set bit of n, each put in
+    lowest terms (`_lowest`), so the cost grows with log n.
+    """
+    power, rung = (step, step_den), ([int(i == 0) for i in range(size)], 1)
+    while n:
+        if n & 1:
+            rung = _lowest(convolve(rung[0], power[0], size), rung[1] * power[1])
+        n >>= 1
+        if n:
+            power = _lowest(convolve(power[0], power[0], size), power[1] ** 2)
+    return rung
 
 
 def _sine_powers(ks: Iterable[int], size: int) -> dict[int, tuple[list[int], int]]:
@@ -343,8 +360,8 @@ def correction_raw_sum(g0: int, n: int, c: int, order: int,
     Equals S^{2 g0 - 2 + c}; the raw grid of `verify_grids` is the arbiter.
     Without ``vertex`` the standard table is built for this call.  A grid
     takes the same three steps, with one polynomial build per bracket and
-    one ladder on 1 + M for all of its cells; the ladder takes one integer
-    `convolve` per marking, so this call's cost grows linearly with n.
+    one ladder on 1 + M for all of its cells; this call reads its one rung
+    by repeated squaring (`_rung`), so its cost grows with log n.
     g0, n, c and order must be ints, or TypeError names them.
     """
     if _int_arg("g0", g0) < 0 or _int_arg("n", n) < 0:
@@ -356,7 +373,7 @@ def correction_raw_sum(g0: int, n: int, c: int, order: int,
     if vertex is None:
         vertex = VertexData.standard(size - 1)
     polys, den = _eq_polys(_eq_basis(_vertex_powers(vertex, size)), -(2 * g0 - 2 + n), size)
-    marked, m_den = _ladder(*numerators([1, *(vertex.mu1[g] for g in range(1, size))]), n, size)[n]
+    marked, m_den = _rung(*numerators([1, *(vertex.mu1[g] for g in range(1, size))]), n, size)
     nums = convolve(marked, _horner(polys, 3 * (2 * g0 - 2) + c), size)
     return USeries(0, _spread([Fraction(x, den * m_den) for x in nums], 2, order))
 

@@ -31,10 +31,11 @@ from math import comb, factorial
 
 import pytest
 
-import sinewall
-from sinewall import exp, log, mu_g0, mu_g1, pow_int, sinc_half, sine_factor
+from sinewall import hodge, series, wallcross
 from sinewall.cli import main
-from sinewall.wallcross import _transform_matrix
+from sinewall.hodge import mu_g0, mu_g1
+from sinewall.series import exp, log, pow_int, sinc_half
+from sinewall.wallcross import _transform_matrix, sine_factor
 
 from test_oracle_power_polynomial import (
     bernoulli,
@@ -176,10 +177,10 @@ def _refuse(name):
 
 def test_oracles_use_no_series_kernel(monkeypatch):
     want = all_oracles()
-    for module in (sinewall, sinewall.series, sinewall.wallcross, sinewall.hodge):
+    for module in (series, wallcross, hodge):
         for name in ("pow_int", "exp", "log", "sinc_half", "sine_factor"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, _refuse(name))
     with pytest.raises(AssertionError):
-        sinewall.series.log(None)
+        series.log(None)
     assert all_oracles() == want

@@ -538,6 +538,30 @@ def test_raw_sum_is_independent_of_markings():
                 assert correction_raw_sum(g0, n, c, 9) == base
 
 
+def test_rung_is_the_ladder_rung():
+    step = numerators(marked_step(VertexData.standard(6), 7))
+    assert [wallcross._rung(*step, n, 7) for n in range(21)] == wallcross._ladder(*step, 20, 7)
+
+
+def test_raw_sum_cost_grows_with_log_n(monkeypatch):
+    # one cell reads rung n of 1 + M by repeated squaring, not up a ladder of n convolves
+    for g0, c in ((0, 4), (1, -2), (3, 1)):
+        assert correction_raw_sum(g0, 10**5, c, 13) == sine_factor(g0, c, 13)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return convolve(*args)
+
+    monkeypatch.setattr(wallcross, "convolve", counting)
+    counts = []
+    for n in (10**3, 10**5):
+        calls.clear()
+        correction_raw_sum(2, n, 4, 13)
+        counts.append(len(calls))
+    assert counts[1] - counts[0] <= 14  # at most one squaring and one product per doubling
+
+
 def test_raw_sum_validation():
     with pytest.raises(ValueError):
         correction_raw_sum(-1, 0, 0, 6)
