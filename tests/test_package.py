@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 import sinewall
-from cli_import_probe import UNUSED_MODULES as _UNUSED_MODULES
 from sinewall import cli, gv, hodge, partitions, series, wallcross
 from sinewall.gv import GVReport
 from sinewall.hodge import MuValue
@@ -117,7 +116,6 @@ def test_cli_call_leaves_out_unused_modules(tmp_path):
     proc = subprocess.run([sys.executable, "-S", str(ROOT / "tests" / "cli_import_probe.py"),
                            str(tmp_path)], capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n[0, 0, 0, 0, 0]\n[]\n", "")
-    assert "sinewall.partitions" in _UNUSED_MODULES
     assert '"kind": "gw"' in (tmp_path / "gw.json").read_text()
 
 
@@ -285,17 +283,21 @@ _REACH_ARGV = (
     ["--help"],
 )
 
-# defs no run above enters, each kept for its reason
+# defs that neither the CLI runs above, the acceptance checks nor the
+# tracer's kernel rows enter, each kept for its reason
 _UNREACHED_KEPT = {
     ("_record", "Record.__init_subclass__"): "runs at import, once for each record class",
     ("_record", "Record.__getnewargs__"): "protocol method: copy and pickle of a record",
     ("_record", "Record.__repr__"): "protocol method: repr of a record",
     ("series", "USeries.__setattr__"): "protocol method: refuses assignment to a series",
     ("series", "USeries.__repr__"): "protocol method: repr of a series",
+    ("partitions", "multinomial"): "a tracer TARGETS row; only tests/test_partitions.py calls it",
+    ("partitions", "multiplicities"): "a tracer TARGETS row; only tests/test_partitions.py calls it",
+    ("series", "USeries.scale"): "a tracer TARGETS row; only tests scale a series",
 }
 
-# defs that only the acceptance checks or the tracer's rows enter or name, no
-# CLI call: public kernels and test hooks, each kept for its reason.  This is
+# defs that the acceptance checks or the tracer's kernel rows enter, and no
+# CLI run: public kernels and test hooks, each kept for its reason.  This is
 # the list to delete from once the benchmark no longer times them.
 _OFF_CLI_KEPT = {
     ("_record", "Record._replace"): "namedtuple protocol; VertexData.perturbed builds on it",
@@ -304,13 +306,10 @@ _OFF_CLI_KEPT = {
     ("partitions", "ThreefoldPartition.__new__"): "criterion 6's brute-force raw-sum index set",
     ("partitions", "descending_walk"): "criterion 6's brute-force raw-sum index set",
     ("partitions", "enumerate_threefold_partitions"): "criterion 6 and the tracer's kernel row",
-    ("partitions", "multinomial"): "a tracer TARGETS row; only tests/test_partitions.py calls it",
-    ("partitions", "multiplicities"): "a tracer TARGETS row; only tests/test_partitions.py calls it",
     ("series", "USeries.__add__"): "series sum: criterion 6's property suites",
     ("series", "USeries.__eq__"): "series equality: criteria 5 and 6 compare series",
     ("series", "USeries.agrees"): "equality where both determine: criterion 6's property suites",
     ("series", "USeries.one"): "pow_int's power 0: criterion 6's property suites",
-    ("series", "USeries.scale"): "a tracer TARGETS row; only tests scale a series",
     ("series", "exp"): "criterion 6's exp and log identities",
     ("series", "inv"): "criterion 6's pow_int(w, -2) == inv(pow_int(w, 2))",
     ("wallcross", "VertexData.perturbed"): "testing hook: criterion 7's negative controls",
@@ -349,7 +348,7 @@ def _load(name, path):
 def test_every_def_is_reached(tmp_path, monkeypatch, capsys):
     # src keeps only what a CLI call reaches: every def is entered by one of
     # the CLI runs above, or kept for its reason, in _OFF_CLI_KEPT when only
-    # the acceptance checks or the tracer's rows enter or name it, in
+    # the acceptance checks or the tracer's kernel rows enter it, in
     # _UNREACHED_KEPT when no run enters it
     tracer = _load("reach_tracer", ROOT / "bench" / "tracer.py")
     acceptance = _load("reach_acceptance", ROOT / "tests" / "test_acceptance.py")
@@ -394,6 +393,8 @@ def test_every_def_is_reached(tmp_path, monkeypatch, capsys):
     unreached = [key for key in off_cli if defs[key] not in lines]
     stray = [key for key in off_cli if key not in _OFF_CLI_KEPT.keys() | _UNREACHED_KEPT.keys()]
     assert stray == [], stray
-    # each kept def exists, no CLI run enters it, and the two lists are exact
-    assert [key for key in _OFF_CLI_KEPT if key not in off_cli or key in _UNREACHED_KEPT] == []
+    # each kept def exists, no CLI run enters it, and the two lists are exact:
+    # an _OFF_CLI_KEPT def that no run enters any more fails here
+    assert [key for key in _OFF_CLI_KEPT
+            if key not in off_cli or key in unreached or key in _UNREACHED_KEPT] == []
     assert [key for key in _UNREACHED_KEPT if key not in unreached] == []
