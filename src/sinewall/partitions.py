@@ -9,45 +9,17 @@ g0 + sum(g1) + sum(g2), g1 the genera at (at most n) marked points and g2
 those of the extra bracket insertions, filtered from the walk to the
 tuples that complete the sum.  The raw sum itself lists none of them:
 `wallcross` reads its sums over the lists off powers of the vertex series.
-
-Orbit counts are restored by multiplicity weights (`multinomial` for the
-marked list, 1 / prod(m_j!) for the unmarked one), so enumerations stay
-duplicate-free and set equality is decidable.
+Each list appears once, weakly decreasing, so set equality is decidable;
+the tests' per-partition oracle weighs it by its number of orderings.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterator
-from math import factorial
 
 from ._record import Record
 
-__all__ = [
-    "PartsMismatch", "ThreefoldPartition", "enumerate_threefold_partitions", "multinomial",
-    "multiplicities",
-]
-
-
-class PartsMismatch(ValueError):
-    """Raised when multinomial parts do not sum to the stated total."""
-
-
-def multinomial(total: int, parts: list[int] | tuple[int, ...]) -> int:
-    """total! / prod(parts!) for nonnegative parts summing to total."""
-    if any(p < 0 for p in parts) or total < 0:
-        raise ValueError("multinomial arguments must be nonnegative")
-    if sum(parts) != total:
-        raise PartsMismatch(f"parts {list(parts)} sum to {sum(parts)}, not {total}")
-    out = factorial(total)
-    for p in parts:
-        out //= factorial(p)
-    return out
-
-
-def multiplicities(values) -> tuple[int, ...]:
-    """Repetition counts of the distinct entries, e.g. (2,1,1) -> (2, 1)."""
-    return tuple(Counter(values).values())
+__all__ = ["ThreefoldPartition", "enumerate_threefold_partitions"]
 
 
 def descending_walk(top: int) -> Iterator[tuple[int, ...]]:

@@ -8,7 +8,9 @@ invariant ``order == valuation + len(coeffs)`` always holds; the zero
 series is stored with empty ``coeffs`` and ``valuation == order``, which
 makes equality testing decidable.
 
-Binary operations keep only coefficients both operands determine:
+The binary operations are ``+`` and ``*`` of two series; there is no
+scalar multiple, because the pipeline scales integer numerators, never a
+series.  They keep only coefficients both operands determine:
 ``order(f + g) == min(order(f), order(g))`` and
 ``order(f * g) == min(order(f) + val(g), order(g) + val(f))``.  Integer
 powers, inversion included, preserve relative precision, so ``inv(f)``
@@ -139,10 +141,6 @@ class USeries:
             return Fraction(0)
         return self.coeffs[exponent - self.valuation]
 
-    def scale(self, value: int | Fraction) -> USeries:
-        c = _rational(value)
-        return USeries(self.valuation, [c * a for a in self.coeffs])
-
     def agrees(self, other: USeries) -> bool:
         """Equality of all coefficients both series determine."""
         upto = min(self.order, other.order)
@@ -170,20 +168,18 @@ class USeries:
         out = [self.coefficient(k) + other.coefficient(k) for k in range(lo, order)]
         return USeries(lo, out)
 
-    def __mul__(self, other: object) -> USeries:
-        if isinstance(other, USeries):
-            order = min(self.order + other.valuation, other.order + self.valuation)
-            val = self.valuation + other.valuation
-            n = order - val  # == min of the two relative precisions
-            if n <= 0:
-                return USeries.zero(order)
-            a, da = numerators(self.coeffs[:n])
-            b, db = numerators(other.coeffs[:n])
-            den = da * db
-            return USeries(val, [Fraction(x, den) for x in convolve(a, b, n)])
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+    def __mul__(self, other: USeries) -> USeries:
+        if not isinstance(other, USeries):
+            return NotImplemented
+        order = min(self.order + other.valuation, other.order + self.valuation)
+        val = self.valuation + other.valuation
+        n = order - val  # == min of the two relative precisions
+        if n <= 0:
+            return USeries.zero(order)
+        a, da = numerators(self.coeffs[:n])
+        b, db = numerators(other.coeffs[:n])
+        den = da * db
+        return USeries(val, [Fraction(x, den) for x in convolve(a, b, n)])
 
     def __repr__(self) -> str:
         if self.is_zero():

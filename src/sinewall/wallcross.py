@@ -93,6 +93,22 @@ class Kind(Enum):
     GV = "gv"
 
 
+def _exact_values(label: str, table: Mapping[int, Fraction]) -> None:
+    """Refuse a genus-indexed table unless its genera are ints and its values ints or Fractions.
+
+    A genus that is not an int, even one equal to an int, and a value that
+    is neither an int nor a Fraction raise TypeError; a float value raises
+    ValueError, as inexact.  ``label`` names the values in the message.
+    """
+    for g, v in table.items():
+        _int_arg("genus", g)
+        if isinstance(v, float):
+            raise ValueError(f"{label} at genus {g}: float values are not exact; "
+                             "pass Fraction or int")
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+            raise TypeError(f"{label} at genus {g} must be an int or a Fraction, got {v!r}")
+
+
 class GenusTable(Record, fields="kind c primitive values g_max"):
     """Per-class invariants indexed by genus.
 
@@ -102,9 +118,8 @@ class GenusTable(Record, fields="kind c primitive values g_max"):
     `Kind`, ``c`` and ``g_max`` ints and ``primitive`` a bool: anything else
     is refused with TypeError, since a float c or g_max would reach the
     series kernels, a string kind the transforms, and a truthy non-bool
-    would pass the GV gate.  So are a genus that is not an int, even one
-    equal to an int, and a value that is neither an int nor a Fraction; a
-    float value is refused with ValueError, as inexact.
+    would pass the GV gate.  Genera and values follow `_exact_values`, and
+    every genus must lie in 0..g_max.
     """
 
     __slots__ = ()
@@ -118,16 +133,11 @@ class GenusTable(Record, fields="kind c primitive values g_max"):
         _int_arg("c", c)
         if not isinstance(primitive, bool):
             raise TypeError(f"primitive must be a bool, got {primitive!r}")
-        clean = {}
-        for g, v in values.items():
-            _int_arg("genus", g)
+        _exact_values("value", values)
+        for g in values:
             if g < 0 or g > g_max:
                 raise ValueError(f"genus {g} outside 0..{g_max}")
-            if isinstance(v, float):
-                raise ValueError("float values are not exact; pass Fraction or int")
-            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-                raise TypeError(f"value at genus {g} must be an int or a Fraction, got {v!r}")
-            clean[g] = Fraction(v)
+        clean = {g: Fraction(v) for g, v in values.items()}
         return super().__new__(cls, kind, c, primitive, clean, g_max)
 
     def value(self, g: int) -> Fraction:
@@ -291,10 +301,8 @@ class VertexData(Record, fields="mu1 mu0_psi mu0_div"):
     mu1[g] is the standalone marked-point multiplier mu_{g,1}; mu0_psi[g]
     and mu0_div[g] are the coefficients of -psi and of 3H + c1 in the
     bracket insertion mu_{g,0}(-psi + H).  `standard` fills them from the
-    closed forms; tests inject perturbed copies.  As in `GenusTable`, a
-    genus that is not an int (a bool, or a float equal to an int) and a
-    value that is neither an int nor a Fraction are refused with TypeError,
-    and a float value with ValueError, as inexact.
+    closed forms; tests inject perturbed copies.  As in `GenusTable`,
+    each table's genera and values follow `_exact_values`.
     """
 
     __slots__ = ()
@@ -302,14 +310,7 @@ class VertexData(Record, fields="mu1 mu0_psi mu0_div"):
     def __new__(cls, mu1: Mapping[int, Fraction], mu0_psi: Mapping[int, Fraction],
                 mu0_div: Mapping[int, Fraction]):
         for name, table in zip(cls._fields, (mu1, mu0_psi, mu0_div)):
-            for g, v in table.items():
-                _int_arg("genus", g)
-                if isinstance(v, float):
-                    raise ValueError(f"{name} at genus {g}: float values are not exact; "
-                                     "pass Fraction or int")
-                if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-                    raise TypeError(f"{name} at genus {g} must be an int or a Fraction, "
-                                    f"got {v!r}")
+            _exact_values(name, table)
         return super().__new__(cls, mu1, mu0_psi, mu0_div)
 
     @classmethod

@@ -687,6 +687,41 @@ def test_transform_roundtrip_bytes(tmp_path, capsys):
     assert capsys.readouterr().out == canonical
 
 
+# sha256 of `transform --direction ugw-to-gw` stdout on a canonical ugw table
+# with g_max 40 and every value 1, and for json of the canonical table itself,
+# which gw-to-ugw must give back; recorded before the transform's kernels are
+# rebuilt, which must leave every byte as it is
+TRANSFORM_STDOUT_SHA256 = {
+    (3, "json"): ("458f4f31c6557f4ad3806a0c3c4c3c9c654f108e023fae09147316ebbbb5b3c2",
+                  "259b3dca2a4a3b065e7eef1cf14fc0df0508fea087683bff86797e7ceb7a2469"),
+    (3, "text"): ("bf0c3336e08ac72aab18dd14d807a4daf81980e121ae0f6265764629e1aeff14", None),
+    # the inverse's k = 0 row, h = 0, reads log S
+    (2, "json"): ("53c2544b763f7414ed043bb139ebdfbb1e97f5554f393add846edfd583aff60a",
+                  "2ff4e552d766b5947e518c97e26a0b7c096a6b4908f207b9b4d570fb16744b05"),
+    (-10**6, "json"): ("361190935a0114aa78c248c4825c23d7448af1965848be49b3ee39dfbec22017",
+                       "5a0df9f017af64c02c44788ca1c478dc6e8b620c54e8eee3190d77170827e83d"),
+}
+
+
+@pytest.mark.parametrize("c, fmt", sorted(TRANSFORM_STDOUT_SHA256))
+def test_transform_stdout_pinned_at_g_max_40(c, fmt, tmp_path, capsys):
+    forward, inverse = TRANSFORM_STDOUT_SHA256[c, fmt]
+    ugw = dumps_canonical(make_doc(kind="ugw", c=c, g_max=40,
+                                   values={str(g): "1" for g in range(41)}))
+    (tmp_path / "u.json").write_text(ugw)
+    assert main(["transform", "--direction", "ugw-to-gw", "--input", str(tmp_path / "u.json"),
+                 "--format", fmt]) == 0
+    gw = capsys.readouterr().out
+    assert hashlib.sha256(gw.encode()).hexdigest() == forward
+    if inverse is not None:  # gw-to-ugw gives back the input, byte for byte
+        (tmp_path / "g.json").write_text(gw)
+        assert main(["transform", "--direction", "gw-to-ugw", "--input", str(tmp_path / "g.json"),
+                     "--format", "json"]) == 0
+        back = capsys.readouterr().out
+        assert back == ugw
+        assert hashlib.sha256(back.encode()).hexdigest() == inverse
+
+
 def test_transform_text_format(tmp_path, capsys):
     path = write_doc(tmp_path, "u.json", make_doc(kind="ugw", g_max=1, values={"0": "1"}))
     assert main(["transform", "--direction", "ugw-to-gw", "--input", path]) == 0

@@ -37,6 +37,7 @@ from sinewall.hodge import mu_g0, mu_g1
 from sinewall.series import exp, log, pow_int, sinc_half
 from sinewall.wallcross import _transform_matrix, sine_factor
 
+from series_scaling import scaled
 from test_oracle_power_polynomial import (
     bernoulli,
     inverse_oracle,
@@ -119,7 +120,7 @@ def test_log_of_sine_against_bernoulli():
 def test_exp_of_multiple_log_against_binomial_sum():
     ls = log(sinc_half(2 * POWER_J + 1))
     for m in range(13):
-        got = exp(ls.scale(m))  # m = 0: the zero series, whose exp is 1
+        got = exp(scaled(ls, m))  # m = 0: the zero series, whose exp is 1
         assert even_coefficients(got, POWER_J) == sine_power_oracle(m, POWER_J), m
 
 

@@ -39,35 +39,25 @@ def test_every_export_imports():
         assert set(module.__all__) <= set(namespace)
 
 
-def _used_names(path, with_strings=False):
-    """Names and attributes one file loads; imports and docstrings do not count.
-
-    With ``with_strings`` the dotted parts of other string constants count
-    too, such as the "module", "Class.method" pairs the bench tracer wraps.
-    """
-    tree = ast.parse(path.read_text())
-    docstrings = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+def _used_names(path):
+    """Names and attributes one file loads; imports, docstrings and other strings do not count."""
     used = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Name):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
-        elif (with_strings and isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and id(node) not in docstrings):
-            used.update(node.value.split("."))
     return used
 
 
 def test_every_export_is_reached():
-    # an exported name that only its own tests call is a second code path
+    # an exported name that only its own tests call is a second code path; a
+    # string that names it, such as a bench tracer TARGETS row, is no call
     used = set()
-    for path in sorted((ROOT / "src" / "sinewall").glob("*.py")):
+    for path in [*(ROOT / "src" / "sinewall").glob("*.py"), *(ROOT / "bench").glob("*.py"),
+                 ROOT / "tests" / "test_acceptance.py"]:
         if path.name != "__init__.py":
             used |= _used_names(path)
-    for path in sorted((ROOT / "bench").glob("*.py")):
-        used |= _used_names(path, with_strings=True)
-    used |= _used_names(ROOT / "tests" / "test_acceptance.py")
     assert [name for name in _EXPORTS if name not in used] == []
 
 
@@ -284,16 +274,13 @@ _REACH_ARGV = (
 )
 
 # defs that neither the CLI runs above, the acceptance checks nor the
-# tracer's kernel rows enter, each kept for its reason
+# tracer's kernel rows enter: protocol methods only, each kept for its reason
 _UNREACHED_KEPT = {
     ("_record", "Record.__init_subclass__"): "runs at import, once for each record class",
     ("_record", "Record.__getnewargs__"): "protocol method: copy and pickle of a record",
     ("_record", "Record.__repr__"): "protocol method: repr of a record",
     ("series", "USeries.__setattr__"): "protocol method: refuses assignment to a series",
     ("series", "USeries.__repr__"): "protocol method: repr of a series",
-    ("partitions", "multinomial"): "a tracer TARGETS row; only tests/test_partitions.py calls it",
-    ("partitions", "multiplicities"): "a tracer TARGETS row; only tests/test_partitions.py calls it",
-    ("series", "USeries.scale"): "a tracer TARGETS row; only tests scale a series",
 }
 
 # defs that the acceptance checks or the tracer's kernel rows enter, and no
@@ -314,9 +301,12 @@ _OFF_CLI_KEPT = {
     ("series", "inv"): "criterion 6's pow_int(w, -2) == inv(pow_int(w, 2))",
     ("wallcross", "VertexData.perturbed"): "testing hook: criterion 7's negative controls",
     ("wallcross", "_cell"): "a failing grid cell: criterion 7; no unperturbed CLI call fails one",
-    ("wallcross", "correction_raw_sum"): "one raw-sum cell: criterion 1 and a tracer kernel row",
-    ("wallcross", "eq_sum"): "one eq cell: criterion 2 and a tracer kernel row",
-    ("wallcross", "_rung"): "rung n of 1 + M for one raw-sum cell (correction_raw_sum)",
+    # criteria 1 and 2 run verify_grids; only the tracer's kernel rows
+    # wallcross.kernel_raw_cell_ms and kernel_eq_cell_ms enter these three,
+    # which leave with ROADMAP item 4's benchmark half
+    ("wallcross", "correction_raw_sum"): "one raw-sum cell: the tracer's kernel_raw_cell_ms row",
+    ("wallcross", "eq_sum"): "one eq cell: the tracer's kernel_eq_cell_ms row",
+    ("wallcross", "_rung"): "rung n of 1 + M for correction_raw_sum: kernel_raw_cell_ms",
 }
 
 
@@ -349,7 +339,9 @@ def test_every_def_is_reached(tmp_path, monkeypatch, capsys):
     # src keeps only what a CLI call reaches: every def is entered by one of
     # the CLI runs above, or kept for its reason, in _OFF_CLI_KEPT when only
     # the acceptance checks or the tracer's kernel rows enter it, in
-    # _UNREACHED_KEPT when no run enters it
+    # _UNREACHED_KEPT when no run enters it, which only a protocol method may be
+    methods = [qualname.rpartition(".")[2] for _, qualname in _UNREACHED_KEPT]
+    assert [name for name in methods if not (name.startswith("__") and name.endswith("__"))] == []
     tracer = _load("reach_tracer", ROOT / "bench" / "tracer.py")
     acceptance = _load("reach_acceptance", ROOT / "tests" / "test_acceptance.py")
     for name, text in _REACH_TABLES.items():

@@ -2,14 +2,7 @@
 
 import pytest
 
-from sinewall.partitions import (
-    PartsMismatch,
-    ThreefoldPartition,
-    descending_walk,
-    enumerate_threefold_partitions,
-    multinomial,
-    multiplicities,
-)
+from sinewall.partitions import ThreefoldPartition, descending_walk, enumerate_threefold_partitions
 
 
 def partition_oracle(total):
@@ -27,41 +20,6 @@ def partition_oracle(total):
 
     rec(total, total, [])
     return out if total else {()}
-
-
-# ---------------------------------------------------------------- multinomial
-
-
-def test_multinomial_examples():
-    assert multinomial(3, [1, 1, 1]) == 6
-    assert multinomial(3, [3]) == 1
-    assert multinomial(4, [2, 2]) == 6
-    assert multinomial(0, []) == 1
-
-
-def test_multinomial_mismatch():
-    with pytest.raises(PartsMismatch):
-        multinomial(3, [1, 1])
-    with pytest.raises(ValueError):
-        multinomial(3, [4, -1])
-
-
-def test_multinomial_matches_factorial_quotient():
-    from math import factorial
-
-    for parts in [(1, 2, 3), (2, 2), (5,), (1, 1, 1, 1)]:
-        total = sum(parts)
-        want = factorial(total)
-        for p in parts:
-            want //= factorial(p)
-        assert multinomial(total, parts) == want
-
-
-def test_multiplicities():
-    assert multiplicities(()) == ()
-    assert multiplicities((3, 1, 1)) == (1, 2)
-    assert multiplicities((2, 2, 2)) == (3,)
-    assert sorted(multiplicities((5, 3, 3, 1))) == [1, 1, 2]
 
 
 # ---------------------------------------------------------------- descending

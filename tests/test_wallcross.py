@@ -2,6 +2,7 @@
 
 import random
 import re
+from collections import Counter
 from fractions import Fraction as F
 from itertools import product
 from math import comb, factorial, lcm, prod
@@ -11,12 +12,7 @@ from hypothesis import given, strategies as st
 
 from sinewall import hodge, series, wallcross
 from sinewall.gv import gv_from_gw
-from sinewall.partitions import (
-    descending_walk,
-    enumerate_threefold_partitions,
-    multinomial,
-    multiplicities,
-)
+from sinewall.partitions import descending_walk, enumerate_threefold_partitions
 from sinewall.series import USeries, convolve, exp, log, numerators, pow_int, sinc_half
 from sinewall.wallcross import (
     GenusTable,
@@ -30,6 +26,8 @@ from sinewall.wallcross import (
     ugw_from_gw,
     verify_grids,
 )
+
+from series_scaling import scaled
 
 
 # ---------------------------------------------------------------- sine_factor
@@ -141,7 +139,7 @@ def test_eq_sum_pure_first_slot_is_binomial_series():
 def test_eq_sum_pure_second_slot_is_exponential():
     ls = log(sinc_half(10))
     for m2 in range(-3, 4):
-        assert eq_sum(0, m2, 10) == exp(ls.scale(m2))
+        assert eq_sum(0, m2, 10) == exp(scaled(ls, m2))
 
 
 def test_eq_sum_recovers_sine_power():
@@ -190,7 +188,7 @@ def reference_eq_basis(size):
 
     s = sinc_half(order)
     s2 = s * s
-    t1, t2 = s2 + USeries.one(order).scale(-1), s2 * log(s)
+    t1, t2 = s2 + scaled(USeries.one(order), -1), s2 * log(s)
     amax = (order - 1) // 2
     t1_pows, t2_pows = [USeries.one(order)], [USeries.one(order)]
     for _ in range(amax):
@@ -324,7 +322,7 @@ def test_eq_grid_failure_report_matches_series_comparison(monkeypatch):
     want = []
     for m1 in m1s:
         for m2 in m2s:
-            got, closed = eq_sum(m1, m2, internal), pow_int(s2, m1) * exp(ls.scale(m2))
+            got, closed = eq_sum(m1, m2, internal), pow_int(s2, m1) * exp(scaled(ls, m2))
             if got != closed:
                 e = next(e for e in range(internal) if got.coefficient(e) != closed.coefficient(e))
                 want.append(((m1, m2),
@@ -612,13 +610,18 @@ def test_raw_sum_detects_mu0_div_perturbation():
     assert not rep.passed
 
 
+def orderings(parts):
+    """The distinct orderings of a list of parts: k! / prod(repeats!), k parts in all."""
+    return factorial(len(parts)) // prod(factorial(m) for m in Counter(parts).values())
+
+
 def per_partition_sums(vertex, size):
     """The vertex-only sums of the raw route for added genus s < ``size``, walked per partition.
 
     Returns (marked, inserted) as `Fraction`s, with
 
         marked[s][k]       = sum over lists g1 of genus s with k parts of
-                             multinomial(k, repeats) * prod mu1[g_i]
+                             orderings(parts) * prod mu1[g_i]
         inserted[s][k][j]  = sum over lists g2 of genus s with k parts of
                              by_psi[j] / prod(repeats!),
         by_psi[j]          = [x^j] prod_i (mu0_psi[g_i] x + mu0_div[g_i]),
@@ -643,12 +646,12 @@ def per_partition_sums(vertex, size):
                     nxt[j + 1] += b * psi
                 by_psi = nxt
             k = len(parts)
-            weight = multinomial(k, multiplicities(parts))
+            weight = orderings(parts)
             m_row[k] += weight * prod(mu1[gi] for gi in parts)
             for j, b in enumerate(by_psi):
                 i_row[k][j] += weight * b
         marked.append([F(x, den_v**k) for k, x in enumerate(m_row)])
-        # multinomial(k, repeats) / k! = 1 / prod(repeats!)
+        # orderings(parts) / k! = 1 / prod(repeats!)
         inserted.append([[F(x, den_v**k * factorial(k)) for x in by_k]
                          for k, by_k in enumerate(i_row)])
     return marked, inserted
@@ -723,12 +726,10 @@ def raw_sum_oracle(g0, n, c, order, vertex):
             if p.g0 != g0:
                 continue
             k1 = len(p.g1)
-            weight = F(comb(n, k1) * multinomial(k1, multiplicities(p.g1)))
+            weight = F(comb(n, k1) * orderings(p.g1))
             for gi in p.g1:
                 weight *= vertex.mu1[gi]
-            symmetry = 1
-            for m in multiplicities(p.g2):
-                symmetry *= factorial(m)
+            symmetry = prod(factorial(m) for m in Counter(p.g2).values())
             coeffs[2 * delta] += weight * brute_force_bracket(g0, n, c, p.g2, vertex) / symmetry
     return USeries(0, coeffs)
 
