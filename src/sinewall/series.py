@@ -37,6 +37,9 @@ its peak RSS rose by 8.6%, 10.3% and 7.5% in three runs, against a 10%
 bound: the benchmark keeps every job's result, so its memory grows with
 the number of jobs a run completes.  The integer form waits until the
 benchmark measures memory independently of the job count (ROADMAP item 1).
+The transform's forward matrix calls ``pow_int`` once per column.  The
+inverse calls it twice in all, not once per row: for the seed S^(2-c) and
+the step S^-2 of its integer ladder (`wallcross._inverse_matrix`).
 
 Coefficients are exact rationals (`fractions.Fraction`); the constructor
 accepts `int` and `Fraction` and refuses everything else, floats included.

@@ -13,8 +13,12 @@ powers of S: with k = 2h - 2 + c,
     uGW_h = GW_h + sum_{g < h} GW_g (1 - 2(h-g)/k) [u^{2(h-g)}] S^{-k},
 
 where (1 - 2(h-g)/k) [u^{2(h-g)}] S^{-k} reads 2(h-g) [u^{2(h-g)}] log S
-when k = 0.  Both directions build their matrix from one S and apply it
-to the table the same way (`_apply`); nothing is solved.
+when k = 0.  Both directions build their matrix from one S.  The forward
+matrix takes one `pow_int` per column.  The inverse's row h reads
+S^{-k} = S^{2-c} (S^-2)^h, so its powers are the rungs of one `_ladder` on
+S^-2 seeded with S^{2-c}, the integer ladder the grids' closed side is
+built on.  Both directions apply their matrix to the table the same way
+(`_apply`); nothing is solved.
 
 The raw form: `correction_raw_sum` rebuilds, per root genus g0, the full
 multiplier series from first principles.  The added genus splits into a
@@ -164,13 +168,15 @@ def _lowest(nums: list[int], den: int) -> tuple[list[int], int]:
     return [x // g for x in nums], den // g
 
 
-def _ladder(step: list[int], step_den: int, top: int, size: int) -> list[tuple[list[int], int]]:
-    """(step / step_den)^j for j = 0..top, each as numerators of x^0..x^(size-1) over one den.
+def _ladder(step: list[int], step_den: int, top: int, size: int,
+            seed: tuple[list[int], int] | None = None) -> list[tuple[list[int], int]]:
+    """seed (step / step_den)^j for j = 0..top, as numerators of x^0..x^(size-1) over one den.
 
     Every power is one integer `convolve` from the power before, put in
-    lowest terms (`_lowest`).  Entry 0 is 1.
+    lowest terms (`_lowest`).  Entry 0 is ``seed``, or 1 without one; a
+    seed is given the same way, (numerators, den), over x^0..x^(size-1).
     """
-    powers = [([int(i == 0) for i in range(size)], 1)]
+    powers = [seed or ([int(i == 0) for i in range(size)], 1)]
     for _ in range(top):
         nums, den = powers[-1]
         powers.append(_lowest(convolve(nums, step, size), den * step_den))
@@ -474,16 +480,23 @@ def _inverse_matrix(c: int, g_max: int) -> list[list[Fraction]]:
 
         N[h][g] = (1 - 2m/k) [u^{2m}] S^{-k},    or 2m [u^{2m}] log S when k = 0,
 
-    and N[h][h] = 1.  The powers of S are those the forward matrix uses,
-    negated and taken per row, from the same S.
+    and N[h][h] = 1.  Row h reads S^{-k} = S^{2-c} (S^-2)^h, so the powers
+    are the rungs of one `_ladder` on S^-2 seeded with S^{2-c}: two
+    `pow_int` calls in all, then one integer `convolve` per row.  The ladder
+    divides by nothing, so the rows at and past k = 0 and 1 need no seed of
+    their own.
     """
-    s = sinc_half(2 * g_max + 2)
+    s = sinc_half(2 * g_max + 2)  # through x^g_max
+    step, seed = (numerators(pow_int(s, e).coeffs[::2]) for e in (-2, 2 - c))
     rows = []
-    for h in range(g_max + 1):
+    for h, (nums, den) in enumerate(_ladder(*step, g_max, g_max + 1, seed)):
         k = 2 * h - 2 + c
-        f = pow_int(s, -k) if k else log(s)
-        rows.append([f.coefficient(2 * m) * (Fraction(k - 2 * m, k) if k else 2 * m)
-                     for m in range(h, 0, -1)] + [Fraction(1)])
+        if k:
+            row = [Fraction(nums[m] * (k - 2 * m), den * k) for m in range(h, 0, -1)]
+        else:
+            log_s = log(s)
+            row = [log_s.coefficient(2 * m) * 2 * m for m in range(h, 0, -1)]
+        rows.append(row + [Fraction(1)])
     return rows
 
 

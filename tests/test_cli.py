@@ -698,6 +698,11 @@ TRANSFORM_STDOUT_SHA256 = {
     # the inverse's k = 0 row, h = 0, reads log S
     (2, "json"): ("53c2544b763f7414ed043bb139ebdfbb1e97f5554f393add846edfd583aff60a",
                   "2ff4e552d766b5947e518c97e26a0b7c096a6b4908f207b9b4d570fb16744b05"),
+    # the k = 0 row inside the inverse's matrix: h = 1 at c = 0, h = 21 at c = -40
+    (0, "json"): ("bb80ec04268e918187e5bcd47875aa07189252ef4073dffad9ee876169bc78e5",
+                  "f1444a13988220c88b9f6f17d7c7b78cc0793993427275bf148729c03318e3f1"),
+    (-40, "json"): ("4b1721fc90c362e1c45ad627157e8a54fdc937d32f28976cdc35460a622874d0",
+                    "733e1a218c42009a283da87ad29b7880d6571d3f4cc8e7bc471adce1591eb3e2"),
     (-10**6, "json"): ("361190935a0114aa78c248c4825c23d7448af1965848be49b3ee39dfbec22017",
                        "5a0df9f017af64c02c44788ca1c478dc6e8b620c54e8eee3190d77170827e83d"),
 }
