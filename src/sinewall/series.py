@@ -38,8 +38,9 @@ bound: the benchmark keeps every job's result, so its memory grows with
 the number of jobs a run completes.  The integer form waits until the
 benchmark measures memory independently of the job count (ROADMAP item 1).
 The transform's forward matrix calls ``pow_int`` once per column.  The
-inverse calls it twice in all, not once per row: for the seed S^(2-c) and
-the step S^-2 of its integer ladder (`wallcross._inverse_matrix`).
+inverse calls it once in all, not once per row: for the seed
+S^(2-c-2 g_max) of the integer ladder on S^2 that `wallcross._sine_powers`
+builds its rows from.
 
 Coefficients are exact rationals (`fractions.Fraction`); the constructor
 accepts `int` and `Fraction` and refuses everything else, floats included.

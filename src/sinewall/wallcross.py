@@ -15,10 +15,10 @@ powers of S: with k = 2h - 2 + c,
 where (1 - 2(h-g)/k) [u^{2(h-g)}] S^{-k} reads 2(h-g) [u^{2(h-g)}] log S
 when k = 0.  Both directions build their matrix from one S.  The forward
 matrix takes one `pow_int` per column.  The inverse's row h reads
-S^{-k} = S^{2-c} (S^-2)^h, so its powers are the rungs of one `_ladder` on
-S^-2 seeded with S^{2-c}, the integer ladder the grids' closed side is
-built on.  Both directions apply their matrix to the table the same way
-(`_apply`); nothing is solved.
+S^{-k} = S^{2-c-2h}, so its powers are one table of `_sine_powers`, the
+builder the grids' closed side reads too: one `pow_int` for the seed
+S^{2-c-2 g_max}, then one integer `_ladder` on S^2.  Both directions
+apply their matrix to the table the same way (`_apply`); nothing is solved.
 
 The raw form: `correction_raw_sum` rebuilds, per root genus g0, the full
 multiplier series from first principles.  The added genus splits into a
@@ -48,13 +48,15 @@ is one comparison of whole rows (`_grid_cells`), and `_cell`
 cross-multiplies any other cell and names a failing cell's first mismatch.
 Its eq grid checks the inner identity, `eq_sum`: t1 = S^2 - 1 and
 t2 = S^2 log S are the standard vertex's Psi and Delta, so its basis
-t1^a1 t2^a2 is the `_vertex_powers` table, and for fixed m1 each
-coefficient is a polynomial in m2 (`_eq_polys`), evaluated at every m2.
-Each distinct m1 of the two grids gets one polynomial build per call.
-Both grids read their closed sides from one table of sine powers
-(`_sine_powers`): S^k for every exponent the grids read, with no `log`,
-`exp` or vertex value.  It and the eq basis are built once, at the eq
-grid's size, and the raw grid reads both cut to its own (`_cut`).
+t1^a1 t2^a2 is the vertex's table of Psi^a1 Delta^a2 (`_eq_basis`), and
+for fixed m1 each coefficient is a polynomial in m2 (`_eq_polys`),
+evaluated at every m2.  Each distinct m1 of the two grids gets one
+polynomial build per call.  Both grids read their closed sides from one
+table of sine powers (`_sine_powers`): S^k for every exponent the grids
+read, with no `log`, `exp` or vertex value.  The inverse transform reads
+its rows from the same builder, so the grids check the code its
+coefficients come from.  The table and the eq basis are built once, at
+the eq grid's size, and the raw grid reads both cut to its own (`_cut`).
 `eq_sum` and `correction_raw_sum` take the same steps for their one cell.
 Neither computed side builds S: both read one build of the vertex values,
 and only the raw route reads mu1.
@@ -63,8 +65,8 @@ Every series the grids compare is even in u, so their helpers work in
 x = u^2 alone: a grid turns its order into the number of x-coefficients it
 compares once, every helper takes and returns integer numerators of
 x^0..x^(size-1), and only `eq_sum` and `correction_raw_sum` spread a result
-back to u (`series._spread`).  The powers of S, S^-1, 1 + M, Psi and Delta
-are each a `_ladder`, one integer `convolve` per power.  A failing cell
+back to u (`series._spread`).  The powers of S, 1 + M, Psi and Delta are
+each a `_ladder`, one integer `convolve` per power.  A failing cell
 names its first mismatch as a power of u, from the integers it compared.
 Each grid reports as a `GridReport` of `GridCell`s (`_record`), the report
 type the expansion checks of `hodge` share.
@@ -202,17 +204,21 @@ def _rung(step: list[int], step_den: int, n: int, size: int) -> tuple[list[int],
 def _sine_powers(ks: Iterable[int], size: int) -> dict[int, tuple[list[int], int]]:
     """S^k for every k in ks, as (numerators of x^0..x^(size-1), one denominator), x = u^2.
 
-    The closed side of both identity grids.  S and S^-1 are the only series
-    built, by `sinc_half` and one `pow_int` (only when some k < 0); each
-    power is a rung of a `_ladder` on S or S^-1.  No `log`, `exp` or vertex
-    value, which both computed sides read, enters here.
+    The one builder of S^k tables: the closed side of both identity grids
+    (k = -18..12) and the inverse transform's rows (k = 2 - c - 2h).  One
+    `pow_int` gives the seed S^low, low the least k; the table is then one
+    `_ladder` on S^d seeded with it, d the common difference of the ks, and
+    S^d is rung d of a ladder on S (`_rung`).  No `log`, `exp` or vertex
+    value, which both computed sides of the grids read, enters here.
     """
     ks = set(ks)
-    s = sinc_half(2 * size + 1)  # through x^size, so that S^-1 exists at size 0
-    up = _ladder(*numerators(s.coeffs[::2]), max(ks, default=0), size)
     low = min(ks, default=0)
-    down = _ladder(*numerators(pow_int(s, -1).coeffs[::2]), -low, size) if low < 0 else up
-    return {k: (up if k >= 0 else down)[abs(k)] for k in ks}
+    d = gcd(*(k - low for k in ks)) or 1  # 1 when there is one k or none
+    s = sinc_half(2 * size + 1)  # through x^size, so that S^low exists at size 0
+    step = _rung(*numerators(s.coeffs[::2]), d, size)
+    seed = numerators(pow_int(s, low).coeffs[:2 * size:2])
+    rungs = _ladder(*step, (max(ks, default=low) - low) // d, size, seed)
+    return {k: rungs[(k - low) // d] for k in ks}
 
 
 def _cut(table, size: int) -> dict[int, tuple[list[int], int]]:
@@ -220,16 +226,25 @@ def _cut(table, size: int) -> dict[int, tuple[list[int], int]]:
     return {k: _lowest(nums[:size], den) for k, (nums, den) in table.items()}
 
 
-def _eq_basis(mixed):
-    """The products t1^a1 t2^a2 that `eq_sum` combines, from the `_vertex_powers` table ``mixed``.
+def _eq_basis(vertex: VertexData, size: int):
+    """The products Psi^a1 Delta^a2 that `eq_sum` combines, of ``vertex`` through x^(size-1).
 
-    Returns (rows, den): row a2, entry a1 is a tuple of (exponent in x,
-    numerator over den) pairs with the zeros left out, x = u^2, through the
-    size of ``mixed``.  t1 = S^2 - 1 = sum_g mu_{g,1} x^g and
-    t2 = S^2 log S = sum_g b_g x^g are the standard vertex's series Psi and
-    Delta, so the basis is its table of Psi^a1 Delta^a2, put over one
-    denominator; the raw route reads the same basis through `_eq_polys`.
+    Psi and Delta are the series sum_g table[g] x^g of mu0_psi and mu0_div,
+    x = u^2; each is one `_ladder`, and entry a1 of row a2 is one `convolve`
+    of a Psi rung and a Delta rung, a1 + a2 < size.  Returns (rows, den):
+    each entry is a tuple of (exponent in x, numerator over den) pairs with
+    the zeros left out.  For the standard vertex, t1 = S^2 - 1 and
+    t2 = S^2 log S are Psi and Delta; the raw route reads the same basis
+    through `_eq_polys`.  Every table of ``vertex``, mu1 included, must hold
+    genera 1..size-1, or ValueError names the missing ones.
     """
+    missing = [g for g in range(1, size) if any(g not in table for table in vertex)]
+    if missing:
+        raise ValueError(f"vertex data lacks genera {missing}, needed through genus {size - 1}")
+    psi_pows, delta_pows = (_ladder(*numerators([0, *(table[g] for g in range(1, size))]),
+                                    size - 1, size) for table in vertex[1:])
+    mixed = [[(convolve(p, d, size), p_den * d_den) for p, p_den in psi_pows[:size - i]]
+             for i, (d, d_den) in enumerate(delta_pows)]
     den = lcm(*(d // gcd(d, *nums) for row in mixed for nums, d in row))  # as in `_lowest`
     rows = tuple(tuple(tuple((i, x * den // d) for i, x in enumerate(nums) if x)
                        for nums, d in row)
@@ -255,7 +270,7 @@ def eq_sum(m1: int, m2: int, order: int) -> USeries:
     if _int_arg("order", order) <= 0:
         return USeries.zero(order)
     size = (order + 1) // 2
-    polys, den = _eq_polys(_eq_basis(_vertex_powers(VertexData.standard(size - 1), size)), m1, size)
+    polys, den = _eq_polys(_eq_basis(VertexData.standard(size - 1), size), m1, size)
     return USeries(0, _spread([Fraction(x, den) for x in _horner(polys, m2)], 2, order))
 
 
@@ -333,28 +348,6 @@ class VertexData(Record, fields="mu1 mu0_psi mu0_div"):
         return self._replace(**{field: table})
 
 
-def _series_powers(table: Mapping[int, Fraction], size: int) -> list[tuple[list[int], int]]:
-    """The `_ladder` rungs F^k, k < size, of F = sum_g table[g] t^g, g = 1..size-1."""
-    return _ladder(*numerators([0, *(table[g] for g in range(1, size))]), size - 1, size)
-
-
-def _vertex_powers(vertex: VertexData, size: int):
-    """The table of vertex-series powers that both identity grids read, through t^(size-1).
-
-    With Psi and Delta the series sum_g table[g] t^g of mu0_psi and
-    mu0_div, returns mixed[i][j] = Psi^j Delta^i for i + j < size, one
-    `convolve` of a Psi rung and a Delta rung, each as (numerators of
-    t^0..t^(size-1), den).  Every table of ``vertex``, mu1 included, must
-    hold genera 1..size-1, or ValueError names the missing ones.
-    """
-    missing = [g for g in range(1, size) if any(g not in table for table in vertex)]
-    if missing:
-        raise ValueError(f"vertex data lacks genera {missing}, needed through genus {size - 1}")
-    psi_pows, delta_pows = (_series_powers(table, size) for table in vertex[1:])
-    return [[(convolve(p, d, size), p_den * d_den) for p, p_den in psi_pows[:size - i]]
-            for i, (d, d_den) in enumerate(delta_pows)]
-
-
 def correction_raw_sum(g0: int, n: int, c: int, order: int,
                        vertex: VertexData | None = None) -> USeries:
     """The wall-crossing multiplier series over the genus-g0 bracket, raw route.
@@ -379,7 +372,7 @@ def correction_raw_sum(g0: int, n: int, c: int, order: int,
     size = (order + 1) // 2
     if vertex is None:
         vertex = VertexData.standard(size - 1)
-    polys, den = _eq_polys(_eq_basis(_vertex_powers(vertex, size)), -(2 * g0 - 2 + n), size)
+    polys, den = _eq_polys(_eq_basis(vertex, size), -(2 * g0 - 2 + n), size)
     marked, m_den = _rung(*numerators([1, *(vertex.mu1[g] for g in range(1, size))]), n, size)
     nums = convolve(marked, _horner(polys, 3 * (2 * g0 - 2) + c), size)
     return USeries(0, _spread([Fraction(x, den * m_den) for x in nums], 2, order))
@@ -442,7 +435,7 @@ def verify_grids(order: int, vertex: VertexData | None = None) -> tuple[GridRepo
     closed = _sine_powers({2 * m1 + m2 for m1 in m1s for m2 in m2s}, eq_size)
     if vertex is None:
         vertex = VertexData.standard(eq_size - 1)
-    basis = _eq_basis(_vertex_powers(vertex, eq_size))
+    basis = _eq_basis(vertex, eq_size)
     polys = {m1: _eq_polys(basis, m1, eq_size)
              for m1 in {*m1s, *(-(2 * g0 - 2 + n) for g0 in g0s for n in ns)}}
 
@@ -480,21 +473,21 @@ def _inverse_matrix(c: int, g_max: int) -> list[list[Fraction]]:
 
         N[h][g] = (1 - 2m/k) [u^{2m}] S^{-k},    or 2m [u^{2m}] log S when k = 0,
 
-    and N[h][h] = 1.  Row h reads S^{-k} = S^{2-c} (S^-2)^h, so the powers
-    are the rungs of one `_ladder` on S^-2 seeded with S^{2-c}: two
-    `pow_int` calls in all, then one integer `convolve` per row.  The ladder
+    and N[h][h] = 1.  Row h reads S^{-k} = S^{2-c-2h}, so the rows' powers
+    are one `_sine_powers` table, stepping by 2 from S^{2-c-2 g_max}: one
+    `pow_int` for its seed, then one integer `convolve` per row.  The ladder
     divides by nothing, so the rows at and past k = 0 and 1 need no seed of
     their own.
     """
-    s = sinc_half(2 * g_max + 2)  # through x^g_max
-    step, seed = (numerators(pow_int(s, e).coeffs[::2]) for e in (-2, 2 - c))
+    powers = _sine_powers(range(2 - c - 2 * g_max, 3 - c, 2), g_max + 1)
     rows = []
-    for h, (nums, den) in enumerate(_ladder(*step, g_max, g_max + 1, seed)):
+    for h in range(g_max + 1):
         k = 2 * h - 2 + c
         if k:
+            nums, den = powers[-k]
             row = [Fraction(nums[m] * (k - 2 * m), den * k) for m in range(h, 0, -1)]
         else:
-            log_s = log(s)
+            log_s = log(sinc_half(2 * g_max + 2))  # through x^g_max
             row = [log_s.coefficient(2 * m) * 2 * m for m in range(h, 0, -1)]
         rows.append(row + [Fraction(1)])
     return rows

@@ -1054,49 +1054,45 @@ def test_verify_identities_builds_one_table_and_one_vertex_build(order, capsys, 
     # in m2 are built once per m1 the grids read, -8..2, and the ladder on
     # 1 + M, of mu1, once, for the raw grid at its own size
     monkeypatch.setattr(hodge, "_memo", ())
-    tables, powers, ladders, polys, steps, sinc_orders = [], [], [], [], [], []
-    table, power, ladder, build, rungs, sinc = (
-        wallcross._sine_powers, wallcross._vertex_powers, wallcross._series_powers,
-        wallcross._eq_polys, wallcross._ladder, hodge.sinc_half)
+    tables, bases, polys, steps, sinc_orders = [], [], [], [], []
+    table, basis, build, rungs, sinc = (
+        wallcross._sine_powers, wallcross._eq_basis, wallcross._eq_polys, wallcross._ladder,
+        hodge.sinc_half)
 
     def counting_table(ks, size):
         tables.append((sorted(set(ks)), size))
         return table(ks, size)
 
-    def counting_powers(vertex, size):
-        powers.append((vertex, size))
-        return power(vertex, size)
-
-    def counting_ladder(values, size):
-        ladders.append((values, size))
-        return ladder(values, size)
+    def counting_basis(vertex, size):
+        bases.append((vertex, size))
+        return basis(vertex, size)
 
     def counting_polys(basis, m1, size):
         polys.append((m1, size))
         return build(basis, m1, size)
 
-    def counting_rungs(step, step_den, top, size):
+    def counting_rungs(step, step_den, top, size, seed=None):
         steps.append(([Fraction(x, step_den) for x in step], top, size))
-        return rungs(step, step_den, top, size)
+        return rungs(step, step_den, top, size, seed)
 
     def counting_sinc(order):
         sinc_orders.append(order)
         return sinc(order)
 
     monkeypatch.setattr(wallcross, "_sine_powers", counting_table)
-    monkeypatch.setattr(wallcross, "_vertex_powers", counting_powers)
-    monkeypatch.setattr(wallcross, "_series_powers", counting_ladder)
+    monkeypatch.setattr(wallcross, "_eq_basis", counting_basis)
     monkeypatch.setattr(wallcross, "_eq_polys", counting_polys)
     monkeypatch.setattr(wallcross, "_ladder", counting_rungs)
     monkeypatch.setattr(hodge, "sinc_half", counting_sinc)
     assert main(["verify-identities", "--order", str(order), "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
     assert tables == [(list(range(-18, 13)), order // 2 + 2)]
-    ((vertex, size),) = powers
+    ((vertex, size),) = bases
     assert size == order // 2 + 2
-    # by identity: the standard mu1 equals mu0_psi
-    assert [(values is vertex.mu0_psi, values is vertex.mu0_div, n) for values, n in ladders] == [
-        (True, False, size), (False, True, size)]
+    # by value: one ladder each on Psi and Delta, the series of mu0_psi and mu0_div
+    for name in ("mu0_psi", "mu0_div"):
+        series = [Fraction(0), *(getattr(vertex, name)[g] for g in range(1, size))]
+        assert [(n, at) for step, n, at in steps if step == series] == [(size - 1, size)]
     assert sorted(polys) == [(m1, size) for m1 in range(-8, 3)]
     top = order // 2 + 1
     one_plus_m = [Fraction(1), *(vertex.mu1[g] for g in range(1, top))]
@@ -1323,15 +1319,15 @@ def test_verify_identities_shared_vertex_build_hides_no_fault(capsys, monkeypatc
     # genus 3 in the raw grid and the t1 t2 term in the eq basis; the vertex
     # values are untouched, so both expansion checks pass
     monkeypatch.undo()
-    powers = wallcross._vertex_powers
+    basis = wallcross._eq_basis
 
     def bumped_table(vertex, size):
-        mixed = powers(vertex, size)
-        nums, den = mixed[1][1]  # Psi^1 Delta^1
-        mixed[1][1] = [x * 1000 + den * (i == 3) for i, x in enumerate(nums)], den * 1000
-        return mixed
+        rows, den = basis(vertex, size)
+        rows = [[dict((i, x * 1000) for i, x in term) for term in row] for row in rows]
+        rows[1][1][3] += den  # Psi^1 Delta^1
+        return [[tuple(sorted(term.items())) for term in row] for row in rows], den * 1000
 
-    monkeypatch.setattr(wallcross, "_vertex_powers", bumped_table)
+    monkeypatch.setattr(wallcross, "_eq_basis", bumped_table)
     assert main(["verify-identities", "--order", "10", "--format", "json"]) == 1
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert [check["passed"] for check in checks] == [False, False, True, True]
@@ -1356,8 +1352,8 @@ def _mutate_marked_ladder(monkeypatch):
     vertex = VertexData.standard(5)
     one_plus_m = [Fraction(1), *(vertex.mu1[g] for g in range(1, 6))]  # x^0..x^5 reach u^10
 
-    def mutant(step, step_den, top, size):
-        rungs = ladder(step, step_den, top, size)
+    def mutant(step, step_den, top, size, seed=None):
+        rungs = ladder(step, step_den, top, size, seed)
         if [Fraction(x, step_den) for x in step] == one_plus_m:
             nums, den = rungs[1]
             rungs[1] = [x + (i == 1) for i, x in enumerate(nums)], den

@@ -302,11 +302,10 @@ _OFF_CLI_KEPT = {
     ("wallcross", "VertexData.perturbed"): "testing hook: criterion 7's negative controls",
     ("wallcross", "_cell"): "a failing grid cell: criterion 7; no unperturbed CLI call fails one",
     # criteria 1 and 2 run verify_grids; only the tracer's kernel rows
-    # wallcross.kernel_raw_cell_ms and kernel_eq_cell_ms enter these three,
+    # wallcross.kernel_raw_cell_ms and kernel_eq_cell_ms enter these two,
     # which leave with ROADMAP item 4's benchmark half
     ("wallcross", "correction_raw_sum"): "one raw-sum cell: the tracer's kernel_raw_cell_ms row",
     ("wallcross", "eq_sum"): "one eq cell: the tracer's kernel_eq_cell_ms row",
-    ("wallcross", "_rung"): "rung n of 1 + M for correction_raw_sum: kernel_raw_cell_ms",
 }
 
 

@@ -163,9 +163,9 @@ def test_eq_basis_across_orders_built_once_per_call(monkeypatch):
     calls = []
     build = wallcross._eq_basis
 
-    def counting(mixed):
-        calls.append(len(mixed))
-        return build(mixed)
+    def counting(vertex, size):
+        calls.append(size)
+        return build(vertex, size)
 
     monkeypatch.setattr(wallcross, "_eq_basis", counting)
     assert verify_grids(6)[1].passed  # the eq grid reaches u^8
@@ -175,8 +175,8 @@ def test_eq_basis_across_orders_built_once_per_call(monkeypatch):
 
 
 def eq_basis(size):
-    """`_eq_basis` of the standard vertex's table of x^0..x^(size-1), as `eq_sum` builds it."""
-    return wallcross._eq_basis(wallcross._vertex_powers(VertexData.standard(size - 1), size))
+    """`_eq_basis` of the standard vertex through x^(size-1), as `eq_sum` builds it."""
+    return wallcross._eq_basis(VertexData.standard(size - 1), size)
 
 
 def reference_eq_basis(size):
@@ -253,6 +253,15 @@ def test_eq_basis_is_the_standard_vertex_table():
         assert eq_basis(size) == vertex_eq_basis(size), size
 
 
+def test_eq_basis_names_missing_genera():
+    # every table of the vertex, mu1 included, must reach genus size - 1
+    with pytest.raises(ValueError, match=r"lacks genera \[4, 5\], needed through genus 5"):
+        wallcross._eq_basis(VertexData.standard(3), 6)
+    short_mu1 = VertexData.standard(5)._replace(mu1={g: F(1) for g in range(1, 5)})
+    with pytest.raises(ValueError, match=r"lacks genera \[5\], needed through genus 5"):
+        wallcross._eq_basis(short_mu1, 6)
+
+
 def _raise_if_called(name):
     def refuse(*args, **kwargs):
         raise AssertionError(f"{name} called by an independent route")
@@ -310,8 +319,8 @@ def test_eq_grid_failure_report_matches_series_comparison(monkeypatch):
     (k, b), *rest = rows[1][0]  # a2 = 1, a1 = 0
     bumped = rows[:1] + ((((k, b + 1), *rest),) + rows[1][1:],) + rows[2:]
 
-    def bumped_basis(mixed):
-        assert len(mixed) == size
+    def bumped_basis(vertex, size_):
+        assert size_ == size
         return bumped, den
 
     monkeypatch.setattr(wallcross, "_eq_basis", bumped_basis)
@@ -391,8 +400,8 @@ def test_grids_read_a_shared_table_cut_to_their_order():
             for ks in ({0}, set(range(-4, 11)), set(range(-18, 13))):
                 assert {k: cut[k] for k in ks} == wallcross._sine_powers(ks, n)
         for vertex in (bad, VertexData.standard(size)):
-            large = wallcross._eq_basis(wallcross._vertex_powers(vertex, size + 1))
-            own = wallcross._eq_basis(wallcross._vertex_powers(vertex, size))
+            large = wallcross._eq_basis(vertex, size + 1)
+            own = wallcross._eq_basis(vertex, size)
             for m1 in range(-10, 3):
                 polys, den = wallcross._eq_polys(large, m1, size + 1)
                 assert as_fractions(polys[:size], den) == as_fractions(
@@ -407,36 +416,37 @@ def marked_step(vertex, size):
 def test_eq_paths_build_no_m_ladder(monkeypatch):
     # M is the marked-point series of mu1, which only the raw route reads:
     # eq_sum builds the ladders of Psi and Delta alone, and verify_grids
-    # builds those once, for both grids, and the ladder on 1 + M once, to
-    # its rung 4 (n = 0..4), for the raw grid at its own size
-    vertices, roles, steps = [], [], []
-    standard, powers, ladder = VertexData.standard, wallcross._series_powers, wallcross._ladder
+    # builds those once, for both grids, the ladder on 1 + M once, to its
+    # rung 4 (n = 0..4), for the raw grid at its own size, and one ladder on
+    # S for the sine powers, which reads no vertex value
+    vertices, steps = [], []
+    standard, ladder = VertexData.standard, wallcross._ladder
 
     def recording_standard(cls, g_top):
         vertices.append(standard(g_top))
         return vertices[-1]
 
-    def recording(table, size):
-        roles.extend(name for vertex in vertices for name in ("mu1", "mu0_psi", "mu0_div")
-                     if getattr(vertex, name) is table)
-        return powers(table, size)
-
-    def recording_ladder(step, step_den, top, size):
+    def recording_ladder(step, step_den, top, size, seed=None):
         steps.append(([F(x, step_den) for x in step], top, size))
-        return ladder(step, step_den, top, size)
+        return ladder(step, step_den, top, size, seed)
+
+    def roles():  # the vertex tables the ladders step on, by value
+        return [name for step, _, size in steps for name in ("mu0_psi", "mu0_div")
+                if step == [F(0), *(getattr(vertices[-1], name)[g] for g in range(1, size))]]
 
     monkeypatch.setattr(VertexData, "standard", classmethod(recording_standard))
-    monkeypatch.setattr(wallcross, "_series_powers", recording)
     monkeypatch.setattr(wallcross, "_ladder", recording_ladder)
     assert eq_sum(-2, 3, 9) == pow_int(sinc_half(9), -1)
-    assert roles == ["mu0_psi", "mu0_div"]
+    assert roles() == ["mu0_psi", "mu0_div"]
     assert [step[0] for step, _, _ in steps] == [0, 0]  # Psi and Delta only
-    roles.clear()
     steps.clear()
     assert all(rep.passed for rep in verify_grids(4))
-    assert roles == ["mu0_psi", "mu0_div"]
+    assert roles() == ["mu0_psi", "mu0_div"]
     one_plus_m = marked_step(vertices[-1], 3)  # x^0..x^2 reach u^4
     assert [(top, size) for step, top, size in steps if step == one_plus_m] == [(4, 3)]
+    s = sinc_half(8)  # x^0..x^3, the eq grid's size
+    assert [(top, size) for step, top, size in steps if step == list(s.coeffs[::2])] == [(30, 4)]
+    assert len(steps) == 4
 
 
 def test_default_grids_build_each_closed_side_once(monkeypatch):
@@ -444,7 +454,7 @@ def test_default_grids_build_each_closed_side_once(monkeypatch):
     # the eq grid reads, 2 m1 + m2 = -18..12, which hold the raw grid's
     # k = 2 g0 - 2 + c = -4..10, through x^6 (u^12), the raw grid reading it
     # cut to x^5 (u^10).  The table builds S (one term further, through x^7)
-    # once and inverts it once;
+    # once and takes one power of it, the seed S^-18 of its ladder on S;
     # no closed side goes through sine_factor or exp (which wallcross no
     # longer imports), and cells are compared in integers, so neither eq_sum
     # nor any series round trip runs
@@ -477,23 +487,31 @@ def test_default_grids_build_each_closed_side_once(monkeypatch):
         monkeypatch.setattr(wallcross, name, _raise_if_called(name))
     assert all(rep.passed for rep in verify_grids(10))
     assert calls == [("_sine_powers", list(range(-18, 13)), 7), ("sinc_half", 15),
-                     ("pow_int", -1, True)]
+                     ("pow_int", -18, True)]
 
 
 def test_sine_powers_equal_sine_factor():
-    # the grids' closed side against the transform's kernel, as fractions:
-    # every exponent both default grids read, through every x^(size-1) up to
-    # x^15 (u^30); the transform's series holds zeros at every odd exponent
-    ks = range(-18, 13)
-    for size in range(0, 16):
+    # the one builder of S^k tables against the transform's kernel, as
+    # fractions: every exponent both default grids read, through every
+    # x^(size-1) up to x^15 (u^30), and the exponents the inverse transform's
+    # rows read, 2 - c - 2h for h = 0..g_max, through x^g_max, at odd and
+    # even c on both sides of 0; the transform's series holds zeros at every
+    # odd exponent
+    def check(ks, size):
         powers = wallcross._sine_powers(ks, size)
-        assert sorted(powers) == list(ks)
+        assert sorted(powers) == sorted(ks)
         for k, (nums, den) in powers.items():
             factor = sine_factor(0, k + 2, 2 * size)
             assert not any(factor.coeffs[1::2])
             want, want_den = numerators(factor.coeffs[::2])
             assert len(nums) == len(want) == size
-            assert [F(x, den) for x in nums] == [F(y, want_den) for y in want]
+            assert [F(x, den) for x in nums] == [F(y, want_den) for y in want], (k, size)
+
+    for size in range(0, 16):
+        check(range(-18, 13), size)
+    for c in (-41, -40, 0, 2, 3, 10**6):
+        for g_max in range(13):
+            check(range(2 - c - 2 * g_max, 3 - c, 2), g_max + 1)
     assert wallcross._sine_powers([3, -1], 0) == {3: ([], 1), -1: ([], 1)}
     assert wallcross._sine_powers([], 9) == {}
     assert wallcross._sine_powers([0], 2) == {0: ([1, 0], 1)}
@@ -502,11 +520,11 @@ def test_sine_powers_equal_sine_factor():
 
 def test_sine_powers_use_no_log_exp_or_sine_factor(monkeypatch):
     # the closed side shares no kernel with the vertex values both grids
-    # check (log S) or with the transform (sine_factor): S, one inverse and
-    # integer products only
+    # check (log S) or with the transform (sine_factor): S, one power of S
+    # and integer products only
     want = wallcross._sine_powers(range(-7, 8), 8)
     assert not hasattr(wallcross, "exp")
-    for name in ("log", "sine_factor", "_vertex_powers"):
+    for name in ("log", "sine_factor", "_eq_basis"):
         monkeypatch.setattr(wallcross, name, _raise_if_called(name))
     # nor any vertex value, which both routes it checks are built from
     monkeypatch.setattr(VertexData, "standard", _raise_if_called("VertexData.standard"))
@@ -684,7 +702,7 @@ def test_raw_route_equals_the_per_partition_sums():
             rungs = wallcross._ladder(*numerators(marked_step(vertex, size)), 4, size)
             assert [[F(x, den) for x in nums] for nums, den in rungs] == [
                 want[:size] for want in want_marked]
-            basis = wallcross._eq_basis(wallcross._vertex_powers(vertex, size))
+            basis = wallcross._eq_basis(vertex, size)
             for b, want in want_inserted.items():
                 assert as_fractions(*wallcross._eq_polys(basis, -b, size)) == want[:size], (size, b)
 
@@ -784,7 +802,7 @@ def test_grid_builds_standard_vertex_once(monkeypatch):
 def test_grid_uses_supplied_vertex_as_given(monkeypatch):
     vertex = VertexData.standard(5)
     poly_calls, powers = [], []
-    build = wallcross._vertex_powers
+    build = wallcross._eq_basis
 
     def no_build(cls, g_top):
         raise AssertionError("standard vertex data rebuilt despite a supplied table")
@@ -795,7 +813,7 @@ def test_grid_uses_supplied_vertex_as_given(monkeypatch):
 
     _count_poly_builds(monkeypatch, poly_calls)
     monkeypatch.setattr(VertexData, "standard", classmethod(no_build))
-    monkeypatch.setattr(wallcross, "_vertex_powers", recording)
+    monkeypatch.setattr(wallcross, "_eq_basis", recording)
     rep, eq = verify_grids(8, vertex=vertex)
     assert rep.passed and eq.passed
     assert len(rep.cells) == 4 * 5 * 9
@@ -869,7 +887,7 @@ def test_raw_route_uses_no_closed_form_kernel(monkeypatch):
     assert not hasattr(wallcross, "descending_walk")  # the vertex tables are powers, not a walk
     for name in ("pow_int", "log", "sinc_half", "sine_factor"):
         monkeypatch.setattr(wallcross, name, _raise_if_called(name))
-    basis = wallcross._eq_basis(wallcross._vertex_powers(vertex, 7))  # below u^13
+    basis = wallcross._eq_basis(vertex, 7)  # below u^13
     rungs = wallcross._ladder(*numerators(marked_step(vertex, 7)), 4, 7)
     for (g0, n, c), series in want.items():
         assert correction_raw_sum(g0, n, c, 13) == series
