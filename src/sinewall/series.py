@@ -40,7 +40,10 @@ benchmark measures memory independently of the job count (ROADMAP item 1).
 The transform's forward matrix calls ``pow_int`` once per column.  The
 inverse calls it once in all, not once per row: for the seed
 S^(2-c-2 g_max) of the integer ladder on S^2 that `wallcross._sine_powers`
-builds its rows from.
+builds its rows from.  The seed is the one power of the inverse taken
+through x^g_max; each rung above it is an integer `convolve` cut to the
+row it serves.  The forward matrix's powers move onto that ladder, and
+``pow_int`` onto integers, only after item 1 (ROADMAP items 2 and 3).
 
 Coefficients are exact rationals (`fractions.Fraction`); the constructor
 accepts `int` and `Fraction` and refuses everything else, floats included.

@@ -15,10 +15,14 @@ powers of S: with k = 2h - 2 + c,
 where (1 - 2(h-g)/k) [u^{2(h-g)}] S^{-k} reads 2(h-g) [u^{2(h-g)}] log S
 when k = 0.  Both directions build their matrix from one S.  The forward
 matrix takes one `pow_int` per column.  The inverse's row h reads
-S^{-k} = S^{2-c-2h}, so its powers are one table of `_sine_powers`, the
-builder the grids' closed side reads too: one `pow_int` for the seed
-S^{2-c-2 g_max}, then one integer `_ladder` on S^2.  Both directions
-apply their matrix to the table the same way (`_apply`); nothing is solved.
+S^{-k} = S^{2-c-2h} through x^h, so its powers are one table of
+`_sine_powers`, the builder the grids' closed side reads too: one `pow_int`
+for the seed S^{2-c-2 g_max}, then one integer `_ladder` on S^2 whose rung
+for row h is built through x^h only.  Each matrix row is integer numerators
+over one positive denominator, in lowest terms, and both directions apply
+their matrix to the table the same way (`_apply`): each output value is one
+sum of the table's values times integers and one division; nothing is
+solved.
 
 The raw form: `correction_raw_sum` rebuilds, per root genus g0, the full
 multiplier series from first principles.  The added genus splits into a
@@ -55,8 +59,10 @@ polynomial build per call.  Both grids read their closed sides from one
 table of sine powers (`_sine_powers`): S^k for every exponent the grids
 read, with no `log`, `exp` or vertex value.  The inverse transform reads
 its rows from the same builder, so the grids check the code its
-coefficients come from.  The table and the eq basis are built once, at
-the eq grid's size, and the raw grid reads both cut to its own (`_cut`).
+coefficients come from; the grids read every S^k at one size, and the
+inverse each S^k through its own row.  The table and the eq basis are
+built once, at the eq grid's size, and the raw grid reads both cut to its
+own (`_cut`).
 `eq_sum` and `correction_raw_sum` take the same steps for their one cell.
 Neither computed side builds S: both read one build of the vertex values,
 and only the raw route reads mu1.
@@ -77,6 +83,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial, gcd, lcm
 
 from . import hodge
@@ -165,21 +172,23 @@ def sine_factor(g: int, c: int, order: int) -> USeries:
 
 
 def _lowest(nums: list[int], den: int) -> tuple[list[int], int]:
-    """nums / den with the gcd of the numerators and the denominator divided out."""
-    g = gcd(den, *nums)
+    """nums / den in lowest terms: the gcd divided out, and the denominator made positive."""
+    g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
     return [x // g for x in nums], den // g
 
 
-def _ladder(step: list[int], step_den: int, top: int, size: int,
+def _ladder(step: list[int], step_den: int, sizes: list[int],
             seed: tuple[list[int], int] | None = None) -> list[tuple[list[int], int]]:
-    """seed (step / step_den)^j for j = 0..top, as numerators of x^0..x^(size-1) over one den.
+    """seed (step / step_den)^j for j < len(sizes): numerators of x^0..x^(sizes[j]-1), one den.
 
-    Every power is one integer `convolve` from the power before, put in
-    lowest terms (`_lowest`).  Entry 0 is ``seed``, or 1 without one; a
-    seed is given the same way, (numerators, den), over x^0..x^(size-1).
+    Every power is one integer `convolve` from the power before, through its
+    own size, put in lowest terms (`_lowest`); the sizes must not increase,
+    since a power reads the one before it only that far.  Entry 0 is
+    ``seed``, or 1 without one; a seed is given the same way, (numerators,
+    den), over x^0..x^(sizes[0]-1).
     """
-    powers = [seed or ([int(i == 0) for i in range(size)], 1)]
-    for _ in range(top):
+    powers = [seed or ([int(i == 0) for i in range(sizes[0])], 1)]
+    for size in sizes[1:]:
         nums, den = powers[-1]
         powers.append(_lowest(convolve(nums, step, size), den * step_den))
     return powers
@@ -201,24 +210,33 @@ def _rung(step: list[int], step_den: int, n: int, size: int) -> tuple[list[int],
     return rung
 
 
-def _sine_powers(ks: Iterable[int], size: int) -> dict[int, tuple[list[int], int]]:
-    """S^k for every k in ks, as (numerators of x^0..x^(size-1), one denominator), x = u^2.
+def _sine_powers(sizes: Mapping[int, int]) -> dict[int, tuple[list[int], int]]:
+    """S^k for every k of ``sizes``, as (numerators of x^0..x^(sizes[k]-1), one den), x = u^2.
 
     The one builder of S^k tables: the closed side of both identity grids
-    (k = -18..12) and the inverse transform's rows (k = 2 - c - 2h).  One
-    `pow_int` gives the seed S^low, low the least k; the table is then one
-    `_ladder` on S^d seeded with it, d the common difference of the ks, and
-    S^d is rung d of a ladder on S (`_rung`).  No `log`, `exp` or vertex
-    value, which both computed sides of the grids read, enters here.
+    (k = -18..12, all at one size) and the inverse transform's rows
+    (k = 2 - c - 2h, row h through x^h).  One `pow_int` gives the seed
+    S^low, low the least k; the table is then one `_ladder` on S^d seeded
+    with it, d the common difference of the ks, and S^d is rung d of a
+    ladder on S (`_rung`).  Each rung is built only through the longest
+    size that it or any rung above it is read at, since the rungs above are
+    built from it, and each row is returned cut to its own size, in lowest
+    terms.  No `log`, `exp` or vertex value, which both computed sides of
+    the grids read, enters here.
     """
-    ks = set(ks)
-    low = min(ks, default=0)
-    d = gcd(*(k - low for k in ks)) or 1  # 1 when there is one k or none
+    low = min(sizes, default=0)
+    d = gcd(*(k - low for k in sizes)) or 1  # 1 when there is one k or none
+    reads = [0] * ((max(sizes, default=low) - low) // d + 1)  # rung j holds S^(low + j d)
+    for k, n in sizes.items():
+        reads[(k - low) // d] = n
+    need = list(accumulate(reversed(reads), max))[::-1]  # the longest read from rung j up
+    size = need[0]
     s = sinc_half(2 * size + 1)  # through x^size, so that S^low exists at size 0
     step = _rung(*numerators(s.coeffs[::2]), d, size)
     seed = numerators(pow_int(s, low).coeffs[:2 * size:2])
-    rungs = _ladder(*step, (max(ks, default=low) - low) // d, size, seed)
-    return {k: rungs[(k - low) // d] for k in ks}
+    rungs = _ladder(*step, need, seed)
+    rows = {k: rungs[(k - low) // d] for k in sizes}
+    return {k: _lowest(nums[:sizes[k]], den) for k, (nums, den) in rows.items()}
 
 
 def _cut(table, size: int) -> dict[int, tuple[list[int], int]]:
@@ -242,7 +260,7 @@ def _eq_basis(vertex: VertexData, size: int):
     if missing:
         raise ValueError(f"vertex data lacks genera {missing}, needed through genus {size - 1}")
     psi_pows, delta_pows = (_ladder(*numerators([0, *(table[g] for g in range(1, size))]),
-                                    size - 1, size) for table in vertex[1:])
+                                    [size] * max(size, 1)) for table in vertex[1:])
     mixed = [[(convolve(p, d, size), p_den * d_den) for p, p_den in psi_pows[:size - i]]
              for i, (d, d_den) in enumerate(delta_pows)]
     den = lcm(*(d // gcd(d, *nums) for row in mixed for nums, d in row))  # as in `_lowest`
@@ -432,15 +450,15 @@ def verify_grids(order: int, vertex: VertexData | None = None) -> tuple[GridRepo
     raw_size, eq_size = max(_int_arg("order", order) // 2 + 1, 0), max(order // 2 + 2, 0)
     g0s, ns, cs = range(4), range(5), range(-2, 7)
     m1s, m2s = range(-6, 1), range(-6, 13)
-    closed = _sine_powers({2 * m1 + m2 for m1 in m1s for m2 in m2s}, eq_size)
+    closed = _sine_powers({2 * m1 + m2: eq_size for m1 in m1s for m2 in m2s})
     if vertex is None:
         vertex = VertexData.standard(eq_size - 1)
     basis = _eq_basis(vertex, eq_size)
     polys = {m1: _eq_polys(basis, m1, eq_size)
              for m1 in {*m1s, *(-(2 * g0 - 2 + n) for g0 in g0s for n in ns)}}
 
-    marked = _ladder(*numerators([1, *(vertex.mu1[g] for g in range(1, raw_size))]), max(ns),
-                     raw_size)
+    marked = _ladder(*numerators([1, *(vertex.mu1[g] for g in range(1, raw_size))]),
+                     [raw_size] * len(ns))
     computed = []
     for g0 in g0s:
         for n in ns:
@@ -457,14 +475,18 @@ def verify_grids(order: int, vertex: VertexData | None = None) -> tuple[GridRepo
     return raw, GridReport("bracket-reduction sum vs closed form", _grid_cells(computed, closed))
 
 
-def _transform_matrix(c: int, g_max: int) -> list[list[Fraction]]:
-    """Rows M[h][g] = [u^{2(h-g)}] S^{2g-2+c}, g <= h <= g_max: GW_h = sum_g uGW_g M[h][g]."""
+def _transform_matrix(c: int, g_max: int) -> list[tuple[list[int], int]]:
+    """Rows M[h][g] = [u^{2(h-g)}] S^{2g-2+c}, g <= h <= g_max: GW_h = sum_g uGW_g M[h][g].
+
+    Row h is (numerators of M[h][0..h], one positive den), in lowest terms.
+    """
     s = sinc_half(2 * g_max + 2)
     factors = [pow_int(s, 2 * g - 2 + c) for g in range(g_max + 1)]
-    return [[factors[g].coefficient(2 * (h - g)) for g in range(h + 1)] for h in range(g_max + 1)]
+    return [numerators([factors[g].coefficient(2 * (h - g)) for g in range(h + 1)])
+            for h in range(g_max + 1)]
 
 
-def _inverse_matrix(c: int, g_max: int) -> list[list[Fraction]]:
+def _inverse_matrix(c: int, g_max: int) -> list[tuple[list[int], int]]:
     """Rows N[h][g], g <= h <= g_max, of the inverse transform: uGW_h = sum_g GW_g N[h][g].
 
     With x = u^2 and w = x S^2, the transform reads sum_h GW_h x^(h-1) S^-c
@@ -473,30 +495,38 @@ def _inverse_matrix(c: int, g_max: int) -> list[list[Fraction]]:
 
         N[h][g] = (1 - 2m/k) [u^{2m}] S^{-k},    or 2m [u^{2m}] log S when k = 0,
 
-    and N[h][h] = 1.  Row h reads S^{-k} = S^{2-c-2h}, so the rows' powers
-    are one `_sine_powers` table, stepping by 2 from S^{2-c-2 g_max}: one
-    `pow_int` for its seed, then one integer `convolve` per row.  The ladder
+    and N[h][h] = 1.  Row h reads S^{-k} = S^{2-c-2h} through x^h only, so
+    the rows' powers are one `_sine_powers` table, stepping by 2 from
+    S^{2-c-2 g_max}: one `pow_int` for its seed, then one integer
+    `convolve` per row, each through x^h of the row it serves.  The ladder
     divides by nothing, so the rows at and past k = 0 and 1 need no seed of
-    their own.
+    their own; the k = 0 row builds log S through x^h.  Row h is
+    (numerators of N[h][0..h], one positive den), in lowest terms.
     """
-    powers = _sine_powers(range(2 - c - 2 * g_max, 3 - c, 2), g_max + 1)
+    powers = _sine_powers({2 - c - 2 * h: h + 1 for h in range(g_max + 1)})
     rows = []
     for h in range(g_max + 1):
         k = 2 * h - 2 + c
         if k:
             nums, den = powers[-k]
-            row = [Fraction(nums[m] * (k - 2 * m), den * k) for m in range(h, 0, -1)]
+            rows.append(_lowest([nums[m] * (k - 2 * m) for m in range(h, 0, -1)] + [den * k],
+                                den * k))
         else:
-            log_s = log(sinc_half(2 * g_max + 2))  # through x^g_max
-            row = [log_s.coefficient(2 * m) * 2 * m for m in range(h, 0, -1)]
-        rows.append(row + [Fraction(1)])
+            log_s = log(sinc_half(2 * h + 2))  # through x^h
+            rows.append(numerators([log_s.coefficient(2 * m) * 2 * m for m in range(h, 0, -1)]
+                                   + [Fraction(1)]))
     return rows
 
 
-def _apply(matrix: list[list[Fraction]], t: GenusTable, kind: Kind) -> GenusTable:
-    """The table of ``kind`` with values[h] = sum_g t.value(g) matrix[h][g], dense on 0..g_max."""
-    values = {h: sum((t.value(g) * m for g, m in enumerate(row)), Fraction(0))
-              for h, row in enumerate(matrix)}
+def _apply(matrix: list[tuple[list[int], int]], t: GenusTable, kind: Kind) -> GenusTable:
+    """The table of ``kind`` with values[h] = sum_g t.value(g) nums[g] / den, dense on 0..g_max.
+
+    Row h of ``matrix`` is (nums, den), integer numerators over one
+    denominator: each value sums the table's values times the integer
+    numerators, then divides once by den.
+    """
+    values = {h: sum((t.value(g) * x for g, x in enumerate(nums)), Fraction(0)) / den
+              for h, (nums, den) in enumerate(matrix)}
     return GenusTable(kind, t.c, t.primitive, values, t.g_max)
 
 

@@ -1059,9 +1059,9 @@ def test_verify_identities_builds_one_table_and_one_vertex_build(order, capsys, 
         wallcross._sine_powers, wallcross._eq_basis, wallcross._eq_polys, wallcross._ladder,
         hodge.sinc_half)
 
-    def counting_table(ks, size):
-        tables.append((sorted(set(ks)), size))
-        return table(ks, size)
+    def counting_table(sizes):
+        tables.append((sorted(sizes), set(sizes.values())))
+        return table(sizes)
 
     def counting_basis(vertex, size):
         bases.append((vertex, size))
@@ -1071,9 +1071,9 @@ def test_verify_identities_builds_one_table_and_one_vertex_build(order, capsys, 
         polys.append((m1, size))
         return build(basis, m1, size)
 
-    def counting_rungs(step, step_den, top, size, seed=None):
-        steps.append(([Fraction(x, step_den) for x in step], top, size))
-        return rungs(step, step_den, top, size, seed)
+    def counting_rungs(step, step_den, sizes, seed=None):
+        steps.append(([Fraction(x, step_den) for x in step], len(sizes) - 1, sizes))
+        return rungs(step, step_den, sizes, seed)
 
     def counting_sinc(order):
         sinc_orders.append(order)
@@ -1086,17 +1086,17 @@ def test_verify_identities_builds_one_table_and_one_vertex_build(order, capsys, 
     monkeypatch.setattr(hodge, "sinc_half", counting_sinc)
     assert main(["verify-identities", "--order", str(order), "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
-    assert tables == [(list(range(-18, 13)), order // 2 + 2)]
+    assert tables == [(list(range(-18, 13)), {order // 2 + 2})]
     ((vertex, size),) = bases
     assert size == order // 2 + 2
     # by value: one ladder each on Psi and Delta, the series of mu0_psi and mu0_div
     for name in ("mu0_psi", "mu0_div"):
         series = [Fraction(0), *(getattr(vertex, name)[g] for g in range(1, size))]
-        assert [(n, at) for step, n, at in steps if step == series] == [(size - 1, size)]
+        assert [(n, at) for step, n, at in steps if step == series] == [(size - 1, [size] * size)]
     assert sorted(polys) == [(m1, size) for m1 in range(-8, 3)]
     top = order // 2 + 1
     one_plus_m = [Fraction(1), *(vertex.mu1[g] for g in range(1, top))]
-    assert [(n, at) for step, n, at in steps if step == one_plus_m] == [(4, top)]
+    assert [(n, at) for step, n, at in steps if step == one_plus_m] == [(4, [top] * 5)]
     assert sorted(sinc_orders) == [2 * top, 2 * top + 2]
     assert len(hodge._memo) == top
 
@@ -1352,8 +1352,8 @@ def _mutate_marked_ladder(monkeypatch):
     vertex = VertexData.standard(5)
     one_plus_m = [Fraction(1), *(vertex.mu1[g] for g in range(1, 6))]  # x^0..x^5 reach u^10
 
-    def mutant(step, step_den, top, size, seed=None):
-        rungs = ladder(step, step_den, top, size, seed)
+    def mutant(step, step_den, sizes, seed=None):
+        rungs = ladder(step, step_den, sizes, seed)
         if [Fraction(x, step_den) for x in step] == one_plus_m:
             nums, den = rungs[1]
             rungs[1] = [x + (i == 1) for i, x in enumerate(nums)], den

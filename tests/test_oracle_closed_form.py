@@ -141,7 +141,7 @@ def test_vertex_constants_against_closed_forms():
 
 @pytest.mark.parametrize("c", MATRIX_CS)
 def test_transform_matrix_columns_against_binomial_sum(c):
-    matrix = _transform_matrix(c, MATRIX_G_MAX)
+    matrix = [[F(x, den) for x in nums] for nums, den in _transform_matrix(c, MATRIX_G_MAX)]
     columns = matrix_oracle(c, MATRIX_G_MAX)
     assert len(columns) == MATRIX_G_MAX + (0 if c == 0 else 1)  # only c = 0 skips g = 0
     for g, column in columns.items():

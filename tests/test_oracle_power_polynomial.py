@@ -102,11 +102,17 @@ def inverse_oracle(polys, c, g_max):
     return rows
 
 
+def expanded(rows):
+    """Matrix rows (integer numerators, one den) as lists of Fractions."""
+    return [[F(x, den) for x in nums] for nums, den in rows]
+
+
 def check_matrices(c, g_max, polys=None):
     """Assert that both transform matrices at (c, g_max) equal the oracle, entry for entry."""
     polys = polys or power_polynomials(g_max)
-    assert _transform_matrix(c, g_max) == transform_oracle(polys, c, g_max), ("forward", c)
-    assert _inverse_matrix(c, g_max) == inverse_oracle(polys, c, g_max), ("inverse", c)
+    forward, inverse = expanded(_transform_matrix(c, g_max)), expanded(_inverse_matrix(c, g_max))
+    assert forward == transform_oracle(polys, c, g_max), ("forward", c)
+    assert inverse == inverse_oracle(polys, c, g_max), ("inverse", c)
 
 
 def test_power_polynomials_closed_forms():

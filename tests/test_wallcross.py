@@ -5,7 +5,7 @@ import re
 from collections import Counter
 from fractions import Fraction as F
 from itertools import product
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -394,11 +394,11 @@ def test_grids_read_a_shared_table_cut_to_their_order():
     bad = VertexData.standard(6).perturbed("mu0_div", 2, F(1, 1000))
     for order in (0, 1, 6, 9, 10):
         size = order // 2 + 1
-        closed = wallcross._sine_powers(range(-18, 13), size + 1)
+        closed = wallcross._sine_powers(dict.fromkeys(range(-18, 13), size + 1))
         for n in range(size + 2):
             cut = wallcross._cut(closed, n)
             for ks in ({0}, set(range(-4, 11)), set(range(-18, 13))):
-                assert {k: cut[k] for k in ks} == wallcross._sine_powers(ks, n)
+                assert {k: cut[k] for k in ks} == wallcross._sine_powers(dict.fromkeys(ks, n))
         for vertex in (bad, VertexData.standard(size)):
             large = wallcross._eq_basis(vertex, size + 1)
             own = wallcross._eq_basis(vertex, size)
@@ -426,13 +426,13 @@ def test_eq_paths_build_no_m_ladder(monkeypatch):
         vertices.append(standard(g_top))
         return vertices[-1]
 
-    def recording_ladder(step, step_den, top, size, seed=None):
-        steps.append(([F(x, step_den) for x in step], top, size))
-        return ladder(step, step_den, top, size, seed)
+    def recording_ladder(step, step_den, sizes, seed=None):
+        steps.append(([F(x, step_den) for x in step], len(sizes) - 1, sizes))
+        return ladder(step, step_den, sizes, seed)
 
     def roles():  # the vertex tables the ladders step on, by value
-        return [name for step, _, size in steps for name in ("mu0_psi", "mu0_div")
-                if step == [F(0), *(getattr(vertices[-1], name)[g] for g in range(1, size))]]
+        return [name for step, _, sizes in steps for name in ("mu0_psi", "mu0_div")
+                if step == [F(0), *(getattr(vertices[-1], name)[g] for g in range(1, sizes[0]))]]
 
     monkeypatch.setattr(VertexData, "standard", classmethod(recording_standard))
     monkeypatch.setattr(wallcross, "_ladder", recording_ladder)
@@ -443,9 +443,10 @@ def test_eq_paths_build_no_m_ladder(monkeypatch):
     assert all(rep.passed for rep in verify_grids(4))
     assert roles() == ["mu0_psi", "mu0_div"]
     one_plus_m = marked_step(vertices[-1], 3)  # x^0..x^2 reach u^4
-    assert [(top, size) for step, top, size in steps if step == one_plus_m] == [(4, 3)]
-    s = sinc_half(8)  # x^0..x^3, the eq grid's size
-    assert [(top, size) for step, top, size in steps if step == list(s.coeffs[::2])] == [(30, 4)]
+    assert [(top, sizes) for step, top, sizes in steps if step == one_plus_m] == [(4, [3] * 5)]
+    s = sinc_half(8)  # x^0..x^3, the eq grid's size, for every rung
+    assert [(top, sizes) for step, top, sizes in steps
+            if step == list(s.coeffs[::2])] == [(30, [4] * 31)]
     assert len(steps) == 4
 
 
@@ -462,12 +463,11 @@ def test_default_grids_build_each_closed_side_once(monkeypatch):
     calls, inside = [], []
     table, sinc, power = wallcross._sine_powers, wallcross.sinc_half, wallcross.pow_int
 
-    def counting_table(ks, size):
-        ks = set(ks)
-        calls.append(("_sine_powers", sorted(ks), size))
+    def counting_table(sizes):
+        calls.append(("_sine_powers", sorted(sizes), set(sizes.values())))
         inside.append(True)
         try:
-            return table(ks, size)
+            return table(sizes)
         finally:
             inside.pop()
 
@@ -486,7 +486,7 @@ def test_default_grids_build_each_closed_side_once(monkeypatch):
     for name in ("sine_factor", "eq_sum", "_spread"):
         monkeypatch.setattr(wallcross, name, _raise_if_called(name))
     assert all(rep.passed for rep in verify_grids(10))
-    assert calls == [("_sine_powers", list(range(-18, 13)), 7), ("sinc_half", 15),
+    assert calls == [("_sine_powers", list(range(-18, 13)), {7}), ("sinc_half", 15),
                      ("pow_int", -18, True)]
 
 
@@ -494,35 +494,51 @@ def test_sine_powers_equal_sine_factor():
     # the one builder of S^k tables against the transform's kernel, as
     # fractions: every exponent both default grids read, through every
     # x^(size-1) up to x^15 (u^30), and the exponents the inverse transform's
-    # rows read, 2 - c - 2h for h = 0..g_max, through x^g_max, at odd and
-    # even c on both sides of 0; the transform's series holds zeros at every
-    # odd exponent
-    def check(ks, size):
-        powers = wallcross._sine_powers(ks, size)
-        assert sorted(powers) == sorted(ks)
+    # rows read, 2 - c - 2h for h = 0..g_max, each through x^h as the
+    # inverse reads them and all through x^g_max, at odd and even c on both
+    # sides of 0; the transform's series holds zeros at every odd exponent
+    def check(sizes):
+        powers = wallcross._sine_powers(sizes)
+        assert sorted(powers) == sorted(sizes)
         for k, (nums, den) in powers.items():
-            factor = sine_factor(0, k + 2, 2 * size)
+            factor = sine_factor(0, k + 2, 2 * sizes[k])
             assert not any(factor.coeffs[1::2])
             want, want_den = numerators(factor.coeffs[::2])
-            assert len(nums) == len(want) == size
-            assert [F(x, den) for x in nums] == [F(y, want_den) for y in want], (k, size)
+            assert len(nums) == len(want) == sizes[k]
+            assert [F(x, den) for x in nums] == [F(y, want_den) for y in want], (k, sizes[k])
 
     for size in range(0, 16):
-        check(range(-18, 13), size)
+        check(dict.fromkeys(range(-18, 13), size))
     for c in (-41, -40, 0, 2, 3, 10**6):
         for g_max in range(13):
-            check(range(2 - c - 2 * g_max, 3 - c, 2), g_max + 1)
-    assert wallcross._sine_powers([3, -1], 0) == {3: ([], 1), -1: ([], 1)}
-    assert wallcross._sine_powers([], 9) == {}
-    assert wallcross._sine_powers([0], 2) == {0: ([1, 0], 1)}
-    assert wallcross._sine_powers([0, -2], 1) == {0: ([1], 1), -2: ([1], 1)}
+            check({2 - c - 2 * h: h + 1 for h in range(g_max + 1)})
+            check(dict.fromkeys(range(2 - c - 2 * g_max, 3 - c, 2), g_max + 1))
+    assert wallcross._sine_powers({3: 0, -1: 0}) == {3: ([], 1), -1: ([], 1)}
+    assert wallcross._sine_powers({}) == {}
+    assert wallcross._sine_powers({0: 2}) == {0: ([1, 0], 1)}
+    assert wallcross._sine_powers({0: 1, -2: 1}) == {0: ([1], 1), -2: ([1], 1)}
+
+
+@pytest.mark.parametrize("sizes", [
+    {-7: 2, -5: 6, -4: 1, -1: 9, 0: 0, 3: 4, 6: 7},  # d = 1, sizes up and down
+    {-9: 3, -5: 1, -3: 8, 1: 2, 7: 5},  # d = 2, with rungs that no k reads
+    {-20: 1, -18: 2, -16: 12},  # the largest size at the top rung
+    {4: 5},
+])
+def test_sine_powers_trimmed_equal_the_full_table_cut(sizes):
+    # each rung is built through the longest size read from it upward, not
+    # its own: a rung read short under a rung read long still carries the
+    # coefficients the rungs above are built from
+    full = wallcross._sine_powers(dict.fromkeys(sizes, max(sizes.values())))
+    assert wallcross._sine_powers(sizes) == {
+        k: wallcross._cut({k: full[k]}, n)[k] for k, n in sizes.items()}
 
 
 def test_sine_powers_use_no_log_exp_or_sine_factor(monkeypatch):
     # the closed side shares no kernel with the vertex values both grids
     # check (log S) or with the transform (sine_factor): S, one power of S
     # and integer products only
-    want = wallcross._sine_powers(range(-7, 8), 8)
+    want = wallcross._sine_powers(dict.fromkeys(range(-7, 8), 8))
     assert not hasattr(wallcross, "exp")
     for name in ("log", "sine_factor", "_eq_basis"):
         monkeypatch.setattr(wallcross, name, _raise_if_called(name))
@@ -531,7 +547,7 @@ def test_sine_powers_use_no_log_exp_or_sine_factor(monkeypatch):
     monkeypatch.setattr(hodge, "mu_values", _raise_if_called("mu_values"))
     for name in ("exp", "log"):
         monkeypatch.setattr(series, name, _raise_if_called(name))
-    assert wallcross._sine_powers(range(-7, 8), 8) == want
+    assert wallcross._sine_powers(dict.fromkeys(range(-7, 8), 8)) == want
 
 
 # ---------------------------------------------------------------- raw sum
@@ -556,7 +572,7 @@ def test_raw_sum_is_independent_of_markings():
 
 def test_rung_is_the_ladder_rung():
     step = numerators(marked_step(VertexData.standard(6), 7))
-    assert [wallcross._rung(*step, n, 7) for n in range(21)] == wallcross._ladder(*step, 20, 7)
+    assert [wallcross._rung(*step, n, 7) for n in range(21)] == wallcross._ladder(*step, [7] * 21)
 
 
 def test_raw_sum_cost_grows_with_log_n(monkeypatch):
@@ -699,7 +715,7 @@ def test_raw_route_equals_the_per_partition_sums():
                     poly.pop()
                 want_inserted[b].append(poly)
         for size in sizes:
-            rungs = wallcross._ladder(*numerators(marked_step(vertex, size)), 4, size)
+            rungs = wallcross._ladder(*numerators(marked_step(vertex, size)), [size] * 5)
             assert [[F(x, den) for x in nums] for nums, den in rungs] == [
                 want[:size] for want in want_marked]
             basis = wallcross._eq_basis(vertex, size)
@@ -888,7 +904,7 @@ def test_raw_route_uses_no_closed_form_kernel(monkeypatch):
     for name in ("pow_int", "log", "sinc_half", "sine_factor"):
         monkeypatch.setattr(wallcross, name, _raise_if_called(name))
     basis = wallcross._eq_basis(vertex, 7)  # below u^13
-    rungs = wallcross._ladder(*numerators(marked_step(vertex, 7)), 4, 7)
+    rungs = wallcross._ladder(*numerators(marked_step(vertex, 7)), [7] * 5)
     for (g0, n, c), series in want.items():
         assert correction_raw_sum(g0, n, c, 13) == series
         assert correction_raw_sum(g0, n, c, 13, vertex) == series
@@ -1096,15 +1112,49 @@ def _identity(n):
     return [[F(int(g == h)) for g in range(h + 1)] for h in range(n)]
 
 
+def _expanded(rows):
+    """Matrix rows (integer numerators, one den) as lists of `Fraction`s."""
+    return [[F(x, den) for x in nums] for nums, den in rows]
+
+
 def test_inverse_matrix_inverts_the_transform_matrix():
     for c in range(-8, 13):
         for g_max in range(10):
             n, m = wallcross._inverse_matrix(c, g_max), wallcross._transform_matrix(c, g_max)
-            assert _matrix_product(n, m) == _identity(g_max + 1), (c, g_max)
+            assert _matrix_product(_expanded(n), _expanded(m)) == _identity(g_max + 1), (c, g_max)
     # extreme exponents, and g_max 30 with a row of k = 2h - 2 + c = 0 (the log S row)
     for c, g_max in ((10**6, 8), (-10**6, 8), (2, 30), (0, 30)):
         n, m = wallcross._inverse_matrix(c, g_max), wallcross._transform_matrix(c, g_max)
-        assert _matrix_product(n, m) == _identity(g_max + 1), (c, g_max)
+        assert _matrix_product(_expanded(n), _expanded(m)) == _identity(g_max + 1), (c, g_max)
+
+
+def _fraction_matrices(c, g_max):
+    """Both matrices as `Fraction` entries, one power of S (or log S) per column and per row."""
+    s = sinc_half(2 * g_max + 2)
+    forward = [[pow_int(s, 2 * g - 2 + c).coefficient(2 * (h - g)) for g in range(h + 1)]
+               for h in range(g_max + 1)]
+    inverse = []
+    for h in range(g_max + 1):
+        k = 2 * h - 2 + c
+        power = pow_int(s, -k) if k else log(s)
+        inverse.append([power.coefficient(2 * m) * (1 - F(2 * m, k) if k else 2 * m)
+                        for m in range(h, 0, -1)] + [F(1)])
+    return forward, inverse
+
+
+@pytest.mark.parametrize("cases", [
+    [(c, g_max) for c in range(-8, 13) for g_max in range(13)],
+    [(c, 31) for c in (10**6, -10**6, -40, -41)],
+], ids=["c-8..12,g_max0..12", "c+-10^6,-40,-41,g_max31"])
+def test_matrix_rows_are_lowest_terms_of_the_fraction_matrices(cases):
+    # each row is integer numerators over one positive denominator with no
+    # common factor, and expands to the matrix of `Fraction` entries
+    for c, g_max in cases:
+        built = wallcross._transform_matrix(c, g_max), wallcross._inverse_matrix(c, g_max)
+        for rows in built:
+            assert [len(nums) for nums, _ in rows] == list(range(1, g_max + 2))
+            assert all(den > 0 and gcd(den, *nums) == 1 for nums, den in rows), (c, g_max)
+        assert tuple(map(_expanded, built)) == _fraction_matrices(c, g_max), (c, g_max)
 
 
 def test_inverse_matrix_is_not_computed_from_the_forward_matrix(monkeypatch):
