@@ -377,19 +377,10 @@ def _handle_expand_sine(ns: SimpleNamespace) -> tuple[str, None]:
     return "\n".join(lines) + "\n", None
 
 
-_HANDLERS = {
-    "transform": _handle_transform,
-    "check-integrality": _handle_check_integrality,
-    "verify-identities": _handle_verify_identities,
-    "mu": _handle_mu,
-    "expand-sine": _handle_expand_sine,
-}
-
-
-# The five subcommands, once: command -> (help, options), each option's
-# keywords as add_argument takes them; its dest is the flag without "--" and
-# with "-" read as "_", as argparse derives it.  build_parser and
-# _read_canonical both read this table, so they cannot drift apart.
+# The five subcommands, once: command -> (help, options, handler), each
+# option's keywords as add_argument takes them; its dest is the flag without
+# "--" and with "-" read as "_", as argparse derives it.  build_parser,
+# _read_canonical and main all read this table, so they cannot drift apart.
 _FORMAT = {"choices": ("json", "text"), "default": "text", "help": "output format (default text)"}
 _OUTPUT = {"metavar": "PATH", "default": None, "help": "write the report here instead of stdout"}
 _INPUT = {"required": True, "metavar": "PATH", "help": "table json file"}
@@ -397,29 +388,29 @@ COMMANDS = {
     "transform": ("convert a table between gw, ugw and gv", {
         "--direction": {"required": True, "choices": tuple(_DIRECTIONS)},
         "--input": _INPUT, "--format": _FORMAT, "--output": _OUTPUT,
-    }),
+    }, _handle_transform),
     "check-integrality": ("integrality report for a table", {
         "--input": _INPUT, "--format": _FORMAT, "--output": _OUTPUT,
-    }),
+    }, _handle_check_integrality),
     "verify-identities": ("run the internal identity suites", {
         "--order": {"type": int, "default": 10,
                     "help": "compare coefficients through u^order inclusive (default 10, "
                             f"at most {MAX_VERIFY_ORDER}); the reduction-sum grid runs "
                             "through u^(order+2)"},
         "--format": _FORMAT, "--output": _OUTPUT,
-    }),
+    }, _handle_verify_identities),
     "mu": ("print the vertex values mu_{g,0}, mu_{g,1}", {
         "--g-max": {"type": int, "default": 5,
                     "help": f"largest genus to print (default 5, at most {MAX_MU_G_MAX})"},
         "--format": _FORMAT, "--output": _OUTPUT,
-    }),
+    }, _handle_mu),
     "expand-sine": ("print coefficients of S^(2g-2+c)", {
         "--g": {"type": int, "required": True, "help": f"at most {MAX_ABS_G_C} in absolute value"},
         "--c": {"type": int, "required": True, "help": f"at most {MAX_ABS_G_C} in absolute value"},
         "--order": {"type": int, "default": 10,
                     "help": f"exclusive truncation order (default 10, at most {MAX_SINE_ORDER})"},
         "--format": _FORMAT, "--output": _OUTPUT,
-    }),
+    }, _handle_expand_sine),
 }
 
 
@@ -444,7 +435,7 @@ def build_parser():
         description="Exact sine-power wall-crossing transforms for genus-indexed curve counts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, options) in COMMANDS.items():
+    for command, (help_text, options, _) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for flag, spec in options.items():
             p.add_argument(flag, **spec)
@@ -514,7 +505,7 @@ def main(argv: list[str] | None = None) -> int:
         for name in ("input", "output"):
             if getattr(ns, name, None) == "":
                 raise ValueError(f"--{name} must name a file, got an empty path")
-        text, failure = _HANDLERS[ns.command](ns)
+        text, failure = COMMANDS[ns.command][2](ns)
         _emit(text, ns)
         if failure is None:
             return 0

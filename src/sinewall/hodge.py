@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import comb
 
 from ._record import GridCell, GridReport, Record
-from .series import _int_arg, convolve, log, numerators, sinc_half
+from .series import _int_arg, convolve, even_row, log, sinc_half
 
 __all__ = [
     "MuValue", "i_function_expansion", "mu_g0", "mu_g1", "mu_values", "verify_i_ratio",
@@ -77,10 +77,9 @@ def mu_values(g_top: int) -> tuple[MuValue, ...]:
     if _int_arg("g_top", g_top) > len(_memo):
         s = sinc_half(2 * g_top + 2)
         s2 = s * s
-        s2_log = s2 * log(s)
-        _memo = tuple(MuValue(a1=a, a_H=-a + 3 * b, a_c1=b)
-                      for a, b in ((s2.coefficient(2 * g), s2_log.coefficient(2 * g))
-                                   for g in range(1, g_top + 1)))
+        (a, a_den), (b, b_den) = even_row(s2, g_top + 1), even_row(s2 * log(s), g_top + 1)
+        _memo = tuple(MuValue(a1=x, a_H=-x + 3 * y, a_c1=y) for x, y in (
+            (Fraction(a[g], a_den), Fraction(b[g], b_den)) for g in range(1, g_top + 1)))
     return _memo[:max(g_top, 0)]
 
 
@@ -126,9 +125,7 @@ def i_function_expansion(order_u: int) -> dict[int, dict[tuple[int, int, int], F
     # S and log S as numerators of x^0..x^(size-1), x = u^2, over one denominator each
     size = (order_u + 1) // 2
     s = sinc_half(order_u)
-    s_nums, s_den = numerators([s.coefficient(2 * i) for i in range(size)])
-    ls = log(s)
-    l_nums, l_den = numerators([ls.coefficient(2 * i) for i in range(size)])
+    (s_nums, s_den), (l_nums, l_den) = even_row(s, size), even_row(log(s), size)
 
     # at z' = z - H layer j's class is (3H + c1)^j (z - H)^e with e = 1 - j,
     # that is sum_{h,i} C(j, h) 3^h H^h c1^(j-h) binom(e, i) (-H)^i z^(e-i),

@@ -24,26 +24,25 @@ exponents of the nonzero coefficients, counted from the valuation for
 in x = u^d, so the recurrence runs on every d-th coefficient and its result
 is spread back to the multiples of d.  Every series of the pipeline is even
 in u (d = 2); a dense series has d = 1 and takes the same path.
-Products go through `convolve` on integer numerators over one common
-denominator (`numerators`), so a coefficient of a product costs integer
-multiplications and one `Fraction` at the end.  ``exp`` and ``log`` sum each
-step of their recurrence the same way: the input as numerators over its
-least common denominator, the result so far as numerators over the running
-lcm of its denominators (`_push`), and one `Fraction` per new coefficient.
-``pow_int`` still sums each step in `Fraction`.  On a copy, integer
-numerators for its weights took the benchmark's transform-deep workload
-from 20.3 to 34.0 jobs/s and its median job from 22.0 to 14.9 ms, but
-its peak RSS rose by 8.6%, 10.3% and 7.5% in three runs, against a 10%
-bound: the benchmark keeps every job's result, so its memory grows with
-the number of jobs a run completes.  The integer form waits until the
-benchmark measures memory independently of the job count (ROADMAP item 1).
-The transform's forward matrix calls ``pow_int`` once per column.  The
-inverse calls it once in all, not once per row: for the seed
-S^(2-c-2 g_max) of the integer ladder on S^2 that `wallcross._sine_powers`
-builds its rows from.  The seed is the one power of the inverse taken
-through x^g_max; each rung above it is an integer `convolve` cut to the
-row it serves.  The forward matrix's powers move onto that ladder, and
-``pow_int`` onto integers, only after item 1 (ROADMAP items 2 and 3).
+``exp`` and ``log`` sum each step of their recurrence on integers: the input
+as numerators over its least common denominator, the result so far as
+numerators over the running lcm of its denominators (`_push`), and one
+`Fraction` per new coefficient.  ``pow_int`` still sums each step in
+`Fraction` (ROADMAP item 3).  The transform's forward matrix calls it once
+per column, and the inverse once in all, for the seed of the integer ladder
+that `wallcross._sine_powers` builds its rows from.
+
+This module also owns the integer rows that the transform, the identity
+grids and the vertex values work on.  A row is an even series read in
+x = u^2: the integer numerators of x^0..x^(n-1) over one positive
+denominator, in lowest terms.  `even_row` reads a `USeries` as a row and
+`even_series` spreads a row back to a `USeries` through a u-order; outside
+this module they are the only two crossings of that boundary.  On rows, `numerators` puts
+`Fraction`s over their least common denominator, `convolve` is the one
+product kernel (``*`` of two series runs on it too), `_lowest` divides out
+a common factor, `_ladder` builds the powers of one row, one `convolve` per
+power, each cut to its own size, and `_rung` reads one such power by
+repeated squaring.
 
 Coefficients are exact rationals (`fractions.Fraction`); the constructor
 accepts `int` and `Fraction` and refuses everything else, floats included.
@@ -89,7 +88,13 @@ def _int_arg(name: str, value):
 
 
 def numerators(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators over the least common denominator: coeffs[i] == ints[i] / den."""
+    """Integer numerators over the least common denominator: coeffs[i] == ints[i] / den.
+
+    The denominator is positive and the row in lowest terms: a prime power
+    that exactly divides the lcm exactly divides some coefficient's reduced
+    denominator too, so the prime divides neither that coefficient's
+    numerator nor the factor it is scaled by.
+    """
     den = lcm(*(c.denominator for c in coeffs))  # 1 for no coefficients
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
@@ -105,6 +110,45 @@ def convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
                     break
                 out[i + j] += x * y
     return out
+
+
+def _lowest(nums: list[int], den: int) -> tuple[list[int], int]:
+    """nums / den in lowest terms: the gcd divided out, and the denominator made positive."""
+    g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+    return [x // g for x in nums], den // g
+
+
+def _ladder(step: list[int], step_den: int, sizes: list[int],
+            seed: tuple[list[int], int] | None = None) -> list[tuple[list[int], int]]:
+    """seed (step / step_den)^j for j < len(sizes): numerators of x^0..x^(sizes[j]-1), one den.
+
+    Every power is one integer `convolve` from the power before, through its
+    own size, put in lowest terms (`_lowest`); the sizes must not increase,
+    since a power reads the one before it only that far.  Entry 0 is
+    ``seed``, or 1 without one; a seed is given the same way, (numerators,
+    den), over x^0..x^(sizes[0]-1).
+    """
+    powers = [seed or ([int(i == 0) for i in range(sizes[0])], 1)]
+    for size in sizes[1:]:
+        nums, den = powers[-1]
+        powers.append(_lowest(convolve(nums, step, size), den * step_den))
+    return powers
+
+
+def _rung(step: list[int], step_den: int, n: int, size: int) -> tuple[list[int], int]:
+    """Rung n of a `_ladder` on ``step``, (step / step_den)^n, by repeated squaring.
+
+    One integer `convolve` per squaring and per set bit of n, each put in
+    lowest terms (`_lowest`), so the cost grows with log n.
+    """
+    power, rung = (step, step_den), ([int(i == 0) for i in range(size)], 1)
+    while n:
+        if n & 1:
+            rung = _lowest(convolve(rung[0], power[0], size), rung[1] * power[1])
+        n >>= 1
+        if n:
+            power = _lowest(convolve(power[0], power[0], size), power[1] ** 2)
+    return rung
 
 
 class USeries:
@@ -225,6 +269,28 @@ def _spread(h: list[Fraction], d: int, n: int) -> list[Fraction]:
     return out
 
 
+def even_row(f: USeries, size: int) -> tuple[list[int], int]:
+    """f read in x = u^2 as a row: numerators of x^0..x^(size-1) over one positive den.
+
+    Entry i is [u^(2i)] f; odd powers of u are not read.  The row is in
+    lowest terms (`numerators`).  f must know every power read: its
+    valuation at least 0, and u^(2 size - 2) below its order.
+    """
+    if f.valuation < 0 or 2 * size - 1 > f.order:
+        raise ValueError(f"a row reads u^0..u^{2 * size - 2}, a series from u^{f.valuation} "
+                         f"below u^{f.order}")
+    lead = [Fraction(0)] * ((f.valuation + 1) // 2)  # the x-powers below the valuation
+    return numerators((lead + list(f.coeffs[f.valuation % 2::2]))[:size])
+
+
+def even_series(nums: list[int], den: int, order: int) -> USeries:
+    """The row nums / den of x^0, x^1, ..., x = u^2, as a `USeries` through u^(order-1).
+
+    The row holds exactly the even exponents below ``order``: (order + 1) // 2 entries.
+    """
+    return USeries(0, _spread([Fraction(x, den) for x in nums], 2, order))
+
+
 def _push(nums: list[int], den: int, q: Fraction, weight: int) -> int:
     """Append weight * q to the numerators nums over den; return their new denominator.
 
@@ -320,7 +386,5 @@ def sinc_half(order: int) -> USeries:
     """
     if _int_arg("order", order) <= 0:
         return USeries.zero(order)
-    out = [Fraction(0)] * order
-    for k in range(0, (order - 1) // 2 + 1):
-        out[2 * k] = Fraction((-1) ** k, 4**k * factorial(2 * k + 1))
-    return USeries(0, out)
+    x_row = [Fraction((-1) ** k, 4**k * factorial(2 * k + 1)) for k in range((order + 1) // 2)]
+    return USeries(0, _spread(x_row, 2, order))

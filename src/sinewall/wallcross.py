@@ -13,9 +13,10 @@ powers of S: with k = 2h - 2 + c,
     uGW_h = GW_h + sum_{g < h} GW_g (1 - 2(h-g)/k) [u^{2(h-g)}] S^{-k},
 
 where (1 - 2(h-g)/k) [u^{2(h-g)}] S^{-k} reads 2(h-g) [u^{2(h-g)}] log S
-when k = 0.  Both directions build their matrix from one S.  The forward
-matrix takes one `pow_int` per column.  The inverse's row h reads
-S^{-k} = S^{2-c-2h} through x^h, so its powers are one table of
+when k = 0.  Both directions build their matrix from one S, as a table
+{k: (integer numerators, one den)} of S^k read in x = u^2.  The forward
+matrix fills its table with one `pow_int` per column.  The inverse's row h
+reads S^{-k} = S^{2-c-2h} through x^h, so its powers are one table of
 `_sine_powers`, the builder the grids' closed side reads too: one `pow_int`
 for the seed S^{2-c-2 g_max}, then one integer `_ladder` on S^2 whose rung
 for row h is built through x^h only.  Each matrix row is integer numerators
@@ -71,8 +72,11 @@ Every series the grids compare is even in u, so their helpers work in
 x = u^2 alone: a grid turns its order into the number of x-coefficients it
 compares once, every helper takes and returns integer numerators of
 x^0..x^(size-1), and only `eq_sum` and `correction_raw_sum` spread a result
-back to u (`series._spread`).  The powers of S, 1 + M, Psi and Delta are
-each a `_ladder`, one integer `convolve` per power.  A failing cell
+back to u.  The powers of S, 1 + M, Psi and Delta are each a `_ladder`, one
+integer `convolve` per power.  The row kernels (`convolve`, `numerators`,
+`_lowest`, `_ladder`, `_rung`) and the two crossings between a series and
+its row (`even_row`, `even_series`) live in `series`; this module reads no
+series by u-exponent.  A failing cell
 names its first mismatch as a power of u, from the integers it compared.
 Each grid reports as a `GridReport` of `GridCell`s (`_record`), the report
 type the expansion checks of `hodge` share.
@@ -88,7 +92,8 @@ from math import factorial, gcd, lcm
 
 from . import hodge
 from ._record import GridCell, GridReport, Record
-from .series import USeries, _int_arg, _spread, convolve, log, numerators, pow_int, sinc_half
+from .series import (USeries, _int_arg, _ladder, _lowest, _rung, convolve, even_row, even_series,
+                     log, numerators, pow_int, sinc_half)
 
 __all__ = [
     "GenusTable", "GridCell", "GridReport", "Kind", "MissingGenus", "VertexData",
@@ -171,45 +176,6 @@ def sine_factor(g: int, c: int, order: int) -> USeries:
     return pow_int(sinc_half(order), 2 * g - 2 + c)
 
 
-def _lowest(nums: list[int], den: int) -> tuple[list[int], int]:
-    """nums / den in lowest terms: the gcd divided out, and the denominator made positive."""
-    g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
-    return [x // g for x in nums], den // g
-
-
-def _ladder(step: list[int], step_den: int, sizes: list[int],
-            seed: tuple[list[int], int] | None = None) -> list[tuple[list[int], int]]:
-    """seed (step / step_den)^j for j < len(sizes): numerators of x^0..x^(sizes[j]-1), one den.
-
-    Every power is one integer `convolve` from the power before, through its
-    own size, put in lowest terms (`_lowest`); the sizes must not increase,
-    since a power reads the one before it only that far.  Entry 0 is
-    ``seed``, or 1 without one; a seed is given the same way, (numerators,
-    den), over x^0..x^(sizes[0]-1).
-    """
-    powers = [seed or ([int(i == 0) for i in range(sizes[0])], 1)]
-    for size in sizes[1:]:
-        nums, den = powers[-1]
-        powers.append(_lowest(convolve(nums, step, size), den * step_den))
-    return powers
-
-
-def _rung(step: list[int], step_den: int, n: int, size: int) -> tuple[list[int], int]:
-    """Rung n of a `_ladder` on ``step``, (step / step_den)^n, by repeated squaring.
-
-    One integer `convolve` per squaring and per set bit of n, each put in
-    lowest terms (`_lowest`), so the cost grows with log n.
-    """
-    power, rung = (step, step_den), ([int(i == 0) for i in range(size)], 1)
-    while n:
-        if n & 1:
-            rung = _lowest(convolve(rung[0], power[0], size), rung[1] * power[1])
-        n >>= 1
-        if n:
-            power = _lowest(convolve(power[0], power[0], size), power[1] ** 2)
-    return rung
-
-
 def _sine_powers(sizes: Mapping[int, int]) -> dict[int, tuple[list[int], int]]:
     """S^k for every k of ``sizes``, as (numerators of x^0..x^(sizes[k]-1), one den), x = u^2.
 
@@ -232,8 +198,8 @@ def _sine_powers(sizes: Mapping[int, int]) -> dict[int, tuple[list[int], int]]:
     need = list(accumulate(reversed(reads), max))[::-1]  # the longest read from rung j up
     size = need[0]
     s = sinc_half(2 * size + 1)  # through x^size, so that S^low exists at size 0
-    step = _rung(*numerators(s.coeffs[::2]), d, size)
-    seed = numerators(pow_int(s, low).coeffs[:2 * size:2])
+    step = _rung(*even_row(s, size + 1), d, size)
+    seed = even_row(pow_int(s, low), size)
     rungs = _ladder(*step, need, seed)
     rows = {k: rungs[(k - low) // d] for k in sizes}
     return {k: _lowest(nums[:sizes[k]], den) for k, (nums, den) in rows.items()}
@@ -289,7 +255,7 @@ def eq_sum(m1: int, m2: int, order: int) -> USeries:
         return USeries.zero(order)
     size = (order + 1) // 2
     polys, den = _eq_polys(_eq_basis(VertexData.standard(size - 1), size), m1, size)
-    return USeries(0, _spread([Fraction(x, den) for x in _horner(polys, m2)], 2, order))
+    return even_series(_horner(polys, m2), den, order)
 
 
 def _eq_polys(basis, m1: int, size: int) -> tuple[list[list[int]], int]:
@@ -393,7 +359,7 @@ def correction_raw_sum(g0: int, n: int, c: int, order: int,
     polys, den = _eq_polys(_eq_basis(vertex, size), -(2 * g0 - 2 + n), size)
     marked, m_den = _rung(*numerators([1, *(vertex.mu1[g] for g in range(1, size))]), n, size)
     nums = convolve(marked, _horner(polys, 3 * (2 * g0 - 2) + c), size)
-    return USeries(0, _spread([Fraction(x, den * m_den) for x in nums], 2, order))
+    return even_series(nums, den * m_den, order)
 
 
 def _cell(key, got: list[int], den: int, want: list[int], want_den: int) -> GridCell:
@@ -478,12 +444,20 @@ def verify_grids(order: int, vertex: VertexData | None = None) -> tuple[GridRepo
 def _transform_matrix(c: int, g_max: int) -> list[tuple[list[int], int]]:
     """Rows M[h][g] = [u^{2(h-g)}] S^{2g-2+c}, g <= h <= g_max: GW_h = sum_g uGW_g M[h][g].
 
-    Row h is (numerators of M[h][0..h], one positive den), in lowest terms.
+    Column g reads S^k, k = 2g - 2 + c, through x^(g_max - g).  The powers
+    are one table {k: (numerators, den)}, as `_sine_powers` returns them,
+    filled one `pow_int` per column.  Row h puts columns 0..h over their
+    lcm, so row h is (numerators of M[h][0..h], one positive den), in lowest
+    terms.
     """
+    ks = range(c - 2, 2 * g_max - 1 + c, 2)  # k for g = 0..g_max
     s = sinc_half(2 * g_max + 2)
-    factors = [pow_int(s, 2 * g - 2 + c) for g in range(g_max + 1)]
-    return [numerators([factors[g].coefficient(2 * (h - g)) for g in range(h + 1)])
-            for h in range(g_max + 1)]
+    powers = {k: even_row(pow_int(s, k), g_max + 1 - g) for g, k in enumerate(ks)}
+    columns = [powers[k] for k in ks]
+    dens = list(accumulate((den for _, den in columns), lcm))  # row h's: of columns 0..h
+    return [_lowest([nums[h - g] * (row_den // den)
+                     for g, (nums, den) in enumerate(columns[:h + 1])], row_den)
+            for h, row_den in enumerate(dens)]
 
 
 def _inverse_matrix(c: int, g_max: int) -> list[tuple[list[int], int]]:
@@ -512,9 +486,8 @@ def _inverse_matrix(c: int, g_max: int) -> list[tuple[list[int], int]]:
             rows.append(_lowest([nums[m] * (k - 2 * m) for m in range(h, 0, -1)] + [den * k],
                                 den * k))
         else:
-            log_s = log(sinc_half(2 * h + 2))  # through x^h
-            rows.append(numerators([log_s.coefficient(2 * m) * 2 * m for m in range(h, 0, -1)]
-                                   + [Fraction(1)]))
+            nums, den = even_row(log(sinc_half(2 * h + 2)), h + 1)  # log S through x^h
+            rows.append(_lowest([2 * m * nums[m] for m in range(h, 0, -1)] + [den], den))
     return rows
 
 

@@ -1503,7 +1503,7 @@ def test_module_help_exits_0(monkeypatch):
 # ---------------------------------------------------------------- table reader
 
 
-_FLAGS = sorted({flag for _, options in COMMANDS.values() for flag in options})
+_FLAGS = sorted({flag for _, options, _ in COMMANDS.values() for flag in options})
 _VALUES = ("-1", "-0", "-1.5", "-x", "-", "", " 3", "1_0", "\u0663", "3", "0", "t.json",
            "json", "text", "xml", "gw-to-ugw", "ugw-to-gw", "gw-to-gv", "gv-to-gw")
 _flag = st.one_of(

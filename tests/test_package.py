@@ -88,7 +88,7 @@ def test_no_container_holds_a_library_function():
     # bench/tracer.py and the tests' monkeypatching rebind module attributes:
     # a function held in a container escapes both, without an error, and is
     # missing from the traced spans.  A module's own functions may be held,
-    # as in cli._HANDLERS.
+    # as cli.COMMANDS holds its handlers.
     names = [info.name for info in pkgutil.iter_modules(sinewall.__path__)]
     modules = [sinewall] + [importlib.import_module(f"sinewall.{name}") for name in names]
     assert [(m.__name__, _foreign_functions(m)) for m in modules
@@ -98,6 +98,49 @@ def test_no_container_holds_a_library_function():
     probe.own = [lambda: None]
     probe.own[0].__module__ = "sinewall.cli"
     assert _foreign_functions(probe) == [("table", "pow_int")]
+
+
+_ROW_KERNELS = {"_lowest", "_ladder", "_rung"}
+
+
+def _series_reads(source):
+    """Where one source reads a series by u-exponent or defines an integer-row kernel.
+
+    A `.coeffs` subscript, a `.coefficient(2 ...)` call, a `_spread` call
+    and a def of a `series` row kernel each give (line, what): `series`
+    alone crosses between a `USeries` and its rows in x = u^2.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute) \
+                and node.value.attr == "coeffs":
+            found.append((node.lineno, "coeffs subscript"))
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name == "_spread":
+                found.append((node.lineno, "_spread call"))
+            elif name == "coefficient" and node.args \
+                    and ast.unparse(node.args[0]).startswith("2"):
+                found.append((node.lineno, "coefficient(2 ...) call"))
+        elif isinstance(node, ast.FunctionDef) and node.name in _ROW_KERNELS:
+            found.append((node.lineno, f"def {node.name}"))
+    return sorted(found)
+
+
+def test_series_rows_cross_only_in_series():
+    # the rows in x = u^2 have one owner: wallcross and hodge read a series
+    # through series.even_row and spread a row back through even_series,
+    # and define no integer-row kernel of their own
+    for module in (wallcross, hodge):
+        assert _series_reads(Path(module.__file__).read_text()) == [], module.__name__
+    probe = ("nums = numerators(s.coeffs[::2])\n"
+             "a = f.coefficient(2 * g)\n"
+             "f = USeries(0, series._spread(h, 2, n))\n"
+             "def _rung(step, den, n, size):\n"
+             "    pass\n"
+             "b = f.coefficient(k)\n")
+    assert _series_reads(probe) == [(1, "coeffs subscript"), (2, "coefficient(2 ...) call"),
+                                    (3, "_spread call"), (4, "def _rung")]
 
 
 def test_cli_call_leaves_out_unused_modules(tmp_path):
@@ -297,6 +340,7 @@ _OFF_CLI_KEPT = {
     ("series", "USeries.__eq__"): "series equality: criteria 5 and 6 compare series",
     ("series", "USeries.agrees"): "equality where both determine: criterion 6's property suites",
     ("series", "USeries.one"): "pow_int's power 0: criterion 6's property suites",
+    ("series", "even_series"): "a row back to u: eq_sum and correction_raw_sum, below",
     ("series", "exp"): "criterion 6's exp and log identities",
     ("series", "inv"): "criterion 6's pow_int(w, -2) == inv(pow_int(w, 2))",
     ("wallcross", "VertexData.perturbed"): "testing hook: criterion 7's negative controls",

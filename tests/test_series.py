@@ -6,6 +6,7 @@ sums for sin(x)/x, and a hand-rolled triangular solve for inverses.
 """
 
 import random
+import re
 from fractions import Fraction as F
 from math import factorial, gcd
 
@@ -18,6 +19,8 @@ from sinewall.series import (
     USeries,
     ZeroSeries,
     convolve,
+    even_row,
+    even_series,
     exp,
     inv,
     log,
@@ -436,6 +439,36 @@ def test_convolve_and_numerators_against_schoolbook():
         for f in fs:
             least = least * f.denominator // gcd(least, f.denominator)
         assert den == least
+
+
+@given(st.lists(small_fraction, max_size=8))
+def test_numerators_are_lowest_terms(fs):
+    # _ladder's seed and _sine_powers' rows rely on this
+    ints, den = numerators(fs)
+    assert den > 0 and gcd(den, *ints) == 1
+    assert [F(x, den) for x in ints] == fs
+
+
+@given(useries(min_valuation=0, max_valuation=4, max_len=9), st.data())
+def test_even_row_is_lowest_terms_and_spreads_back(f, data):
+    # a row reads [u^0], [u^2], ... of f, at any valuation, in lowest terms over
+    # a positive den; even_series gives back the even part of f through u^(2 size - 1)
+    size = data.draw(st.integers(min_value=0, max_value=(f.order + 1) // 2))
+    ints, den = even_row(f, size)
+    assert den > 0 and gcd(den, *ints) == 1
+    assert [F(x, den) for x in ints] == [f.coefficient(2 * i) for i in range(size)]
+    back = even_series(ints, den, 2 * size)
+    assert back.order == 2 * size
+    assert all(back.coefficient(k) == (0 if k % 2 else f.coefficient(k)) for k in range(2 * size))
+
+
+def test_even_row_refuses_an_unknown_power():
+    f = USeries(-2, [F(1), F(0), F(3)])  # u^-2 + 3, known below u^1
+    with pytest.raises(ValueError, match=re.escape("a series from u^-2 below u^1")):
+        even_row(f, 1)
+    with pytest.raises(ValueError, match=re.escape("reads u^0..u^4")):
+        even_row(sinc_half(4), 3)
+    assert even_row(sinc_half(5), 3) == ([1920, -80, 1], 1920)
 
 
 @given(invertible_series())

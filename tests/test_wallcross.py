@@ -483,7 +483,7 @@ def test_default_grids_build_each_closed_side_once(monkeypatch):
     monkeypatch.setattr(wallcross, "_sine_powers", counting_table)
     monkeypatch.setattr(wallcross, "sinc_half", counting_sinc)
     monkeypatch.setattr(wallcross, "pow_int", counting_power)
-    for name in ("sine_factor", "eq_sum", "_spread"):
+    for name in ("sine_factor", "eq_sum", "even_series"):
         monkeypatch.setattr(wallcross, name, _raise_if_called(name))
     assert all(rep.passed for rep in verify_grids(10))
     assert calls == [("_sine_powers", list(range(-18, 13)), {7}), ("sinc_half", 15),
@@ -585,6 +585,8 @@ def test_raw_sum_cost_grows_with_log_n(monkeypatch):
         calls.append(args)
         return convolve(*args)
 
+    # the rung's squarings run in series, the cell's own products in wallcross
+    monkeypatch.setattr(series, "convolve", counting)
     monkeypatch.setattr(wallcross, "convolve", counting)
     counts = []
     for n in (10**3, 10**5):
